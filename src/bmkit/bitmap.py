@@ -13,7 +13,7 @@ import numpy as np
 from .errors import MonotonicityError
 from .fillmodel import SCurve, sample_fill_delays
 
-__all__ = ["BufferMap", "PeerBufferState", "diff_new_fills"]
+__all__ = ["BufferMap", "PeerBufferState", "check_monotone", "diff_new_fills"]
 
 _DELAY_BATCH = 4096
 
@@ -138,25 +138,33 @@ class PeerBufferState:
         return BufferMap(offset, bits)
 
 
+def check_monotone(prev: BufferMap, cur: BufferMap) -> None:
+    """Raise :class:`MonotonicityError` if any chunk present in both windows
+    went from filled in ``prev`` to unfilled in ``cur``."""
+    if cur.offset < prev.offset:
+        raise ValueError("current map must not start before the previous one")
+    lo = cur.offset
+    hi = min(prev.end, cur.end)
+    if hi > lo:
+        regressed = prev.bits[lo - prev.offset : hi - prev.offset] & ~cur.bits[: hi - lo]
+        if regressed.any():
+            where = int(np.flatnonzero(regressed)[0]) + lo
+            raise MonotonicityError(f"chunk {where} went from filled to unfilled")
+
+
 def diff_new_fills(prev: BufferMap, cur: BufferMap) -> set:
     """Chunk ids filled in ``cur`` that were unfilled (or absent) in ``prev``.
 
     Raises :class:`MonotonicityError` if any chunk present in both windows
     went from filled back to unfilled.
     """
-    if cur.offset < prev.offset:
-        raise ValueError("current map must not start before the previous one")
-    lo = max(prev.offset, cur.offset)
+    check_monotone(prev, cur)
+    lo = cur.offset
     hi = min(prev.end, cur.end)
     new = set()
     if hi > lo:
         p = prev.bits[lo - prev.offset : hi - prev.offset]
-        c = cur.bits[lo - cur.offset : hi - cur.offset]
-        regressed = p & ~c
-        if regressed.any():
-            where = int(np.flatnonzero(regressed)[0]) + lo
-            raise MonotonicityError(f"chunk {where} went from filled to unfilled")
-        new.update((int(i) + lo for i in np.flatnonzero(~p & c)))
+        new.update(int(i) + lo for i in np.flatnonzero(~p & cur.bits[: hi - lo]))
     # Chunks newly appended to the window.
     tail_start = max(cur.offset, prev.end)
     if cur.end > tail_start:

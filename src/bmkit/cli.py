@@ -38,12 +38,10 @@ from .schemes import (
     PpbmsSession,
     SpbmsDecoder,
     SpbmsEncoder,
-    _HEADER,
-    _RESYNC_FLAG,
-    _TAG_SCHEMES,
     pack_message,
     sbms_decode,
     sbms_encode,
+    unpack_envelope,
     unpack_message,
 )
 from .sim import SCHEMES, SimConfig, run_synthetic, run_trace
@@ -215,17 +213,12 @@ def _read_frames(data: bytes):
             if used != len(body):
                 raise ValueError("frame length disagrees with message length")
         else:
-            tag, offset, lbmr, cbmr, nbits = _HEADER.unpack_from(body, 0)
-            scheme = _TAG_SCHEMES.get(tag & ~_RESYNC_FLAG)
-            if scheme is None:
-                raise ValueError(f"unknown scheme tag 0x{tag:02x}")
+            scheme, offset, lbmr, cbmr, nbits, resync = unpack_envelope(body)
             if nbits == 0:
                 bits = np.zeros(0, dtype=bool)
             else:
                 bits = decode_bits(coder, bytes(body[HEADER_LEN:]), nbits)
-            msg = CompressedBM(
-                scheme, offset, lbmr, cbmr, bits, resync=bool(tag & _RESYNC_FLAG)
-            )
+            msg = CompressedBM(scheme, offset, lbmr, cbmr, bits, resync=resync)
         yield ts, peer, _ID_DIRS[dir_id], msg
 
 

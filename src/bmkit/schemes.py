@@ -5,14 +5,21 @@ Three schemes share one wire envelope:
 * ``sbms``  - every map is shipped whole (optionally entropy-coded), no
   shared state between messages.
 * ``spbms`` - the sender never re-reports a position after announcing it
-  filled.  Sender and receiver both track the *support set*: the ascending
-  chunk ids whose status is still unknown to the receiver.  Each payload is
-  exactly the sender's current bit at each support-set location (window
-  positions appended since the previous message are inserted first, and
-  positions that slid below the window offset are purged on both sides).
+  filled.  Sender and receiver both track the *support set*: the chunk ids
+  whose status is still unknown to the receiver, kept as a bool mask
+  aligned with the window.  Each payload is exactly the sender's current
+  bit at each support-set location of its window, in location order.
 * ``ppbms`` - additionally, positions the counterpart has announced filled
   are never reported back.  Both peers of a pair maintain one shared support
   set that every message in either direction updates.
+
+Every message, sent or received, live or replayed from the reorder archive,
+makes the same update (``_step``): append the window positions it newly
+covers and purge those below its offset, read the payload off the sender's
+bits (or write it into a window of ones at the receiver), then clear the
+locations reported 1.  A message reports only support-set locations inside
+its own window; members past it (the ppbms set covers both peers' windows)
+stay for a later message.
 
 Wire envelope (big-endian): 1-byte scheme tag, 4-byte offset, 2-byte
 lbmr_seq, 2-byte cbmr_seq, 2-byte payload bit count, then the payload bits
@@ -23,12 +30,12 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import coders
-from .bitmap import BufferMap
+from .bitmap import BufferMap, check_monotone
 from .errors import DesyncError, MissingReferenceError, MonotonicityError, ProtocolError
 
 __all__ = [
@@ -42,6 +49,7 @@ __all__ = [
     "sbms_decode",
     "full_resync",
     "pack_message",
+    "unpack_envelope",
     "unpack_message",
     "unpack_stream",
     "HEADER_LEN",
@@ -59,13 +67,18 @@ _RESYNC_FLAG = 0x80
 # ======================================================================
 
 class SupportSet:
-    """Ascending chunk ids not yet known to be buffered.
+    """Chunk ids not yet known to be buffered, as a bool mask anchored at
+    chunk id ``lo``: chunk ``lo + i`` is a member exactly when ``mask[i]``.
 
-    Instances are immutable; every operation returns a new set, which makes
-    snapshotting for the reorder archive free.
+    The span may hold non-members at either end, so sets with the same
+    members are equal whatever their anchors; memory follows the span.  The
+    codecs anchor each set at the window offset, which makes a payload
+    ``bits[mask[:n]]`` and the removal of reported locations a positional
+    clear.  Instances are immutable; every operation returns a new set (or
+    this one, if nothing changes), which makes archive snapshots free.
     """
 
-    __slots__ = ("locs",)
+    __slots__ = ("lo", "mask")
 
     def __init__(self, locs=()):
         arr = np.asarray(locs, dtype=np.int64)
@@ -73,52 +86,71 @@ class SupportSet:
             raise ValueError("locations must be one-dimensional")
         if arr.size > 1 and np.any(np.diff(arr) <= 0):
             raise ValueError("locations must be strictly ascending")
-        self.locs = arr
+        self.lo = int(arr[0]) if arr.size else 0
+        self.mask = np.zeros(int(arr[-1]) + 1 - self.lo if arr.size else 0, dtype=bool)
+        self.mask[arr - self.lo] = True
+
+    @classmethod
+    def _of(cls, lo: int, mask: np.ndarray) -> "SupportSet":
+        out = cls.__new__(cls)
+        out.lo = lo
+        out.mask = mask
+        return out
 
     @classmethod
     def from_range(cls, lo: int, hi: int) -> "SupportSet":
-        return cls(np.arange(lo, hi, dtype=np.int64))
+        return cls._of(int(lo), np.ones(max(hi - lo, 0), dtype=bool))
+
+    @property
+    def locs(self) -> np.ndarray:
+        """Members as an ascending int64 array."""
+        return np.flatnonzero(self.mask) + self.lo
 
     def insert_range(self, lo: int, hi: int) -> "SupportSet":
         """Insert the contiguous run [lo, hi); it must lie above every
         current member (new window positions always do)."""
         if hi <= lo:
             return self
-        if self.locs.size and self.locs[-1] >= lo:
+        if self.mask[max(lo - self.lo, 0) :].any():
             raise ValueError("inserted range must lie above existing locations")
-        out = SupportSet.__new__(SupportSet)
-        out.locs = np.concatenate([self.locs, np.arange(lo, hi, dtype=np.int64)])
-        return out
+        base = self.lo if self.mask.any() else lo
+        keep = self.mask[: lo - base]
+        mask = np.zeros(hi - base, dtype=bool)
+        mask[: keep.size] = keep
+        mask[lo - base :] = True
+        return SupportSet._of(base, mask)
 
     def purge_below(self, offset: int) -> "SupportSet":
-        cut = int(np.searchsorted(self.locs, offset, side="left"))
-        if cut == 0:
+        cut = offset - self.lo
+        if cut <= 0 or not self.mask[:cut].any():
             return self
-        out = SupportSet.__new__(SupportSet)
-        out.locs = self.locs[cut:]
-        return out
+        return SupportSet._of(offset, self.mask[cut:])
 
     def remove(self, gone) -> "SupportSet":
-        gone = np.asarray(gone, dtype=np.int64)
-        if gone.size == 0:
+        """Drop the ids in ``gone``; ids that are not members are ignored."""
+        pos = np.asarray(gone, dtype=np.int64) - self.lo
+        if pos.size == 0:
             return self
-        mask = np.isin(self.locs, gone, assume_unique=True, invert=True)
-        out = SupportSet.__new__(SupportSet)
-        out.locs = self.locs[mask]
-        return out
+        mask = self.mask.copy()
+        mask[pos[(pos >= 0) & (pos < mask.size)]] = False
+        return SupportSet._of(self.lo, mask)
 
     def __len__(self):
-        return int(self.locs.size)
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, loc):
-        i = int(np.searchsorted(self.locs, loc))
-        return i < self.locs.size and self.locs[i] == loc
+        i = loc - self.lo
+        return 0 <= i < self.mask.size and bool(self.mask[i])
 
     def __eq__(self, other):
-        return isinstance(other, SupportSet) and np.array_equal(self.locs, other.locs)
+        if not isinstance(other, SupportSet):
+            return False
+        if self.lo == other.lo and self.mask.size == other.mask.size:
+            return np.array_equal(self.mask, other.mask)
+        return np.array_equal(self.locs, other.locs)
 
     def __iter__(self):
-        return iter(int(x) for x in self.locs)
+        return iter(self.locs.tolist())
 
     def __repr__(self):
         return f"SupportSet({self.locs.tolist()!r})"
@@ -128,13 +160,63 @@ def _advance(ss: SupportSet, window_end, offset: int, cover_end: int):
     """Insert newly covered window positions and purge expired ones.
 
     ``window_end`` is the highest chunk id (exclusive) any earlier message
-    covered, or None before the first message.
+    covered, or None before the first message.  The result gets a fresh
+    mask anchored at ``offset``, or higher where no member can lie, so a
+    message far older than the set never widens it.
     """
-    lo = offset if window_end is None else max(window_end, offset)
-    ss = ss.insert_range(lo, cover_end)
-    ss = ss.purge_below(offset)
     new_end = cover_end if window_end is None else max(window_end, cover_end)
-    return ss, new_end
+    start = offset if window_end is None else max(window_end, offset)
+    lo = max(offset, min(ss.lo, start))
+    mask = np.zeros(max(new_end, ss.lo + ss.mask.size) - lo, dtype=bool)
+    keep = ss.mask[max(lo - ss.lo, 0) :]
+    at = max(ss.lo - lo, 0)
+    mask[at : at + keep.size] = keep
+    if start < cover_end:
+        mask[start - lo : cover_end - lo] = True
+    return SupportSet._of(lo, mask), new_end
+
+
+def _step(ss: SupportSet, window_end, offset: int, n: int, bits=None, payload=None):
+    """One message's update over the window [offset, offset + n): advance the
+    set, read the payload off ``bits`` (sender, replay) or write ``payload``
+    into a window of ones (receiver), then clear the locations reported 1.
+    Returns (set, window_end, reported-location mask, bits, payload).
+    """
+    ss, window_end = _advance(ss, window_end, offset, offset + n)
+    skip = ss.lo - offset  # window positions below the set's anchor: never members
+    inside = ss.mask[: max(n - skip, 0)]
+    win = np.zeros(n, dtype=bool)
+    win[skip:] = inside
+    if bits is None:
+        implied = int(np.count_nonzero(win))
+        if payload.size != implied:
+            raise DesyncError(
+                f"payload carries {payload.size} bits but the support set implies {implied}"
+            )
+        bits = np.ones(n, dtype=bool)
+        bits[win] = payload
+    else:
+        payload = bits[win]
+    inside &= ~bits[skip:]  # a view of _advance's own mask: no published set changes
+    return ss, window_end, win, bits, payload
+
+
+def _check_offset(window_end, last_offset: int, offset: int):
+    if window_end is not None and offset < last_offset:
+        raise ProtocolError(f"offset regressed from {last_offset} to {offset}")
+
+
+def _check_bitmap(codec, bm: BufferMap, last_offset: int, what: str):
+    """A sender's input checks: window width, offset progression and
+    monotone filling against its previous bitmap."""
+    if bm.n != codec.n:
+        raise ProtocolError(f"bitmap width {bm.n} != {what} width {codec.n}")
+    _check_offset(codec.window_end, last_offset, bm.offset)
+    if codec.last_bm is not None:
+        try:
+            check_monotone(codec.last_bm, bm)
+        except MonotonicityError as exc:
+            raise ProtocolError(f"non-monotone bitmap: {exc}") from exc
 
 
 # ======================================================================
@@ -205,22 +287,27 @@ def pack_message(msg: CompressedBM) -> bytes:
     return head + body
 
 
-def unpack_message(data: bytes, pos: int = 0):
-    """Decode one message starting at ``pos``; returns (message, next_pos)."""
+def unpack_envelope(data: bytes, pos: int = 0):
+    """Read the 11-byte envelope at ``pos``; returns (scheme, offset,
+    lbmr_seq, cbmr_seq, n_bits, resync)."""
     if len(data) - pos < HEADER_LEN:
         raise ValueError("truncated message header")
     tag, offset, lbmr, cbmr, nbits = _HEADER.unpack_from(data, pos)
     scheme = _TAG_SCHEMES.get(tag & ~_RESYNC_FLAG)
     if scheme is None:
         raise ValueError(f"unknown scheme tag 0x{tag:02x}")
-    nbytes = (nbits + 7) // 8
-    end = pos + HEADER_LEN + nbytes
+    return scheme, offset, lbmr, cbmr, nbits, bool(tag & _RESYNC_FLAG)
+
+
+def unpack_message(data: bytes, pos: int = 0):
+    """Decode one message starting at ``pos``; returns (message, next_pos)."""
+    scheme, offset, lbmr, cbmr, nbits, resync = unpack_envelope(data, pos)
+    end = pos + HEADER_LEN + (nbits + 7) // 8
     if len(data) < end:
         raise ValueError("truncated message payload")
     raw = np.frombuffer(data[pos + HEADER_LEN : end], dtype=np.uint8)
     bits = np.unpackbits(raw)[:nbits].astype(bool)
-    msg = CompressedBM(scheme, offset, lbmr, cbmr, bits, resync=bool(tag & _RESYNC_FLAG))
-    return msg, end
+    return CompressedBM(scheme, offset, lbmr, cbmr, bits, resync=resync), end
 
 
 def unpack_stream(data: bytes):
@@ -267,10 +354,7 @@ class _SpbmsState:
         if not 0 < n < 2**16:
             raise ValueError("window width must fit in the wire bit count")
         self.n = n
-        self.ss = SupportSet()
-        self.window_end = None
-        self.last_offset = 0
-        self.seq = 0
+        self._reset()
 
     @property
     def support_set(self) -> SupportSet:
@@ -292,21 +376,6 @@ class SpbmsEncoder(_SpbmsState):
         #: Locations reported by the most recent message, for diagnostics.
         self.last_locations = None
 
-    def _check_input(self, bm: BufferMap):
-        if bm.n != self.n:
-            raise ProtocolError(f"bitmap width {bm.n} != codec width {self.n}")
-        if self.window_end is not None and bm.offset < self.last_offset:
-            raise ProtocolError(
-                f"offset regressed from {self.last_offset} to {bm.offset}"
-            )
-        if self.last_bm is not None:
-            try:
-                from .bitmap import diff_new_fills
-
-                diff_new_fills(self.last_bm, bm)
-            except MonotonicityError as exc:
-                raise ProtocolError(f"non-monotone bitmap: {exc}") from exc
-
     def encode(self, bm: BufferMap) -> CompressedBM:
         """Emit the bits at every live support-set location of ``bm``.
 
@@ -315,15 +384,13 @@ class SpbmsEncoder(_SpbmsState):
         the set afterwards.  The first message ever has the whole window
         appended and therefore carries the full bitmap.
         """
-        self._check_input(bm)
-        ss, window_end = _advance(self.ss, self.window_end, bm.offset, bm.end)
-        locs = ss.locs
-        payload = bm.bits[locs - bm.offset]
-        self.ss = ss.remove(locs[payload])
-        self.window_end = window_end
+        _check_bitmap(self, bm, self.last_offset, "codec")
+        self.ss, self.window_end, win, _, payload = _step(
+            self.ss, self.window_end, bm.offset, self.n, bits=bm.bits
+        )
         self.last_offset = bm.offset
         self.last_bm = bm
-        self.last_locations = locs
+        self.last_locations = np.flatnonzero(win) + bm.offset
         msg = CompressedBM("spbms", bm.offset, self.seq, 0, payload)
         self.seq += 1
         return msg
@@ -333,10 +400,7 @@ class SpbmsEncoder(_SpbmsState):
         pair behaves exactly like a fresh bootstrap."""
         self._reset()
         self.last_bm = None
-        msg = self.encode(bm)
-        return CompressedBM(
-            msg.scheme, msg.offset, msg.lbmr_seq, msg.cbmr_seq, msg.payload, resync=True
-        )
+        return replace(self.encode(bm), resync=True)
 
 
 class SpbmsDecoder(_SpbmsState):
@@ -353,21 +417,12 @@ class SpbmsDecoder(_SpbmsState):
                 f"expected sequence {self.seq}, got {msg.lbmr_seq}",
                 ahead=msg.lbmr_seq > self.seq,
             )
-        if self.window_end is not None and msg.offset < self.last_offset:
-            raise ProtocolError(
-                f"offset regressed from {self.last_offset} to {msg.offset}"
-            )
-        # Stage every update; commit only after validation so a desynced
-        # message leaves the state untouched.
-        ss, window_end = _advance(self.ss, self.window_end, msg.offset, msg.offset + self.n)
-        if msg.n_bits != len(ss):
-            raise DesyncError(
-                f"payload carries {msg.n_bits} bits but the support set implies {len(ss)}"
-            )
-        bits = np.ones(self.n, dtype=bool)
-        bits[ss.locs - msg.offset] = msg.payload
-        self.ss = ss.remove(ss.locs[msg.payload])
-        self.window_end = window_end
+        _check_offset(self.window_end, self.last_offset, msg.offset)
+        # _step raises before anything is committed, so a desynced message
+        # leaves the state untouched.
+        self.ss, self.window_end, _, bits, _ = _step(
+            self.ss, self.window_end, msg.offset, self.n, payload=msg.payload
+        )
         self.last_offset = msg.offset
         self.seq = msg.lbmr_seq + 1
         return BufferMap(msg.offset, bits)
@@ -376,15 +431,6 @@ class SpbmsDecoder(_SpbmsState):
 # ======================================================================
 # PPBMS: shared support set per peer pair
 # ======================================================================
-
-@dataclass
-class _MsgEffect:
-    """What applying a decoded message to any older state does."""
-
-    offset: int
-    cover_end: int
-    ones: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
 
 class PpbmsSession:
     """One peer's end of a ppbms pairing.
@@ -396,8 +442,9 @@ class PpbmsSession:
     Messages are stamped with (lbmr_seq, cbmr_seq) = (messages this end has
     sent, messages it has received) so a receiver can tell exactly which
     state a message was encoded against.  Recent states are archived, and
-    recently applied messages are kept as replayable effects, so a message
-    arriving late can still be decoded against the state it references.
+    recently applied messages are kept as replayable effects (offset and
+    window mask of the locations reported 1), so a message arriving late
+    can still be decoded against the state it references.
     """
 
     def __init__(self, n: int, *, archive_depth: int = 8):
@@ -407,18 +454,9 @@ class PpbmsSession:
             raise ValueError("archive depth must be at least 1")
         self.n = n
         self.archive_depth = archive_depth
-        self.ss = SupportSet()
-        self.window_end = None
-        self.sent_seq = 0
-        self.recv_seq = 0
-        self.last_sent_offset = 0
-        self.last_recv_offset = 0
         self.last_bm = None
         self.last_locations = None
-        self._archive = OrderedDict()  # (sent, recv) -> (ss, window_end)
-        self._sent_log = OrderedDict()  # own message index -> _MsgEffect
-        self._recv_log = OrderedDict()  # counterpart message index -> _MsgEffect
-        self._remember_state()
+        self._reset_epoch()
 
     # -- state bookkeeping -------------------------------------------------
 
@@ -431,14 +469,12 @@ class PpbmsSession:
         while len(self._archive) > 2 * self.archive_depth + 1:
             self._archive.popitem(last=False)
 
-    def _log(self, log: OrderedDict, idx: int, effect: _MsgEffect):
-        log[idx] = effect
+    def _commit(self, log: OrderedDict, idx: int, offset: int, ones: np.ndarray):
+        """Log a message's effect for replay and archive the new state."""
+        log[idx] = (offset, ones)
         while len(log) > self.archive_depth:
             log.popitem(last=False)
-
-    def _apply_effect(self, ss, window_end, eff: _MsgEffect):
-        ss, window_end = _advance(ss, window_end, eff.offset, eff.cover_end)
-        return ss.remove(eff.ones[np.isin(eff.ones, ss.locs, assume_unique=True)]), window_end
+        self._remember_state()
 
     def _resolve(self, sent: int, recv: int):
         """Support-set state after ``sent`` own and ``recv`` counterpart
@@ -457,9 +493,9 @@ class PpbmsSession:
             ):
                 effects = [self._sent_log[i] for i in range(s0, sent)]
                 effects += [self._recv_log[i] for i in range(r0, recv)]
-                effects.sort(key=lambda e: e.offset)
-                for eff in effects:
-                    ss, we = self._apply_effect(ss, we, eff)
+                effects.sort(key=lambda e: e[0])
+                for offset, ones in effects:
+                    ss, we = _step(ss, we, offset, self.n, bits=ones)[:2]
                 return ss, we
         raise MissingReferenceError(
             f"no support-set snapshot for (sent={sent}, recv={recv}); "
@@ -482,40 +518,26 @@ class PpbmsSession:
         self.recv_seq = 0
         self.last_sent_offset = 0
         self.last_recv_offset = 0
-        self._archive = OrderedDict()
-        self._sent_log = OrderedDict()
-        self._recv_log = OrderedDict()
+        self._archive = OrderedDict()  # (sent, recv) -> (ss, window_end)
+        self._sent_log = OrderedDict()  # own message index -> (offset, ones)
+        self._recv_log = OrderedDict()  # counterpart message index -> (offset, ones)
         self._remember_state()
 
     # -- protocol ----------------------------------------------------------
 
     def encode(self, bm: BufferMap) -> CompressedBM:
-        """Report own bits at every live shared-support-set location."""
-        if bm.n != self.n:
-            raise ProtocolError(f"bitmap width {bm.n} != session width {self.n}")
-        if self.window_end is not None and bm.offset < self.last_sent_offset:
-            raise ProtocolError(
-                f"offset regressed from {self.last_sent_offset} to {bm.offset}"
-            )
-        if self.last_bm is not None:
-            try:
-                from .bitmap import diff_new_fills
-
-                diff_new_fills(self.last_bm, bm)
-            except MonotonicityError as exc:
-                raise ProtocolError(f"non-monotone bitmap: {exc}") from exc
-        ss, window_end = _advance(self.ss, self.window_end, bm.offset, bm.end)
-        locs = ss.locs
-        payload = bm.bits[locs - bm.offset]
+        """Report own bits at every live shared-support-set location of the
+        window of ``bm``."""
+        _check_bitmap(self, bm, self.last_sent_offset, "session")
+        self.ss, self.window_end, win, _, payload = _step(
+            self.ss, self.window_end, bm.offset, self.n, bits=bm.bits
+        )
         msg = CompressedBM("ppbms", bm.offset, self.sent_seq, self.recv_seq, payload)
-        self.ss = ss.remove(locs[payload])
-        self.window_end = window_end
         self.last_sent_offset = bm.offset
         self.last_bm = bm
-        self.last_locations = locs
-        self._log(self._sent_log, self.sent_seq, _MsgEffect(bm.offset, bm.end, locs[payload]))
+        self.last_locations = np.flatnonzero(win) + bm.offset
         self.sent_seq += 1
-        self._remember_state()
+        self._commit(self._sent_log, msg.lbmr_seq, bm.offset, win & bm.bits)
         return msg
 
     def decode(self, msg: CompressedBM) -> PartialBufferMap:
@@ -529,26 +551,17 @@ class PpbmsSession:
                 f"expected counterpart message {self.recv_seq}, got {msg.lbmr_seq}",
                 ahead=msg.lbmr_seq > self.recv_seq,
             )
-        staged, _ = _advance(ss, we, msg.offset, msg.offset + self.n)
-        if msg.n_bits != len(staged):
-            raise DesyncError(
-                f"payload carries {msg.n_bits} bits but the support set implies {len(staged)}"
-            )
-        locs = staged.locs
-        ones = locs[msg.payload]
-        # Merge into the live state.  The live set may already be further
-        # along (it advances on our own sends too); appends and purges the
-        # message implies are subsumed, removals are idempotent.
-        live_ss, live_we = _advance(
-            self.ss, self.window_end, msg.offset, msg.offset + self.n
-        )
-        self.ss = live_ss.remove(ones[np.isin(ones, live_ss.locs, assume_unique=True)])
-        self.window_end = live_we
+        ss, we, win, bits, _ = _step(ss, we, msg.offset, self.n, payload=msg.payload)
+        ones = win & bits
+        if msg.cbmr_seq != self.sent_seq:
+            # Encoded against an older state: clear its ones in the live set,
+            # which is further along and already holds its appends and purges.
+            ss, we = _step(self.ss, self.window_end, msg.offset, self.n, bits=ones)[:2]
+        self.ss, self.window_end = ss, we
         self.last_recv_offset = msg.offset
-        self._log(self._recv_log, msg.lbmr_seq, _MsgEffect(msg.offset, msg.offset + self.n, ones))
         self.recv_seq = msg.lbmr_seq + 1
-        self._remember_state()
-        return PartialBufferMap(msg.offset, locs, np.asarray(msg.payload, dtype=bool))
+        self._commit(self._recv_log, msg.lbmr_seq, msg.offset, ones)
+        return PartialBufferMap(msg.offset, np.flatnonzero(win) + msg.offset, msg.payload)
 
     def apply_sent(self, msg: CompressedBM) -> PartialBufferMap:
         """Replay one of this peer's own transmitted messages.
@@ -575,36 +588,23 @@ class PpbmsSession:
                 f"own message {msg.lbmr_seq} was stamped after {msg.cbmr_seq} received"
                 f" messages, but this replica has processed {self.recv_seq}"
             )
-        if self.window_end is not None and msg.offset < self.last_sent_offset:
-            raise ProtocolError(
-                f"offset regressed from {self.last_sent_offset} to {msg.offset}"
-            )
-        ss, window_end = _advance(self.ss, self.window_end, msg.offset, msg.offset + self.n)
-        if msg.n_bits != len(ss):
-            raise DesyncError(
-                f"payload carries {msg.n_bits} bits but the support set implies {len(ss)}"
-            )
-        locs = ss.locs
-        payload = np.asarray(msg.payload, dtype=bool)
-        self.ss = ss.remove(locs[payload])
-        self.window_end = window_end
+        _check_offset(self.window_end, self.last_sent_offset, msg.offset)
+        self.ss, self.window_end, win, bits, _ = _step(
+            self.ss, self.window_end, msg.offset, self.n, payload=msg.payload
+        )
         self.last_sent_offset = msg.offset
         self.last_bm = None  # the replica never sees the full bitmap
-        self.last_locations = locs
-        self._log(self._sent_log, self.sent_seq, _MsgEffect(msg.offset, msg.offset + self.n, locs[payload]))
+        self.last_locations = np.flatnonzero(win) + msg.offset
         self.sent_seq += 1
-        self._remember_state()
-        return PartialBufferMap(msg.offset, locs, payload)
+        self._commit(self._sent_log, msg.lbmr_seq, msg.offset, win & bits)
+        return PartialBufferMap(msg.offset, self.last_locations, msg.payload)
 
     def make_resync(self, bm: BufferMap) -> CompressedBM:
         """Restart the pairing from scratch: ship the whole bitmap; both
         ends rebuild the shared support set from it alone."""
         self._reset_epoch()
         self.last_bm = None
-        msg = self.encode(bm)
-        return CompressedBM(
-            msg.scheme, msg.offset, msg.lbmr_seq, msg.cbmr_seq, msg.payload, resync=True
-        )
+        return replace(self.encode(bm), resync=True)
 
 
 def full_resync(session, bm: BufferMap | None = None) -> CompressedBM:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmap import BufferMap, PeerBufferState, diff_new_fills
+from .bitmap import BufferMap, PeerBufferState, check_monotone
 from .errors import MonotonicityError, TraceError
 from .fillmodel import SCurve
 
@@ -79,7 +79,7 @@ def _validate(records) -> None:
                     f"from {before.bm.offset} to {rec.bm.offset}"
                 )
             try:
-                diff_new_fills(before.bm, rec.bm)
+                check_monotone(before.bm, rec.bm)
             except MonotonicityError as exc:
                 raise TraceError(f"record {idx}: peer {rec.peer}: {exc}") from exc
         prev[rec.peer] = rec

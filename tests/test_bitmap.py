@@ -9,6 +9,7 @@ from bmkit import (
     diff_new_fills,
     two_segment_curve,
 )
+from bmkit.bitmap import check_monotone
 
 
 def test_buffer_map_basics():
@@ -82,6 +83,17 @@ def test_diff_new_fills_detects_regression():
     with pytest.raises(ValueError):
         diff_new_fills(BufferMap(4, [1]), BufferMap(3, [1, 1]))
 
+
+def test_check_monotone_raises_what_diff_new_fills_raises():
+    prev = BufferMap(10, [1, 0, 1, 0])
+    assert check_monotone(prev, BufferMap(11, [0, 1, 1, 0])) is None
+    assert check_monotone(prev, BufferMap(30, [0, 0])) is None  # windows disjoint
+    bad = BufferMap(11, [0, 0, 1, 0])  # chunk 12 went back to unfilled
+    for check in (check_monotone, diff_new_fills):
+        with pytest.raises(MonotonicityError, match="^chunk 12 went from filled to unfilled$"):
+            check(prev, bad)
+        with pytest.raises(ValueError, match="must not start before"):
+            check(prev, BufferMap(9, [1, 1, 1, 1]))
 
 def test_peer_state_snapshots_are_monotone():
     curve = two_segment_curve(24, 5, 0.7)

@@ -1,0 +1,95 @@
+"""Golden bytes: the codecs' wire output for fixed seeds, pinned by digest.
+
+One sha256 covers, for several seeded ``run_synthetic`` and
+``reorder_fault_run`` configurations across all three schemes, every
+message the simulator packs (``pack_message`` bytes, resyncs included),
+every decoded output, the measured payloads, support-set sizes and
+``to_csv()``.  A refactor of the support-set machinery must leave it
+unchanged; a deliberate change to the wire format or to what a message
+reports must update the digest in the same change.
+"""
+
+import hashlib
+
+import numpy as np
+
+from bmkit import calibrate_curve, sim
+from bmkit.bitmap import BufferMap
+from bmkit.fillmodel import two_segment_curve
+from bmkit.schemes import PpbmsSession, SpbmsEncoder, pack_message
+from bmkit.sim import ReorderScript, SimConfig, reorder_fault_run, run_synthetic
+
+GOLDEN_SHA256 = "4289d813f9d554c34c6c3b65ac38e1984987d670094b803d870cc043829efe4d"
+
+
+def _record_messages(monkeypatch):
+    """Log the packed bytes of every message the simulator encodes."""
+    wire = []
+
+    def logged(fn):
+        def wrapper(*args, **kwargs):
+            msg = fn(*args, **kwargs)
+            wire.append(pack_message(msg))
+            return msg
+
+        return wrapper
+
+    for cls in (SpbmsEncoder, PpbmsSession):
+        monkeypatch.setattr(cls, "encode", logged(cls.encode))
+        monkeypatch.setattr(cls, "make_resync", logged(cls.make_resync))
+    monkeypatch.setattr(sim, "sbms_encode", logged(sim.sbms_encode))
+    return wire
+
+
+def _feed_result(h, res):
+    h.update(res.to_csv().encode())
+    for key in sorted(res.payloads):
+        for bits in res.payloads[key]:
+            h.update(len(bits).to_bytes(4, "big") + np.packbits(bits).tobytes())
+        h.update(np.asarray(res.ss_sizes[key], dtype=np.int64).tobytes())
+    for key in sorted(res.decoded):
+        for out in res.decoded[key]:
+            h.update(out.offset.to_bytes(8, "big"))
+            if isinstance(out, BufferMap):
+                h.update(np.packbits(out.bits).tobytes())
+            else:
+                h.update(np.asarray(out.locations, dtype=np.int64).tobytes())
+                h.update(np.packbits(np.asarray(out.bits, dtype=bool)).tobytes())
+
+
+def _runs(calibrated_curve):
+    small = two_segment_curve(32, 4, 0.8)
+    c64 = calibrate_curve(20.0, 64).to_curve(64)
+    yield run_synthetic, (
+        SimConfig(small, T=8, tau=2, rounds=40, seed=3, coders=("rle", "huffman", "ac"),
+                  keep_messages=True),
+    )
+    yield run_synthetic, (
+        SimConfig(c64, T=8, tau=3, rounds=30, seed=11, offset_lag=5, keep_messages=True),
+    )
+    yield run_synthetic, (
+        SimConfig(calibrated_curve, T=20, tau=5, rounds=20, seed=0, keep_messages=True),
+    )
+    yield reorder_fault_run, (
+        SimConfig(small, T=8, tau=2, rounds=60, seed=3, keep_messages=True),
+        ReorderScript(
+            delays={("ab", 12): 2, ("ba", 25): 3, ("ab", 30): 25},
+            drops=[("ba", 50)],
+            swaps=[("ab", 10), ("ba", 20)],
+        ),
+    )
+    yield reorder_fault_run, (
+        SimConfig(c64, T=4, tau=1, rounds=60, seed=2, archive_depth=4, keep_messages=True),
+        ReorderScript(delays={("ba", 10): 25}, swaps=[("ab", 40)]),
+    )
+
+
+def test_wire_bytes_and_outputs_match_the_golden_digest(monkeypatch, calibrated_curve):
+    wire = _record_messages(monkeypatch)
+    h = hashlib.sha256()
+    for run, args in _runs(calibrated_curve):
+        _feed_result(h, run(*args))
+        for blob in wire:
+            h.update(len(blob).to_bytes(4, "big") + blob)
+        wire.clear()
+    assert h.hexdigest() == GOLDEN_SHA256

@@ -1,5 +1,7 @@
 """Support-set codecs: sbms/spbms/ppbms state machines and the wire envelope."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from bmkit.schemes import (
     SpbmsDecoder,
     SpbmsEncoder,
     SupportSet,
+    _advance,
     full_resync,
     pack_message,
     sbms_decode,
     sbms_encode,
+    unpack_envelope,
     unpack_message,
     unpack_stream,
 )
@@ -529,3 +533,108 @@ def test_apply_sent_validates_stamps():
                         _bm(0, "10101010").bits, resync=True)
     replica.apply_sent(boot)  # resync replays reset the replica first
     assert list(replica.support_set) == [1, 3, 5, 7]
+
+
+def test_ppbms_reports_only_the_senders_window():
+    """The shared set spans both peers' windows; a sender whose window ends
+    earlier reports only the members inside its own, and the rest stay."""
+    a, b = PpbmsSession(8), PpbmsSession(8)
+    boot = a.encode(_bm(5, "10100000"))  # A's window is [5, 13)
+    b.decode(boot)
+    assert list(b.support_set) == [6, 8, 9, 10, 11, 12]
+    msg = b.encode(_bm(0, "00000011"))  # B's window is [0, 8): only 6 lies in it
+    assert msg.payload.tolist() == [True]
+    got = a.decode(msg)
+    assert got.pairs == [(6, 1)]
+    assert list(a.support_set) == [8, 9, 10, 11, 12]
+    assert a.support_set == b.support_set
+    replica = PpbmsSession(8)
+    replica.decode(boot)
+    part = replica.apply_sent(msg)
+    assert part.locations.tolist() == [6]
+    assert replica.support_set == b.support_set
+
+
+def test_ppbms_far_older_offset_does_not_widen_the_mask():
+    """A window far below the shared set's span has no member to report, and
+    the set's mask stays window-sized instead of stretching down to it."""
+    far = 2**24
+    a, b = PpbmsSession(8), PpbmsSession(8)
+    b.decode(a.encode(_bm(far, "10100000")))
+    msg = b.encode(_bm(0, "11111111"))
+    assert msg.n_bits == 0
+    a.decode(msg)
+    for ses in (a, b):
+        assert list(ses.support_set) == [far + 1] + list(range(far + 3, far + 8))
+        assert ses.support_set.mask.size <= 8
+
+# ----------------------------------------------------------------------
+# SupportSet against a set oracle
+# ----------------------------------------------------------------------
+
+def test_support_set_equality_ignores_the_anchor_and_span():
+    masked = SupportSet.from_range(0, 10).remove([0, 1, 2, 4, 6, 7, 8, 9])
+    assert masked == SupportSet([3, 5]) and SupportSet([3, 5]) == masked
+    assert masked != SupportSet([3, 5, 9])
+    empty = SupportSet()
+    assert empty == SupportSet.from_range(4, 4) == SupportSet([7]).remove([7])
+    assert empty == SupportSet([2, 3]).purge_below(50)  # purge past the end
+    assert len(empty) == 0 and list(empty) == [] and 0 not in empty
+    assert empty.purge_below(9) == empty and empty.remove([1, 2]) == empty
+    assert list(empty.insert_range(4, 6)) == [4, 5]
+    assert SupportSet([3, 5]) != [3, 5]
+
+
+def test_support_set_matches_a_set_oracle():
+    """Seeded random insert_range / purge_below / remove / _advance runs,
+    each step compared with a plain Python set."""
+    rng = random.Random(20240611)
+    for _ in range(150):
+        ss, oracle, window_end = SupportSet(), set(), None
+        for _ in range(25):
+            op = rng.randrange(4)
+            top = max(oracle) if oracle else rng.randrange(-5, 30)
+            if op == 0:
+                lo = top + rng.randrange(1, 6)
+                hi = lo + rng.randrange(-2, 9)
+                ss = ss.insert_range(lo, hi)
+                oracle |= set(range(lo, hi))
+                if oracle:
+                    with pytest.raises(ValueError):
+                        ss.insert_range(max(oracle), max(oracle) + 3)
+            elif op == 1:
+                cut = rng.randrange(top - 20, top + 10)  # sometimes past the end
+                ss = ss.purge_below(cut)
+                oracle = {x for x in oracle if x >= cut}
+            elif op == 2:
+                gone = rng.sample(range(top - 40, top + 15), rng.randrange(0, 12))
+                ss = ss.remove(gone)  # ids outside the span are ignored
+                oracle -= set(gone)
+            else:
+                offset = rng.randrange(top - 15, top + 10)
+                cover_end = offset + rng.randrange(1, 16)
+                old_end = ss.lo + ss.mask.size
+                ss, new_end = _advance(ss, window_end, offset, cover_end)
+                start = offset if window_end is None else max(window_end, offset)
+                oracle = {x for x in oracle | set(range(start, cover_end)) if x >= offset}
+                assert new_end == (cover_end if window_end is None else max(window_end, cover_end))
+                assert offset <= ss.lo and ss.lo + ss.mask.size == max(new_end, old_end)
+                window_end = new_end
+            assert list(ss) == sorted(oracle)
+            assert len(ss) == len(oracle)
+            assert ss.locs.dtype == np.int64
+            assert ss == SupportSet(sorted(oracle))
+            probe = rng.randrange(top - 20, top + 20)
+            assert (probe in ss) == (probe in oracle)
+            assert repr(ss) == f"SupportSet({sorted(oracle)!r})"
+
+
+def test_unpack_envelope_reads_the_header_only():
+    msg = CompressedBM("ppbms", 70000, 513, 9, [1, 0, 1], resync=True)
+    blob = pack_message(msg)
+    assert unpack_envelope(blob) == ("ppbms", 70000, 513, 9, 3, True)
+    assert unpack_envelope(b"\x00" + blob, 1) == ("ppbms", 70000, 513, 9, 3, True)
+    with pytest.raises(ValueError, match="truncated message header"):
+        unpack_envelope(blob[: HEADER_LEN - 1])
+    with pytest.raises(ValueError, match="unknown scheme tag 0x7f"):
+        unpack_envelope(b"\x7f" + blob[1:])

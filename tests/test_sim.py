@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bmkit.entropy import h_ppbms, h_sbms, h_spbms
+from bmkit.entropy import calibrate_curve, h_ppbms, h_sbms, h_spbms
 from bmkit.fillmodel import SCurve, two_segment_curve
 from bmkit.sim import ReorderScript, SimConfig, reorder_fault_run, run_synthetic, run_trace
 from bmkit.traceio import generate
@@ -257,3 +257,21 @@ def test_mixed_faults_recover(calibrated_curve):
         assert res.total_resyncs(scheme) >= 1
         assert res.row(scheme, "ab").messages > 0
         assert res.row(scheme, "ba").messages > 0
+
+
+@pytest.mark.parametrize("T, tau, lag", [(8, 3, 30), (4, 4, 1)])
+def test_ppbms_with_a_lagging_window_reports_only_the_senders_window(T, tau, lag):
+    """With A's window ahead of B's, the shared set reaches past B's newest
+    chunk; B's messages still carry only locations inside B's window."""
+    n = 64
+    curve = calibrate_curve(20.0, n).to_curve(n)
+    res = run_synthetic(
+        SimConfig(curve, T=T, tau=tau, rounds=30, schemes=("ppbms",), offset_lag=lag,
+                  keep_messages=True)
+    )
+    assert res.total_resyncs("ppbms") == 0
+    for d in ("ab", "ba"):
+        assert res.row("ppbms", d).messages == 30
+        for out in res.decoded[("ppbms", d)]:
+            assert out.locations.size == out.bits.size
+            assert np.all((out.locations >= out.offset) & (out.locations < out.offset + n))
