@@ -15,8 +15,6 @@ from .fillmodel import SCurve, sample_fill_delays
 
 __all__ = ["BufferMap", "PeerBufferState", "check_monotone", "diff_new_fills"]
 
-_DELAY_BATCH = 4096
-
 
 class BufferMap:
     """Immutable bitmap snapshot of one peer's buffer window."""
@@ -32,6 +30,16 @@ class BufferMap:
         arr.flags.writeable = False
         self.offset = int(offset)
         self.bits = arr
+
+    @classmethod
+    def _owning(cls, offset: int, bits: np.ndarray) -> "BufferMap":
+        """Map over a fresh bool array no one else holds, without copying
+        or checking it; the array becomes read-only."""
+        bits.flags.writeable = False
+        bm = cls.__new__(cls)
+        bm.offset = offset
+        bm.bits = bits
+        return bm
 
     @property
     def n(self) -> int:
@@ -100,12 +108,16 @@ class PeerBufferState:
         # Delay of chunk (base_offset + k) lives at index k; n means "never
         # fills while in the window".
         self._delays = np.empty(0, dtype=np.int64)
+        self._ages = np.arange(self.n - 1, -1, -1)
 
     def _ensure_delays(self, upto_chunk: int) -> None:
         need = upto_chunk - self.base_offset + 1
         if need <= self._delays.size:
             return
-        grow = max(need - self._delays.size, _DELAY_BATCH)
+        # The first batch covers what is needed; later ones at least double
+        # the table.  Split draws read the same stream, so every delay is
+        # the same however the batches fall.
+        grow = max(need - self._delays.size, self._delays.size)
         if self._delay_fn is not None:
             start = self.base_offset + self._delays.size
             fresh = np.array(
@@ -132,10 +144,8 @@ class PeerBufferState:
         offset = self.base_offset + t
         newest = offset + self.n - 1
         self._ensure_delays(newest)
-        idx = np.arange(offset, newest + 1) - self.base_offset
-        ages = np.arange(self.n - 1, -1, -1)
-        bits = self._delays[idx] <= ages
-        return BufferMap(offset, bits)
+        start = offset - self.base_offset
+        return BufferMap._owning(offset, self._delays[start : start + self.n] <= self._ages)
 
 
 def check_monotone(prev: BufferMap, cur: BufferMap) -> None:

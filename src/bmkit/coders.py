@@ -149,8 +149,13 @@ def rle_encode(bits) -> RleStream:
     return RleStream(first, tuple(runs))
 
 
-def rle_decode(stream: RleStream) -> np.ndarray:
-    out = np.empty(stream.n_bits, dtype=bool)
+def rle_decode(stream: RleStream, n_bits: int | None = None) -> np.ndarray:
+    """Expand a run-length stream; with ``n_bits``, a stream whose runs
+    cover more bits raises CodingError before anything is allocated."""
+    total = stream.n_bits
+    if n_bits is not None and total > n_bits:
+        raise CodingError(f"runs cover more than the {n_bits} bits expected")
+    out = np.empty(total, dtype=bool)
     val = bool(stream.first_bit)
     pos = 0
     for r in stream.runs:
@@ -358,7 +363,9 @@ def huffman_encode(bits, model: HuffmanModel | None = None) -> bytes:
     return bytes(head) + w.getvalue()
 
 
-def huffman_decode(blob: bytes) -> np.ndarray:
+def huffman_decode(blob: bytes, n_bits: int | None = None) -> np.ndarray:
+    """Decode a Huffman blob; with ``n_bits``, raise CodingError as soon as
+    the runs read so far cover more bits."""
     if not blob:
         raise CodingError("empty huffman blob")
     first = blob[0]
@@ -370,6 +377,7 @@ def huffman_decode(blob: bytes) -> np.ndarray:
     decode = model._decode
     max_len = max(model.lengths.values())
     runs = []
+    total = 0
     for _ in range(count):
         code = 0
         length = 0
@@ -389,6 +397,9 @@ def huffman_decode(blob: bytes) -> np.ndarray:
                 pass
         if sym <= 0:
             raise CodingError("zero-length run")
+        total += sym
+        if n_bits is not None and total > n_bits:
+            raise CodingError(f"runs cover more than the {n_bits} bits expected")
         runs.append(sym)
     return rle_decode(RleStream(first, tuple(runs)))
 
@@ -598,9 +609,9 @@ def encode_bits(name: str, bits) -> bytes:
 
 def decode_bits(name: str, blob: bytes, n_bits: int) -> np.ndarray:
     if name == "rle":
-        bits = rle_decode(RleStream.from_bytes(blob))
+        bits = rle_decode(RleStream.from_bytes(blob), n_bits)
     elif name == "huffman":
-        bits = huffman_decode(blob)
+        bits = huffman_decode(blob, n_bits)
     elif name == "ac":
         return arith_decode(blob, n_bits)
     else:

@@ -254,28 +254,49 @@ class _Acc:
         )
 
 
-def _ideal_bits(curve: SCurve, offset: int, locs: np.ndarray, bits: np.ndarray,
-                prev_end, period: int, fresh_all: bool) -> float:
-    """Minus log2 probability of a payload under the true fill model."""
+def _ideal_table(curve: SCurve, period: int) -> np.ndarray:
+    """Log2 probability of one payload bit under the true fill model, flat
+    over (kind, age): entry ``(2 * old + bit) * n + age``.
+
+    A fresh location's bit is distributed as p_age; an old one, reported
+    one period earlier while unfilled at age - period, as
+    q_{age - period, age}.  Old entries no valid payload can reach are NaN:
+    ages below one period, and locations certainly filled at that report.
+    """
+    p = curve.probs
+    n = p.size
+    prev = np.full(n, np.nan)
+    prev[period:] = p[: n - period]
+    left = 1.0 - prev
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(left > 0.0, (p - prev) / left, np.nan)
+        return np.log2(np.concatenate([1.0 - p, p, 1.0 - q, q]))
+
+
+def _ideal_bits(table: np.ndarray, n: int, period: int, offset: int, locs: np.ndarray,
+                bits: np.ndarray, prev_end) -> float:
+    """Minus log2 probability of a payload under the true fill model; a
+    location below ``prev_end`` (None: none) was reported before."""
     if locs.size == 0:
         return 0.0
-    n = curve.n
     ages = offset + n - 1 - locs
-    model = curve.probs[ages].copy()
-    if not fresh_all and prev_end is not None:
+    idx = ages + n * bits
+    if prev_end is not None:
         old = locs < prev_end
-        if old.any():
-            prev_p = curve.probs[ages[old] - period]
-            left = 1.0 - prev_p
-            if np.any(left <= 0.0):
-                raise InvariantError(
-                    "a support-set location was certainly filled at its previous report"
-                )
-            model[old] = (model[old] - prev_p) / left
-    cost = np.where(bits, model, 1.0 - model)
-    if np.any(cost <= 0.0):
-        raise InvariantError("payload contains a zero-probability bit under the true model")
-    return float(-np.log2(cost).sum())
+        idx += 2 * n * old
+    log_p = table[idx]
+    total = log_p.sum()
+    if math.isfinite(total):
+        return float(-total)
+    if np.isnan(log_p).any():
+        if np.any(old & (ages < period)):
+            raise InvariantError(
+                "a previously reported location is younger than one period"
+            )
+        raise InvariantError(
+            "a support-set location was certainly filled at its previous report"
+        )
+    raise InvariantError("payload contains a zero-probability bit under the true model")
 
 
 @dataclass
@@ -296,6 +317,7 @@ class _Engine:
     def __init__(self, cfg: SimConfig, script: ReorderScript | None):
         self.cfg = cfg
         self.script = script or ReorderScript()
+        self.ideal_table = _ideal_table(cfg.curve, cfg.T)
         n = cfg.n
         seq_b, seq_a = np.random.SeedSequence(cfg.seed).spawn(2)
         self.peers = {
@@ -431,8 +453,15 @@ class _Engine:
                 if not q:
                     continue
                 self.held[(scheme, d)] = []
-                for env in sorted(q, key=lambda e: e.idx):
-                    if self._deliver(env) == "ok":
+                q.sort(key=lambda e: e.idx)
+                for k, env in enumerate(q):
+                    outcome = self._deliver(env)
+                    if outcome == "held":
+                        # Later messages of this direction cannot resolve
+                        # before this one does; they stay held, untried.
+                        self.held[(scheme, d)].extend(q[k + 1 :])
+                        break
+                    if outcome == "ok":
                         progressed = True
 
     def _deliver_due(self, now: float):
@@ -477,14 +506,15 @@ class _Engine:
                 self.prev_end[(scheme, d)] = None
                 if scheme == "ppbms":
                     self.prev_end[("ppbms", _other_dir(d))] = None
+            payload = np.asarray(msg.payload, dtype=bool)
             ideal = _ideal_bits(
-                self.cfg.curve,
+                self.ideal_table,
+                self.cfg.n,
+                self.cfg.T,
                 snap.offset,
                 locs,
-                np.asarray(msg.payload, dtype=bool),
-                self.prev_end[(scheme, d)],
-                self.cfg.T,
-                scheme == "sbms",
+                payload,
+                None if scheme == "sbms" else self.prev_end[(scheme, d)],
             )
             self.prev_end[(scheme, d)] = snap.end
             if measured:
@@ -492,7 +522,7 @@ class _Engine:
                 a.messages += 1
                 a.payload_bits.append(msg.n_bits)
                 a.ideal.append(ideal)
-                a.payloads.append(np.asarray(msg.payload, dtype=bool))
+                a.payloads.append(payload)
                 if scheme == "spbms":
                     a.ss.append(len(self.spbms_enc[d].support_set))
                 elif scheme == "ppbms":

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bmkit import calibrate_curve
+from bmkit.coders import ESC, write_varint
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +24,18 @@ def random_monotone_curve(rng, n):
         b = rng.integers(a + 1, n)
         probs[a:b] = probs[a]
     return probs
+
+
+def hostile_blob(coder):
+    """A coder blob whose one run claims 2^62 bits: an rle stream, or a
+    Huffman blob whose one-entry table {ESC: 1} escapes to that run."""
+    run = bytearray()
+    write_varint(2**62, run)
+    if coder == "rle":
+        return b"\x00" + bytes(run)
+    table = bytearray(b"\x00\x01\x01")  # first bit, one run, one table entry
+    write_varint(ESC, table)
+    table.append(1)
+    stream = "0" + "".join(f"{b:08b}" for b in run)
+    stream += "0" * (-len(stream) % 8)
+    return bytes(table) + int(stream, 2).to_bytes(len(stream) // 8, "big")

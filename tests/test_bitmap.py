@@ -7,6 +7,7 @@ from bmkit import (
     PeerBufferState,
     SCurve,
     diff_new_fills,
+    sample_fill_delays,
     two_segment_curve,
 )
 from bmkit.bitmap import check_monotone
@@ -160,3 +161,15 @@ def test_peer_state_snapshots_are_reproducible():
     b = PeerBufferState("p", curve, rng=np.random.default_rng(9))
     for t in (0, 3, 17):
         assert a.snapshot(t) == b.snapshot(t)
+
+
+def test_peer_state_delays_follow_one_stream_however_batched():
+    curve = two_segment_curve(16, 4, 0.5)
+    whole = sample_fill_delays(curve, np.random.default_rng(5).random(3000))
+    ages = np.arange(15, -1, -1)
+    peer = PeerBufferState("p", curve, rng=np.random.default_rng(5))
+    for t in (0, 1, 40, 41, 700, 2000):
+        snap = peer.snapshot(t)
+        assert np.array_equal(snap.bits, whole[t : t + 16] <= ages)
+        assert not snap.bits.flags.writeable
+    assert [peer.fill_delay(c) for c in range(3000)] == whole.tolist()

@@ -1,5 +1,7 @@
 """Command-line front end, exercised in-process through main(argv)."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from bmkit.fillmodel import (
     save_curve,
     two_segment_curve,
 )
+from bmkit.schemes import HEADER_LEN
+from conftest import hostile_blob
 
 
 def _lines(capsys):
@@ -220,6 +224,27 @@ def test_decode_detects_payload_tampering(tmp_path, small_trace, capsys):
     broken = tmp_path / "b.bmd"
     broken.write_bytes(bytes(data[:-1]))
     assert main(["decode", str(broken), "--out", str(tmp_path / "o.tsv")]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("coder", ["rle", "huffman"])
+def test_decode_rejects_a_coder_blob_claiming_2_62_bits(tmp_path, small_trace, coder, capsys):
+    """A coded payload whose runs overrun the header's bit count is invalid
+    input (exit 2), not an attempt to allocate 2^62 bits (exit 3)."""
+    dump = tmp_path / "d.bmd"
+    assert main(["encode", "--trace", str(small_trace), "--scheme", "spbms",
+                 "--coder", coder, "--out", str(dump)]) == 0
+    data = dump.read_bytes()
+    # Keep the first frame only, with its payload blob swapped.
+    head = struct.Struct(">IB")
+    tail = struct.Struct(">BBH")
+    plen = head.unpack_from(data, 4)[1]
+    at = 4 + head.size + plen
+    direction, coder_id, _ = tail.unpack_from(data, at)
+    body = data[at + tail.size : at + tail.size + HEADER_LEN] + hostile_blob(coder)
+    hostile = tmp_path / "h.bmd"
+    hostile.write_bytes(data[:at] + tail.pack(direction, coder_id, len(body)) + body)
+    assert main(["decode", str(hostile), "--out", str(tmp_path / "o.tsv")]) == 2
     capsys.readouterr()
 
 

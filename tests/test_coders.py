@@ -17,6 +17,7 @@ from bmkit import (
     symbol_distribution,
 )
 from bmkit.coders import CODER_NAMES, RleStream, read_varint, write_varint
+from conftest import hostile_blob
 
 
 def _adversarial_strings():
@@ -287,6 +288,25 @@ def test_registry_checks_length():
         decode_bits("rle", blob, 21)
     with pytest.raises(ValueError):
         encode_bits("nope", np.zeros(4, dtype=bool))
+
+
+def test_decoders_reject_runs_past_the_expected_length():
+    blobs = {name: hostile_blob(name) for name in ("rle", "huffman")}
+    for name, blob in blobs.items():
+        with pytest.raises(CodingError):
+            decode_bits(name, blob, 8)
+    with pytest.raises(CodingError):
+        rle_decode(RleStream.from_bytes(blobs["rle"]), 8)
+    with pytest.raises(CodingError):
+        huffman_decode(blobs["huffman"], 8)
+    # The rle blob itself parses: only the expected length rules it out.
+    assert RleStream.from_bytes(blobs["rle"]).n_bits == 2**62
+    bits = np.ones(300, dtype=bool)
+    for name in ("rle", "huffman"):
+        blob = encode_bits(name, bits)
+        assert np.array_equal(decode_bits(name, blob, 300), bits)
+        with pytest.raises(CodingError):
+            decode_bits(name, blob, 299)
 
 
 def test_symbol_distribution_drops_partial_bytes():

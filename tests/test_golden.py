@@ -6,7 +6,8 @@ message the simulator packs (``pack_message`` bytes, resyncs included),
 every decoded output, the measured payloads, support-set sizes and
 ``to_csv()``.  A refactor of the support-set machinery must leave it
 unchanged; a deliberate change to the wire format or to what a message
-reports must update the digest in the same change.
+reports must update the digest in the same change.  A second digest pins
+every per-message ideal code length of the same runs by value.
 """
 
 import hashlib
@@ -93,3 +94,22 @@ def test_wire_bytes_and_outputs_match_the_golden_digest(monkeypatch, calibrated_
             h.update(len(blob).to_bytes(4, "big") + blob)
         wire.clear()
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+IDEAL_SHA256 = "0c86d249704f6ca3dda19d0d947df98ddf65404639379556b5661d1518ea47e7"
+
+
+def test_ideal_code_lengths_match_the_golden_digest(calibrated_curve):
+    """Every per-message ideal code length of the golden runs, by value.
+
+    Adding 0.0 folds -0.0 into 0.0: a zero-cost message may sum its
+    log-probabilities to either sign of zero, which is the same length.
+    """
+    h = hashlib.sha256()
+    for run, args in _runs(calibrated_curve):
+        res = run(*args)
+        for key in sorted(res.ideal_bits):
+            arr = res.ideal_bits[key]
+            h.update(repr(key).encode() + len(arr).to_bytes(4, "big"))
+            h.update((arr + 0.0).tobytes())
+    assert h.hexdigest() == IDEAL_SHA256

@@ -6,8 +6,18 @@ import numpy as np
 import pytest
 
 from bmkit.entropy import calibrate_curve, h_ppbms, h_sbms, h_spbms
+from bmkit.errors import InvariantError
 from bmkit.fillmodel import SCurve, two_segment_curve
-from bmkit.sim import ReorderScript, SimConfig, reorder_fault_run, run_synthetic, run_trace
+from bmkit.schemes import PpbmsSession, SpbmsDecoder
+from bmkit.sim import (
+    ReorderScript,
+    SimConfig,
+    _ideal_bits,
+    _ideal_table,
+    reorder_fault_run,
+    run_synthetic,
+    run_trace,
+)
 from bmkit.traceio import generate
 
 
@@ -238,6 +248,78 @@ def test_a_dropped_message_forces_exactly_one_resync():
     # The run keeps producing sound statistics afterwards.
     assert res.row("spbms", "ab").messages > 30
     assert res.row("spbms", "ab").drops == 1
+
+
+def test_ideal_bits_match_the_per_location_model():
+    curve = two_segment_curve(32, 4, 0.8)
+    n, T, offset = 32, 8, 100
+    p = curve.probs
+    table = _ideal_table(curve, T)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        locs = np.sort(rng.choice(np.arange(offset, offset + n), size=rng.integers(1, n),
+                                  replace=False))
+        prev_end = [None, offset + n - T][rng.integers(2)]
+        expect = 0.0
+        bits = np.zeros(locs.size, dtype=bool)
+        for k, loc in enumerate(locs):
+            age = offset + n - 1 - loc
+            q = p[age]
+            if prev_end is not None and loc < prev_end:
+                q = (p[age] - p[age - T]) / (1.0 - p[age - T])
+            bits[k] = q == 1.0 or (q > 0.0 and rng.random() < 0.5)
+            expect -= math.log2(q if bits[k] else 1.0 - q)
+        got = _ideal_bits(table, n, T, offset, locs, bits, prev_end)
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    assert _ideal_bits(table, n, T, offset, np.empty(0, dtype=np.int64),
+                       np.empty(0, dtype=bool), None) == 0.0
+
+
+def test_ideal_bits_reject_payloads_the_model_cannot_produce():
+    n, T, offset = 32, 8, 100
+    newest = np.array([offset + n - 1])
+    oldest = np.array([offset])
+    table = _ideal_table(two_segment_curve(n, 4, 0.8), T)  # p_0 = 0
+    with pytest.raises(InvariantError, match="zero-probability"):
+        _ideal_bits(table, n, T, offset, newest, np.array([True]), None)
+    # An old location younger than one period cannot have been reported.
+    with pytest.raises(InvariantError, match="younger than one period"):
+        _ideal_bits(table, n, T, offset, newest, np.array([False]), offset + n)
+    certain = SCurve(np.r_[np.linspace(0.0, 1.0, 16), np.ones(16)])
+    table = _ideal_table(certain, T)
+    with pytest.raises(InvariantError, match="certainly filled"):
+        _ideal_bits(table, n, T, offset, oldest, np.array([True]), offset + 1)
+
+
+_ONE_DROP_HEAD = (
+    "# n=32 T=8 tau=2 rounds=60 seed=3 source=synthetic\n"
+    "scheme,direction,messages,mean_payload_bits,std_payload_bits,mean_ideal_bits,"
+    "mean_ss_size,resyncs,drops\n"
+)
+_ONE_DROP_CSV = {
+    "spbms": "spbms,ab,60,13.683333,2.843072,9.779509,5.550000,1,1\n"
+             "spbms,ba,60,13.333333,1.776388,10.168929,5.533333,0,0\n",
+    "ppbms": "ppbms,ab,60,6.250000,3.585271,4.122702,3.283333,1,1\n"
+             "ppbms,ba,60,10.083333,1.968855,7.477250,4.150000,1,0\n",
+}
+
+
+@pytest.mark.parametrize("scheme, retrying_all_calls", [("spbms", 165), ("ppbms", 157)])
+def test_pump_retries_only_the_head_of_each_held_queue(monkeypatch, scheme, retrying_all_calls):
+    """After a drop, the messages held behind it wait on the oldest one, so
+    the pump tries that one alone.  Re-delivering the whole held queue after
+    every delivery made ``retrying_all_calls`` decoder calls on this run."""
+    calls = []
+    for cls in (SpbmsDecoder, PpbmsSession):
+        def counted(self, msg, _decode=cls.decode):
+            calls.append(msg)
+            return _decode(self, msg)
+
+        monkeypatch.setattr(cls, "decode", counted)
+    res = reorder_fault_run(_cfg(schemes=(scheme,)), ReorderScript(drops=[("ab", 20)]))
+    assert res.to_csv() == _ONE_DROP_HEAD + _ONE_DROP_CSV[scheme]
+    assert res.total_resyncs(scheme) == 1
+    assert len(calls) < retrying_all_calls
 
 
 def test_delay_beyond_archive_depth_forces_resync():
