@@ -375,7 +375,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="two-peer run (synthetic or trace replay)")
     _add_curve_flags(p)
-    p.add_argument("--trace", metavar="FILE", help="replay this trace instead of sampling")
+    p.add_argument("--trace", metavar="FILE",
+                   help="replay this one- or two-peer trace instead of sampling")
     p.add_argument("--T", type=int, default=None, help="sending period (default 20)")
     p.add_argument("--tau", type=int, default=None, help="reply offset (default T//4)")
     p.add_argument("--rounds", type=int, default=1000, help="measured periods")

@@ -1,17 +1,25 @@
 """Two-peer exchange simulator.
 
-One engine drives every selected scheme over one shared sequence of buffer
-snapshots on the standard schedule: peer B sends at ``i*T``, peer A answers
-at ``i*T + tau``.  Each message is encoded, optionally entropy-coded,
-delivered (immediately, delayed, swapped, or dropped per an optional
-reorder script), decoded, and checked:
+One engine drives every selected scheme over one stream of buffer maps,
+each sent in one direction: ``ba`` (peer B to A) or ``ab`` (A to B).  A
+synthetic run samples the stream on the standard schedule: peer B sends
+at ``i*T``, peer A answers at ``i*T + tau``.  A trace replay takes it from
+the records of one or two peers: the first peer to appear plays B, the
+second A.  Each message is encoded, optionally entropy-coded, delivered
+(immediately, delayed, swapped, or dropped per an optional reorder
+script), decoded, and checked:
 
+* sbms: the decoded map must equal the sender's snapshot.
 * spbms: the decoder's reconstruction must equal the sender's snapshot
   bit-for-bit, and the two support sets must match whenever no message is
   in flight.
 * ppbms: every reported (location, bit) pair must match the sender's
   snapshot, and the two shared support sets must match whenever the pair
   is drained.
+
+With ``keep_messages`` a result's ``decoded`` holds, per scheme and
+direction, every spbms reconstruction and ppbms report in delivery order;
+sbms lists stay empty.
 
 Alongside byte counts the engine measures each message's *ideal code
 length*: minus log2 of the payload's probability under the true generative
@@ -20,7 +28,8 @@ below the sender's previous window end) carries a bit distributed as the
 conditional fill probability q_{age-T, age}; a location newly covered since
 then carries a fresh p_age bit.  Averaged over messages, these lengths are
 exactly the per-message information quantities the entropy module computes,
-which is what the formula-validation tests exploit.
+which is what the formula-validation tests exploit.  A trace carries no
+generative model, so its ideal lengths are NaN.
 
 Message loss is the designed recovery path, not an error: a receiver that
 can no longer resolve references (archive eviction or an overflowing hold
@@ -61,6 +70,16 @@ _SENDER = {"ab": "A", "ba": "B"}
 _RECEIVER = {"ab": "B", "ba": "A"}
 
 
+def _check_schemes_coders(schemes, coders) -> tuple:
+    schemes, coders = tuple(schemes), tuple(coders)
+    if not schemes or any(s not in SCHEMES for s in schemes):
+        raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
+    bad = [c for c in coders if c not in CODER_NAMES]
+    if bad:
+        raise ValueError(f"unknown coders {bad}; choose from {CODER_NAMES}")
+    return schemes, coders
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of a synthetic run; ``seed`` fixes all randomness."""
@@ -81,14 +100,9 @@ class SimConfig:
         ExchangeParams(self.T, self.tau, self.curve.n)
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "coders", tuple(self.coders))
-        bad = [s for s in self.schemes if s not in SCHEMES]
-        if bad or not self.schemes:
-            raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
-        bad = [c for c in self.coders if c not in CODER_NAMES]
-        if bad:
-            raise ValueError(f"unknown coders {bad}; choose from {CODER_NAMES}")
+        schemes, coders = _check_schemes_coders(self.schemes, self.coders)
+        object.__setattr__(self, "schemes", schemes)
+        object.__setattr__(self, "coders", coders)
         if self.offset_lag < 0:
             raise ValueError("offset_lag must be nonnegative")
         if self.warmup is not None and self.warmup < 0:
@@ -312,36 +326,39 @@ class _Envelope:
 
 
 class _Engine:
-    """Shared machinery for synthetic and fault-injection runs."""
+    """The one exchange driver, for synthetic runs and trace replays alike.
 
-    def __init__(self, cfg: SimConfig, script: ReorderScript | None):
-        self.cfg = cfg
+    ``run`` consumes a stream of ``(direction, BufferMap, measured)`` sends
+    in time order.  ``script`` injects delivery faults; ``ideal`` is a
+    ``(log2-probability table, period)`` model of ideal code lengths, or
+    None, which makes every length NaN.
+    """
+
+    def __init__(self, n, schemes, coders, archive_depth=8, keep_messages=False,
+                 script=None, ideal=None):
+        self.n = n
+        self.schemes = schemes
+        self.coders = coders
+        self.archive_depth = archive_depth
+        self.keep_messages = keep_messages
         self.script = script or ReorderScript()
-        self.ideal_table = _ideal_table(cfg.curve, cfg.T)
-        n = cfg.n
-        seq_b, seq_a = np.random.SeedSequence(cfg.seed).spawn(2)
-        self.peers = {
-            "B": PeerBufferState("B", cfg.curve, rng=np.random.default_rng(seq_b)),
-            "A": PeerBufferState(
-                "A", cfg.curve, base_offset=cfg.offset_lag, rng=np.random.default_rng(seq_a)
-            ),
-        }
+        self.ideal = ideal
         self.spbms_enc = {d: SpbmsEncoder(n) for d in _DIRS}
         self.spbms_dec = {d: SpbmsDecoder(n) for d in _DIRS}
         self.ppbms = {
-            p: PpbmsSession(n, archive_depth=cfg.archive_depth) for p in ("A", "B")
+            p: PpbmsSession(n, archive_depth=archive_depth) for p in ("A", "B")
         }
-        self.acc = {(s, d): _Acc(cfg.coders) for s in cfg.schemes for d in _DIRS}
-        self.prev_end = {(s, d): None for s in cfg.schemes for d in _DIRS}
+        self.acc = {(s, d): _Acc(coders) for s in schemes for d in _DIRS}
+        self.prev_end = {(s, d): None for s in schemes for d in _DIRS}
         self.pending = []
-        self.held = {(s, d): [] for s in cfg.schemes for d in _DIRS}
-        self.swap_stash = {(s, d): None for s in cfg.schemes for d in _DIRS}
+        self.held = {(s, d): [] for s in schemes for d in _DIRS}
+        self.swap_stash = {(s, d): None for s in schemes for d in _DIRS}
         self.send_epoch = {}
         self.recv_epoch = {}
         self.needs_resync = {}
         self.resyncs = {}
         self.dirty = {}  # pairing lost a message; true until a resync lands
-        for s in cfg.schemes:
+        for s in schemes:
             for key in self._pairings(s):
                 self.send_epoch[key] = 0
                 self.recv_epoch[key] = 0
@@ -391,7 +408,7 @@ class _Engine:
     def _deliver(self, env: _Envelope) -> str:
         scheme, d = env.scheme, env.direction
         if scheme == "sbms":
-            rt = sbms_decode(env.msg, self.cfg.n)
+            rt = sbms_decode(env.msg, self.n)
             if not rt == env.snap:
                 raise InvariantError(f"sbms {d} message {env.idx}: reconstruction differs")
             return "ok"
@@ -423,7 +440,7 @@ class _Engine:
                     raise InvariantError(
                         f"ppbms {d} message {env.idx}: reported bits differ from snapshot"
                     )
-            if self.cfg.keep_messages:
+            if self.keep_messages:
                 self.acc[(scheme, d)].decoded.append(out)
             return "ok"
         except MissingReferenceError as exc:
@@ -438,7 +455,7 @@ class _Engine:
     def _hold(self, env: _Envelope):
         q = self.held[(env.scheme, env.direction)]
         q.append(env)
-        if len(q) > self.cfg.archive_depth:
+        if len(q) > self.archive_depth:
             key = self._pairing(env.scheme, env.direction)
             self.needs_resync[key] = True
             self.dirty[key] = True
@@ -491,11 +508,10 @@ class _Engine:
         msg = sess.make_resync(snap) if resync else sess.encode(snap)
         return msg, sess.last_locations
 
-    def send(self, eidx, t, d, measured):
-        snap = self.peers[_SENDER[d]].snapshot(t)
+    def send(self, eidx, d, snap, measured):
         idx = self.send_idx[d]
         self.send_idx[d] += 1
-        for scheme in self.cfg.schemes:
+        for scheme in self.schemes:
             key = self._pairing(scheme, d)
             resync = scheme != "sbms" and self.needs_resync[key]
             msg, locs = self._encode(scheme, d, snap, resync)
@@ -507,15 +523,12 @@ class _Engine:
                 if scheme == "ppbms":
                     self.prev_end[("ppbms", _other_dir(d))] = None
             payload = np.asarray(msg.payload, dtype=bool)
-            ideal = _ideal_bits(
-                self.ideal_table,
-                self.cfg.n,
-                self.cfg.T,
-                snap.offset,
-                locs,
-                payload,
-                None if scheme == "sbms" else self.prev_end[(scheme, d)],
-            )
+            if self.ideal is None:
+                ideal = math.nan
+            else:
+                table, period = self.ideal
+                prev_end = None if scheme == "sbms" else self.prev_end[(scheme, d)]
+                ideal = _ideal_bits(table, self.n, period, snap.offset, locs, payload, prev_end)
             self.prev_end[(scheme, d)] = snap.end
             if measured:
                 a = self.acc[(scheme, d)]
@@ -527,7 +540,7 @@ class _Engine:
                     a.ss.append(len(self.spbms_enc[d].support_set))
                 elif scheme == "ppbms":
                     a.ss.append(len(self.ppbms[_SENDER[d]].support_set))
-                for c in self.cfg.coders:
+                for c in self.coders:
                     if msg.n_bits:
                         a.coder_bytes[c] += len(encode_bits(c, msg.payload))
             self._route(eidx, scheme, d, msg, snap, idx)
@@ -567,34 +580,25 @@ class _Engine:
 
     # -- main loop --------------------------------------------------------
 
-    def run(self) -> SimResult:
-        cfg = self.cfg
-        warm = cfg.warmup_periods
-        periods = warm + cfg.rounds
-        events = []
-        for i in range(periods):
-            events.append((i * cfg.T, "ba"))
-            events.append((i * cfg.T + cfg.tau, "ab"))
-        # tau == T makes A's send coincide with B's next; keep A first, the
-        # order they were scheduled in.
-        events.sort(key=lambda e: (e[0], e[1]))
-        measured_from = 2 * warm
-        for eidx, (t, d) in enumerate(events):
+    def run(self, sends, **meta) -> SimResult:
+        """Drive the codecs over ``sends``; ``meta`` fills the result's T,
+        tau, rounds, seed and source."""
+        for eidx, (d, snap, measured) in enumerate(sends):
             self._deliver_due(eidx)
-            self.send(eidx, t, d, eidx >= measured_from)
+            self.send(eidx, d, snap, measured)
         for key, env in self.swap_stash.items():
             if env is not None:  # swap named a final message; deliver it late
                 self.pending.append(env)
                 self.swap_stash[key] = None
         self._deliver_due(math.inf)
-        for scheme in cfg.schemes:
+        for scheme in self.schemes:
             self._assert_consistent(scheme)
         stats = []
         payloads = {}
         ss_sizes = {}
         ideal = {}
         decoded = {}
-        for scheme in cfg.schemes:
+        for scheme in self.schemes:
             for d in _DIRS:
                 a = self.acc[(scheme, d)]
                 resyncs = self.resyncs[self._pairing(scheme, d)]
@@ -602,22 +606,18 @@ class _Engine:
                 payloads[(scheme, d)] = a.payloads
                 ss_sizes[(scheme, d)] = np.asarray(a.ss, dtype=np.int64)
                 ideal[(scheme, d)] = np.asarray(a.ideal, dtype=np.float64)
-                if cfg.keep_messages:
+                if self.keep_messages:
                     decoded[(scheme, d)] = a.decoded
         return SimResult(
-            n=cfg.n,
-            T=cfg.T,
-            tau=cfg.tau,
-            rounds=cfg.rounds,
-            seed=cfg.seed,
-            source="synthetic",
-            schemes=cfg.schemes,
-            coders=cfg.coders,
+            n=self.n,
+            schemes=self.schemes,
+            coders=self.coders,
             stats=tuple(stats),
             payloads=payloads,
             ss_sizes=ss_sizes,
             ideal_bits=ideal,
             decoded=decoded,
+            **meta,
         )
 
 
@@ -625,26 +625,50 @@ def _other_dir(d):
     return "ba" if d == "ab" else "ab"
 
 
+def _simulate(cfg: SimConfig, script: ReorderScript | None) -> SimResult:
+    """Run the engine over two synthetic peers: B sends at i*T, then A at
+    i*T + tau.  That order is already sorted in time; with tau == T, A's
+    send comes before B's next, the order they were scheduled in."""
+    seq_b, seq_a = np.random.SeedSequence(cfg.seed).spawn(2)
+    peer_b = PeerBufferState("B", cfg.curve, rng=np.random.default_rng(seq_b))
+    peer_a = PeerBufferState(
+        "A", cfg.curve, base_offset=cfg.offset_lag, rng=np.random.default_rng(seq_a)
+    )
+    warm = cfg.warmup_periods
+
+    def sends():
+        for i in range(warm + cfg.rounds):
+            yield "ba", peer_b.snapshot(i * cfg.T), i >= warm
+            yield "ab", peer_a.snapshot(i * cfg.T + cfg.tau), i >= warm
+
+    engine = _Engine(cfg.n, cfg.schemes, cfg.coders, cfg.archive_depth, cfg.keep_messages,
+                     script, (_ideal_table(cfg.curve, cfg.T), cfg.T))
+    return engine.run(sends(), T=cfg.T, tau=cfg.tau, rounds=cfg.rounds, seed=cfg.seed,
+                      source="synthetic")
+
+
 def run_synthetic(config: SimConfig) -> SimResult:
     """Drive the full protocol over synthetic peers; see the module
     docstring for what is asserted along the way."""
-    return _Engine(config, None).run()
+    return _simulate(config, None)
 
 
 def reorder_fault_run(config: SimConfig, script: ReorderScript) -> SimResult:
     """Like run_synthetic but with scripted delivery faults; resyncs are
     counted in the result rather than treated as failures."""
-    return _Engine(config, script).run()
+    return _simulate(config, script)
 
 
 def run_trace(trace, schemes=("spbms",), coders=(), keep_messages: bool = False) -> SimResult:
-    """Replay recorded buffer maps through the codecs, in record order.
+    """Replay recorded buffer maps through the engine, in record order.
 
-    ``trace`` is a path or a list of TraceRecords.  Records are deduped
-    first; every record counts toward the statistics (a trace has no
-    warm-up, so the bootstrap message is part of the mean).  The first
-    peer to appear plays B (the ``ba`` sender).  Ideal code lengths need
-    the generative model, so they are NaN here.
+    ``trace`` is a path or a list of TraceRecords from one or two peers.
+    Records are deduped first; every record counts toward the statistics
+    (a trace has no warm-up, so the bootstrap message is part of the mean).
+    The first peer to appear plays B (the ``ba`` sender), the second plays
+    A (``ab``); ppbms needs both.  Ideal code lengths need the generative
+    model, so they are NaN here.  Under ``keep_messages``, ``decoded`` holds
+    the spbms reconstructions and ppbms reports; sbms lists stay empty.
     """
     if isinstance(trace, (str, bytes)) or hasattr(trace, "__fspath__"):
         records = traceio.parse_trace(trace)
@@ -652,103 +676,14 @@ def run_trace(trace, schemes=("spbms",), coders=(), keep_messages: bool = False)
         records = list(trace)
         traceio._validate(records)
     records = traceio.dedupe(records)
-    schemes = tuple(schemes)
-    bad = [s for s in schemes if s not in SCHEMES]
-    if bad or not schemes:
-        raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
-    coders = tuple(coders)
-    bad = [c for c in coders if c not in CODER_NAMES]
-    if bad:
-        raise ValueError(f"unknown coders {bad}; choose from {CODER_NAMES}")
+    schemes, coders = _check_schemes_coders(schemes, coders)
     if not records:
         raise ValueError("empty trace")
-    n = records[0].bm.n
-    order = []
-    for rec in records:
-        if rec.peer not in order:
-            order.append(rec.peer)
-    if "ppbms" in schemes and len(order) != 2:
-        raise ValueError(
-            f"ppbms replay needs exactly two peers, trace has {len(order)} ({order})"
-        )
-    dir_of = {}
-    for k, peer in enumerate(order[:2]):
-        dir_of[peer] = _DIRS[1 - k]  # first peer plays B -> direction 'ba'
-    spbms_enc = {p: SpbmsEncoder(n) for p in order}
-    spbms_dec = {p: SpbmsDecoder(n) for p in order}
-    sessions = {p: PpbmsSession(n) for p in order[:2]}
-    acc = {(s, d): _Acc(coders) for s in schemes for d in _DIRS}
-
-    def _account(scheme, d, msg, ss_len, decoded_out):
-        a = acc[(scheme, d)]
-        a.messages += 1
-        a.payload_bits.append(msg.n_bits)
-        a.ideal.append(float("nan"))
-        a.payloads.append(np.asarray(msg.payload, dtype=bool))
-        if ss_len is not None:
-            a.ss.append(ss_len)
-        if keep_messages and decoded_out is not None:
-            a.decoded.append(decoded_out)
-        for c in coders:
-            if msg.n_bits:
-                a.coder_bytes[c] += len(encode_bits(c, msg.payload))
-
-    for rec in records:
-        peer = rec.peer
-        d = dir_of.get(peer, "ab")
-        for scheme in schemes:
-            if scheme == "sbms":
-                msg = sbms_encode(rec.bm)
-                if not sbms_decode(msg, n) == rec.bm:
-                    raise InvariantError(f"sbms replay mismatch for peer {peer}")
-                _account(scheme, d, msg, None, rec.bm)
-            elif scheme == "spbms":
-                msg = spbms_enc[peer].encode(rec.bm)
-                out = spbms_dec[peer].decode(msg)
-                if not out == rec.bm:
-                    raise InvariantError(f"spbms replay mismatch for peer {peer}")
-                if not spbms_dec[peer].support_set == spbms_enc[peer].support_set:
-                    raise InvariantError(f"spbms replay support sets diverged for {peer}")
-                _account(scheme, d, msg, len(spbms_enc[peer].support_set), out)
-            else:
-                if peer not in sessions:
-                    continue
-                other = order[1 - order.index(peer)]
-                msg = sessions[peer].encode(rec.bm)
-                out = sessions[other].decode(msg)
-                truth = rec.bm.bits[out.locations - rec.bm.offset]
-                if not np.array_equal(np.asarray(out.bits, dtype=bool), truth):
-                    raise InvariantError(f"ppbms replay mismatch for peer {peer}")
-                if not sessions[peer].support_set == sessions[other].support_set:
-                    raise InvariantError("ppbms replay support sets diverged")
-                _account(scheme, d, msg, len(sessions[peer].support_set), out)
-
-    stats = []
-    payloads = {}
-    ss_sizes = {}
-    ideal = {}
-    decoded = {}
-    for scheme in schemes:
-        for d in _DIRS:
-            a = acc[(scheme, d)]
-            stats.append(a.stats(scheme, d, 0))
-            payloads[(scheme, d)] = a.payloads
-            ss_sizes[(scheme, d)] = np.asarray(a.ss, dtype=np.int64)
-            ideal[(scheme, d)] = np.asarray(a.ideal, dtype=np.float64)
-            if keep_messages:
-                decoded[(scheme, d)] = a.decoded
-    return SimResult(
-        n=n,
-        T=0,
-        tau=0,
-        rounds=len(records),
-        seed=0,
-        source="trace",
-        schemes=schemes,
-        coders=coders,
-        stats=tuple(stats),
-        payloads=payloads,
-        ss_sizes=ss_sizes,
-        ideal_bits=ideal,
-        decoded=decoded,
-    )
+    peers = list(dict.fromkeys(rec.peer for rec in records))
+    if len(peers) > 2 or ("ppbms" in schemes and len(peers) != 2):
+        need = "exactly two peers" if "ppbms" in schemes else "one or two peers"
+        raise ValueError(f"trace replay needs {need}, trace has {len(peers)} ({peers})")
+    direction = dict(zip(peers, ("ba", "ab")))
+    engine = _Engine(records[0].bm.n, schemes, coders, keep_messages=keep_messages)
+    sends = ((direction[rec.peer], rec.bm, True) for rec in records)
+    return engine.run(sends, T=0, tau=0, rounds=len(records), seed=0, source="trace")

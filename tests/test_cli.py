@@ -122,6 +122,20 @@ def test_simulate_replays_a_trace(tmp_path, capsys):
     assert all(int(r["messages"]) == 50 for r in rows)
 
 
+def test_simulate_rejects_a_trace_with_three_peers(tmp_path, capsys):
+    from bmkit.traceio import TraceRecord, parse_trace, write_trace
+
+    trace = tmp_path / "t.tsv"
+    assert main(["gen-trace", "--n", "64", "--calibrate-hsbms", "20",
+                 "--T", "8", "--rounds", "10", "--out", str(trace)]) == 0
+    recs = parse_trace(trace)
+    recs += [TraceRecord(r.timestamp, "C", r.direction, r.bm) for r in recs if r.peer == "A"]
+    write_trace(trace, sorted(recs, key=lambda r: r.timestamp))
+    for scheme in ("sbms", "spbms", "ppbms"):
+        assert main(["simulate", "--trace", str(trace), "--scheme", scheme]) == 2
+        assert "'C'" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # encode / decode
 # ----------------------------------------------------------------------

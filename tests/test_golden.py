@@ -7,9 +7,11 @@ every decoded output, the measured payloads, support-set sizes and
 ``to_csv()``.  A refactor of the support-set machinery must leave it
 unchanged; a deliberate change to the wire format or to what a message
 reports must update the digest in the same change.  A second digest pins
-every per-message ideal code length of the same runs by value.
+every per-message ideal code length of the same runs by value, and a third
+pins ``run_trace`` replays of fixed traces.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -18,7 +20,8 @@ from bmkit import calibrate_curve, sim
 from bmkit.bitmap import BufferMap
 from bmkit.fillmodel import two_segment_curve
 from bmkit.schemes import PpbmsSession, SpbmsEncoder, pack_message
-from bmkit.sim import ReorderScript, SimConfig, reorder_fault_run, run_synthetic
+from bmkit.sim import ReorderScript, SimConfig, reorder_fault_run, run_synthetic, run_trace
+from bmkit.traceio import generate
 
 GOLDEN_SHA256 = "4289d813f9d554c34c6c3b65ac38e1984987d670094b803d870cc043829efe4d"
 
@@ -113,3 +116,41 @@ def test_ideal_code_lengths_match_the_golden_digest(calibrated_curve):
             h.update(repr(key).encode() + len(arr).to_bytes(4, "big"))
             h.update((arr + 0.0).tobytes())
     assert h.hexdigest() == IDEAL_SHA256
+
+
+TRACE_SHA256 = "c4f160e5cb65fbe4f5dd49040d3b371f8804c3b786e98a818323cddf0059516a"
+
+
+def _trace_runs(calibrated_curve):
+    """Recorded-trace replays: two peers with every scheme and coder, a
+    tau = T schedule at n = 456, one peer alone, and repeated records."""
+    small = two_segment_curve(32, 4, 0.8)
+    yield dict(trace=generate(small, T=8, rounds=40, seed=3, tau=2), schemes=sim.SCHEMES,
+               coders=("rle", "huffman", "ac"), keep_messages=True)
+    yield dict(trace=generate(calibrated_curve, T=20, rounds=15, seed=5, tau=20),
+               schemes=sim.SCHEMES, keep_messages=True)
+    solo = [r for r in generate(small, T=4, rounds=30, seed=7, tau=1) if r.peer == "B"]
+    yield dict(trace=solo, schemes=("sbms", "spbms"), coders=("rle",), keep_messages=True)
+    doubled = []
+    for k, rec in enumerate(generate(small, T=8, rounds=20, seed=9, tau=3)):
+        doubled += [rec, rec] if k % 3 == 0 else [rec]
+    yield dict(trace=doubled, schemes=sim.SCHEMES, keep_messages=True)
+
+
+def test_trace_replay_matches_the_golden_digest(monkeypatch, calibrated_curve):
+    """``run_trace`` output and wire bytes for fixed traces.  The sbms
+    ``decoded`` entries are left out: they are not part of what a replay
+    promises to keep."""
+    wire = _record_messages(monkeypatch)
+    h = hashlib.sha256()
+    for kwargs in _trace_runs(calibrated_curve):
+        res = run_trace(**kwargs)
+        decoded = {k: v for k, v in res.decoded.items() if k[0] != "sbms"}
+        _feed_result(h, dataclasses.replace(res, decoded=decoded))
+        for key in sorted(res.ideal_bits):
+            nan = np.isnan(res.ideal_bits[key])
+            h.update(repr(key).encode() + len(nan).to_bytes(4, "big") + np.packbits(nan).tobytes())
+        for blob in wire:
+            h.update(len(blob).to_bytes(4, "big") + blob)
+        wire.clear()
+    assert h.hexdigest() == TRACE_SHA256

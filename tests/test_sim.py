@@ -18,7 +18,7 @@ from bmkit.sim import (
     run_synthetic,
     run_trace,
 )
-from bmkit.traceio import generate
+from bmkit.traceio import TraceRecord, generate
 
 
 def _cfg(**kw):
@@ -357,3 +357,97 @@ def test_ppbms_with_a_lagging_window_reports_only_the_senders_window(T, tau, lag
         for out in res.decoded[("ppbms", d)]:
             assert out.locations.size == out.bits.size
             assert np.all((out.locations >= out.offset) & (out.locations < out.offset + n))
+
+
+# ----------------------------------------------------------------------
+# One driver for synthetic runs and trace replays
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("T, tau", [(8, 3), (8, 8)])
+def test_trace_replay_of_a_generated_trace_equals_the_synthetic_run(T, tau):
+    """A generated trace samples the same peers on the same schedule as
+    ``run_synthetic``, so replaying it sends the same messages: payloads,
+    support-set sizes, coder bytes and decoded outputs match one for one."""
+    curve = calibrate_curve(20.0, 64).to_curve(64)
+    coders = ("rle", "huffman", "ac")
+    rep = run_trace(generate(curve, T=T, rounds=40, seed=5, tau=tau),
+                    schemes=("sbms", "spbms", "ppbms"), coders=coders, keep_messages=True)
+    syn = run_synthetic(SimConfig(curve, T=T, tau=tau, rounds=40, seed=5, warmup=0,
+                                  coders=coders, keep_messages=True))
+    for scheme in ("sbms", "spbms", "ppbms"):
+        for d in ("ab", "ba"):
+            key = (scheme, d)
+            assert len(rep.payloads[key]) == len(syn.payloads[key]) == 40
+            for a, b in zip(rep.payloads[key], syn.payloads[key]):
+                assert np.array_equal(a, b)
+            assert np.array_equal(rep.ss_sizes[key], syn.ss_sizes[key])
+            assert rep.row(scheme, d).coder_bytes == syn.row(scheme, d).coder_bytes
+            if scheme != "sbms":
+                for a, b in zip(rep.decoded[key], syn.decoded[key], strict=True):
+                    assert a.offset == b.offset
+                    if scheme == "spbms":
+                        assert a == b
+                    else:
+                        assert np.array_equal(a.locations, b.locations)
+                        assert np.array_equal(a.bits, b.bits)
+            assert np.isnan(rep.ideal_bits[key]).all()
+
+
+@pytest.mark.parametrize("scheme", ["sbms", "spbms", "ppbms"])
+def test_trace_replay_rejects_a_third_peer(scheme):
+    recs = generate(two_segment_curve(32, 4, 0.8), T=8, rounds=6, seed=2, tau=2)
+    third = [TraceRecord(r.timestamp, "C", r.direction, r.bm) for r in recs if r.peer == "A"]
+    trio = sorted(recs + third, key=lambda r: r.timestamp)
+    with pytest.raises(ValueError, match=r"3 \(\['B', 'A', 'C'\]\)"):
+        run_trace(trio, schemes=(scheme,))
+
+
+def test_codec_stand_ins_on_the_sim_module_see_every_message(monkeypatch):
+    """``sim`` looks its codecs up as module globals when a run starts, so a
+    stand-in set there sees every message sent and every ppbms report
+    delivered, in a fault run and in a trace replay alike."""
+    import bmkit.schemes as schemes
+    from bmkit import sim
+
+    sent = {s: [] for s in ("sbms", "spbms", "ppbms")}
+    reports = []
+
+    def sbms_encode(bm):
+        msg = schemes.sbms_encode(bm)
+        sent["sbms"].append(msg.n_bits)
+        return msg
+
+    class Spbms(schemes.SpbmsEncoder):
+        def encode(self, bm):
+            msg = super().encode(bm)
+            sent["spbms"].append(msg.n_bits)
+            return msg
+
+    class Ppbms(schemes.PpbmsSession):
+        def encode(self, bm):
+            msg = super().encode(bm)
+            sent["ppbms"].append(msg.n_bits)
+            return msg
+
+        def decode(self, msg):
+            out = super().decode(msg)
+            reports.append(out)
+            return out
+
+    monkeypatch.setattr(sim, "sbms_encode", sbms_encode)
+    monkeypatch.setattr(sim, "SpbmsEncoder", Spbms)
+    monkeypatch.setattr(sim, "PpbmsSession", Ppbms)
+    def check(res, per_dir):
+        for scheme, bits in sent.items():
+            assert len(bits) == 2 * per_dir
+            assert sum(bits) == sum(b.size for d in ("ab", "ba")
+                                    for b in res.payloads[(scheme, d)])
+            bits.clear()
+        assert reports
+        assert len(reports) == sum(len(res.decoded[("ppbms", d)]) for d in ("ab", "ba"))
+        reports.clear()
+
+    script = ReorderScript(delays={("ab", 12): 2}, drops=[("ba", 20)], swaps=[("ab", 5)])
+    check(reorder_fault_run(_cfg(rounds=30, warmup=0, keep_messages=True), script), 30)
+    trace = generate(two_segment_curve(32, 4, 0.8), T=8, rounds=25, seed=4, tau=2)
+    check(run_trace(trace, schemes=("sbms", "spbms", "ppbms"), keep_messages=True), 25)
