@@ -68,11 +68,9 @@ class BufferMap:
         data = bytes.fromhex(hexstr)
         if len(data) != (n + 7) // 8:
             raise ValueError(f"hex bitmap has {len(data)} bytes, expected {(n + 7) // 8}")
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n]
-        pad = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[n:]
-        if pad.any():
+        if data and data[-1] & ((1 << (8 * len(data) - n)) - 1):
             raise ValueError("padding bits past the window width must be zero")
-        return cls(offset, bits)
+        return cls(offset, np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n])
 
     def __eq__(self, other):
         return (

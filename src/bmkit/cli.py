@@ -242,7 +242,7 @@ def _cmd_encode(args) -> int:
             frames.append(_frame(rec, encoders[rec.peer].encode(rec.bm), coder))
     else:
         if len(peers) != 2:
-            raise _UsageError(
+            raise ValueError(
                 f"ppbms needs a two-peer trace (both directions); "
                 f"{args.trace} names {len(peers)} peer(s)"
             )

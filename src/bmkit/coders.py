@@ -18,8 +18,10 @@ the expected bit count supplied out-of-band (the wire header carries it).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -91,9 +93,9 @@ def _run_split(bits: np.ndarray):
     """(first bit value, run lengths of alternating values)."""
     if bits.size == 0:
         raise CodingError("cannot run-length encode an empty bit sequence")
-    edges = np.flatnonzero(np.diff(bits)) + 1
-    bounds = np.concatenate([[0], edges, [bits.size]])
-    return int(bits[0]), np.diff(bounds).tolist()
+    # The last index of every run; their differences are the run lengths.
+    ends = [-1, *(bits[1:] != bits[:-1]).nonzero()[0].tolist(), bits.size - 1]
+    return int(bits[0]), [b - a for a, b in zip(ends, ends[1:])]
 
 
 # ======================================================================
@@ -110,8 +112,8 @@ class RleStream:
     def __post_init__(self):
         if self.first_bit not in (0, 1):
             raise ValueError("first_bit must be 0 or 1")
-        runs = tuple(int(r) for r in self.runs)
-        if not runs or any(r <= 0 for r in runs):
+        runs = tuple(map(int, self.runs))
+        if not runs or min(runs) <= 0:
             raise ValueError("runs must be positive")
         object.__setattr__(self, "runs", runs)
 
@@ -152,17 +154,11 @@ def rle_encode(bits) -> RleStream:
 def rle_decode(stream: RleStream, n_bits: int | None = None) -> np.ndarray:
     """Expand a run-length stream; with ``n_bits``, a stream whose runs
     cover more bits raises CodingError before anything is allocated."""
-    total = stream.n_bits
-    if n_bits is not None and total > n_bits:
+    if n_bits is not None and stream.n_bits > n_bits:
         raise CodingError(f"runs cover more than the {n_bits} bits expected")
-    out = np.empty(total, dtype=bool)
-    val = bool(stream.first_bit)
-    pos = 0
-    for r in stream.runs:
-        out[pos : pos + r] = val
-        pos += r
-        val = not val
-    return out
+    values = np.zeros(len(stream.runs), dtype=bool)
+    values[1 - stream.first_bit :: 2] = True
+    return np.repeat(values, stream.runs)
 
 
 # ======================================================================
@@ -171,6 +167,7 @@ def rle_decode(stream: RleStream, n_bits: int | None = None) -> np.ndarray:
 
 ESC = 0  # escape symbol: run longer than 255, remainder follows as a varint
 _MAX_RUN_SYMBOL = 255
+_LENGTH_THEN_SYMBOL = itemgetter(1, 0)  # sort key of (symbol, length) pairs
 
 
 class HuffmanModel:
@@ -184,20 +181,20 @@ class HuffmanModel:
         if not lengths:
             raise ValueError("empty code")
         self.lengths = {int(s): int(l) for s, l in lengths.items()}
-        if any(l <= 0 for l in self.lengths.values()):
+        if min(self.lengths.values()) <= 0:
             raise ValueError("code lengths must be positive")
-        kraft = sum(2.0 ** -l for l in self.lengths.values())
-        if len(self.lengths) > 1 and abs(kraft - 1.0) > 1e-9:
-            raise ValueError(f"code lengths violate the Kraft equality (sum={kraft})")
+        if len(self.lengths) > 1:
+            kraft = sum([2.0 ** -l for l in self.lengths.values()])
+            if abs(kraft - 1.0) > 1e-9:
+                raise ValueError(f"code lengths violate the Kraft equality (sum={kraft})")
         self.codes = {}
         code = 0
         prev_len = 0
-        for length, sym in sorted((l, s) for s, l in self.lengths.items()):
+        for sym, length in sorted(self.lengths.items(), key=_LENGTH_THEN_SYMBOL):
             code <<= length - prev_len
             self.codes[sym] = (code, length)
             code += 1
             prev_len = length
-        self._decode = {(l, c): s for s, (c, l) in self.codes.items()}
 
     def __contains__(self, symbol):
         return symbol in self.lengths
@@ -219,80 +216,19 @@ def huffman_build(hist: dict) -> HuffmanModel:
         return HuffmanModel({next(iter(items)): 1})
     heap = [(count, sym, sym) for sym, count in items.items()]
     heapq.heapify(heap)
-    parent = {}
+    merges = []
     node = max(items) + 1
     while len(heap) > 1:
         c1, _, n1 = heapq.heappop(heap)
         c2, _, n2 = heapq.heappop(heap)
-        parent[n1] = node
-        parent[n2] = node
+        merges.append((node, n1, n2))
         heapq.heappush(heap, (c1 + c2, -node, node))
         node += 1
-    lengths = {}
-    for sym in items:
-        depth = 0
-        cur = sym
-        while cur in parent:
-            cur = parent[cur]
-            depth += 1
-        lengths[sym] = depth
-    return HuffmanModel(lengths)
-
-
-class _BitWriter:
-    def __init__(self):
-        self.buf = bytearray()
-        self._acc = 0
-        self._n = 0
-
-    def write(self, code: int, length: int):
-        self._acc = (self._acc << length) | code
-        self._n += length
-        while self._n >= 8:
-            self._n -= 8
-            self.buf.append((self._acc >> self._n) & 0xFF)
-        self._acc &= (1 << self._n) - 1
-
-    def write_bytes(self, data: bytes):
-        for b in data:
-            self.write(b, 8)
-
-    def getvalue(self) -> bytes:
-        if self._n:
-            return bytes(self.buf) + bytes([(self._acc << (8 - self._n)) & 0xFF])
-        return bytes(self.buf)
-
-
-class _BitReader:
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.bitpos = pos * 8
-
-    def read_bit(self) -> int:
-        byte = self.bitpos >> 3
-        if byte >= len(self.data):
-            raise CodingError("bit stream exhausted")
-        bit = (self.data[byte] >> (7 - (self.bitpos & 7))) & 1
-        self.bitpos += 1
-        return bit
-
-    def read_byte(self) -> int:
-        v = 0
-        for _ in range(8):
-            v = (v << 1) | self.read_bit()
-        return v
-
-    def read_varint(self) -> int:
-        value = 0
-        shift = 0
-        while True:
-            b = self.read_byte()
-            value |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise CodingError("varint too long")
+    # Walk the merges from the root down: a child sits one below its parent.
+    depth = {node - 1: 0}
+    for parent, n1, n2 in reversed(merges):
+        depth[n1] = depth[n2] = depth[parent] + 1
+    return HuffmanModel({sym: depth[sym] for sym in items})
 
 
 def _serialize_table(model: HuffmanModel, out: bytearray):
@@ -319,17 +255,6 @@ def _parse_table(data: bytes, pos: int):
         raise CodingError(f"bad code table: {exc}") from exc
 
 
-def _run_symbols(runs):
-    """Map runs to (symbol, escape remainder or None) pairs."""
-    out = []
-    for r in runs:
-        if r <= _MAX_RUN_SYMBOL:
-            out.append((r, None))
-        else:
-            out.append((ESC, r))
-    return out
-
-
 def huffman_encode(bits, model: HuffmanModel | None = None) -> bytes:
     """Run-length split, then Huffman-code the run symbols.
 
@@ -337,30 +262,31 @@ def huffman_encode(bits, model: HuffmanModel | None = None) -> bytes:
     A supplied model missing some needed symbol routes that run through the
     escape code; if the model lacks the escape too, a fresh model is built
     from the data (the blob always carries whichever table was used).
+    An escaped run's length follows its code word as a varint.
     """
     first, runs = _run_split(_as_bits(bits))
-    items = _run_symbols(runs)
-    if model is not None and any(
-        sym not in model for sym, _ in items
-    ):
+    syms = [r if r <= _MAX_RUN_SYMBOL else ESC for r in runs]
+    if model is not None and not all(sym in model for sym in syms):
         if ESC in model:
-            items = [(sym, extra) if sym in model else (ESC, runs[i]) for i, (sym, extra) in enumerate(items)]
+            syms = [sym if sym in model else ESC for sym in syms]
         else:
             model = None
     if model is None:
-        model = huffman_build(Counter(sym for sym, _ in items))
+        model = huffman_build(Counter(syms))
     head = bytearray([first])
-    write_varint(len(items), head)
+    write_varint(len(syms), head)
     _serialize_table(model, head)
-    w = _BitWriter()
-    for sym, extra in items:
-        code, length = model.codes[sym]
-        w.write(code, length)
+    words = {sym: f"{code:0{length}b}" for sym, (code, length) in model.codes.items()}
+    stream = []
+    for sym, run in zip(syms, runs):
+        stream.append(words[sym])
         if sym == ESC:
-            chunk = bytearray()
-            write_varint(extra, chunk)
-            w.write_bytes(bytes(chunk))
-    return bytes(head) + w.getvalue()
+            extra = bytearray()
+            write_varint(run, extra)
+            stream.extend(f"{b:08b}" for b in extra)
+    code_bits = "".join(stream)
+    code_bits += "0" * (-len(code_bits) % 8)
+    return bytes(head) + int(code_bits, 2).to_bytes(len(code_bits) // 8, "big")
 
 
 def huffman_decode(blob: bytes, n_bits: int | None = None) -> np.ndarray:
@@ -373,34 +299,52 @@ def huffman_decode(blob: bytes, n_bits: int | None = None) -> np.ndarray:
         raise CodingError(f"bad flag byte 0x{first:02x}")
     count, pos = read_varint(blob, 1)
     model, pos = _parse_table(blob, pos)
-    r = _BitReader(blob, pos)
-    decode = model._decode
-    max_len = max(model.lengths.values())
+    # Canonical code words, left-aligned to ``width`` bits, cover adjacent
+    # ranges in (length, symbol) order: the word at the head of the stream
+    # is the one whose range holds the next ``width`` bits.  A peek that
+    # falls past every range (a one-word code) is no word at all.
+    width = max(model.lengths.values())
+    syms, lens, ends = [], [], []
+    for sym, (code, length) in model.codes.items():
+        syms.append(sym)
+        lens.append(length)
+        ends.append((code + 1) << (width - length))
+    stream = bin(int.from_bytes(b"\x01" + blob[pos:], "big"))[3:]
+    avail = len(stream)
+    stream += "0" * width  # peeks past the end read zeros
+    at = 0
     runs = []
     total = 0
     for _ in range(count):
-        code = 0
-        length = 0
-        while True:
-            code = (code << 1) | r.read_bit()
-            length += 1
-            sym = decode.get((length, code))
-            if sym is not None:
-                break
-            if length > max_len:
-                raise CodingError("invalid code word")
-        if sym == ESC:
-            sym = r.read_varint()
-            if sym <= _MAX_RUN_SYMBOL:
-                # Legal (a supplied model may have escaped a small run),
-                # just unusual for self-built tables.
-                pass
-        if sym <= 0:
+        i = bisect_right(ends, int(stream[at : at + width], 2))
+        if i == len(ends):
+            # Telling a bad word from a short stream takes width + 1 bits.
+            if avail - at <= width:
+                raise CodingError("bit stream exhausted")
+            raise CodingError("invalid code word")
+        at += lens[i]
+        if at > avail:
+            raise CodingError("bit stream exhausted")
+        run = syms[i]
+        if run == ESC:
+            run = shift = 0
+            while True:
+                if at + 8 > avail:
+                    raise CodingError("bit stream exhausted")
+                b = int(stream[at : at + 8], 2)
+                at += 8
+                run |= (b & 0x7F) << shift
+                if not b & 0x80:
+                    break
+                shift += 7
+                if shift > 63:
+                    raise CodingError("varint too long")
+        if run <= 0:
             raise CodingError("zero-length run")
-        total += sym
+        total += run
         if n_bits is not None and total > n_bits:
             raise CodingError(f"runs cover more than the {n_bits} bits expected")
-        runs.append(sym)
+        runs.append(run)
     return rle_decode(RleStream(first, tuple(runs)))
 
 

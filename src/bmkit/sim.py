@@ -207,6 +207,10 @@ class SimResult:
         return max(s.resyncs for s in self.stats if s.scheme == scheme)
 
     def to_csv(self) -> str:
+        """Per-(scheme, direction) statistics as CSV under one ``#`` header
+        line.  ``rounds`` in that header is the measured periods per
+        direction for a synthetic run, but for a trace replay it is the
+        number of deduped records of both peers together."""
         cols = [
             "scheme",
             "direction",
@@ -669,6 +673,8 @@ def run_trace(trace, schemes=("spbms",), coders=(), keep_messages: bool = False)
     A (``ab``); ppbms needs both.  Ideal code lengths need the generative
     model, so they are NaN here.  Under ``keep_messages``, ``decoded`` holds
     the spbms reconstructions and ppbms reports; sbms lists stay empty.
+    The result's ``rounds`` (the ``to_csv()`` header) counts the deduped
+    records of both peers together, not periods per direction.
     """
     if isinstance(trace, (str, bytes)) or hasattr(trace, "__fspath__"):
         records = traceio.parse_trace(trace)

@@ -197,8 +197,8 @@ def test_encode_ppbms_needs_two_peers(tmp_path, small_trace, capsys):
     write_trace(solo, [r for r in parse_trace(small_trace) if r.peer == "B"])
     dump = tmp_path / "d.bmd"
     assert main(["encode", "--trace", str(solo), "--scheme", "ppbms",
-                 "--out", str(dump)]) == 1
-    capsys.readouterr()
+                 "--out", str(dump)]) == 2
+    assert "ppbms needs a two-peer trace" in capsys.readouterr().err
 
 
 def test_decode_usage_errors(tmp_path, small_trace, capsys):

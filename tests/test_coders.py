@@ -16,7 +16,7 @@ from bmkit import (
     rle_encode,
     symbol_distribution,
 )
-from bmkit.coders import CODER_NAMES, RleStream, read_varint, write_varint
+from bmkit.coders import ESC, CODER_NAMES, RleStream, _parse_table, read_varint, write_varint
 from conftest import hostile_blob
 
 
@@ -191,6 +191,110 @@ def test_huffman_decode_rejects_corrupt_blob():
         huffman_decode(blob[:2])
     with pytest.raises(CodingError):
         huffman_decode(b"")
+
+
+def _reference_huffman_decode(blob, n_bits):
+    """Huffman decoding one bit at a time, matching (length, code) pairs."""
+    if not blob:
+        raise CodingError("empty huffman blob")
+    if blob[0] not in (0, 1):
+        raise CodingError(f"bad flag byte 0x{blob[0]:02x}")
+    count, pos = read_varint(blob, 1)
+    model, pos = _parse_table(blob, pos)
+    words = {(l, c): s for s, (c, l) in model.codes.items()}
+    max_len = max(model.lengths.values())
+    at = 8 * pos
+
+    def bit():
+        nonlocal at
+        if at >> 3 >= len(blob):
+            raise CodingError("bit stream exhausted")
+        at += 1
+        return (blob[(at - 1) >> 3] >> (7 - ((at - 1) & 7))) & 1
+
+    runs = []
+    for _ in range(count):
+        code = length = 0
+        while True:
+            code, length = (code << 1) | bit(), length + 1
+            sym = words.get((length, code))
+            if sym is not None:
+                break
+            if length > max_len:
+                raise CodingError("invalid code word")
+        if sym == ESC:
+            sym = shift = 0
+            while True:
+                b = 0
+                for _ in range(8):
+                    b = (b << 1) | bit()
+                sym |= (b & 0x7F) << shift
+                if not b & 0x80:
+                    break
+                shift += 7
+                if shift > 63:
+                    raise CodingError("varint too long")
+        if sym <= 0:
+            raise CodingError("zero-length run")
+        runs.append(sym)
+        if n_bits is not None and sum(runs) > n_bits:
+            raise CodingError(f"runs cover more than the {n_bits} bits expected")
+    return rle_decode(RleStream(blob[0], tuple(runs)))
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (CodingError, ValueError) as exc:
+        return type(exc), str(exc)
+    return out.size, out.tobytes()
+
+
+def _table_blob(rng, lengths):
+    """A Huffman blob with the given code table over random code bits."""
+    out = bytearray([rng.integers(2)])
+    write_varint(int(rng.integers(0, 12)), out)
+    write_varint(len(lengths), out)
+    for sym, length in lengths.items():
+        write_varint(sym, out)
+        out.append(length)
+    return bytes(out) + rng.bytes(int(rng.integers(0, 12)))
+
+
+def test_huffman_decode_matches_its_bit_at_a_time_reference():
+    """Valid, mutated and hand-built blobs decode to the same bits, or
+    fail with the same error, as the one-bit-at-a-time loop."""
+    rng = np.random.default_rng(31)
+    escaping = huffman_build({1: 5, 2: 3, ESC: 1})
+    blobs = []
+    for _ in range(60):
+        runs = rng.integers(1, rng.choice([4, 40, 400]), size=rng.integers(1, 20))
+        bits = np.repeat(np.arange(runs.size) % 2 == rng.integers(2), runs)
+        blobs += [huffman_encode(bits), huffman_encode(bits, model=escaping)]
+    for _ in range(40):
+        blobs.append(_table_blob(rng, {int(rng.integers(0, 300)): int(rng.integers(1, 5))}))
+        blobs.append(_table_blob(rng, {k: k for k in range(1, 41)}))  # Kraft 1 - 2**-40
+        blobs.append(_table_blob(rng, {0: 1, 1: 2, 2: 2}))
+    # An escape whose varint never ends.
+    blobs.append(bytes([0, 1, 2, ESC, 1, 1, 1]) + b"\x7f" + b"\xff" * 9 + b"\x80")
+    cases = []
+    for blob in blobs:
+        cases.append(blob)
+        for _ in range(6):
+            b = bytearray(blob)
+            kind = rng.integers(3)
+            if kind == 0:
+                b = b[: rng.integers(len(b))]
+            elif kind == 1:
+                for i in rng.integers(8 * len(b), size=rng.integers(1, 4)):
+                    b[i // 8] ^= 0x80 >> (i % 8)
+            else:
+                b += rng.bytes(int(rng.integers(1, 4)))
+            cases.append(bytes(b))
+    for blob in cases:
+        for n_bits in (16, 300, 5000):
+            assert _outcome(huffman_decode, blob, n_bits) == _outcome(
+                _reference_huffman_decode, blob, n_bits)
 
 
 # ----------------------------------------------------------------------

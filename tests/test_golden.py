@@ -7,8 +7,9 @@ every decoded output, the measured payloads, support-set sizes and
 ``to_csv()``.  A refactor of the support-set machinery must leave it
 unchanged; a deliberate change to the wire format or to what a message
 reports must update the digest in the same change.  A second digest pins
-every per-message ideal code length of the same runs by value, and a third
-pins ``run_trace`` replays of fixed traces.
+every per-message ideal code length of the same runs by value, a third
+pins ``run_trace`` replays of fixed traces, and a fourth pins what the
+``bmkit encode``/``decode`` commands write and the generic coders' blobs.
 """
 
 import dataclasses
@@ -18,10 +19,12 @@ import numpy as np
 
 from bmkit import calibrate_curve, sim
 from bmkit.bitmap import BufferMap
+from bmkit.cli import main
+from bmkit.coders import CODER_NAMES, decode_bits, encode_bits
 from bmkit.fillmodel import two_segment_curve
 from bmkit.schemes import PpbmsSession, SpbmsEncoder, pack_message
 from bmkit.sim import ReorderScript, SimConfig, reorder_fault_run, run_synthetic, run_trace
-from bmkit.traceio import generate
+from bmkit.traceio import TraceRecord, generate, write_trace
 
 GOLDEN_SHA256 = "4289d813f9d554c34c6c3b65ac38e1984987d670094b803d870cc043829efe4d"
 
@@ -154,3 +157,60 @@ def test_trace_replay_matches_the_golden_digest(monkeypatch, calibrated_curve):
             h.update(len(blob).to_bytes(4, "big") + blob)
         wire.clear()
     assert h.hexdigest() == TRACE_SHA256
+
+
+CLI_SHA256 = "4fb41d2969eee95539def49b954cb18a4302ec497fe209a181e247bcae818e5e"
+
+
+def _long_run_trace(path):
+    """Two peers over a 600-chunk window whose maps hold runs longer than
+    127 and 255 bits: multi-byte rle varints and Huffman escapes."""
+    n = 600
+    records = []
+    for i in range(12):
+        for peer, direction, lag in (("B", "received", 0), ("A", "sent", 1)):
+            offset = 10 * i
+            c = offset + np.arange(n)
+            filled = (c < offset + 130 + 25 * i + 40 * lag) | ((c % 97 == 0) & (c < offset + 330))
+            records.append(TraceRecord(4 * i + lag, peer, direction, BufferMap(offset, filled)))
+    write_trace(path, records)
+
+
+def _coder_payloads():
+    rng = np.random.default_rng(2024)
+    for size in (1, 2, 7, 8, 9, 64, 200, 1000):
+        for density in (0.02, 0.5, 0.98):
+            yield rng.random(size) < density
+    for _ in range(6):
+        runs = rng.integers(1, 700, size=rng.integers(1, 12))
+        yield np.repeat(np.arange(runs.size) % 2 == rng.integers(2), runs)
+
+
+def test_cli_dumps_outputs_and_coder_blobs_match_the_golden_digest(tmp_path):
+    """Every scheme x coder dump of ``bmkit encode`` and what ``bmkit
+    decode`` writes back, for the README-point trace (n=64, T=8, tau=3,
+    50 rounds) and a long-run trace, plus ``encode_bits`` blobs of every
+    coder over seeded payloads."""
+    readme = tmp_path / "readme.trace"
+    assert main(["gen-trace", "--n", "64", "--calibrate-hsbms", "20", "--T", "8",
+                 "--tau", "3", "--rounds", "50", "--seed", "7", "--out", str(readme)]) == 0
+    long_runs = tmp_path / "long.trace"
+    _long_run_trace(long_runs)
+    dump, out = tmp_path / "d.bmd", tmp_path / "out"
+    h = hashlib.sha256()
+    for trace in (readme, long_runs):
+        h.update(trace.read_bytes())
+        for scheme in sim.SCHEMES:
+            for coder in (None,) + CODER_NAMES:
+                argv = ["encode", "--trace", str(trace), "--scheme", scheme, "--out", str(dump)]
+                assert main(argv + (["--coder", coder] if coder else [])) == 0
+                assert main(["decode", str(dump), "--out", str(out)]) == 0
+                for data in (dump.read_bytes(), out.read_bytes()):
+                    h.update(len(data).to_bytes(4, "big") + data)
+    for bits in _coder_payloads():
+        for coder in CODER_NAMES:
+            blob = encode_bits(coder, bits)
+            assert np.array_equal(decode_bits(coder, blob, bits.size), bits)
+            h.update(coder.encode() + bits.size.to_bytes(4, "big") + len(blob).to_bytes(4, "big"))
+            h.update(blob)
+    assert h.hexdigest() == CLI_SHA256

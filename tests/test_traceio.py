@@ -100,6 +100,27 @@ def test_parse_rejects_malformed_fields(tmp_path):
     )
 
 
+LATER = "#bmtrace v1 n=9\n0\tB\treceived\t0\tb000\n1\tA\tsent\t0\t1100\n# note\n\n4\tB\treceived\t4\t0b00\n"
+
+
+@pytest.mark.parametrize("record, message", [
+    ("5\tA\tsent\t4\tbz00", "non-hexadecimal number found in fromhex() arg at position 1"),
+    ("5\tA\tsent\t4\tb0", "hex bitmap has 1 bytes, expected 2"),
+    ("5\tA\tsent\t4\t1f01", "padding bits past the window width must be zero"),
+    ("5\tA\tsent\tfour\t1f00", "invalid literal for int() with base 10: 'four'"),
+    ("5\tA\tsideways\t4\t1f00", "direction must be one of ('sent', 'received')"),
+])
+def test_parse_reports_a_malformed_later_record_at_its_line(tmp_path, record, message):
+    """A malformed record after the first raises its own message at its
+    own line, ahead of a bad line after it."""
+    path = tmp_path / "bad.tsv"
+    path.write_text(LATER + record + "\n9\tB\treceived\t8\tzz\n")
+    with pytest.raises(TraceError) as info:
+        parse_trace(path)
+    assert str(info.value) == f"line 7: {message}"
+    assert info.value.line == 7
+
+
 def test_validation_rejects_timestamp_regression(tmp_path):
     text = CANON.replace("5\tA\tsent", "3\tA\tsent")
     _expect_error(tmp_path, text, "timestamp regressed")
@@ -130,6 +151,11 @@ def test_validation_rejects_width_changes(tmp_path):
     ]
     with pytest.raises(TraceError, match="width"):
         write_trace(tmp_path / "x.tsv", recs)
+
+
+def test_parse_rejects_a_width_change_between_headers(tmp_path):
+    text = "#bmtrace v1 n=8\n0\tB\treceived\t0\tb0\n#bmtrace v1 n=12\n4\tB\treceived\t4\t0b00\n"
+    _expect_error(tmp_path, text, "record 1: bitmap width 12 differs from 8")
 
 
 def test_validation_is_per_peer(tmp_path):
