@@ -68,7 +68,6 @@ from .schemes import (
     SpbmsDecoder,
     SpbmsEncoder,
     SupportSet,
-    full_resync,
     pack_message,
     sbms_decode,
     sbms_encode,

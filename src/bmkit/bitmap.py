@@ -94,14 +94,13 @@ class PeerBufferState:
     regress while a chunk stays in the window.
     """
 
-    def __init__(self, peer_id, curve: SCurve, *, base_offset=0, rng=None, delay_fn=None):
+    def __init__(self, peer_id, curve: SCurve, *, base_offset=0, rng=None):
         if base_offset < 0:
             raise ValueError("base_offset must be nonnegative")
         self.peer_id = peer_id
         self.curve = curve
         self.n = curve.n
         self.base_offset = int(base_offset)
-        self._delay_fn = delay_fn
         self._rng = rng if rng is not None else np.random.default_rng()
         # Delay of chunk (base_offset + k) lives at index k; n means "never
         # fills while in the window".
@@ -116,14 +115,7 @@ class PeerBufferState:
         # the table.  Split draws read the same stream, so every delay is
         # the same however the batches fall.
         grow = max(need - self._delays.size, self._delays.size)
-        if self._delay_fn is not None:
-            start = self.base_offset + self._delays.size
-            fresh = np.array(
-                [min(self._delay_fn(c), self.n) for c in range(start, start + grow)],
-                dtype=np.int64,
-            )
-        else:
-            fresh = sample_fill_delays(self.curve, self._rng.random(grow))
+        fresh = sample_fill_delays(self.curve, self._rng.random(grow))
         self._delays = np.concatenate([self._delays, fresh])
 
     def fill_delay(self, chunk_id: int) -> int:

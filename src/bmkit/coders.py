@@ -151,10 +151,10 @@ def rle_encode(bits) -> RleStream:
     return RleStream(first, tuple(runs))
 
 
-def rle_decode(stream: RleStream, n_bits: int | None = None) -> np.ndarray:
-    """Expand a run-length stream; with ``n_bits``, a stream whose runs
-    cover more bits raises CodingError before anything is allocated."""
-    if n_bits is not None and stream.n_bits > n_bits:
+def rle_decode(stream: RleStream, n_bits: int) -> np.ndarray:
+    """Expand a run-length stream; one whose runs cover more than the
+    expected ``n_bits`` raises CodingError before anything is allocated."""
+    if stream.n_bits > n_bits:
         raise CodingError(f"runs cover more than the {n_bits} bits expected")
     values = np.zeros(len(stream.runs), dtype=bool)
     values[1 - stream.first_bit :: 2] = True
@@ -184,9 +184,14 @@ class HuffmanModel:
         if min(self.lengths.values()) <= 0:
             raise ValueError("code lengths must be positive")
         if len(self.lengths) > 1:
-            kraft = sum([2.0 ** -l for l in self.lengths.values()])
-            if abs(kraft - 1.0) > 1e-9:
-                raise ValueError(f"code lengths violate the Kraft equality (sum={kraft})")
+            # Exact integer Kraft sum: sum of 2^-l is 1 exactly when the sum
+            # of 2^(top - l) is 2^top.
+            top = max(self.lengths.values())
+            kraft = sum([1 << (top - l) for l in self.lengths.values()])
+            if kraft != 1 << top:
+                raise ValueError(
+                    f"code lengths violate the Kraft equality (sum={kraft}/2^{top})"
+                )
         self.codes = {}
         code = 0
         prev_len = 0
@@ -195,9 +200,6 @@ class HuffmanModel:
             self.codes[sym] = (code, length)
             code += 1
             prev_len = length
-
-    def __contains__(self, symbol):
-        return symbol in self.lengths
 
     def __eq__(self, other):
         return isinstance(other, HuffmanModel) and self.lengths == other.lengths
@@ -255,24 +257,16 @@ def _parse_table(data: bytes, pos: int):
         raise CodingError(f"bad code table: {exc}") from exc
 
 
-def huffman_encode(bits, model: HuffmanModel | None = None) -> bytes:
+def huffman_encode(bits) -> bytes:
     """Run-length split, then Huffman-code the run symbols.
 
     Blob: flag byte (first bit), varint run count, code table, code bits.
-    A supplied model missing some needed symbol routes that run through the
-    escape code; if the model lacks the escape too, a fresh model is built
-    from the data (the blob always carries whichever table was used).
-    An escaped run's length follows its code word as a varint.
+    A run longer than 255 is coded as the escape symbol, its length
+    following the code word as a varint.
     """
     first, runs = _run_split(_as_bits(bits))
     syms = [r if r <= _MAX_RUN_SYMBOL else ESC for r in runs]
-    if model is not None and not all(sym in model for sym in syms):
-        if ESC in model:
-            syms = [sym if sym in model else ESC for sym in syms]
-        else:
-            model = None
-    if model is None:
-        model = huffman_build(Counter(syms))
+    model = huffman_build(Counter(syms))
     head = bytearray([first])
     write_varint(len(syms), head)
     _serialize_table(model, head)
@@ -289,9 +283,9 @@ def huffman_encode(bits, model: HuffmanModel | None = None) -> bytes:
     return bytes(head) + int(code_bits, 2).to_bytes(len(code_bits) // 8, "big")
 
 
-def huffman_decode(blob: bytes, n_bits: int | None = None) -> np.ndarray:
-    """Decode a Huffman blob; with ``n_bits``, raise CodingError as soon as
-    the runs read so far cover more bits."""
+def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
+    """Decode a Huffman blob; raise CodingError as soon as the runs read so
+    far cover more than the expected ``n_bits``."""
     if not blob:
         raise CodingError("empty huffman blob")
     first = blob[0]
@@ -342,10 +336,10 @@ def huffman_decode(blob: bytes, n_bits: int | None = None) -> np.ndarray:
         if run <= 0:
             raise CodingError("zero-length run")
         total += run
-        if n_bits is not None and total > n_bits:
+        if total > n_bits:
             raise CodingError(f"runs cover more than the {n_bits} bits expected")
         runs.append(run)
-    return rle_decode(RleStream(first, tuple(runs)))
+    return rle_decode(RleStream(first, tuple(runs)), n_bits)
 
 
 # ======================================================================

@@ -1,5 +1,19 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "BmkitError",
+    "ProtocolError",
+    "DesyncError",
+    "MissingReferenceError",
+    "MonotonicityError",
+    "TraceError",
+    "CodingError",
+    "CalibrationError",
+    "InsufficientDataError",
+    "UndefinedConditionalError",
+    "InvariantError",
+]
+
 
 class BmkitError(Exception):
     """Base class for all toolkit-specific errors."""

@@ -2,8 +2,8 @@
 
 Three schemes share one wire envelope:
 
-* ``sbms``  - every map is shipped whole (optionally entropy-coded), no
-  shared state between messages.
+* ``sbms``  - every map is shipped whole, no shared state between
+  messages.
 * ``spbms`` - the sender never re-reports a position after announcing it
   filled.  Sender and receiver both track the *support set*: the chunk ids
   whose status is still unknown to the receiver, kept as a bool mask
@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import coders
 from .bitmap import BufferMap, check_monotone
 from .errors import DesyncError, MissingReferenceError, MonotonicityError, ProtocolError
 
@@ -47,7 +46,6 @@ __all__ = [
     "PpbmsSession",
     "sbms_encode",
     "sbms_decode",
-    "full_resync",
     "pack_message",
     "unpack_envelope",
     "unpack_message",
@@ -74,8 +72,9 @@ class SupportSet:
     members are equal whatever their anchors; memory follows the span.  The
     codecs anchor each set at the window offset, which makes a payload
     ``bits[mask[:n]]`` and the removal of reported locations a positional
-    clear.  Instances are immutable; every operation returns a new set (or
-    this one, if nothing changes), which makes archive snapshots free.
+    clear.  A published set is never changed: each message's update
+    (``_advance``/``_step``) builds a new one, which makes archive
+    snapshots free.
     """
 
     __slots__ = ("lo", "mask")
@@ -97,43 +96,10 @@ class SupportSet:
         out.mask = mask
         return out
 
-    @classmethod
-    def from_range(cls, lo: int, hi: int) -> "SupportSet":
-        return cls._of(int(lo), np.ones(max(hi - lo, 0), dtype=bool))
-
     @property
     def locs(self) -> np.ndarray:
         """Members as an ascending int64 array."""
         return np.flatnonzero(self.mask) + self.lo
-
-    def insert_range(self, lo: int, hi: int) -> "SupportSet":
-        """Insert the contiguous run [lo, hi); it must lie above every
-        current member (new window positions always do)."""
-        if hi <= lo:
-            return self
-        if self.mask[max(lo - self.lo, 0) :].any():
-            raise ValueError("inserted range must lie above existing locations")
-        base = self.lo if self.mask.any() else lo
-        keep = self.mask[: lo - base]
-        mask = np.zeros(hi - base, dtype=bool)
-        mask[: keep.size] = keep
-        mask[lo - base :] = True
-        return SupportSet._of(base, mask)
-
-    def purge_below(self, offset: int) -> "SupportSet":
-        cut = offset - self.lo
-        if cut <= 0 or not self.mask[:cut].any():
-            return self
-        return SupportSet._of(offset, self.mask[cut:])
-
-    def remove(self, gone) -> "SupportSet":
-        """Drop the ids in ``gone``; ids that are not members are ignored."""
-        pos = np.asarray(gone, dtype=np.int64) - self.lo
-        if pos.size == 0:
-            return self
-        mask = self.mask.copy()
-        mask[pos[(pos >= 0) & (pos < mask.size)]] = False
-        return SupportSet._of(self.lo, mask)
 
     def __len__(self):
         return int(np.count_nonzero(self.mask))
@@ -323,26 +289,17 @@ def unpack_stream(data: bytes):
 # SBMS: stateless whole-map shipping
 # ======================================================================
 
-def sbms_encode(bm: BufferMap, coder=None, *, seq: int = 0) -> CompressedBM:
-    """Wrap a whole buffer map, optionally through a generic entropy coder."""
-    if coder is None:
-        bits = bm.bits
-    else:
-        blob = coders.encode_bits(coder, bm.bits)
-        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8)).astype(bool)
-    return CompressedBM("sbms", bm.offset, seq, 0, bits)
+def sbms_encode(bm: BufferMap) -> CompressedBM:
+    """Wrap a whole buffer map."""
+    return CompressedBM("sbms", bm.offset, 0, 0, bm.bits)
 
 
-def sbms_decode(msg: CompressedBM, n: int, coder=None) -> BufferMap:
+def sbms_decode(msg: CompressedBM, n: int) -> BufferMap:
     if msg.scheme != "sbms":
         raise ProtocolError(f"expected an sbms message, got {msg.scheme}")
-    if coder is None:
-        if msg.n_bits != n:
-            raise DesyncError(f"expected {n} raw bits, got {msg.n_bits}")
-        return BufferMap(msg.offset, msg.payload)
-    blob = np.packbits(msg.payload).tobytes()
-    bits = coders.decode_bits(coder, blob, n)
-    return BufferMap(msg.offset, bits)
+    if msg.n_bits != n:
+        raise DesyncError(f"expected {n} raw bits, got {msg.n_bits}")
+    return BufferMap(msg.offset, msg.payload)
 
 
 # ======================================================================
@@ -503,14 +460,6 @@ class PpbmsSession:
             ahead=ahead,
         )
 
-    def archive_and_resolve(self, lbmr_seq: int, cbmr_seq: int) -> SupportSet:
-        """Support set an incoming message stamped (lbmr_seq, cbmr_seq) was
-        encoded against.  In-order traffic resolves to the live set; a
-        delayed message resolves to an archived or replayed snapshot.
-        Raises MissingReferenceError when the snapshot is gone (too old) or
-        not yet constructible (message from the future; ``ahead`` is set)."""
-        return self._resolve(cbmr_seq, lbmr_seq)[0]
-
     def _reset_epoch(self):
         self.ss = SupportSet()
         self.window_end = None
@@ -606,12 +555,3 @@ class PpbmsSession:
         self.last_bm = None
         return replace(self.encode(bm), resync=True)
 
-
-def full_resync(session, bm: BufferMap | None = None) -> CompressedBM:
-    """Emit a whole-bitmap restart message for an SpbmsEncoder or a
-    PpbmsSession, defaulting to the sender's most recent own bitmap."""
-    if bm is None:
-        bm = session.last_bm
-        if bm is None:
-            raise ProtocolError("nothing sent yet, so there is no bitmap to resync from")
-    return session.make_resync(bm)

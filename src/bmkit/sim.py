@@ -40,6 +40,7 @@ an engine-level epoch stamp on each delivery.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -204,7 +205,11 @@ class SimResult:
         return np.concatenate(parts)
 
     def total_resyncs(self, scheme: str) -> int:
-        return max(s.resyncs for s in self.stats if s.scheme == scheme)
+        """Resyncs over the scheme's pairings: sbms and spbms have one per
+        direction, while ppbms's one shared pairing reports its count on
+        both rows."""
+        ab, ba = (self.row(scheme, d).resyncs for d in _DIRS)
+        return ab if scheme == "ppbms" else ab + ba
 
     def to_csv(self) -> str:
         """Per-(scheme, direction) statistics as CSV under one ``#`` header
@@ -354,7 +359,7 @@ class _Engine:
         }
         self.acc = {(s, d): _Acc(coders) for s in schemes for d in _DIRS}
         self.prev_end = {(s, d): None for s in schemes for d in _DIRS}
-        self.pending = []
+        self.pending = []  # heap of (due, counter, envelope)
         self.held = {(s, d): [] for s in schemes for d in _DIRS}
         self.swap_stash = {(s, d): None for s in schemes for d in _DIRS}
         self.send_epoch = {}
@@ -371,7 +376,6 @@ class _Engine:
                 self.dirty[key] = False
         self.send_idx = {d: 0 for d in _DIRS}
         self._counter = 0
-        self._in_batch = []
 
     @staticmethod
     def _pairings(scheme):
@@ -386,8 +390,7 @@ class _Engine:
     # -- delivery ---------------------------------------------------------
 
     def _outstanding(self, scheme) -> int:
-        k = sum(1 for e in self.pending if e.scheme == scheme)
-        k += sum(1 for e in self._in_batch if e.scheme == scheme)
+        k = sum(1 for _, _, e in self.pending if e.scheme == scheme)
         k += sum(len(self.held[(scheme, d)]) for d in _DIRS)
         k += sum(1 for d in _DIRS if self.swap_stash[(scheme, d)] is not None)
         return k
@@ -486,18 +489,13 @@ class _Engine:
                         progressed = True
 
     def _deliver_due(self, now: float):
-        due = sorted(
-            (e for e in self.pending if e.due <= now), key=lambda e: (e.due, e.counter)
-        )
-        if not due:
-            return
-        self.pending = [e for e in self.pending if e.due > now]
-        for k, env in enumerate(due):
-            self._in_batch = due[k + 1 :]
+        """Deliver every pending envelope due by ``now`` in (due, counter)
+        order; those not yet popped stay pending, so they count as in flight."""
+        while self.pending and self.pending[0][0] <= now:
+            env = heapq.heappop(self.pending)[2]
             if self._deliver(env) == "ok":
                 self._pump(env.scheme)
             self._assert_consistent(env.scheme)
-        self._in_batch = []
 
     # -- sending ----------------------------------------------------------
 
@@ -573,14 +571,17 @@ class _Engine:
                 raise ValueError(f"overlapping swaps on direction {d}")
             self.swap_stash[stash_key] = env
             return
-        self.pending.append(env)
+        self._enqueue(env)
         stashed = self.swap_stash[stash_key]
         if stashed is not None and stashed.idx == idx - 1:
             stashed.due = env.due
             stashed.counter = self._counter
             self._counter += 1
-            self.pending.append(stashed)  # after env: inverted arrival
+            self._enqueue(stashed)  # after env: inverted arrival
             self.swap_stash[stash_key] = None
+
+    def _enqueue(self, env: _Envelope):
+        heapq.heappush(self.pending, (env.due, env.counter, env))
 
     # -- main loop --------------------------------------------------------
 
@@ -592,7 +593,7 @@ class _Engine:
             self.send(eidx, d, snap, measured)
         for key, env in self.swap_stash.items():
             if env is not None:  # swap named a final message; deliver it late
-                self.pending.append(env)
+                self._enqueue(env)
                 self.swap_stash[key] = None
         self._deliver_due(math.inf)
         for scheme in self.schemes:

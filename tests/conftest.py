@@ -26,11 +26,11 @@ def random_monotone_curve(rng, n):
     return probs
 
 
-def hostile_blob(coder):
-    """A coder blob whose one run claims 2^62 bits: an rle stream, or a
+def hostile_blob(coder, size=2**62):
+    """A coder blob whose one run claims ``size`` bits: an rle stream, or a
     Huffman blob whose one-entry table {ESC: 1} escapes to that run."""
     run = bytearray()
-    write_varint(2**62, run)
+    write_varint(size, run)
     if coder == "rle":
         return b"\x00" + bytes(run)
     table = bytearray(b"\x00\x01\x01")  # first bit, one run, one table entry

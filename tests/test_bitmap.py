@@ -131,16 +131,6 @@ def test_peer_state_bits_match_sampled_delays():
         assert snap.bit_for(chunk) == expect
 
 
-def test_peer_state_delay_fn_hook():
-    curve = two_segment_curve(6, 2, 0.5)
-    peer = PeerBufferState("p", curve, delay_fn=lambda c: c % 3)
-    assert peer.fill_delay(4) == 1
-    # a delay past the window width is clamped to "never in window"
-    peer2 = PeerBufferState("p", curve, delay_fn=lambda c: 99)
-    assert peer2.fill_delay(0) == 6
-    assert not peer2.snapshot(10).bits.any()
-
-
 def test_peer_state_base_offset_and_lazy_growth():
     curve = two_segment_curve(8, 2, 0.9)
     peer = PeerBufferState("p", curve, base_offset=100, rng=np.random.default_rng(1))

@@ -16,7 +16,14 @@ from bmkit import (
     rle_encode,
     symbol_distribution,
 )
-from bmkit.coders import ESC, CODER_NAMES, RleStream, _parse_table, read_varint, write_varint
+from bmkit.coders import (
+    ESC,
+    CODER_NAMES,
+    RleStream,
+    _parse_table,
+    read_varint,
+    write_varint,
+)
 from conftest import hostile_blob
 
 
@@ -84,10 +91,10 @@ def test_rle_known_values():
 
 def test_rle_round_trips():
     for bits in _adversarial_strings():
-        assert np.array_equal(rle_decode(rle_encode(bits)), bits)
+        assert np.array_equal(rle_decode(rle_encode(bits), bits.size), bits)
     for bits in _random_strings(200, seed=2):
         stream = RleStream.from_bytes(rle_encode(bits).to_bytes())
-        assert np.array_equal(rle_decode(stream), bits)
+        assert np.array_equal(rle_decode(stream, bits.size), bits)
 
 
 def test_rle_rejects_bad_input():
@@ -153,44 +160,75 @@ def test_huffman_model_validation():
         HuffmanModel({1: 1, 2: 2})  # Kraft sum 0.75
     with pytest.raises(ValueError):
         HuffmanModel({1: 0})
+    assert HuffmanModel({5: 3}).codes == {5: (0, 3)}  # one word: exempt
+
+
+# Over-full by 2^-45: a float Kraft sum within 1e-9 of 1 let it through, and
+# its last code words got values wider than their lengths.
+_OVER_FULL = {k: k for k in range(1, 41)} | {41: 40, 42: 45, 0: 45}
+
+
+def test_huffman_model_needs_an_exact_kraft_sum():
+    for lengths in (_OVER_FULL, {k: k for k in range(1, 41)}, {1: 1, 2: 2, 3: 2, 4: 3}):
+        with pytest.raises(ValueError, match="Kraft"):
+            HuffmanModel(lengths)
+    HuffmanModel({k: k for k in range(1, 41)} | {41: 40})  # exactly 1
+    blob = _table_blob(np.random.default_rng(0), _OVER_FULL)
+    for decode in (huffman_decode, lambda b, n: decode_bits("huffman", b, n)):
+        with pytest.raises(CodingError, match="bad code table"):
+            decode(blob, 85)
 
 
 def test_huffman_round_trips():
     for bits in _adversarial_strings():
-        assert np.array_equal(huffman_decode(huffman_encode(bits)), bits)
+        assert np.array_equal(huffman_decode(huffman_encode(bits), bits.size), bits)
     for bits in _random_strings(200, seed=5):
-        assert np.array_equal(huffman_decode(huffman_encode(bits)), bits)
+        assert np.array_equal(huffman_decode(huffman_encode(bits), bits.size), bits)
 
 
-def test_huffman_supplied_model_and_escape():
-    # model trained on short runs, applied to data with an unseen long run
-    train = rle_encode(np.r_[np.zeros(3, dtype=bool), np.ones(2, dtype=bool)] .repeat(40))
-    hist = {}
-    for r in train.runs:
-        hist[r] = hist.get(r, 0) + 1
-    hist[0] = 1  # keep the escape path open
-    model = huffman_build(hist)
+def _blob_with_table(first, runs, lengths):
+    """A Huffman blob coding ``runs`` with the given code table; a run the
+    table has no symbol for goes through the escape."""
+    out = bytearray([first])
+    write_varint(len(runs), out)
+    write_varint(len(lengths), out)
+    for sym, length in lengths.items():
+        write_varint(sym, out)
+        out.append(length)
+    codes = HuffmanModel(lengths).codes
+    words = {sym: f"{code:0{length}b}" for sym, (code, length) in codes.items()}
+    stream = ""
+    for run in runs:
+        if run in lengths:
+            stream += words[run]
+        else:
+            extra = bytearray()
+            write_varint(run, extra)
+            stream += words[ESC] + "".join(f"{b:08b}" for b in extra)
+    stream += "0" * (-len(stream) % 8)
+    return bytes(out) + int(stream, 2).to_bytes(len(stream) // 8, "big")
+
+
+def test_huffman_escapes_runs_past_the_symbol_limit():
+    """A run longer than 255 is coded as the escape plus a varint; a hand-
+    built table may escape short runs too, and both decode the same."""
     data = np.zeros(400, dtype=bool)
     data[::37] = True
-    blob = huffman_encode(data, model=model)
-    assert np.array_equal(huffman_decode(blob), data)
-
-
-def test_huffman_model_without_escape_falls_back():
-    # the supplied table cannot express the data at all: encoder must
-    # rebuild from the data rather than emit garbage
-    model = huffman_build({1: 4, 2: 4})
-    data = np.zeros(300, dtype=bool)  # one run of 300 -> symbol ESC needed
-    blob = huffman_encode(data, model=model)
-    assert np.array_equal(huffman_decode(blob), data)
+    data[300:] = True  # runs of 1 and 36, then 3 zeros and 100 ones
+    long_run = np.r_[np.zeros(300, dtype=bool), np.ones(3, dtype=bool)]
+    for bits in (data, long_run):
+        assert np.array_equal(huffman_decode(huffman_encode(bits), bits.size), bits)
+    first, runs = int(data[0]), rle_encode(data).runs
+    blob = _blob_with_table(first, runs, {1: 2, 36: 2, ESC: 1})
+    assert np.array_equal(huffman_decode(blob, data.size), data)
 
 
 def test_huffman_decode_rejects_corrupt_blob():
     blob = huffman_encode(np.ones(40, dtype=bool))
     with pytest.raises(CodingError):
-        huffman_decode(blob[:2])
+        huffman_decode(blob[:2], 40)
     with pytest.raises(CodingError):
-        huffman_decode(b"")
+        huffman_decode(b"", 40)
 
 
 def _reference_huffman_decode(blob, n_bits):
@@ -237,9 +275,9 @@ def _reference_huffman_decode(blob, n_bits):
         if sym <= 0:
             raise CodingError("zero-length run")
         runs.append(sym)
-        if n_bits is not None and sum(runs) > n_bits:
+        if sum(runs) > n_bits:
             raise CodingError(f"runs cover more than the {n_bits} bits expected")
-    return rle_decode(RleStream(blob[0], tuple(runs)))
+    return rle_decode(RleStream(blob[0], tuple(runs)), n_bits)
 
 
 def _outcome(fn, *args):
@@ -265,15 +303,16 @@ def test_huffman_decode_matches_its_bit_at_a_time_reference():
     """Valid, mutated and hand-built blobs decode to the same bits, or
     fail with the same error, as the one-bit-at-a-time loop."""
     rng = np.random.default_rng(31)
-    escaping = huffman_build({1: 5, 2: 3, ESC: 1})
+    escaping = huffman_build({1: 5, 2: 3, ESC: 1}).lengths
     blobs = []
     for _ in range(60):
         runs = rng.integers(1, rng.choice([4, 40, 400]), size=rng.integers(1, 20))
         bits = np.repeat(np.arange(runs.size) % 2 == rng.integers(2), runs)
-        blobs += [huffman_encode(bits), huffman_encode(bits, model=escaping)]
+        blobs += [huffman_encode(bits), _blob_with_table(int(bits[0]), runs.tolist(), escaping)]
     for _ in range(40):
         blobs.append(_table_blob(rng, {int(rng.integers(0, 300)): int(rng.integers(1, 5))}))
-        blobs.append(_table_blob(rng, {k: k for k in range(1, 41)}))  # Kraft 1 - 2**-40
+        blobs.append(_table_blob(rng, {k: k for k in range(1, 41)}))  # Kraft 1 - 2**-40: bad
+        blobs.append(_table_blob(rng, _OVER_FULL))  # bad
         blobs.append(_table_blob(rng, {0: 1, 1: 2, 2: 2}))
     # An escape whose varint never ends.
     blobs.append(bytes([0, 1, 2, ESC, 1, 1, 1]) + b"\x7f" + b"\xff" * 9 + b"\x80")
@@ -395,16 +434,20 @@ def test_registry_checks_length():
 
 
 def test_decoders_reject_runs_past_the_expected_length():
-    blobs = {name: hostile_blob(name) for name in ("rle", "huffman")}
-    for name, blob in blobs.items():
+    """A run claiming 2^62 or 2^63 bits raises CodingError before anything
+    is allocated, whichever public decoder reads it."""
+    for size in (2**62, 2**63):
+        blobs = {name: hostile_blob(name, size) for name in ("rle", "huffman")}
+        for name, blob in blobs.items():
+            with pytest.raises(CodingError):
+                decode_bits(name, blob, 8)
+        for stream in (RleStream.from_bytes(blobs["rle"]), RleStream(1, (3, size, 2**62))):
+            with pytest.raises(CodingError):
+                rle_decode(stream, 8)
         with pytest.raises(CodingError):
-            decode_bits(name, blob, 8)
-    with pytest.raises(CodingError):
-        rle_decode(RleStream.from_bytes(blobs["rle"]), 8)
-    with pytest.raises(CodingError):
-        huffman_decode(blobs["huffman"], 8)
-    # The rle blob itself parses: only the expected length rules it out.
-    assert RleStream.from_bytes(blobs["rle"]).n_bits == 2**62
+            huffman_decode(blobs["huffman"], 8)
+        # The rle blob itself parses: only the expected length rules it out.
+        assert RleStream.from_bytes(blobs["rle"]).n_bits == size
     bits = np.ones(300, dtype=bool)
     for name in ("rle", "huffman"):
         blob = encode_bits(name, bits)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bmkit.bitmap import BufferMap, PeerBufferState
+from bmkit.coders import CODER_NAMES, decode_bits, encode_bits
 from bmkit.errors import DesyncError, MissingReferenceError, ProtocolError
 from bmkit.fillmodel import two_segment_curve
 from bmkit.schemes import (
@@ -16,7 +17,7 @@ from bmkit.schemes import (
     SpbmsEncoder,
     SupportSet,
     _advance,
-    full_resync,
+    _step,
     pack_message,
     sbms_decode,
     sbms_encode,
@@ -35,7 +36,7 @@ def _bm(offset, bits):
 # ----------------------------------------------------------------------
 
 def test_support_set_basics():
-    ss = SupportSet.from_range(3, 8)
+    ss = SupportSet(range(3, 8))
     assert len(ss) == 5
     assert list(ss) == [3, 4, 5, 6, 7]
     assert 5 in ss and 8 not in ss and 2 not in ss
@@ -50,22 +51,30 @@ def test_support_set_must_be_strictly_ascending():
         SupportSet([5, 3])
 
 
-def test_support_set_insert_range_appends_above_only():
+def test_advance_appends_only_newly_covered_positions():
     ss = SupportSet([2, 5])
-    grown = ss.insert_range(6, 9)
-    assert list(grown) == [2, 5, 6, 7, 8]
-    assert list(ss) == [2, 5]  # immutable: original untouched
-    assert ss.insert_range(7, 7) is ss  # empty range is a no-op
-    with pytest.raises(ValueError):
-        ss.insert_range(4, 8)  # overlaps an existing member
+    grown, end = _advance(ss, 6, 0, 9)
+    assert list(grown) == [2, 5, 6, 7, 8] and end == 9
+    assert list(ss) == [2, 5]  # the published set is untouched
+    # Positions below the previous window end were covered before: a
+    # window reaching back over them appends nothing there.
+    same, end = _advance(ss, 6, 0, 4)
+    assert list(same) == [2, 5] and end == 6
 
 
 def test_support_set_purge_and_remove():
+    """``_advance`` purges members below the new offset; ``_step`` then
+    removes the window's locations reported 1."""
     ss = SupportSet([1, 4, 6, 9])
-    assert list(ss.purge_below(5)) == [6, 9]
-    assert list(ss.purge_below(0)) == [1, 4, 6, 9]
-    assert list(ss.remove([4, 9])) == [1, 6]
-    assert ss.remove([]) is ss
+    assert list(_advance(ss, 10, 5, 10)[0]) == [6, 9]
+    assert list(_advance(ss, 10, 0, 10)[0]) == [1, 4, 6, 9]
+    bits = np.zeros(10, dtype=bool)
+    bits[[4, 9]] = True
+    after, _, win, _, payload = _step(ss, 10, 0, 10, bits=bits)
+    assert list(after) == [1, 6]
+    assert np.flatnonzero(win).tolist() == [1, 4, 6, 9]
+    assert payload.tolist() == [False, True, False, True]
+    assert list(_step(ss, 10, 0, 10, bits=np.zeros(10, dtype=bool))[0]) == [1, 4, 6, 9]
 
 
 # ----------------------------------------------------------------------
@@ -126,11 +135,16 @@ def test_sbms_ships_the_whole_map():
 
 
 def test_sbms_round_trips_through_generic_coders():
+    """The coder blob follows the envelope, whose bit count is the map's."""
     rng = np.random.default_rng(3)
     bm = BufferMap(7, rng.integers(0, 2, 456))
-    for coder in (None, "rle", "huffman", "ac"):
-        msg = sbms_encode(bm, coder)
-        assert sbms_decode(msg, 456, coder) == bm
+    for coder in CODER_NAMES:
+        msg = sbms_encode(bm)
+        blob = encode_bits(coder, msg.payload)
+        scheme, offset, lbmr, cbmr, nbits, resync = unpack_envelope(pack_message(msg))
+        bits = decode_bits(coder, blob, nbits)
+        back = CompressedBM(scheme, offset, lbmr, cbmr, bits, resync=resync)
+        assert sbms_decode(back, 456) == bm
 
 
 # ----------------------------------------------------------------------
@@ -276,22 +290,12 @@ def test_spbms_resync_restarts_the_pair():
     with pytest.raises((MissingReferenceError, DesyncError)):
         fresh.decode(enc.encode(_bm(0, "10110111")))
     # ...but a resync message carries the whole map and resets both ends.
-    msg = full_resync(enc)
+    msg = enc.make_resync(_bm(0, "10110111"))
     assert msg.resync and msg.n_bits == 8
     assert fresh.decode(msg) == _bm(0, "10110111")
     assert fresh.support_set == enc.support_set
     follow = enc.encode(_bm(0, "11110111"))
     assert fresh.decode(follow) == _bm(0, "11110111")
-
-
-def test_full_resync_requires_a_bitmap():
-    with pytest.raises(ProtocolError):
-        full_resync(SpbmsEncoder(8))
-    with pytest.raises(ProtocolError):
-        full_resync(PpbmsSession(8))
-    enc = SpbmsEncoder(8)
-    msg = full_resync(enc, _bm(0, "00001111"))
-    assert msg.resync and msg.payload.tolist() == [False] * 4 + [True] * 4
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +440,8 @@ def test_ppbms_desync_is_atomic():
 
 def test_archive_resolves_live_state_for_in_order_traffic():
     a, b = _paired_sessions()
-    assert a.archive_and_resolve(b.sent_seq, b.recv_seq) == a.support_set
+    ss, _ = a._resolve(b.recv_seq, b.sent_seq)
+    assert ss is a.support_set
 
 
 def test_archive_resolves_stale_cross_references():
@@ -483,7 +488,7 @@ def test_message_from_the_future_is_flagged_ahead():
 def test_ppbms_resync_rebuilds_both_ends():
     a, b = _paired_sessions()
     a.encode(_bm(0, "00010001"))  # lost in transit: the pair is now desynced
-    boot = full_resync(a, _bm(1, "00100011"))
+    boot = a.make_resync(_bm(1, "00100011"))
     assert boot.resync and boot.n_bits == 8
     part = b.decode(boot)
     assert part.filled().tolist() == [3, 7, 8]
@@ -573,53 +578,44 @@ def test_ppbms_far_older_offset_does_not_widen_the_mask():
 # ----------------------------------------------------------------------
 
 def test_support_set_equality_ignores_the_anchor_and_span():
-    masked = SupportSet.from_range(0, 10).remove([0, 1, 2, 4, 6, 7, 8, 9])
+    masked = SupportSet._of(0, np.arange(10) % 2 == 1)
+    masked.mask[[1, 7, 9]] = False
     assert masked == SupportSet([3, 5]) and SupportSet([3, 5]) == masked
     assert masked != SupportSet([3, 5, 9])
     empty = SupportSet()
-    assert empty == SupportSet.from_range(4, 4) == SupportSet([7]).remove([7])
-    assert empty == SupportSet([2, 3]).purge_below(50)  # purge past the end
+    assert empty == SupportSet._of(4, np.zeros(3, dtype=bool))
+    assert empty == _advance(SupportSet([2, 3]), 4, 50, 50)[0]  # purge past the end
     assert len(empty) == 0 and list(empty) == [] and 0 not in empty
-    assert empty.purge_below(9) == empty and empty.remove([1, 2]) == empty
-    assert list(empty.insert_range(4, 6)) == [4, 5]
+    assert list(_advance(empty, None, 4, 6)[0]) == [4, 5]
     assert SupportSet([3, 5]) != [3, 5]
 
 
 def test_support_set_matches_a_set_oracle():
-    """Seeded random insert_range / purge_below / remove / _advance runs,
-    each step compared with a plain Python set."""
+    """Seeded random ``_advance`` runs and ``_step`` clears, each step
+    compared with a plain Python set."""
     rng = random.Random(20240611)
     for _ in range(150):
         ss, oracle, window_end = SupportSet(), set(), None
         for _ in range(25):
-            op = rng.randrange(4)
             top = max(oracle) if oracle else rng.randrange(-5, 30)
-            if op == 0:
-                lo = top + rng.randrange(1, 6)
-                hi = lo + rng.randrange(-2, 9)
-                ss = ss.insert_range(lo, hi)
-                oracle |= set(range(lo, hi))
-                if oracle:
-                    with pytest.raises(ValueError):
-                        ss.insert_range(max(oracle), max(oracle) + 3)
-            elif op == 1:
-                cut = rng.randrange(top - 20, top + 10)  # sometimes past the end
-                ss = ss.purge_below(cut)
-                oracle = {x for x in oracle if x >= cut}
-            elif op == 2:
-                gone = rng.sample(range(top - 40, top + 15), rng.randrange(0, 12))
-                ss = ss.remove(gone)  # ids outside the span are ignored
-                oracle -= set(gone)
-            else:
-                offset = rng.randrange(top - 15, top + 10)
-                cover_end = offset + rng.randrange(1, 16)
-                old_end = ss.lo + ss.mask.size
-                ss, new_end = _advance(ss, window_end, offset, cover_end)
-                start = offset if window_end is None else max(window_end, offset)
-                oracle = {x for x in oracle | set(range(start, cover_end)) if x >= offset}
-                assert new_end == (cover_end if window_end is None else max(window_end, cover_end))
+            offset = rng.randrange(max(top - 15, 0), top + 10)
+            n = rng.randrange(1, 16)
+            old_end = ss.lo + ss.mask.size
+            start = offset if window_end is None else max(window_end, offset)
+            oracle = {x for x in oracle | set(range(start, offset + n)) if x >= offset}
+            if rng.randrange(2):
+                ss, new_end = _advance(ss, window_end, offset, offset + n)
                 assert offset <= ss.lo and ss.lo + ss.mask.size == max(new_end, old_end)
-                window_end = new_end
+            else:
+                bits = np.array([rng.random() < 0.4 for _ in range(n)])
+                ss, new_end, win, _, payload = _step(ss, window_end, offset, n, bits=bits)
+                reported = sorted(x for x in oracle if x < offset + n)
+                assert (np.flatnonzero(win) + offset).tolist() == reported
+                assert payload.tolist() == [bool(bits[x - offset]) for x in reported]
+                oracle -= {offset + int(i) for i in np.flatnonzero(bits)}
+            end = offset + n
+            assert new_end == (end if window_end is None else max(window_end, end))
+            window_end = new_end
             assert list(ss) == sorted(oracle)
             assert len(ss) == len(oracle)
             assert ss.locs.dtype == np.int64

@@ -322,6 +322,17 @@ def test_pump_retries_only_the_head_of_each_held_queue(monkeypatch, scheme, retr
     assert len(calls) < retrying_all_calls
 
 
+def test_total_resyncs_counts_every_pairing_once():
+    """spbms pairs each direction on its own, so drops in both directions
+    resync twice; ppbms's one shared pairing shows its count on both rows."""
+    n = 64
+    cfg = SimConfig(calibrate_curve(20.0, n).to_curve(n), T=8, tau=3, rounds=60, seed=3)
+    res = reorder_fault_run(cfg, ReorderScript(drops=[("ab", 15), ("ba", 40)]))
+    assert [res.row("spbms", d).resyncs for d in ("ab", "ba")] == [1, 1]
+    assert [res.row("ppbms", d).resyncs for d in ("ab", "ba")] == [2, 2]
+    assert [res.total_resyncs(s) for s in ("sbms", "spbms", "ppbms")] == [0, 2, 2]
+
+
 def test_delay_beyond_archive_depth_forces_resync():
     cfg = _cfg(rounds=80, archive_depth=4)
     res = reorder_fault_run(cfg, ReorderScript(delays={("ba", 10): 25}))
