@@ -146,9 +146,9 @@ def check_monotone(prev: BufferMap, cur: BufferMap) -> None:
     lo = cur.offset
     hi = min(prev.end, cur.end)
     if hi > lo:
-        regressed = prev.bits[lo - prev.offset : hi - prev.offset] & ~cur.bits[: hi - lo]
+        regressed = prev.bits[lo - prev.offset : hi - prev.offset] > cur.bits[: hi - lo]
         if regressed.any():
-            where = int(np.flatnonzero(regressed)[0]) + lo
+            where = int(regressed.argmax()) + lo
             raise MonotonicityError(f"chunk {where} went from filled to unfilled")
 
 

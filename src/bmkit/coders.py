@@ -292,6 +292,8 @@ def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
     if first not in (0, 1):
         raise CodingError(f"bad flag byte 0x{first:02x}")
     count, pos = read_varint(blob, 1)
+    if count == 0:
+        raise CodingError("huffman blob carries no runs")
     model, pos = _parse_table(blob, pos)
     # Canonical code words, left-aligned to ``width`` bits, cover adjacent
     # ranges in (length, symbol) order: the word at the head of the stream

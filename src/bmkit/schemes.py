@@ -24,6 +24,7 @@ stay for a later message.
 Wire envelope (big-endian): 1-byte scheme tag, 4-byte offset, 2-byte
 lbmr_seq, 2-byte cbmr_seq, 2-byte payload bit count, then the payload bits
 packed most-significant-bit first and zero-padded to a byte boundary.
+Readers reject nonzero padding, so each message has exactly one wire form.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def _step(ss: SupportSet, window_end, offset: int, n: int, bits=None, payload=No
     """One message's update over the window [offset, offset + n): advance the
     set, read the payload off ``bits`` (sender, replay) or write ``payload``
     into a window of ones (receiver), then clear the locations reported 1.
-    Returns (set, window_end, reported-location mask, bits, payload).
+    Returns (set, window_end, reported-location mask, mask of the locations
+    reported 1, bits, payload).
     """
     ss, window_end = _advance(ss, window_end, offset, offset + n)
     skip = ss.lo - offset  # window positions below the set's anchor: never members
@@ -159,12 +161,15 @@ def _step(ss: SupportSet, window_end, offset: int, n: int, bits=None, payload=No
             raise DesyncError(
                 f"payload carries {payload.size} bits but the support set implies {implied}"
             )
-        bits = np.ones(n, dtype=bool)
+        bits = ~win  # ones outside the reported locations
         bits[win] = payload
     else:
         payload = bits[win]
-    inside &= ~bits[skip:]  # a view of _advance's own mask: no published set changes
-    return ss, window_end, win, bits, payload
+    ones = win & bits
+    # ones[skip:] lies within inside, a view of _advance's own mask (no
+    # published set changes), so the XOR clears exactly the reported ones.
+    inside ^= ones[skip:]
+    return ss, window_end, win, ones, bits, payload
 
 
 def _check_offset(window_end, last_offset: int, offset: int):
@@ -204,7 +209,23 @@ class CompressedBM:
         if self.scheme not in _SCHEME_TAGS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         bits = np.asarray(self.payload, dtype=bool)
+        if bits.ndim != 1:
+            raise ValueError("payload must be one-dimensional")
         object.__setattr__(self, "payload", bits)
+
+    @classmethod
+    def _of(cls, scheme, offset, lbmr_seq, cbmr_seq, payload, resync=False):
+        """Message over a known scheme and a fresh 1-D bool payload the codec
+        has just built, without the constructor's checks."""
+        out = cls.__new__(cls)
+        set_ = object.__setattr__  # the dataclass is frozen
+        set_(out, "scheme", scheme)
+        set_(out, "offset", offset)
+        set_(out, "lbmr_seq", lbmr_seq)
+        set_(out, "cbmr_seq", cbmr_seq)
+        set_(out, "payload", payload)
+        set_(out, "resync", resync)
+        return out
 
     @property
     def n_bits(self) -> int:
@@ -271,9 +292,12 @@ def unpack_message(data: bytes, pos: int = 0):
     end = pos + HEADER_LEN + (nbits + 7) // 8
     if len(data) < end:
         raise ValueError("truncated message payload")
+    pad = -nbits % 8
+    if pad and data[end - 1] & ((1 << pad) - 1):
+        raise ValueError("padding bits past the payload must be zero")
     raw = np.frombuffer(data[pos + HEADER_LEN : end], dtype=np.uint8)
-    bits = np.unpackbits(raw)[:nbits].astype(bool)
-    return CompressedBM(scheme, offset, lbmr, cbmr, bits, resync=resync), end
+    bits = np.unpackbits(raw, count=nbits).view(bool)
+    return CompressedBM._of(scheme, offset, lbmr, cbmr, bits, resync), end
 
 
 def unpack_stream(data: bytes):
@@ -342,13 +366,13 @@ class SpbmsEncoder(_SpbmsState):
         appended and therefore carries the full bitmap.
         """
         _check_bitmap(self, bm, self.last_offset, "codec")
-        self.ss, self.window_end, win, _, payload = _step(
+        self.ss, self.window_end, win, _, _, payload = _step(
             self.ss, self.window_end, bm.offset, self.n, bits=bm.bits
         )
         self.last_offset = bm.offset
         self.last_bm = bm
-        self.last_locations = np.flatnonzero(win) + bm.offset
-        msg = CompressedBM("spbms", bm.offset, self.seq, 0, payload)
+        self.last_locations = win.nonzero()[0] + bm.offset
+        msg = CompressedBM._of("spbms", bm.offset, self.seq, 0, payload)
         self.seq += 1
         return msg
 
@@ -375,14 +399,17 @@ class SpbmsDecoder(_SpbmsState):
                 ahead=msg.lbmr_seq > self.seq,
             )
         _check_offset(self.window_end, self.last_offset, msg.offset)
-        # _step raises before anything is committed, so a desynced message
-        # leaves the state untouched.
-        self.ss, self.window_end, _, bits, _ = _step(
+        # Nothing is committed before these checks pass, so a desynced
+        # message leaves the state untouched.
+        ss, window_end, _, _, bits, _ = _step(
             self.ss, self.window_end, msg.offset, self.n, payload=msg.payload
         )
+        if msg.offset < 0:
+            raise ValueError("offset must be nonnegative")
+        self.ss, self.window_end = ss, window_end
         self.last_offset = msg.offset
         self.seq = msg.lbmr_seq + 1
-        return BufferMap(msg.offset, bits)
+        return BufferMap._owning(msg.offset, bits)
 
 
 # ======================================================================
@@ -478,15 +505,15 @@ class PpbmsSession:
         """Report own bits at every live shared-support-set location of the
         window of ``bm``."""
         _check_bitmap(self, bm, self.last_sent_offset, "session")
-        self.ss, self.window_end, win, _, payload = _step(
+        self.ss, self.window_end, win, ones, _, payload = _step(
             self.ss, self.window_end, bm.offset, self.n, bits=bm.bits
         )
-        msg = CompressedBM("ppbms", bm.offset, self.sent_seq, self.recv_seq, payload)
+        msg = CompressedBM._of("ppbms", bm.offset, self.sent_seq, self.recv_seq, payload)
         self.last_sent_offset = bm.offset
         self.last_bm = bm
-        self.last_locations = np.flatnonzero(win) + bm.offset
+        self.last_locations = win.nonzero()[0] + bm.offset
         self.sent_seq += 1
-        self._commit(self._sent_log, msg.lbmr_seq, bm.offset, win & bm.bits)
+        self._commit(self._sent_log, msg.lbmr_seq, bm.offset, ones)
         return msg
 
     def decode(self, msg: CompressedBM) -> PartialBufferMap:
@@ -500,8 +527,7 @@ class PpbmsSession:
                 f"expected counterpart message {self.recv_seq}, got {msg.lbmr_seq}",
                 ahead=msg.lbmr_seq > self.recv_seq,
             )
-        ss, we, win, bits, _ = _step(ss, we, msg.offset, self.n, payload=msg.payload)
-        ones = win & bits
+        ss, we, win, ones, _, _ = _step(ss, we, msg.offset, self.n, payload=msg.payload)
         if msg.cbmr_seq != self.sent_seq:
             # Encoded against an older state: clear its ones in the live set,
             # which is further along and already holds its appends and purges.
@@ -510,7 +536,7 @@ class PpbmsSession:
         self.last_recv_offset = msg.offset
         self.recv_seq = msg.lbmr_seq + 1
         self._commit(self._recv_log, msg.lbmr_seq, msg.offset, ones)
-        return PartialBufferMap(msg.offset, np.flatnonzero(win) + msg.offset, msg.payload)
+        return PartialBufferMap(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
 
     def apply_sent(self, msg: CompressedBM) -> PartialBufferMap:
         """Replay one of this peer's own transmitted messages.
@@ -538,14 +564,14 @@ class PpbmsSession:
                 f" messages, but this replica has processed {self.recv_seq}"
             )
         _check_offset(self.window_end, self.last_sent_offset, msg.offset)
-        self.ss, self.window_end, win, bits, _ = _step(
+        self.ss, self.window_end, win, ones, _, _ = _step(
             self.ss, self.window_end, msg.offset, self.n, payload=msg.payload
         )
         self.last_sent_offset = msg.offset
         self.last_bm = None  # the replica never sees the full bitmap
-        self.last_locations = np.flatnonzero(win) + msg.offset
+        self.last_locations = win.nonzero()[0] + msg.offset
         self.sent_seq += 1
-        self._commit(self._sent_log, msg.lbmr_seq, msg.offset, win & bits)
+        self._commit(self._sent_log, msg.lbmr_seq, msg.offset, ones)
         return PartialBufferMap(msg.offset, self.last_locations, msg.payload)
 
     def make_resync(self, bm: BufferMap) -> CompressedBM:

@@ -95,6 +95,13 @@ def test_check_monotone_raises_what_diff_new_fills_raises():
             check(prev, bad)
         with pytest.raises(ValueError, match="must not start before"):
             check(prev, BufferMap(9, [1, 1, 1, 1]))
+    # Windows [10, 14) and [11, 15) share chunks 11 to 13; the first
+    # regressed one is named.
+    full = BufferMap(10, [1, 1, 1, 1])
+    for bits, chunk in (([0, 1, 1, 1], 11), ([1, 1, 0, 1], 13), ([1, 0, 0, 1], 12)):
+        for check in (check_monotone, diff_new_fills):
+            with pytest.raises(MonotonicityError, match=f"^chunk {chunk} went"):
+                check(full, BufferMap(11, bits))
 
 def test_peer_state_snapshots_are_monotone():
     curve = two_segment_curve(24, 5, 0.7)

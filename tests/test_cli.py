@@ -12,7 +12,7 @@ from bmkit.fillmodel import (
     save_curve,
     two_segment_curve,
 )
-from bmkit.schemes import HEADER_LEN
+from bmkit.schemes import HEADER_LEN, unpack_envelope
 from conftest import hostile_blob
 
 
@@ -239,6 +239,29 @@ def test_decode_detects_payload_tampering(tmp_path, small_trace, capsys):
     broken.write_bytes(bytes(data[:-1]))
     assert main(["decode", str(broken), "--out", str(tmp_path / "o.tsv")]) == 2
     capsys.readouterr()
+
+
+def test_decode_rejects_nonzero_padding(tmp_path, small_trace, capsys):
+    """A coder-less frame whose payload padding is not zero is not the one
+    wire form of its message: invalid input."""
+    dump = tmp_path / "d.bmd"
+    assert main(["encode", "--trace", str(small_trace), "--scheme", "spbms",
+                 "--out", str(dump)]) == 0
+    data = bytearray(dump.read_bytes())
+    head = struct.Struct(">IB")
+    tail = struct.Struct(">BBH")
+    at = 4
+    while True:  # find the first frame whose payload ends mid-byte
+        at += head.size + head.unpack_from(data, at)[1]
+        body_len = tail.unpack_from(data, at)[2]
+        at += tail.size + body_len
+        if unpack_envelope(bytes(data[at - body_len : at]))[4] % 8:
+            break
+    data[at - 1] |= 1
+    dirty = tmp_path / "p.bmd"
+    dirty.write_bytes(bytes(data))
+    assert main(["decode", str(dirty), "--out", str(tmp_path / "o.tsv")]) == 2
+    assert "padding bits past the payload must be zero" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("coder", ["rle", "huffman"])

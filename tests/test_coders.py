@@ -231,6 +231,12 @@ def test_huffman_decode_rejects_corrupt_blob():
         huffman_decode(b"", 40)
 
 
+def test_huffman_blob_with_no_runs_is_a_coding_error():
+    blob = b"\x00\x00\x01\x01\x01"  # flag 0, zero runs, a one-word table
+    with pytest.raises(CodingError, match="^huffman blob carries no runs$"):
+        decode_bits("huffman", blob, 8)
+
+
 def _reference_huffman_decode(blob, n_bits):
     """Huffman decoding one bit at a time, matching (length, code) pairs."""
     if not blob:
@@ -238,6 +244,8 @@ def _reference_huffman_decode(blob, n_bits):
     if blob[0] not in (0, 1):
         raise CodingError(f"bad flag byte 0x{blob[0]:02x}")
     count, pos = read_varint(blob, 1)
+    if count == 0:
+        raise CodingError("huffman blob carries no runs")
     model, pos = _parse_table(blob, pos)
     words = {(l, c): s for s, (c, l) in model.codes.items()}
     max_len = max(model.lengths.values())

@@ -1,6 +1,7 @@
 """Support-set codecs: sbms/spbms/ppbms state machines and the wire envelope."""
 
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -70,9 +71,10 @@ def test_support_set_purge_and_remove():
     assert list(_advance(ss, 10, 0, 10)[0]) == [1, 4, 6, 9]
     bits = np.zeros(10, dtype=bool)
     bits[[4, 9]] = True
-    after, _, win, _, payload = _step(ss, 10, 0, 10, bits=bits)
+    after, _, win, ones, _, payload = _step(ss, 10, 0, 10, bits=bits)
     assert list(after) == [1, 6]
     assert np.flatnonzero(win).tolist() == [1, 4, 6, 9]
+    assert np.flatnonzero(ones).tolist() == [4, 9]
     assert payload.tolist() == [False, True, False, True]
     assert list(_step(ss, 10, 0, 10, bits=np.zeros(10, dtype=bool))[0]) == [1, 4, 6, 9]
 
@@ -120,6 +122,61 @@ def test_pack_enforces_field_widths():
         pack_message(CompressedBM("sbms", 0, 0, 0, [0] * 2**16))
     with pytest.raises(ValueError):
         CompressedBM("nope", 0, 0, 0, [1])
+
+
+def test_message_payload_must_be_one_dimensional():
+    for payload in (np.ones((2, 3), dtype=bool), True):
+        with pytest.raises(ValueError, match="^payload must be one-dimensional$"):
+            CompressedBM("spbms", 0, 0, 0, payload)
+
+
+def test_unpack_rejects_nonzero_padding():
+    """Each message has one wire form: the bits past the payload are zero."""
+    rng = np.random.default_rng(5)
+    for nbits in (0, 3, 8, 456):
+        msg = CompressedBM("spbms", 7, 1, 2, rng.integers(0, 2, nbits))
+        blob = pack_message(msg)
+        assert unpack_message(blob) == (msg, len(blob))
+    blob = pack_message(CompressedBM("spbms", 7, 1, 2, [1, 0, 1]))
+    for pad in range(5):  # the 5 low bits of the last byte
+        dirty = blob[:-1] + bytes([blob[-1] | 1 << pad])
+        with pytest.raises(ValueError, match="^padding bits past the payload must be zero$"):
+            unpack_message(dirty)
+
+
+def test_codec_messages_match_the_checking_constructor():
+    """The encoders and unpack_message skip the constructor's checks: each
+    message must equal the constructor's, field by field, over a 1-D bool
+    payload of its own."""
+    n = 64
+    curve = two_segment_curve(n, 6, 0.8)
+    pa = PeerBufferState("a", curve, rng=np.random.default_rng(3))
+    pb = PeerBufferState("b", curve, rng=np.random.default_rng(4))
+    enc, dec = SpbmsEncoder(n), SpbmsDecoder(n)
+    a, b = PpbmsSession(n), PpbmsSession(n)
+    for i in range(200):
+        snap_a, snap_b = pa.snapshot(4 * i), pb.snapshot(4 * i + 1)
+        sent = [(enc.encode(snap_a), snap_a), (a.encode(snap_a), snap_a)]
+        parts = [(b.decode(sent[1][0]), a)]
+        sent.append((b.encode(snap_b), snap_b))
+        parts.append((a.decode(sent[2][0]), b))
+        assert enc.last_locations.dtype == np.int64
+        assert enc.last_locations.size == sent[0][0].n_bits
+        for part, sender in parts:  # the receiver reads the sender's locations
+            assert part.locations.dtype == np.int64
+            assert np.array_equal(part.locations, sender.last_locations)
+        for msg, bm in sent:
+            assert not np.shares_memory(msg.payload, bm.bits)
+            rx, _ = unpack_message(pack_message(msg))
+            for m in (msg, rx):
+                ref = CompressedBM(m.scheme, m.offset, m.lbmr_seq, m.cbmr_seq, m.payload,
+                                   resync=m.resync)
+                assert m.payload.dtype == bool and m.payload.ndim == 1
+                assert ref.payload is m.payload  # nothing for the constructor to convert
+                for f in fields(CompressedBM):
+                    assert type(getattr(m, f.name)) is type(getattr(ref, f.name))
+                assert m == ref
+        assert dec.decode(unpack_message(pack_message(sent[0][0]))[0]) == snap_a
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +322,27 @@ def test_spbms_decode_desync_leaves_state_untouched():
         dec.decode(bad)
     assert dec.support_set == ss_before
     assert dec.decode(msg) == _bm(0, "10110011")  # intact message still lands
+
+
+def test_spbms_decoded_map_is_read_only_and_stays_put():
+    """A decoded map owns its bits: later decodes never write into it."""
+    n = 64
+    peer = PeerBufferState("p", two_segment_curve(n, 6, 0.8), rng=np.random.default_rng(8))
+    enc, dec = SpbmsEncoder(n), SpbmsDecoder(n)
+    first = dec.decode(enc.encode(peer.snapshot(0)))
+    kept = first.bits.copy()
+    assert not first.bits.flags.writeable
+    for t in range(1, 51):
+        dec.decode(unpack_message(pack_message(enc.encode(peer.snapshot(3 * t))))[0])
+    assert np.array_equal(first.bits, kept)
+
+
+def test_spbms_decode_rejects_a_negative_offset():
+    dec = SpbmsDecoder(8)
+    with pytest.raises(ValueError, match="^offset must be nonnegative$"):
+        dec.decode(CompressedBM("spbms", -1, 0, 0, [1] * 8))
+    assert dec.seq == 0 and len(dec.support_set) == 0  # nothing committed
+    assert dec.decode(CompressedBM("spbms", 0, 0, 0, [1] * 8)) == _bm(0, "11111111")
 
 
 def test_spbms_out_of_order_sequence_raises_missing_reference():
@@ -608,9 +686,12 @@ def test_support_set_matches_a_set_oracle():
                 assert offset <= ss.lo and ss.lo + ss.mask.size == max(new_end, old_end)
             else:
                 bits = np.array([rng.random() < 0.4 for _ in range(n)])
-                ss, new_end, win, _, payload = _step(ss, window_end, offset, n, bits=bits)
+                ss, new_end, win, ones, _, payload = _step(ss, window_end, offset, n, bits=bits)
                 reported = sorted(x for x in oracle if x < offset + n)
                 assert (np.flatnonzero(win) + offset).tolist() == reported
+                assert (np.flatnonzero(ones) + offset).tolist() == [
+                    x for x in reported if bits[x - offset]
+                ]
                 assert payload.tolist() == [bool(bits[x - offset]) for x in reported]
                 oracle -= {offset + int(i) for i in np.flatnonzero(bits)}
             end = offset + n
