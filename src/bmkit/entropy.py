@@ -188,13 +188,15 @@ def overhead(bits_per_message: float, T: int) -> float:
 # fixed as a documented default: an early sharp rise followed by a long
 # plateau-approach, the profile measured fill curves show.
 DEFAULT_KNEE_FRAC = 0.09
+# How far, in bits, a calibrated curve's information may miss its target.
+CALIBRATION_TOL = 0.5
 
 
 def _two_segment_h(n: int, b: int, p_break: float) -> float:
     return h_sbms(two_segment_curve(n, b, p_break))
 
 
-def _solve_p_break(target: float, n: int, b: int, tol: float):
+def _solve_p_break(target: float, n: int, b: int):
     """Best p_break for a fixed breakpoint, or None if the target is out of
     reach; coarse grid then bisection on the bracketing interval."""
     grid = np.linspace(0.0, 1.0, 257)
@@ -208,7 +210,7 @@ def _solve_p_break(target: float, n: int, b: int, tol: float):
             flo = vals[k] - target
             break
     if lo is None:
-        return (float(grid[best]), float(err[best])) if err[best] <= tol else None
+        return (float(grid[best]), float(err[best])) if err[best] <= CALIBRATION_TOL else None
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         fmid = _two_segment_h(n, b, mid) - target
@@ -221,16 +223,14 @@ def _solve_p_break(target: float, n: int, b: int, tol: float):
 
 
 @lru_cache(maxsize=64)
-def calibrate_curve(
-    target_h_sbms: float, n: int, *, knee_frac: float = DEFAULT_KNEE_FRAC, tol: float = 0.5
-) -> TwoSegmentParams:
+def calibrate_curve(target_h_sbms: float, n: int) -> TwoSegmentParams:
     """Two-segment parameters whose per-message information matches the
-    target within ``tol`` bits.
+    target within ``CALIBRATION_TOL`` bits.
 
     The endpoints stay pinned at 0 and 1 (fresh positions empty, oldest
     certain) except for the two degenerate targets: 0 bits needs the
     deterministic curve, n bits the flat coin-flip curve.  The breakpoint
-    defaults to ``knee_frac`` of the window; if the target is unreachable
+    sits at ``DEFAULT_KNEE_FRAC`` of the window; if the target is unreachable
     there, every breakpoint is scanned before giving up.
     """
     if n < 2:
@@ -243,19 +243,19 @@ def calibrate_curve(
         return TwoSegmentParams(n - 1, 0.0)
     if target_h_sbms == float(n):
         return TwoSegmentParams(n // 2, 0.5, terminal=0.5, initial=0.5)
-    b0 = min(max(int(round(knee_frac * (n - 1))), 1), n - 2)
-    hit = _solve_p_break(target_h_sbms, n, b0, tol)
-    if hit is not None and hit[1] <= tol:
+    b0 = min(max(int(round(DEFAULT_KNEE_FRAC * (n - 1))), 1), n - 2)
+    hit = _solve_p_break(target_h_sbms, n, b0)
+    if hit is not None and hit[1] <= CALIBRATION_TOL:
         return TwoSegmentParams(b0, hit[0])
     best = None
     for b in range(1, n - 1):
-        hit = _solve_p_break(target_h_sbms, n, b, tol)
+        hit = _solve_p_break(target_h_sbms, n, b)
         if hit is not None and (best is None or hit[1] < best[0]):
             best = (hit[1], b, hit[0])
-    if best is not None and best[0] <= tol:
+    if best is not None and best[0] <= CALIBRATION_TOL:
         return TwoSegmentParams(best[1], best[2])
     raise CalibrationError(
-        f"no two-segment curve reaches {target_h_sbms} bits within {tol} for n={n}"
+        f"no two-segment curve reaches {target_h_sbms} bits within {CALIBRATION_TOL} for n={n}"
     )
 
 

@@ -162,6 +162,8 @@ def fit_two_segment(samples, n: int) -> TwoSegmentParams:
     breakpoint with the smallest residual wins (ties go to the smallest
     breakpoint).
     """
+    if n < 3:
+        raise ValueError(f"need n >= 3 to place a breakpoint inside the window, got n={n}")
     pts = [(float(a), float(p)) for a, p in samples]
     if len(pts) < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {len(pts)}")

@@ -208,6 +208,8 @@ class CompressedBM:
     def __post_init__(self):
         if self.scheme not in _SCHEME_TAGS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.offset < 0:
+            raise ValueError("offset must be nonnegative")
         bits = np.asarray(self.payload, dtype=bool)
         if bits.ndim != 1:
             raise ValueError("payload must be one-dimensional")
@@ -259,6 +261,14 @@ class PartialBufferMap:
     def filled(self) -> np.ndarray:
         """Chunk ids this message announced as buffered."""
         return self.locations[np.asarray(self.bits, dtype=bool)]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PartialBufferMap)
+            and self.offset == other.offset
+            and np.array_equal(self.locations, other.locations)
+            and np.array_equal(self.bits, other.bits)
+        )
 
 
 def pack_message(msg: CompressedBM) -> bytes:
@@ -404,8 +414,6 @@ class SpbmsDecoder(_SpbmsState):
         ss, window_end, _, _, bits, _ = _step(
             self.ss, self.window_end, msg.offset, self.n, payload=msg.payload
         )
-        if msg.offset < 0:
-            raise ValueError("offset must be nonnegative")
         self.ss, self.window_end = ss, window_end
         self.last_offset = msg.offset
         self.seq = msg.lbmr_seq + 1

@@ -67,8 +67,6 @@ __all__ = [
 
 SCHEMES = ("sbms", "spbms", "ppbms")
 _DIRS = ("ab", "ba")
-_SENDER = {"ab": "A", "ba": "B"}
-_RECEIVER = {"ab": "B", "ba": "A"}
 
 
 def _check_schemes_coders(schemes, coders) -> tuple:
@@ -78,6 +76,8 @@ def _check_schemes_coders(schemes, coders) -> tuple:
     bad = [c for c in coders if c not in CODER_NAMES]
     if bad:
         raise ValueError(f"unknown coders {bad}; choose from {CODER_NAMES}")
+    if len(set(schemes)) < len(schemes) or len(set(coders)) < len(coders):
+        raise ValueError("name each scheme and each coder at most once")
     return schemes, coders
 
 
@@ -248,35 +248,6 @@ class SimResult:
         return "\n".join(lines) + "\n"
 
 
-class _Acc:
-    def __init__(self, coders):
-        self.messages = 0
-        self.payload_bits = []
-        self.ideal = []
-        self.ss = []
-        self.payloads = []
-        self.decoded = []
-        self.coder_bytes = {c: 0 for c in coders}
-        self.drops = 0
-
-    def stats(self, scheme, direction, resyncs) -> SchemeDirStats:
-        pb = np.asarray(self.payload_bits, dtype=np.float64)
-        ideal = np.asarray(self.ideal, dtype=np.float64)
-        ss = np.asarray(self.ss, dtype=np.float64)
-        return SchemeDirStats(
-            scheme,
-            direction,
-            self.messages,
-            float(pb.mean()) if pb.size else float("nan"),
-            float(pb.std()) if pb.size else float("nan"),
-            float(ideal.mean()) if ideal.size and not np.isnan(ideal).any() else float("nan"),
-            float(ss.mean()) if ss.size else float("nan"),
-            resyncs,
-            self.drops,
-            dict(self.coder_bytes),
-        )
-
-
 def _ideal_table(curve: SCurve, period: int) -> np.ndarray:
     """Log2 probability of one payload bit under the true fill model, flat
     over (kind, age): entry ``(2 * old + bit) * n + age``.
@@ -323,11 +294,67 @@ def _ideal_bits(table: np.ndarray, n: int, period: int, offset: int, locs: np.nd
 
 
 @dataclass
+class _Pairing:
+    """Loss-recovery state of one pairing.  Both ppbms links share one;
+    each sbms or spbms link has its own.  ``dirs`` names the directions of
+    its links, which the engine looks up: a pairing holds no link, so the
+    two form no reference cycle."""
+
+    dirs: tuple
+    send_epoch: int = 0
+    recv_epoch: int = 0
+    needs_resync: bool = False
+    dirty: bool = False  # lost a message; true until a resync lands
+    resyncs: int = 0
+
+
+class _Link:
+    """One scheme in one direction: the codec ends that send (``enc``) and
+    receive (``dec``) on it, None for sbms; its pairing; what was measured
+    on it; and the envelopes it holds back."""
+
+    def __init__(self, scheme, direction, enc, dec, pairing, coders):
+        self.scheme = scheme
+        self.direction = direction
+        self.enc = enc
+        self.dec = dec
+        self.pairing = pairing
+        self.prev_end = None  # end of the previous sent window; None after a resync
+        self.held = []
+        self.swap_stash = None
+        self.ideal = []
+        self.ss = []
+        self.payloads = []
+        self.decoded = []
+        self.coder_bytes = {c: 0 for c in coders}
+        self.drops = 0
+
+    def stats(self) -> SchemeDirStats:
+        pb = np.array([p.size for p in self.payloads], dtype=np.float64)
+        ideal = np.asarray(self.ideal, dtype=np.float64)
+        ss = np.asarray(self.ss, dtype=np.float64)
+        return SchemeDirStats(
+            self.scheme,
+            self.direction,
+            len(self.payloads),
+            float(pb.mean()) if pb.size else float("nan"),
+            float(pb.std()) if pb.size else float("nan"),
+            float(ideal.mean()) if ideal.size and not np.isnan(ideal).any() else float("nan"),
+            float(ss.mean()) if ss.size else float("nan"),
+            self.pairing.resyncs,
+            self.drops,
+            dict(self.coder_bytes),
+        )
+
+
+@dataclass
 class _Envelope:
+    """A message in flight.  It does not name its link: the link's held
+    queue and swap stash own envelopes, and the pending heap pairs each one
+    with its link, so no envelope points back at the link that holds it."""
+
     due: float
     counter: int
-    scheme: str
-    direction: str
     epoch: int
     msg: object
     snap: object
@@ -352,138 +379,112 @@ class _Engine:
         self.keep_messages = keep_messages
         self.script = script or ReorderScript()
         self.ideal = ideal
-        self.spbms_enc = {d: SpbmsEncoder(n) for d in _DIRS}
-        self.spbms_dec = {d: SpbmsDecoder(n) for d in _DIRS}
-        self.ppbms = {
-            p: PpbmsSession(n, archive_depth=archive_depth) for p in ("A", "B")
-        }
-        self.acc = {(s, d): _Acc(coders) for s in schemes for d in _DIRS}
-        self.prev_end = {(s, d): None for s in schemes for d in _DIRS}
-        self.pending = []  # heap of (due, counter, envelope)
-        self.held = {(s, d): [] for s in schemes for d in _DIRS}
-        self.swap_stash = {(s, d): None for s in schemes for d in _DIRS}
-        self.send_epoch = {}
-        self.recv_epoch = {}
-        self.needs_resync = {}
-        self.resyncs = {}
-        self.dirty = {}  # pairing lost a message; true until a resync lands
+        self.links = {}  # scheme -> direction -> _Link
         for s in schemes:
-            for key in self._pairings(s):
-                self.send_epoch[key] = 0
-                self.recv_epoch[key] = 0
-                self.needs_resync[key] = False
-                self.resyncs[key] = 0
-                self.dirty[key] = False
+            if s == "ppbms":
+                # One pairing of two peer sessions: A sends ab, B sends ba.
+                a, b = (PpbmsSession(n, archive_depth=archive_depth) for _ in range(2))
+                shared = _Pairing(_DIRS)
+                ends = {"ab": (a, b, shared), "ba": (b, a, shared)}
+            elif s == "spbms":
+                ends = {d: (SpbmsEncoder(n), SpbmsDecoder(n), _Pairing((d,))) for d in _DIRS}
+            else:
+                ends = {d: (None, None, _Pairing((d,))) for d in _DIRS}
+            self.links[s] = {d: _Link(s, d, *ends[d], coders) for d in _DIRS}
+        self.pending = []  # heap of (due, counter, link, envelope)
         self.send_idx = {d: 0 for d in _DIRS}
         self._counter = 0
-
-    @staticmethod
-    def _pairings(scheme):
-        if scheme == "ppbms":
-            return [("ppbms",)]
-        return [(scheme, d) for d in _DIRS]
-
-    @staticmethod
-    def _pairing(scheme, direction):
-        return ("ppbms",) if scheme == "ppbms" else (scheme, direction)
 
     # -- delivery ---------------------------------------------------------
 
     def _outstanding(self, scheme) -> int:
-        k = sum(1 for _, _, e in self.pending if e.scheme == scheme)
-        k += sum(len(self.held[(scheme, d)]) for d in _DIRS)
-        k += sum(1 for d in _DIRS if self.swap_stash[(scheme, d)] is not None)
+        k = sum(1 for _, _, link, _ in self.pending if link.scheme == scheme)
+        for link in self.links[scheme].values():
+            k += len(link.held) + (link.swap_stash is not None)
         return k
 
     def _assert_consistent(self, scheme):
+        links = self.links[scheme].values()
         if scheme == "sbms" or self._outstanding(scheme):
             return
-        if any(
-            self.needs_resync[k] or self.dirty[k] for k in self._pairings(scheme)
-        ):
+        if any(link.pairing.needs_resync or link.pairing.dirty for link in links):
             return
-        if scheme == "spbms":
-            for d in _DIRS:
-                if not self.spbms_enc[d].support_set == self.spbms_dec[d].support_set:
-                    raise InvariantError(
-                        f"spbms {d}: encoder and decoder support sets diverged"
-                    )
-        else:
-            if not self.ppbms["A"].support_set == self.ppbms["B"].support_set:
-                raise InvariantError("ppbms: the two peers' support sets diverged")
+        for link in links:
+            # A shared pairing's two ends are compared once, on its first link.
+            if link.direction != link.pairing.dirs[0]:
+                continue
+            if not link.enc.support_set == link.dec.support_set:
+                raise InvariantError(
+                    f"{scheme} {link.direction}: the support sets at the two ends diverged"
+                )
 
-    def _deliver(self, env: _Envelope) -> str:
-        scheme, d = env.scheme, env.direction
+    def _deliver(self, link, env: _Envelope) -> str:
+        scheme, d = link.scheme, link.direction
         if scheme == "sbms":
             rt = sbms_decode(env.msg, self.n)
             if not rt == env.snap:
                 raise InvariantError(f"sbms {d} message {env.idx}: reconstruction differs")
             return "ok"
-        key = self._pairing(scheme, d)
-        if env.epoch < self.recv_epoch[key]:
+        pairing = link.pairing
+        if env.epoch < pairing.recv_epoch:
             return "discard"
-        if env.epoch > self.recv_epoch[key] and not env.msg.resync:
-            self._hold(env)
+        if env.epoch > pairing.recv_epoch and not env.msg.resync:
+            self._hold(link, env)
             return "held"
         if env.msg.resync:
-            self.recv_epoch[key] = env.epoch
-            self.dirty[key] = False
-            for dd in _DIRS if scheme == "ppbms" else [d]:
-                self.held[(scheme, dd)] = [
-                    e for e in self.held[(scheme, dd)] if e.epoch >= env.epoch
-                ]
+            pairing.recv_epoch = env.epoch
+            pairing.dirty = False
+            for dd in pairing.dirs:
+                other = self.links[scheme][dd]
+                other.held = [e for e in other.held if e.epoch >= env.epoch]
         try:
+            out = link.dec.decode(env.msg)
             if scheme == "spbms":
-                out = self.spbms_dec[d].decode(env.msg)
                 if not out == env.snap:
                     raise InvariantError(
                         f"spbms {d} message {env.idx}: reconstruction differs"
                     )
             else:
-                receiver = _RECEIVER[d]
-                out = self.ppbms[receiver].decode(env.msg)
                 truth = env.snap.bits[out.locations - env.snap.offset]
                 if not np.array_equal(np.asarray(out.bits, dtype=bool), truth):
                     raise InvariantError(
                         f"ppbms {d} message {env.idx}: reported bits differ from snapshot"
                     )
             if self.keep_messages:
-                self.acc[(scheme, d)].decoded.append(out)
+                link.decoded.append(out)
             return "ok"
         except MissingReferenceError as exc:
             if exc.ahead:
-                self._hold(env)
+                self._hold(link, env)
                 return "held"
             # Reference evicted: designed recovery is a pair resync.
-            self.needs_resync[key] = True
-            self.dirty[key] = True
+            pairing.needs_resync = True
+            pairing.dirty = True
             return "discard"
 
-    def _hold(self, env: _Envelope):
-        q = self.held[(env.scheme, env.direction)]
-        q.append(env)
-        if len(q) > self.archive_depth:
-            key = self._pairing(env.scheme, env.direction)
-            self.needs_resync[key] = True
-            self.dirty[key] = True
-            q.clear()
+    def _hold(self, link, env: _Envelope):
+        link.held.append(env)
+        if len(link.held) > self.archive_depth:
+            link.pairing.needs_resync = True
+            link.pairing.dirty = True
+            link.held.clear()
 
     def _pump(self, scheme):
         progressed = True
         while progressed:
             progressed = False
-            for d in _DIRS:
-                q = self.held[(scheme, d)]
+            for link in self.links[scheme].values():
+                q = link.held
                 if not q:
                     continue
-                self.held[(scheme, d)] = []
+                link.held = []
                 q.sort(key=lambda e: e.idx)
                 for k, env in enumerate(q):
-                    outcome = self._deliver(env)
+                    outcome = self._deliver(link, env)
                     if outcome == "held":
                         # Later messages of this direction cannot resolve
                         # before this one does; they stay held, untried.
-                        self.held[(scheme, d)].extend(q[k + 1 :])
+                        link.held.extend(q[k + 1 :])
                         break
                     if outcome == "ok":
                         progressed = True
@@ -492,96 +493,82 @@ class _Engine:
         """Deliver every pending envelope due by ``now`` in (due, counter)
         order; those not yet popped stay pending, so they count as in flight."""
         while self.pending and self.pending[0][0] <= now:
-            env = heapq.heappop(self.pending)[2]
-            if self._deliver(env) == "ok":
-                self._pump(env.scheme)
-            self._assert_consistent(env.scheme)
+            _, _, link, env = heapq.heappop(self.pending)
+            if self._deliver(link, env) == "ok":
+                self._pump(link.scheme)
+            self._assert_consistent(link.scheme)
 
     # -- sending ----------------------------------------------------------
-
-    def _encode(self, scheme, d, snap, resync):
-        if scheme == "sbms":
-            return sbms_encode(snap), np.arange(snap.offset, snap.end, dtype=np.int64)
-        if scheme == "spbms":
-            enc = self.spbms_enc[d]
-            msg = enc.make_resync(snap) if resync else enc.encode(snap)
-            return msg, enc.last_locations
-        sess = self.ppbms[_SENDER[d]]
-        msg = sess.make_resync(snap) if resync else sess.encode(snap)
-        return msg, sess.last_locations
 
     def send(self, eidx, d, snap, measured):
         idx = self.send_idx[d]
         self.send_idx[d] += 1
-        for scheme in self.schemes:
-            key = self._pairing(scheme, d)
-            resync = scheme != "sbms" and self.needs_resync[key]
-            msg, locs = self._encode(scheme, d, snap, resync)
+        for links in self.links.values():
+            link = links[d]
+            pairing = link.pairing
+            resync = pairing.needs_resync
+            if link.scheme == "sbms":
+                msg = sbms_encode(snap)
+                locs = np.arange(snap.offset, snap.end, dtype=np.int64)
+            else:
+                msg = link.enc.make_resync(snap) if resync else link.enc.encode(snap)
+                locs = link.enc.last_locations
             if resync:
-                self.needs_resync[key] = False
-                self.send_epoch[key] += 1
-                self.resyncs[key] += 1
-                self.prev_end[(scheme, d)] = None
-                if scheme == "ppbms":
-                    self.prev_end[("ppbms", _other_dir(d))] = None
-            payload = np.asarray(msg.payload, dtype=bool)
+                pairing.needs_resync = False
+                pairing.send_epoch += 1
+                pairing.resyncs += 1
+                for dd in pairing.dirs:
+                    links[dd].prev_end = None
             if self.ideal is None:
                 ideal = math.nan
             else:
                 table, period = self.ideal
-                prev_end = None if scheme == "sbms" else self.prev_end[(scheme, d)]
-                ideal = _ideal_bits(table, self.n, period, snap.offset, locs, payload, prev_end)
-            self.prev_end[(scheme, d)] = snap.end
+                prev_end = None if link.scheme == "sbms" else link.prev_end
+                ideal = _ideal_bits(table, self.n, period, snap.offset, locs, msg.payload,
+                                    prev_end)
+            link.prev_end = snap.end
             if measured:
-                a = self.acc[(scheme, d)]
-                a.messages += 1
-                a.payload_bits.append(msg.n_bits)
-                a.ideal.append(ideal)
-                a.payloads.append(payload)
-                if scheme == "spbms":
-                    a.ss.append(len(self.spbms_enc[d].support_set))
-                elif scheme == "ppbms":
-                    a.ss.append(len(self.ppbms[_SENDER[d]].support_set))
+                link.ideal.append(ideal)
+                link.payloads.append(msg.payload)
+                if link.enc is not None:
+                    link.ss.append(len(link.enc.support_set))
                 for c in self.coders:
                     if msg.n_bits:
-                        a.coder_bytes[c] += len(encode_bits(c, msg.payload))
-            self._route(eidx, scheme, d, msg, snap, idx)
+                        link.coder_bytes[c] += len(encode_bits(c, msg.payload))
+            self._route(eidx, link, msg, snap, idx)
 
-    def _route(self, eidx, scheme, d, msg, snap, idx):
+    def _route(self, eidx, link, msg, snap, idx):
         script = self.script
+        d = link.direction
         if (d, idx) in script.drops:
-            self.acc[(scheme, d)].drops += 1
-            if scheme != "sbms":
-                self.dirty[self._pairing(scheme, d)] = True
+            link.drops += 1
+            link.pairing.dirty = True
             return
         env = _Envelope(
             due=eidx + 1 + script.delays.get((d, idx), 0),
             counter=self._counter,
-            scheme=scheme,
-            direction=d,
-            epoch=self.send_epoch[self._pairing(scheme, d)],
+            epoch=link.pairing.send_epoch,
             msg=msg,
             snap=snap,
             idx=idx,
         )
         self._counter += 1
-        stash_key = (scheme, d)
         if (d, idx) in script.swaps:
-            if self.swap_stash[stash_key] is not None:
+            if link.swap_stash is not None:
                 raise ValueError(f"overlapping swaps on direction {d}")
-            self.swap_stash[stash_key] = env
+            link.swap_stash = env
             return
-        self._enqueue(env)
-        stashed = self.swap_stash[stash_key]
+        self._enqueue(link, env)
+        stashed = link.swap_stash
         if stashed is not None and stashed.idx == idx - 1:
             stashed.due = env.due
             stashed.counter = self._counter
             self._counter += 1
-            self._enqueue(stashed)  # after env: inverted arrival
-            self.swap_stash[stash_key] = None
+            self._enqueue(link, stashed)  # after env: inverted arrival
+            link.swap_stash = None
 
-    def _enqueue(self, env: _Envelope):
-        heapq.heappush(self.pending, (env.due, env.counter, env))
+    def _enqueue(self, link, env: _Envelope):
+        heapq.heappush(self.pending, (env.due, env.counter, link, env))
 
     # -- main loop --------------------------------------------------------
 
@@ -591,43 +578,36 @@ class _Engine:
         for eidx, (d, snap, measured) in enumerate(sends):
             self._deliver_due(eidx)
             self.send(eidx, d, snap, measured)
-        for key, env in self.swap_stash.items():
-            if env is not None:  # swap named a final message; deliver it late
-                self._enqueue(env)
-                self.swap_stash[key] = None
+        links = [link for by_dir in self.links.values() for link in by_dir.values()]
+        for link in links:
+            if link.swap_stash is not None:  # swap named a final message; deliver it late
+                self._enqueue(link, link.swap_stash)
+                link.swap_stash = None
         self._deliver_due(math.inf)
         for scheme in self.schemes:
             self._assert_consistent(scheme)
-        stats = []
         payloads = {}
         ss_sizes = {}
         ideal = {}
         decoded = {}
-        for scheme in self.schemes:
-            for d in _DIRS:
-                a = self.acc[(scheme, d)]
-                resyncs = self.resyncs[self._pairing(scheme, d)]
-                stats.append(a.stats(scheme, d, resyncs))
-                payloads[(scheme, d)] = a.payloads
-                ss_sizes[(scheme, d)] = np.asarray(a.ss, dtype=np.int64)
-                ideal[(scheme, d)] = np.asarray(a.ideal, dtype=np.float64)
-                if self.keep_messages:
-                    decoded[(scheme, d)] = a.decoded
+        for link in links:
+            key = (link.scheme, link.direction)
+            payloads[key] = link.payloads
+            ss_sizes[key] = np.asarray(link.ss, dtype=np.int64)
+            ideal[key] = np.asarray(link.ideal, dtype=np.float64)
+            if self.keep_messages:
+                decoded[key] = link.decoded
         return SimResult(
             n=self.n,
             schemes=self.schemes,
             coders=self.coders,
-            stats=tuple(stats),
+            stats=tuple(link.stats() for link in links),
             payloads=payloads,
             ss_sizes=ss_sizes,
             ideal_bits=ideal,
             decoded=decoded,
             **meta,
         )
-
-
-def _other_dir(d):
-    return "ba" if d == "ab" else "ab"
 
 
 def _simulate(cfg: SimConfig, script: ReorderScript | None) -> SimResult:

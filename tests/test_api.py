@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bmkit
-from bmkit import bitmap, coders, schemes
+from bmkit import bitmap, coders, entropy, schemes
 
 MODULES = ("bitmap", "cli", "coders", "entropy", "errors", "fillmodel", "schemes", "sim",
            "traceio")
@@ -48,6 +48,7 @@ def test_retired_api_stays_gone():
         schemes.sbms_decode: ["msg", "n"],
         coders.huffman_encode: ["bits"],
         bitmap.PeerBufferState: ["peer_id", "curve", "base_offset", "rng"],
+        entropy.calibrate_curve: ["target_h_sbms", "n"],
     }
     for fn, names in params.items():
         assert list(inspect.signature(fn).parameters) == names, fn

@@ -100,6 +100,12 @@ def test_simulate_scheme_and_coder_selection(capsys):
     rows = _csv_rows(lines[1:])
     assert {r["scheme"] for r in rows} == {"spbms"}
     assert all(int(r["rle_bytes"]) > 0 for r in rows)
+    # A repeated scheme or coder is invalid input, not an internal error
+    # or a doubled byte count.
+    for twice in (["--scheme", "ppbms", "ppbms"], ["--coder", "rle", "rle"]):
+        assert main(["simulate", "--n", "64", "--calibrate-hsbms", "20",
+                     "--T", "8", "--rounds", "5", *twice]) == 2
+    assert "at most once" in capsys.readouterr().err
 
 
 def test_simulate_validates_timing(capsys):
@@ -360,6 +366,13 @@ def test_fit_curve_rejects_bad_samples(tmp_path, capsys):
     negative.write_text("-1\n4\n5\n")
     assert main(["fit-curve", "--samples", str(negative)]) == 2
     capsys.readouterr()
+
+
+def test_fit_curve_on_a_window_too_narrow_for_a_breakpoint_is_invalid_input(tmp_path, capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 0.1\n1 0.5\n1 0.9\n")
+    assert main(["fit-curve", "--samples", str(pairs), "--n", "2"]) == 2
+    assert "n >= 3" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

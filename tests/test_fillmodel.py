@@ -175,6 +175,13 @@ def test_fit_insufficient_data():
         fit_two_segment([(0, 0.1), (5, 0.9)], 10)
 
 
+def test_fit_needs_room_for_a_breakpoint():
+    """A window of two or fewer chunks has no breakpoint candidate."""
+    for n in (2, 1, 0):
+        with pytest.raises(ValueError, match="n >= 3"):
+            fit_two_segment([(0, 0.1), (1, 0.5), (1, 0.9)], n)
+
+
 def test_fit_rejects_out_of_range_ages():
     with pytest.raises(ValueError):
         fit_two_segment([(0, 0.1), (5, 0.5), (10, 0.9)], 10)

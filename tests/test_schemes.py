@@ -13,6 +13,7 @@ from bmkit.fillmodel import two_segment_curve
 from bmkit.schemes import (
     HEADER_LEN,
     CompressedBM,
+    PartialBufferMap,
     PpbmsSession,
     SpbmsDecoder,
     SpbmsEncoder,
@@ -338,10 +339,12 @@ def test_spbms_decoded_map_is_read_only_and_stays_put():
 
 
 def test_spbms_decode_rejects_a_negative_offset():
+    """The wire cannot carry a negative offset, so no message of any scheme
+    holds one; a ppbms session would report negative locations for it."""
+    for scheme in ("sbms", "spbms", "ppbms"):
+        with pytest.raises(ValueError, match="^offset must be nonnegative$"):
+            CompressedBM(scheme, -3, 0, 0, [1] * 8)
     dec = SpbmsDecoder(8)
-    with pytest.raises(ValueError, match="^offset must be nonnegative$"):
-        dec.decode(CompressedBM("spbms", -1, 0, 0, [1] * 8))
-    assert dec.seq == 0 and len(dec.support_set) == 0  # nothing committed
     assert dec.decode(CompressedBM("spbms", 0, 0, 0, [1] * 8)) == _bm(0, "11111111")
 
 
@@ -430,6 +433,16 @@ def test_ppbms_decode_mirrors_the_exact_extracted_bits():
     assert part.offset == 0
     assert np.array_equal(part.bits, msg.payload)
     assert np.array_equal(part.locations[part.bits], part.filled())
+
+
+def test_partial_buffer_maps_compare_by_their_arrays():
+    locs, bits = np.array([2, 5, 7]), np.array([True, False, True])
+    part = PartialBufferMap(0, locs, bits)
+    assert part == PartialBufferMap(0, locs.copy(), bits.copy())
+    assert not part == PartialBufferMap(0, np.array([2, 5, 6]), bits)
+    assert not part == PartialBufferMap(0, locs, np.array([True, True, True]))
+    assert not part == PartialBufferMap(1, locs, bits)
+    assert part != "not a map"
 
 
 def test_ppbms_shared_set_matches_set_arithmetic_oracle():

@@ -1,5 +1,6 @@
 """Two-peer exchange engine: measured sizes, trace replay, delivery faults."""
 
+import gc
 import math
 
 import numpy as np
@@ -44,6 +45,10 @@ def test_config_validation():
         _cfg(schemes=())
     with pytest.raises(ValueError):
         _cfg(coders=("zip",))
+    with pytest.raises(ValueError, match="at most once"):
+        _cfg(schemes=("spbms", "spbms"))
+    with pytest.raises(ValueError, match="at most once"):
+        _cfg(coders=("rle", "rle"))
     with pytest.raises(ValueError):
         _cfg(offset_lag=-1)
 
@@ -462,3 +467,25 @@ def test_codec_stand_ins_on_the_sim_module_see_every_message(monkeypatch):
     check(reorder_fault_run(_cfg(rounds=30, warmup=0, keep_messages=True), script), 30)
     trace = generate(two_segment_curve(32, 4, 0.8), T=8, rounds=25, seed=4, tau=2)
     check(run_trace(trace, schemes=("sbms", "spbms", "ppbms"), keep_messages=True), 25)
+
+
+def test_an_engine_leaves_no_cyclic_garbage():
+    """Links, pairings and envelopes point one way only, so a finished run
+    is freed by reference counting alone, even with a message still held
+    at the end (the one after the dropped ab 28)."""
+    script = ReorderScript(delays={("ab", 12): 2}, drops=[("ab", 28)], swaps=[("ba", 5)])
+    cfg = _cfg(rounds=30, warmup=0, keep_messages=True)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        reorder_fault_run(cfg, script)
+        gc.collect()
+        kinds = {type(obj) for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert not [k for k in kinds if k.__module__ in ("bmkit.sim", "bmkit.schemes")]
