@@ -76,7 +76,8 @@ class BufferMap:
         return (
             isinstance(other, BufferMap)
             and self.offset == other.offset
-            and np.array_equal(self.bits, other.bits)
+            and self.bits.shape == other.bits.shape
+            and not np.count_nonzero(self.bits != other.bits)
         )
 
     def __repr__(self):
@@ -147,7 +148,7 @@ def check_monotone(prev: BufferMap, cur: BufferMap) -> None:
     hi = min(prev.end, cur.end)
     if hi > lo:
         regressed = prev.bits[lo - prev.offset : hi - prev.offset] > cur.bits[: hi - lo]
-        if regressed.any():
+        if np.count_nonzero(regressed):
             where = int(regressed.argmax()) + lo
             raise MonotonicityError(f"chunk {where} went from filled to unfilled")
 

@@ -5,21 +5,21 @@ Three schemes share one wire envelope:
 * ``sbms``  - every map is shipped whole, no shared state between
   messages.
 * ``spbms`` - the sender never re-reports a position after announcing it
-  filled.  Sender and receiver both track the *support set*: the chunk ids
-  whose status is still unknown to the receiver, kept as a bool mask
-  aligned with the window.  Each payload is exactly the sender's current
-  bit at each support-set location of its window, in location order.
+  filled.  Its *support set*, the chunk ids the receiver does not yet know
+  filled, is therefore the previous map's unfilled positions plus the newly
+  covered ones.  Each payload is the sender's bit at each support-set
+  location of its window, in location order.
 * ``ppbms`` - additionally, positions the counterpart has announced filled
   are never reported back.  Both peers of a pair maintain one shared support
-  set that every message in either direction updates.
+  set, a bool mask, that every message in either direction updates.
 
-Every message, sent or received, live or replayed from the reorder archive,
-makes the same update (``_step``): append the window positions it newly
-covers and purge those below its offset, read the payload off the sender's
-bits (or write it into a window of ones at the receiver), then clear the
-locations reported 1.  A message reports only support-set locations inside
-its own window; members past it (the ppbms set covers both peers' windows)
-stay for a later message.
+Every ppbms message, sent or received, live or replayed from the reorder
+archive, makes the same update (``_step``): append the window positions it
+newly covers and purge those below its offset, read the payload off the
+sender's bits (or write it into a window of ones at the receiver), then
+clear the locations reported 1.  A message reports only support-set
+locations inside its own window; members past it (the set covers both
+peers' windows) stay for a later message.
 
 Wire envelope (big-endian): 1-byte scheme tag, 4-byte offset, 2-byte
 lbmr_seq, 2-byte cbmr_seq, 2-byte payload bit count, then the payload bits
@@ -73,9 +73,9 @@ class SupportSet:
     members are equal whatever their anchors; memory follows the span.  The
     codecs anchor each set at the window offset, which makes a payload
     ``bits[mask[:n]]`` and the removal of reported locations a positional
-    clear.  A published set is never changed: each message's update
+    clear.  A published set is never changed: each ppbms update
     (``_advance``/``_step``) builds a new one, which makes archive
-    snapshots free.
+    snapshots free.  The spbms codecs derive theirs from the previous map.
     """
 
     __slots__ = ("lo", "mask")
@@ -113,7 +113,7 @@ class SupportSet:
         if not isinstance(other, SupportSet):
             return False
         if self.lo == other.lo and self.mask.size == other.mask.size:
-            return np.array_equal(self.mask, other.mask)
+            return not np.count_nonzero(self.mask != other.mask)
         return np.array_equal(self.locs, other.locs)
 
     def __iter__(self):
@@ -148,32 +148,41 @@ def _step(ss: SupportSet, window_end, offset: int, n: int, bits=None, payload=No
     set, read the payload off ``bits`` (sender, replay) or write ``payload``
     into a window of ones (receiver), then clear the locations reported 1.
     Returns (set, window_end, reported-location mask, mask of the locations
-    reported 1, bits, payload).
+    reported 1, payload).
     """
     ss, window_end = _advance(ss, window_end, offset, offset + n)
     skip = ss.lo - offset  # window positions below the set's anchor: never members
     inside = ss.mask[: max(n - skip, 0)]
-    win = np.zeros(n, dtype=bool)
-    win[skip:] = inside
+    if skip:
+        win = np.zeros(n, dtype=bool)
+        win[skip:] = inside
+    else:
+        win = inside.copy()
     if bits is None:
-        implied = int(np.count_nonzero(win))
-        if payload.size != implied:
-            raise DesyncError(
-                f"payload carries {payload.size} bits but the support set implies {implied}"
-            )
-        bits = ~win  # ones outside the reported locations
-        bits[win] = payload
+        bits = _fill(win, payload)
     else:
         payload = bits[win]
     ones = win & bits
     # ones[skip:] lies within inside, a view of _advance's own mask (no
     # published set changes), so the XOR clears exactly the reported ones.
     inside ^= ones[skip:]
-    return ss, window_end, win, ones, bits, payload
+    return ss, window_end, win, ones, payload
 
 
-def _check_offset(window_end, last_offset: int, offset: int):
-    if window_end is not None and offset < last_offset:
+def _fill(win: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    """A receiver's window: ``payload`` at the reported locations, else ones."""
+    implied = int(np.count_nonzero(win))
+    if payload.size != implied:
+        raise DesyncError(
+            f"payload carries {payload.size} bits but the support set implies {implied}"
+        )
+    bits = ~win
+    bits[win] = payload
+    return bits
+
+
+def _check_offset(last_offset, offset: int):
+    if last_offset is not None and offset < last_offset:
         raise ProtocolError(f"offset regressed from {last_offset} to {offset}")
 
 
@@ -182,7 +191,7 @@ def _check_bitmap(codec, bm: BufferMap, last_offset: int, what: str):
     monotone filling against its previous bitmap."""
     if bm.n != codec.n:
         raise ProtocolError(f"bitmap width {bm.n} != {what} width {codec.n}")
-    _check_offset(codec.window_end, last_offset, bm.offset)
+    _check_offset(last_offset, bm.offset)
     if codec.last_bm is not None:
         try:
             check_monotone(codec.last_bm, bm)
@@ -340,84 +349,76 @@ def sbms_decode(msg: CompressedBM, n: int) -> BufferMap:
 # SPBMS: per-sender support set
 # ======================================================================
 
+def _spbms_window(prev, offset: int, n: int) -> np.ndarray:
+    """Support-set mask of the window at ``offset`` after map ``prev`` (None:
+    a fresh stream): the unfilled positions of ``prev``, then the new ones."""
+    win = np.ones(n, dtype=bool)
+    shift = n if prev is None else offset - prev.offset
+    if shift < n:
+        np.invert(prev.bits[shift:], out=win[: n - shift])
+    return win
+
+
 class _SpbmsState:
     def __init__(self, n: int):
         if not 0 < n < 2**16:
             raise ValueError("window width must fit in the wire bit count")
         self.n = n
-        self._reset()
+        self.last_bm = None  # the previous map; None on a fresh or resynced stream
+        self.seq = 0
 
     @property
     def support_set(self) -> SupportSet:
-        return self.ss
-
-    def _reset(self):
-        self.ss = SupportSet()
-        self.window_end = None
-        self.last_offset = 0
-        self.seq = 0
+        """The previous map's unfilled positions, built on demand."""
+        prev = self.last_bm
+        return SupportSet() if prev is None else SupportSet._of(prev.offset, ~prev.bits)
 
 
 class SpbmsEncoder(_SpbmsState):
     """Sender half of a one-direction spbms stream."""
 
-    def __init__(self, n: int):
-        super().__init__(n)
-        self.last_bm = None
-        #: Locations reported by the most recent message, for diagnostics.
-        self.last_locations = None
+    #: Locations reported by the most recent message, for diagnostics.
+    last_locations = None
 
     def encode(self, bm: BufferMap) -> CompressedBM:
-        """Emit the bits at every live support-set location of ``bm``.
-
-        Newly appended window positions join the support set first, so the
-        payload is ordered purely by location; locations reported 1 leave
-        the set afterwards.  The first message ever has the whole window
-        appended and therefore carries the full bitmap.
-        """
-        _check_bitmap(self, bm, self.last_offset, "codec")
-        self.ss, self.window_end, win, _, _, payload = _step(
-            self.ss, self.window_end, bm.offset, self.n, bits=bm.bits
-        )
-        self.last_offset = bm.offset
+        """Emit the bits of ``bm`` at every support-set location of its
+        window, in location order; the first message carries the whole map."""
+        prev = self.last_bm
+        _check_bitmap(self, bm, None if prev is None else prev.offset, "codec")
+        win = _spbms_window(prev, bm.offset, self.n)
+        msg = CompressedBM._of("spbms", bm.offset, self.seq, 0, bm.bits[win])
         self.last_bm = bm
         self.last_locations = win.nonzero()[0] + bm.offset
-        msg = CompressedBM._of("spbms", bm.offset, self.seq, 0, payload)
         self.seq += 1
         return msg
 
     def make_resync(self, bm: BufferMap) -> CompressedBM:
         """Restart the stream: emit the whole bitmap and reset state, so the
         pair behaves exactly like a fresh bootstrap."""
-        self._reset()
         self.last_bm = None
+        self.seq = 0
         return replace(self.encode(bm), resync=True)
 
 
 class SpbmsDecoder(_SpbmsState):
-    """Receiver half; reconstructs each full bitmap and mirrors the
-    encoder's support-set updates."""
+    """Receiver half; rebuilds each full bitmap and keeps it, as the encoder does."""
 
     def decode(self, msg: CompressedBM) -> BufferMap:
         if msg.scheme != "spbms":
             raise ProtocolError(f"expected an spbms message, got {msg.scheme}")
-        if msg.resync:
-            self._reset()
-        elif msg.lbmr_seq != self.seq:
+        prev = None if msg.resync else self.last_bm
+        if not msg.resync and msg.lbmr_seq != self.seq:
             raise MissingReferenceError(
                 f"expected sequence {self.seq}, got {msg.lbmr_seq}",
                 ahead=msg.lbmr_seq > self.seq,
             )
-        _check_offset(self.window_end, self.last_offset, msg.offset)
-        # Nothing is committed before these checks pass, so a desynced
+        _check_offset(None if prev is None else prev.offset, msg.offset)
+        # Nothing is committed before these checks pass, so a rejected
         # message leaves the state untouched.
-        ss, window_end, _, _, bits, _ = _step(
-            self.ss, self.window_end, msg.offset, self.n, payload=msg.payload
-        )
-        self.ss, self.window_end = ss, window_end
-        self.last_offset = msg.offset
+        bits = _fill(_spbms_window(prev, msg.offset, self.n), msg.payload)
+        self.last_bm = BufferMap._owning(msg.offset, bits)
         self.seq = msg.lbmr_seq + 1
-        return BufferMap._owning(msg.offset, bits)
+        return self.last_bm
 
 
 # ======================================================================
@@ -501,7 +502,6 @@ class PpbmsSession:
         self.sent_seq = 0
         self.recv_seq = 0
         self.last_sent_offset = 0
-        self.last_recv_offset = 0
         self._archive = OrderedDict()  # (sent, recv) -> (ss, window_end)
         self._sent_log = OrderedDict()  # own message index -> (offset, ones)
         self._recv_log = OrderedDict()  # counterpart message index -> (offset, ones)
@@ -513,7 +513,7 @@ class PpbmsSession:
         """Report own bits at every live shared-support-set location of the
         window of ``bm``."""
         _check_bitmap(self, bm, self.last_sent_offset, "session")
-        self.ss, self.window_end, win, ones, _, payload = _step(
+        self.ss, self.window_end, win, ones, payload = _step(
             self.ss, self.window_end, bm.offset, self.n, bits=bm.bits
         )
         msg = CompressedBM._of("ppbms", bm.offset, self.sent_seq, self.recv_seq, payload)
@@ -535,13 +535,12 @@ class PpbmsSession:
                 f"expected counterpart message {self.recv_seq}, got {msg.lbmr_seq}",
                 ahead=msg.lbmr_seq > self.recv_seq,
             )
-        ss, we, win, ones, _, _ = _step(ss, we, msg.offset, self.n, payload=msg.payload)
+        ss, we, win, ones, _ = _step(ss, we, msg.offset, self.n, payload=msg.payload)
         if msg.cbmr_seq != self.sent_seq:
             # Encoded against an older state: clear its ones in the live set,
             # which is further along and already holds its appends and purges.
             ss, we = _step(self.ss, self.window_end, msg.offset, self.n, bits=ones)[:2]
         self.ss, self.window_end = ss, we
-        self.last_recv_offset = msg.offset
         self.recv_seq = msg.lbmr_seq + 1
         self._commit(self._recv_log, msg.lbmr_seq, msg.offset, ones)
         return PartialBufferMap(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
@@ -571,8 +570,8 @@ class PpbmsSession:
                 f"own message {msg.lbmr_seq} was stamped after {msg.cbmr_seq} received"
                 f" messages, but this replica has processed {self.recv_seq}"
             )
-        _check_offset(self.window_end, self.last_sent_offset, msg.offset)
-        self.ss, self.window_end, win, ones, _, _ = _step(
+        _check_offset(self.last_sent_offset, msg.offset)
+        self.ss, self.window_end, win, ones, _ = _step(
             self.ss, self.window_end, msg.offset, self.n, payload=msg.payload
         )
         self.last_sent_offset = msg.offset

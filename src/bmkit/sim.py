@@ -126,7 +126,8 @@ class ReorderScript:
 
     ``drops`` lose the message; ``swaps`` invert messages idx and idx+1 of
     one direction; ``delays`` hold a message for that many delivery slots.
-    A dropped index wins over a swap or delay on the same message.
+    A dropped index wins over a swap or delay on the same message.  When a
+    swap's partner idx+1 is dropped, message idx arrives in its slot.
     """
 
     delays: dict = field(default_factory=dict)
@@ -446,7 +447,7 @@ class _Engine:
                     )
             else:
                 truth = env.snap.bits[out.locations - env.snap.offset]
-                if not np.array_equal(np.asarray(out.bits, dtype=bool), truth):
+                if out.bits.shape != truth.shape or np.count_nonzero(out.bits != truth):
                     raise InvariantError(
                         f"ppbms {d} message {env.idx}: reported bits differ from snapshot"
                     )
@@ -543,28 +544,32 @@ class _Engine:
         if (d, idx) in script.drops:
             link.drops += 1
             link.pairing.dirty = True
-            return
-        env = _Envelope(
-            due=eidx + 1 + script.delays.get((d, idx), 0),
-            counter=self._counter,
-            epoch=link.pairing.send_epoch,
-            msg=msg,
-            snap=snap,
-            idx=idx,
-        )
-        self._counter += 1
-        if (d, idx) in script.swaps:
-            if link.swap_stash is not None:
-                raise ValueError(f"overlapping swaps on direction {d}")
-            link.swap_stash = env
-            return
-        self._enqueue(link, env)
+            due = eidx + 1
+        else:
+            env = _Envelope(
+                due=eidx + 1 + script.delays.get((d, idx), 0),
+                counter=self._counter,
+                epoch=link.pairing.send_epoch,
+                msg=msg,
+                snap=snap,
+                idx=idx,
+            )
+            self._counter += 1
+            if (d, idx) in script.swaps:
+                if link.swap_stash is not None:
+                    raise ValueError(f"overlapping swaps on direction {d}")
+                link.swap_stash = env
+                return
+            self._enqueue(link, env)
+            due = env.due
         stashed = link.swap_stash
         if stashed is not None and stashed.idx == idx - 1:
-            stashed.due = env.due
+            # The swap's partner arrived (or was dropped): release the stash
+            # after it, in its slot.
+            stashed.due = due
             stashed.counter = self._counter
             self._counter += 1
-            self._enqueue(link, stashed)  # after env: inverted arrival
+            self._enqueue(link, stashed)
             link.swap_stash = None
 
     def _enqueue(self, link, env: _Envelope):

@@ -42,6 +42,11 @@ def test_retired_api_stays_gone():
     for attr in ("from_range", "insert_range", "purge_below", "remove"):
         assert not hasattr(schemes.SupportSet, attr)
     assert not hasattr(schemes.PpbmsSession, "archive_and_resolve")
+    # The spbms codecs keep only the previous map and the sequence stamp.
+    for codec in (schemes.SpbmsEncoder(8), schemes.SpbmsDecoder(8)):
+        for attr in ("ss", "window_end", "last_offset"):
+            assert not hasattr(codec, attr)
+    assert not hasattr(schemes.PpbmsSession(8), "last_recv_offset")
     assert not hasattr(coders.HuffmanModel, "__contains__")
     params = {
         schemes.sbms_encode: ["bm"],

@@ -1,7 +1,7 @@
 """Support-set codecs: sbms/spbms/ppbms state machines and the wire envelope."""
 
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -72,7 +72,7 @@ def test_support_set_purge_and_remove():
     assert list(_advance(ss, 10, 0, 10)[0]) == [1, 4, 6, 9]
     bits = np.zeros(10, dtype=bool)
     bits[[4, 9]] = True
-    after, _, win, ones, _, payload = _step(ss, 10, 0, 10, bits=bits)
+    after, _, win, ones, payload = _step(ss, 10, 0, 10, bits=bits)
     assert list(after) == [1, 6]
     assert np.flatnonzero(win).tolist() == [1, 4, 6, 9]
     assert np.flatnonzero(ones).tolist() == [4, 9]
@@ -296,6 +296,34 @@ def test_spbms_random_traces_stay_synchronized():
             assert dec.support_set == enc.support_set
 
 
+def test_spbms_codecs_match_a_step_oracle():
+    """Seeded monotone streams with offset steps of 0, 1, 2, n/2 + 1, n and
+    n + 3, and random resyncs: each message's payload, reported locations,
+    reconstruction and both ends' support sets equal those of a reference
+    support set that ``_step`` updates."""
+    rng = np.random.default_rng(20261018)
+    for n in (1, 2, 5, 8, 33, 64):
+        steps = (0, 1, 2, n // 2 + 1, n, n + 3)
+        enc, dec = SpbmsEncoder(n), SpbmsDecoder(n)
+        ref, window_end, offset, filled = SupportSet(), None, 0, set()
+        for i in range(200):
+            offset += int(rng.choice(steps)) if i else 0
+            bits = [c in filled or rng.random() < 0.3 for c in range(offset, offset + n)]
+            filled.update(c for c, bit in zip(range(offset, offset + n), bits) if bit)
+            bm = BufferMap(offset, bits)
+            if i and rng.random() < 0.05:
+                msg = enc.make_resync(bm)
+                ref, window_end = SupportSet(), None
+            else:
+                msg = enc.encode(bm)
+            ref, window_end, win, _, payload = _step(ref, window_end, offset, n, bits=bm.bits)
+            assert msg.payload.tolist() == payload.tolist()
+            assert enc.last_locations.tolist() == (np.flatnonzero(win) + offset).tolist()
+            assert dec.decode(unpack_message(pack_message(msg))[0]) == bm
+            assert enc.support_set == ref and dec.support_set == ref
+            assert list(enc.support_set) == list(ref)
+
+
 # ----------------------------------------------------------------------
 # SPBMS: protocol violations and atomicity
 # ----------------------------------------------------------------------
@@ -323,6 +351,39 @@ def test_spbms_decode_desync_leaves_state_untouched():
         dec.decode(bad)
     assert dec.support_set == ss_before
     assert dec.decode(msg) == _bm(0, "10110011")  # intact message still lands
+
+
+def test_spbms_rejected_input_leaves_both_ends_unchanged():
+    """Nothing is committed before every check passes, so after a rejected
+    map or message the next valid message still round-trips."""
+    enc, dec = SpbmsEncoder(8), SpbmsDecoder(8)
+    dec.decode(enc.encode(_bm(4, "10100000")))
+
+    def state(end):
+        return end.seq, end.last_bm, list(end.support_set)
+
+    before, locs = state(enc), enc.last_locations.tolist()
+    for bad in (_bm(4, [1] * 4), _bm(3, "10100000"), _bm(4, "00100000")):
+        with pytest.raises(ProtocolError):  # width, regressed offset, a 1 back to 0
+            enc.encode(bad)
+        assert state(enc) == before and enc.last_locations.tolist() == locs
+    cur = _bm(6, "10011001")
+    msg = enc.encode(cur)
+    before = state(dec)
+    rejected = [
+        (DesyncError, replace(msg, payload=msg.payload[:-1])),
+        (MissingReferenceError, replace(msg, lbmr_seq=msg.lbmr_seq + 1)),
+        (MissingReferenceError, replace(msg, lbmr_seq=msg.lbmr_seq - 1)),
+        (ProtocolError, replace(msg, offset=3)),
+        (ProtocolError, replace(msg, scheme="ppbms")),
+        (DesyncError, replace(msg, lbmr_seq=0, resync=True)),  # a resync carries all 8 bits
+    ]
+    for error, bad in rejected:
+        with pytest.raises(error):
+            dec.decode(bad)
+        assert state(dec) == before
+    assert dec.decode(msg) == cur
+    assert dec.support_set == enc.support_set
 
 
 def test_spbms_decoded_map_is_read_only_and_stays_put():
@@ -699,7 +760,7 @@ def test_support_set_matches_a_set_oracle():
                 assert offset <= ss.lo and ss.lo + ss.mask.size == max(new_end, old_end)
             else:
                 bits = np.array([rng.random() < 0.4 for _ in range(n)])
-                ss, new_end, win, ones, _, payload = _step(ss, window_end, offset, n, bits=bits)
+                ss, new_end, win, ones, payload = _step(ss, window_end, offset, n, bits=bits)
                 reported = sorted(x for x in oracle if x < offset + n)
                 assert (np.flatnonzero(win) + offset).tolist() == reported
                 assert (np.flatnonzero(ones) + offset).tolist() == [

@@ -255,6 +255,21 @@ def test_a_dropped_message_forces_exactly_one_resync():
     assert res.row("spbms", "ab").drops == 1
 
 
+def test_a_swap_whose_partner_is_dropped_arrives_in_its_slot():
+    """Swapping ab 10 with the dropped ab 11 delivers ab 10 where ab 11
+    would have arrived, so the run matches one with the drop alone, and a
+    later swap on the same direction is not taken as overlapping."""
+    cfg = _cfg(rounds=40, warmup=0, keep_messages=True)
+    reorder_fault_run(cfg, ReorderScript(swaps=[("ab", 10), ("ab", 20)], drops=[("ab", 11)]))
+    swapped = reorder_fault_run(cfg, ReorderScript(swaps=[("ab", 10)], drops=[("ab", 11)]))
+    dropped = reorder_fault_run(cfg, ReorderScript(drops=[("ab", 11)]))
+    for scheme in ("sbms", "spbms", "ppbms"):
+        for d in ("ab", "ba"):
+            assert swapped.decoded[(scheme, d)] == dropped.decoded[(scheme, d)]
+            assert swapped.row(scheme, d).resyncs == dropped.row(scheme, d).resyncs
+    assert len(swapped.decoded[("spbms", "ab")]) == 30
+
+
 def test_ideal_bits_match_the_per_location_model():
     curve = two_segment_curve(32, 4, 0.8)
     n, T, offset = 32, 8, 100
