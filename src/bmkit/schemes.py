@@ -29,6 +29,7 @@ Readers reject nonzero padding, so each message has exactly one wire form.
 
 from __future__ import annotations
 
+import copy
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -374,11 +375,24 @@ class _SpbmsState:
         return SupportSet() if prev is None else SupportSet._of(prev.offset, ~prev.bits)
 
 
-class SpbmsEncoder(_SpbmsState):
-    """Sender half of a one-direction spbms stream."""
+class _ReportsLocations:
+    """A sending end that keeps its most recent message's window mask, from
+    which the locations that message reported are derived on demand."""
 
-    #: Locations reported by the most recent message, for diagnostics.
-    last_locations = None
+    _last_window = None  # (offset, reported-location mask) of the most recent message
+
+    @property
+    def last_locations(self):
+        """Locations reported by the most recent message, as int64, for
+        diagnostics; None before the first message."""
+        if self._last_window is None:
+            return None
+        offset, win = self._last_window
+        return win.nonzero()[0] + offset
+
+
+class SpbmsEncoder(_SpbmsState, _ReportsLocations):
+    """Sender half of a one-direction spbms stream."""
 
     def encode(self, bm: BufferMap) -> CompressedBM:
         """Emit the bits of ``bm`` at every support-set location of its
@@ -388,7 +402,7 @@ class SpbmsEncoder(_SpbmsState):
         win = _spbms_window(prev, bm.offset, self.n)
         msg = CompressedBM._of("spbms", bm.offset, self.seq, 0, bm.bits[win])
         self.last_bm = bm
-        self.last_locations = win.nonzero()[0] + bm.offset
+        self._last_window = (bm.offset, win)
         self.seq += 1
         return msg
 
@@ -425,7 +439,13 @@ class SpbmsDecoder(_SpbmsState):
 # PPBMS: shared support set per peer pair
 # ======================================================================
 
-class PpbmsSession:
+def _covers(log: OrderedDict, a: int, b: int) -> bool:
+    """Whether ``log``, whose keys are consecutive message indices in
+    ascending order, holds every index in [a, b)."""
+    return a >= b or (bool(log) and next(iter(log)) <= a and b <= next(reversed(log)) + 1)
+
+
+class PpbmsSession(_ReportsLocations):
     """One peer's end of a ppbms pairing.
 
     Both ends run the same state machine over the same message sequence
@@ -448,7 +468,6 @@ class PpbmsSession:
         self.n = n
         self.archive_depth = archive_depth
         self.last_bm = None
-        self.last_locations = None
         self._reset_epoch()
 
     # -- state bookkeeping -------------------------------------------------
@@ -481,9 +500,7 @@ class PpbmsSession:
         for (s0, r0), (ss, we) in reversed(self._archive.items()):
             if s0 > sent or r0 > recv:
                 continue
-            if all(i in self._sent_log for i in range(s0, sent)) and all(
-                i in self._recv_log for i in range(r0, recv)
-            ):
+            if _covers(self._sent_log, s0, sent) and _covers(self._recv_log, r0, recv):
                 effects = [self._sent_log[i] for i in range(s0, sent)]
                 effects += [self._recv_log[i] for i in range(r0, recv)]
                 effects.sort(key=lambda e: e[0])
@@ -507,6 +524,21 @@ class PpbmsSession:
         self._recv_log = OrderedDict()  # counterpart message index -> (offset, ones)
         self._remember_state()
 
+    def _apply(self, body, msg: CompressedBM) -> PartialBufferMap:
+        """Run ``body(session, msg)`` on this session.  A resync message
+        runs on a copy on a fresh epoch instead, whose state this session
+        takes over only once every check has passed, so a rejected resync
+        leaves it as it was."""
+        if msg.scheme != "ppbms":
+            raise ProtocolError(f"expected a ppbms message, got {msg.scheme}")
+        if not msg.resync:
+            return body(self, msg)
+        fresh = copy.copy(self)
+        fresh._reset_epoch()
+        out = body(fresh, msg)
+        self.__dict__.update(fresh.__dict__)
+        return out
+
     # -- protocol ----------------------------------------------------------
 
     def encode(self, bm: BufferMap) -> CompressedBM:
@@ -519,16 +551,15 @@ class PpbmsSession:
         msg = CompressedBM._of("ppbms", bm.offset, self.sent_seq, self.recv_seq, payload)
         self.last_sent_offset = bm.offset
         self.last_bm = bm
-        self.last_locations = win.nonzero()[0] + bm.offset
+        self._last_window = (bm.offset, win)
         self.sent_seq += 1
         self._commit(self._sent_log, msg.lbmr_seq, bm.offset, ones)
         return msg
 
     def decode(self, msg: CompressedBM) -> PartialBufferMap:
-        if msg.scheme != "ppbms":
-            raise ProtocolError(f"expected a ppbms message, got {msg.scheme}")
-        if msg.resync:
-            self._reset_epoch()
+        return self._apply(PpbmsSession._receive, msg)
+
+    def _receive(self, msg: CompressedBM) -> PartialBufferMap:
         ss, we = self._resolve(msg.cbmr_seq, msg.lbmr_seq)
         if msg.lbmr_seq != self.recv_seq:
             raise MissingReferenceError(
@@ -556,10 +587,9 @@ class PpbmsSession:
         produced, driven by the wire message instead of a bitmap.
         Messages must be replayed in their original send order.
         """
-        if msg.scheme != "ppbms":
-            raise ProtocolError(f"expected a ppbms message, got {msg.scheme}")
-        if msg.resync:
-            self._reset_epoch()
+        return self._apply(PpbmsSession._replay_sent, msg)
+
+    def _replay_sent(self, msg: CompressedBM) -> PartialBufferMap:
         if msg.lbmr_seq != self.sent_seq:
             raise MissingReferenceError(
                 f"expected own message {self.sent_seq}, got {msg.lbmr_seq}",
@@ -576,10 +606,10 @@ class PpbmsSession:
         )
         self.last_sent_offset = msg.offset
         self.last_bm = None  # the replica never sees the full bitmap
-        self.last_locations = win.nonzero()[0] + msg.offset
+        self._last_window = (msg.offset, win)
         self.sent_seq += 1
         self._commit(self._sent_log, msg.lbmr_seq, msg.offset, ones)
-        return PartialBufferMap(msg.offset, self.last_locations, msg.payload)
+        return PartialBufferMap(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
 
     def make_resync(self, bm: BufferMap) -> CompressedBM:
         """Restart the pairing from scratch: ship the whole bitmap; both
@@ -587,4 +617,3 @@ class PpbmsSession:
         self._reset_epoch()
         self.last_bm = None
         return replace(self.encode(bm), resync=True)
-

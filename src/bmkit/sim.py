@@ -31,6 +31,12 @@ exactly the per-message information quantities the entropy module computes,
 which is what the formula-validation tests exploit.  A trace carries no
 generative model, so its ideal lengths are NaN.
 
+The log2 probabilities are laid out once per run by window position, one
+table per old-prefix length k: the number of window positions below the
+sender's previous window end.  Each table is built the first time a
+message needs it and then kept, so pricing a message is one gather of its
+(bit, position) entries in location order and one sum.
+
 Message loss is the designed recovery path, not an error: a receiver that
 can no longer resolve references (archive eviction or an overflowing hold
 buffer) flags its pairing, the next sender answers with a whole-bitmap
@@ -249,42 +255,56 @@ class SimResult:
         return "\n".join(lines) + "\n"
 
 
-def _ideal_table(curve: SCurve, period: int) -> np.ndarray:
-    """Log2 probability of one payload bit under the true fill model, flat
-    over (kind, age): entry ``(2 * old + bit) * n + age``.
+class _IdealTables(dict):
+    """Log2 probabilities of payload bits under the true fill model for one
+    run, laid out by window position: table ``k``, built on first use,
+    prices the bit at window position j (age n - 1 - j) at entry
+    ``bit * n + j``, as a location reported before when j < k.
 
     A fresh location's bit is distributed as p_age; an old one, reported
     one period earlier while unfilled at age - period, as
     q_{age - period, age}.  Old entries no valid payload can reach are NaN:
     ages below one period, and locations certainly filled at that report.
     """
-    p = curve.probs
-    n = p.size
-    prev = np.full(n, np.nan)
-    prev[period:] = p[: n - period]
-    left = 1.0 - prev
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(left > 0.0, (p - prev) / left, np.nan)
-        return np.log2(np.concatenate([1.0 - p, p, 1.0 - q, q]))
+
+    def __init__(self, curve: SCurve, period: int):
+        super().__init__()
+        p = curve.probs
+        self.n = n = p.size
+        self.period = period
+        prev = np.full(n, np.nan)
+        prev[period:] = p[: n - period]
+        left = 1.0 - prev
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(left > 0.0, (p - prev) / left, np.nan)
+            by_age = np.log2(np.concatenate([1.0 - p, p, 1.0 - q, q])).reshape(4, n)
+        by_pos = by_age[:, ::-1]  # rows: fresh 0, fresh 1, old 0, old 1
+        self._fresh, self._old = by_pos[:2], by_pos[2:]
+
+    def __missing__(self, k: int) -> np.ndarray:
+        tab = np.concatenate([self._old[:, :k], self._fresh[:, k:]], axis=1).ravel()
+        self[k] = tab
+        return tab
 
 
-def _ideal_bits(table: np.ndarray, n: int, period: int, offset: int, locs: np.ndarray,
-                bits: np.ndarray, prev_end) -> float:
-    """Minus log2 probability of a payload under the true fill model; a
-    location below ``prev_end`` (None: none) was reported before."""
-    if locs.size == 0:
-        return 0.0
-    ages = offset + n - 1 - locs
-    idx = ages + n * bits
-    if prev_end is not None:
-        old = locs < prev_end
-        idx += 2 * n * old
-    log_p = table[idx]
-    total = log_p.sum()
+def _ideal_bits(tables: _IdealTables, k: int, pos, bits: np.ndarray) -> float:
+    """Minus log2 probability of a payload under the true fill model.
+
+    ``bits`` are the payload's bits at the ascending window positions
+    ``pos`` (None: the whole window); positions below ``k`` were reported
+    before.
+    """
+    if bits.size == 0:
+        return 0.0  # not the -0.0 that negating an empty sum gives
+    n = tables.n
+    tab = tables[k]
+    log_p = np.where(bits, tab[n:], tab[:n]) if pos is None else tab[pos + n * bits]
+    total = np.add.reduce(log_p)
     if math.isfinite(total):
         return float(-total)
     if np.isnan(log_p).any():
-        if np.any(old & (ages < period)):
+        pos = np.arange(n) if pos is None else pos
+        if np.any(pos[pos < k] >= n - tables.period):
             raise InvariantError(
                 "a previously reported location is younger than one period"
             )
@@ -366,9 +386,9 @@ class _Engine:
     """The one exchange driver, for synthetic runs and trace replays alike.
 
     ``run`` consumes a stream of ``(direction, BufferMap, measured)`` sends
-    in time order.  ``script`` injects delivery faults; ``ideal`` is a
-    ``(log2-probability table, period)`` model of ideal code lengths, or
-    None, which makes every length NaN.
+    in time order.  ``script`` injects delivery faults; ``ideal`` holds the
+    run's ``_IdealTables`` for ideal code lengths, or None, which makes
+    every length NaN.
     """
 
     def __init__(self, n, schemes, coders, archive_depth=8, keep_messages=False,
@@ -413,6 +433,9 @@ class _Engine:
         for link in links:
             # A shared pairing's two ends are compared once, on its first link.
             if link.direction != link.pairing.dirs[0]:
+                continue
+            # Equal spbms maps leave equal sets; only differing ones need building.
+            if scheme == "spbms" and link.enc.last_bm == link.dec.last_bm:
                 continue
             if not link.enc.support_set == link.dec.support_set:
                 raise InvariantError(
@@ -510,10 +533,8 @@ class _Engine:
             resync = pairing.needs_resync
             if link.scheme == "sbms":
                 msg = sbms_encode(snap)
-                locs = np.arange(snap.offset, snap.end, dtype=np.int64)
             else:
                 msg = link.enc.make_resync(snap) if resync else link.enc.encode(snap)
-                locs = link.enc.last_locations
             if resync:
                 pairing.needs_resync = False
                 pairing.send_epoch += 1
@@ -522,16 +543,20 @@ class _Engine:
                     links[dd].prev_end = None
             if self.ideal is None:
                 ideal = math.nan
+            elif link.scheme == "sbms":  # the whole window, none of it reported before
+                ideal = _ideal_bits(self.ideal, 0, None, msg.payload)
             else:
-                table, period = self.ideal
-                prev_end = None if link.scheme == "sbms" else link.prev_end
-                ideal = _ideal_bits(table, self.n, period, snap.offset, locs, msg.payload,
-                                    prev_end)
+                # Window positions below the previous window's end were reported before.
+                k = 0 if link.prev_end is None else max(link.prev_end - snap.offset, 0)
+                pos = link.enc.last_locations - snap.offset
+                ideal = _ideal_bits(self.ideal, k, pos, msg.payload)
             link.prev_end = snap.end
             if measured:
                 link.ideal.append(ideal)
                 link.payloads.append(msg.payload)
-                if link.enc is not None:
+                if link.scheme == "spbms":  # the unfilled positions of snap, now its last map
+                    link.ss.append(self.n - np.count_nonzero(snap.bits))
+                elif link.enc is not None:
                     link.ss.append(len(link.enc.support_set))
                 for c in self.coders:
                     if msg.n_bits:
@@ -632,7 +657,7 @@ def _simulate(cfg: SimConfig, script: ReorderScript | None) -> SimResult:
             yield "ab", peer_a.snapshot(i * cfg.T + cfg.tau), i >= warm
 
     engine = _Engine(cfg.n, cfg.schemes, cfg.coders, cfg.archive_depth, cfg.keep_messages,
-                     script, (_ideal_table(cfg.curve, cfg.T), cfg.T))
+                     script, _IdealTables(cfg.curve, cfg.T))
     return engine.run(sends(), T=cfg.T, tau=cfg.tau, rounds=cfg.rounds, seed=cfg.seed,
                       source="synthetic")
 

@@ -1,6 +1,8 @@
 """Support-set codecs: sbms/spbms/ppbms state machines and the wire envelope."""
 
+import copy
 import random
+from collections import OrderedDict
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from bmkit.schemes import (
     SpbmsEncoder,
     SupportSet,
     _advance,
+    _covers,
     _step,
     pack_message,
     sbms_decode,
@@ -649,6 +652,96 @@ def test_ppbms_resync_rebuilds_both_ends():
     a.decode(b.encode(_bm(1, "01010100")))
     b.decode(a.encode(_bm(1, "00100011")))
     assert a.support_set == b.support_set
+
+
+def test_log_coverage_matches_the_membership_scan():
+    """A replay log holds consecutive indices, so its first and last keys
+    tell whether it holds all of [a, b), as scanning every index does."""
+    rng = np.random.default_rng(12)
+    for _ in range(3000):
+        first, size = int(rng.integers(0, 20)), int(rng.integers(0, 6))
+        log = OrderedDict((i, None) for i in range(first, first + size))
+        a, b = (int(x) for x in rng.integers(-2, 28, size=2))
+        assert _covers(log, a, b) == all(i in log for i in range(a, b)), (list(log), a, b)
+    assert _covers(OrderedDict(), 3, 3) and _covers(OrderedDict(), 5, 2)
+    assert not _covers(OrderedDict(), 0, 1)
+
+
+def _ppbms_ten_exchanges():
+    """A and B after ten in-order exchanges at n=64 (A speaks first in each),
+    and a replica rebuilt from A's wire log."""
+    n = 64
+    curve = two_segment_curve(n, 6, 0.8)
+    pa = PeerBufferState("a", curve, rng=np.random.default_rng(5))
+    pb = PeerBufferState("b", curve, rng=np.random.default_rng(6))
+    a, b, replica = PpbmsSession(n), PpbmsSession(n), PpbmsSession(n)
+    for i in range(10):
+        from_a = a.encode(pa.snapshot(4 * i))
+        b.decode(from_a)
+        replica.apply_sent(from_a)
+        from_b = b.encode(pb.snapshot(4 * i + 1))
+        a.decode(from_b)
+        replica.decode(from_b)
+    return a, b, replica, pa.snapshot(40)
+
+
+def _session_state(ses):
+    archive = [(key, list(ss), we) for key, (ss, we) in ses._archive.items()]
+    logs = [[(i, off, ones.tobytes()) for i, (off, ones) in log.items()]
+            for log in (ses._sent_log, ses._recv_log)]
+    return (ses.sent_seq, ses.recv_seq, list(ses.support_set), ses.window_end,
+            ses.last_sent_offset, ses.last_bm, ses.last_locations.tolist(), archive, logs)
+
+
+def test_a_rejected_ppbms_resync_leaves_the_session_unchanged():
+    """A resync runs against a fresh epoch and commits nothing before every
+    check passes: a rejected one leaves state, archive and logs as they
+    were, and the next valid message still decodes (and replays)."""
+    a, b, replica, snap = _ppbms_ten_exchanges()
+    assert (b.sent_seq, b.recv_seq) == (10, 10)
+    resync = copy.deepcopy(a).make_resync(snap)
+    normal = copy.deepcopy(a).encode(snap)
+    rejected = [
+        (DesyncError, replace(resync, payload=resync.payload[:-1])),  # one bit short
+        (MissingReferenceError, replace(normal, resync=True)),  # stamped (10, 10)
+        (ProtocolError, replace(resync, scheme="spbms")),
+    ]
+    for ses, apply in ((b, b.decode), (replica, replica.apply_sent)):
+        before = _session_state(ses)
+        for error, bad in rejected:
+            with pytest.raises(error):
+                apply(bad)
+            assert _session_state(ses) == before
+    msg = a.encode(snap)
+    assert b.decode(msg).locations.tolist() == a.last_locations.tolist()
+    assert replica.apply_sent(msg).locations.tolist() == a.last_locations.tolist()
+    assert a.support_set == b.support_set == replica.support_set
+    # A valid resync still restarts the pairing at both ends.
+    boot = a.make_resync(snap)
+    b.decode(boot)
+    assert (b.sent_seq, b.recv_seq) == (0, 1) and a.support_set == b.support_set
+
+
+def test_last_locations_are_derived_from_the_last_window():
+    """Senders keep the last window mask; ``last_locations`` is read-only,
+    None before the first message, then that message's int64 locations."""
+    enc, a, b = SpbmsEncoder(8), PpbmsSession(8), PpbmsSession(8)
+    for end in (enc, a):
+        assert end.last_locations is None
+        with pytest.raises(AttributeError):
+            end.last_locations = np.arange(3)
+    enc.encode(_bm(4, "10100000"))
+    assert enc.last_locations.dtype == np.int64
+    assert enc.last_locations.tolist() == list(range(4, 12))  # the whole first window
+    enc.encode(_bm(6, "10011001"))
+    assert enc.last_locations.tolist() == [7, 8, 9, 10, 11, 12, 13]  # 6 was reported filled
+    sent = a.encode(_bm(0, "10100000"))
+    part = b.decode(sent)
+    assert a.last_locations.dtype == np.int64
+    assert a.last_locations.tolist() == part.locations.tolist() == list(range(8))
+    replica = PpbmsSession(8)
+    assert replica.apply_sent(sent) == part
+    assert replica.last_locations.tolist() == list(range(8))
 
 
 # ----------------------------------------------------------------------

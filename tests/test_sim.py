@@ -9,12 +9,14 @@ import pytest
 from bmkit.entropy import calibrate_curve, h_ppbms, h_sbms, h_spbms
 from bmkit.errors import InvariantError
 from bmkit.fillmodel import SCurve, two_segment_curve
-from bmkit.schemes import PpbmsSession, SpbmsDecoder
+from bmkit import sim
+from bmkit.bitmap import BufferMap
+from bmkit.schemes import PartialBufferMap, PpbmsSession, SpbmsDecoder, SpbmsEncoder, SupportSet
 from bmkit.sim import (
     ReorderScript,
     SimConfig,
     _ideal_bits,
-    _ideal_table,
+    _IdealTables,
     reorder_fault_run,
     run_synthetic,
     run_trace,
@@ -274,7 +276,7 @@ def test_ideal_bits_match_the_per_location_model():
     curve = two_segment_curve(32, 4, 0.8)
     n, T, offset = 32, 8, 100
     p = curve.probs
-    table = _ideal_table(curve, T)
+    tables = _IdealTables(curve, T)
     rng = np.random.default_rng(0)
     for _ in range(50):
         locs = np.sort(rng.choice(np.arange(offset, offset + n), size=rng.integers(1, n),
@@ -289,26 +291,190 @@ def test_ideal_bits_match_the_per_location_model():
                 q = (p[age] - p[age - T]) / (1.0 - p[age - T])
             bits[k] = q == 1.0 or (q > 0.0 and rng.random() < 0.5)
             expect -= math.log2(q if bits[k] else 1.0 - q)
-        got = _ideal_bits(table, n, T, offset, locs, bits, prev_end)
+        k = 0 if prev_end is None else prev_end - offset
+        got = _ideal_bits(tables, k, locs - offset, bits)
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
-    assert _ideal_bits(table, n, T, offset, np.empty(0, dtype=np.int64),
-                       np.empty(0, dtype=bool), None) == 0.0
+    assert _ideal_bits(tables, 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)) == 0.0
+    whole = rng.random(n) < p[::-1]  # a whole window, newest position last
+    whole[-1] = False  # p_0 = 0
+    assert _ideal_bits(tables, 0, None, whole) == _ideal_bits(tables, 0, np.arange(n), whole)
+    assert set(tables) == {0, n - T}  # one table per old-prefix length, kept
 
 
 def test_ideal_bits_reject_payloads_the_model_cannot_produce():
-    n, T, offset = 32, 8, 100
-    newest = np.array([offset + n - 1])
-    oldest = np.array([offset])
-    table = _ideal_table(two_segment_curve(n, 4, 0.8), T)  # p_0 = 0
+    n, T = 32, 8
+    newest = np.array([n - 1])
+    oldest = np.array([0])
+    tables = _IdealTables(two_segment_curve(n, 4, 0.8), T)  # p_0 = 0
     with pytest.raises(InvariantError, match="zero-probability"):
-        _ideal_bits(table, n, T, offset, newest, np.array([True]), None)
+        _ideal_bits(tables, 0, newest, np.array([True]))
+    with pytest.raises(InvariantError, match="zero-probability"):
+        _ideal_bits(tables, 0, None, np.ones(n, dtype=bool))
     # An old location younger than one period cannot have been reported.
     with pytest.raises(InvariantError, match="younger than one period"):
-        _ideal_bits(table, n, T, offset, newest, np.array([False]), offset + n)
+        _ideal_bits(tables, n, newest, np.array([False]))
     certain = SCurve(np.r_[np.linspace(0.0, 1.0, 16), np.ones(16)])
-    table = _ideal_table(certain, T)
+    tables = _IdealTables(certain, T)
     with pytest.raises(InvariantError, match="certainly filled"):
-        _ideal_bits(table, n, T, offset, oldest, np.array([True]), offset + 1)
+        _ideal_bits(tables, 1, oldest, np.array([True]))
+
+
+def _reference_ideal(p, T, offset, locs, bits, prev_end):
+    """Minus log2 probability of a payload, priced location by location
+    from the curve: a location below ``prev_end`` was reported one period
+    earlier, so its bit is q_{age - T, age}, else p_age.  The log2s are
+    summed in location order with one ``np.add.reduce``."""
+    n = p.size
+    probs = []
+    for loc, bit in zip(locs.tolist(), bits.tolist()):
+        age = offset + n - 1 - loc
+        q = p[age]
+        if prev_end is not None and loc < prev_end:
+            assert age >= T
+            q = (p[age] - p[age - T]) / (1.0 - p[age - T])
+        probs.append(q if bit else 1.0 - q)
+    if not probs:
+        return 0.0
+    return float(-np.add.reduce(np.log2(np.array(probs))))
+
+
+def _ideal_case(case, calibrated_curve):
+    """A run's curve, config and fault script (None: a fault-free run)."""
+    small = two_segment_curve(32, 4, 0.8)
+    c64 = calibrate_curve(20.0, 64).to_curve(64)
+    if case == "lagging":
+        return SimConfig(c64, T=8, tau=3, rounds=40, seed=11, offset_lag=5), None
+    if case == "T = n":
+        return SimConfig(c64, T=64, tau=20, rounds=25, seed=4), None
+    if case == "calibrated":
+        return SimConfig(calibrated_curve, T=20, tau=5, rounds=30, seed=0), None
+    script = ReorderScript(delays={("ab", 30): 25}, drops=[("ab", 15), ("ba", 40)],
+                           swaps=[("ba", 20)])
+    return SimConfig(small, T=8, tau=2, rounds=70, seed=3, archive_depth=4), script
+
+
+@pytest.mark.parametrize("case", ["lagging", "T = n", "calibrated", "faults"])
+def test_engine_ideal_lengths_equal_a_per_location_reference(monkeypatch, calibrated_curve,
+                                                             case):
+    """Every measured message's ideal length equals the per-location
+    reference exactly.  The reference follows each sending end's own
+    messages: a resync restarts its direction (both, for ppbms's shared
+    pairing) with nothing reported before."""
+    sent, engines = [], []
+    for cls in (SpbmsEncoder, PpbmsSession):
+        def encode(self, bm, _encode=cls.encode):
+            msg = _encode(self, bm)
+            sent.append([self, bm.offset, self.last_locations, msg.payload, False])
+            return msg
+
+        def make_resync(self, bm, _make_resync=cls.make_resync):
+            msg = _make_resync(self, bm)  # encodes through the wrapper above
+            sent[-1][4] = True
+            return msg
+
+        monkeypatch.setattr(cls, "encode", encode)
+        monkeypatch.setattr(cls, "make_resync", make_resync)
+
+    def run(self, *args, _run=sim._Engine.run, **kwargs):
+        engines.append(self)
+        return _run(self, *args, **kwargs)
+
+    monkeypatch.setattr(sim._Engine, "run", run)
+    cfg, script = _ideal_case(case, calibrated_curve)
+    res = run_synthetic(cfg) if script is None else reorder_fault_run(cfg, script)
+    (engine,) = engines
+    p, n, T = cfg.curve.probs, cfg.n, cfg.T
+    sender = {id(link.enc): (s, d) for s, by_dir in engine.links.items()
+              for d, link in by_dir.items() if link.enc is not None}
+    expect = {key: [] for key in sender.values()}
+    prev_end = {}
+    for enc, offset, locs, payload, resync in sent:
+        scheme, d = sender[id(enc)]
+        if resync:
+            for dd in (("ab", "ba") if scheme == "ppbms" else (d,)):
+                prev_end[(scheme, dd)] = None
+        expect[(scheme, d)].append(
+            _reference_ideal(p, T, offset, locs, payload, prev_end.get((scheme, d)))
+        )
+        prev_end[(scheme, d)] = offset + n
+    for d in ("ab", "ba"):
+        expect[("sbms", d)] = [_reference_ideal(p, T, 0, np.arange(n), bits, None)
+                               for bits in res.payloads[("sbms", d)]]
+    for key, want in expect.items():
+        got = res.ideal_bits[key].tolist()
+        assert 0 < len(got) <= len(want)
+        assert got == want[len(want) - len(got):], key
+    if case == "faults":
+        assert res.total_resyncs("spbms") >= 2 and res.total_resyncs("ppbms") >= 2
+        assert any(resync for *_, resync in sent)
+
+
+def _flip_first(bits):
+    out = np.array(bits, dtype=bool)
+    out[0] ^= True
+    return out
+
+
+class _WrongMapDecoder(SpbmsDecoder):
+    """Returns a wrong map from its fifth message on; keeps the right one."""
+
+    def decode(self, msg):
+        out = super().decode(msg)
+        self.calls = getattr(self, "calls", 0) + 1
+        return out if self.calls < 5 else BufferMap(out.offset, _flip_first(out.bits))
+
+
+class _CorruptMapDecoder(SpbmsDecoder):
+    """Returns the right map but keeps a corrupted one after its fifth."""
+
+    def decode(self, msg):
+        out = super().decode(msg)
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls == 5:
+            self.last_bm = BufferMap(out.offset, _flip_first(out.bits))
+        return out
+
+
+class _WrongReportSession(PpbmsSession):
+    """Reports a flipped bit from its fifth decoded message on."""
+
+    def decode(self, msg):
+        out = super().decode(msg)
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls < 5 or not out.bits.size:
+            return out
+        return PartialBufferMap(out.offset, out.locations, _flip_first(out.bits))
+
+
+class _PerturbedSetSession(PpbmsSession):
+    """Reports correctly but adds a member to its shared set after its
+    fifth decoded message."""
+
+    def decode(self, msg):
+        out = super().decode(msg)
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls == 5:
+            self.ss = SupportSet._of(self.ss.lo, np.append(self.ss.mask, True))
+        return out
+
+
+def _wrong_sbms_decode(msg, n):
+    return BufferMap(msg.offset, _flip_first(msg.payload))
+
+
+@pytest.mark.parametrize("scheme, attr, stand_in, match", [
+    ("sbms", "sbms_decode", _wrong_sbms_decode, "sbms ba message 0: reconstruction differs"),
+    ("spbms", "SpbmsDecoder", _WrongMapDecoder, "reconstruction differs"),
+    ("spbms", "SpbmsDecoder", _CorruptMapDecoder, "support sets at the two ends diverged"),
+    ("ppbms", "PpbmsSession", _WrongReportSession, "reported bits differ"),
+    ("ppbms", "PpbmsSession", _PerturbedSetSession, "support sets at the two ends diverged"),
+])
+def test_injected_divergence_ends_the_run(monkeypatch, scheme, attr, stand_in, match):
+    """A codec end that goes wrong, in what it returns or only in the state
+    it keeps, ends the run in InvariantError."""
+    monkeypatch.setattr(sim, attr, stand_in)
+    with pytest.raises(InvariantError, match=match):
+        run_synthetic(_cfg(schemes=(scheme,), rounds=20))
 
 
 _ONE_DROP_HEAD = (
