@@ -654,6 +654,122 @@ def test_ppbms_resync_rebuilds_both_ends():
     assert a.support_set == b.support_set
 
 
+def _two_map_window(offset, n, *maps):
+    """Positions of [offset, offset + n) at or above every map's offset and
+    filled in none of them; a map is (offset, filled chunk ids) or None."""
+    maps = [m for m in maps if m is not None]
+    floor = max([offset] + [off for off, _ in maps])
+    return sorted(p for p in range(floor, offset + n) if not any(p in f for _, f in maps))
+
+
+def _two_map_set(n, own, known):
+    """The shared set the two maps imply: one window from the higher offset."""
+    if own is None and known is None:
+        return []
+    lo = max(m[0] for m in (own, known) if m is not None)
+    return _two_map_window(lo, n, own, known)
+
+
+def _resolves(S, R, stamps, d, lbmr, c):
+    """Whether an end that sent S messages (own message i stamped after
+    ``stamps[i]`` receives) and received R decodes a message stamped
+    (lbmr, cbmr = c) at archive depth d."""
+    if lbmr != R or c > S:
+        return False
+    if c == S:
+        return True
+    lag = R - stamps[c]
+    return lag <= d and (S - c) + lag <= 2 * d
+
+
+class _OracleEnd:
+    """One end of the two-map oracle: its session, the chunks its peer holds,
+    its own maps as sent and the counterpart's map as received."""
+
+    def __init__(self, n, d, lag):
+        self.ses = PpbmsSession(n, archive_depth=d)
+        self.lag, self.offset, self.filled = lag, lag, set()
+        self.maps, self.stamps = [], []  # own message i: (offset, filled ids), cbmr stamp
+        self.known = None
+        self.in_flight = []  # (message, sender's map) not yet delivered
+
+    def check(self, n):
+        own = self.maps[-1] if self.maps else None
+        assert list(self.ses.support_set) == _two_map_set(n, own, self.known)
+
+
+def test_ppbms_state_is_two_maps_and_late_messages_resolve_by_rule():
+    """Two sessions with crossing, lagged traffic.  After every message each
+    end's shared set is the two-map set: the positions of one window from the
+    higher offset that are filled neither in the end's own last map nor in its
+    last map of the counterpart, read off the payload with ones elsewhere.  A
+    message stamped (lbmr, cbmr = c) decodes exactly when lbmr is the next
+    counterpart index and either c is the live stamp S or, with r_c the
+    receive stamp of own message c, R - r_c <= d and (S - c) + (R - r_c) <= 2d;
+    every other stamp c it is probed with raises MissingReferenceError, ahead
+    when c > S.  A decoded message reports the window of own map c - 1 and the
+    known map."""
+    rng = random.Random(20261018)
+    seen = {"live": 0, "archive": 0, "miss": 0}
+    for _ in range(80):
+        n, d = rng.randrange(4, 40), rng.randrange(1, 5)
+        p_fill, flight = rng.uniform(0.1, 0.6), rng.randrange(1, 6)
+        a, b = _OracleEnd(n, d, 0), _OracleEnd(n, d, rng.randrange(0, 2 * n + 1))
+        clock = 0
+        for _ in range(rng.randrange(10, 60)):
+            clock += rng.choice((0, 1, 2, n // 2 + 1))
+            tx = rng.choice((a, b))
+            rx = b if tx is a else a
+            if len(tx.in_flight) < flight and rng.random() < 0.5:
+                tx.offset = max(tx.offset, clock + tx.lag)
+                window = range(tx.offset, tx.offset + n)
+                tx.filled |= {c for c in window if rng.random() < p_fill}
+                expect = _two_map_window(tx.offset, n, tx.maps[-1] if tx.maps else None,
+                                         tx.known)
+                msg = tx.ses.encode(BufferMap(tx.offset, [c in tx.filled for c in window]))
+                assert (msg.lbmr_seq, msg.cbmr_seq) == (len(tx.maps), tx.ses.recv_seq)
+                assert tx.ses.last_locations.tolist() == expect
+                tx.maps.append((tx.offset, tx.filled & set(window)))
+                tx.stamps.append(msg.cbmr_seq)
+                tx.in_flight.append((msg, tx.maps[-1]))
+                tx.check(n)
+                continue
+            if not tx.in_flight:
+                continue
+            msg, sent_map = tx.in_flight.pop(0)
+            S, R = len(rx.maps), rx.ses.recv_seq
+            probes = [(msg.lbmr_seq, c) for c in range(max(S - 2 * d - 1, 0), S + 2)]
+            probes += [(R + 1, msg.cbmr_seq), (R + 1, S + 1)]
+            probes += [(R - 1, msg.cbmr_seq), (R - 1, S + 1)] if R else []
+            for lbmr, c in probes:
+                probe = replace(msg, lbmr_seq=lbmr, cbmr_seq=c)
+                try:
+                    copy.deepcopy(rx.ses).decode(probe)
+                    resolved = True
+                except MissingReferenceError as exc:
+                    resolved = False
+                    assert exc.ahead == (lbmr > R or c > S), (lbmr, c, S, R)
+                except DesyncError:
+                    resolved = True  # resolved, then the payload length disagreed
+                assert resolved == _resolves(S, R, rx.stamps, d, lbmr, c), (lbmr, c, S, R)
+            c = msg.cbmr_seq
+            if not _resolves(S, R, rx.stamps, d, msg.lbmr_seq, c):
+                with pytest.raises(MissingReferenceError):
+                    rx.ses.decode(msg)
+                seen["miss"] += 1
+                break
+            seen["live" if c == S else "archive"] += 1
+            part = rx.ses.decode(msg)
+            own = rx.maps[c - 1] if c else None
+            assert part.locations.tolist() == _two_map_window(msg.offset, n, own, rx.known)
+            assert part.bits.tolist() == [loc in sent_map[1] for loc in part.locations.tolist()]
+            unfilled = {loc for loc, bit in part.pairs if not bit}
+            rx.known = (msg.offset, set(range(msg.offset, msg.offset + n)) - unfilled)
+            rx.check(n)
+            tx.check(n)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_log_coverage_matches_the_membership_scan():
     """A replay log holds consecutive indices, so its first and last keys
     tell whether it holds all of [a, b), as scanning every index does."""
