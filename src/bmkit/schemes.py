@@ -10,16 +10,20 @@ Three schemes share one wire envelope:
   covered ones.  Each payload is the sender's bit at each support-set
   location of its window, in location order.
 * ``ppbms`` - additionally, positions the counterpart has announced filled
-  are never reported back.  Both peers of a pair maintain one shared support
-  set, a bool mask, that every message in either direction updates.
+  are never reported back.  Both peers of a pair hold one shared support
+  set, derived at each end from two maps: its own last map and its last
+  known map of the counterpart, which is the counterpart's payload at the
+  reported locations and ones elsewhere.
 
-Every ppbms message, sent or received, live or replayed from the reorder
-archive, makes the same update (``_step``): append the window positions it
-newly covers and purge those below its offset, read the payload off the
-sender's bits (or write it into a window of ones at the receiver), then
-clear the locations reported 1.  A message reports only support-set
-locations inside its own window; members past it (the set covers both
-peers' windows) stay for a later message.
+Every window is one function of the maps that came before it
+(``_window``): the positions filled in none of them, where a position past
+a map's window counts as unfilled and one below a map's offset is never a
+member.  spbms passes the previous map; ppbms passes its own map and the
+known map, and its shared set is the window from the higher of their two
+offsets.  A ppbms message arriving late is decoded against the own map its
+sender had seen, kept for the last 2 * ``archive_depth`` + 1 messages.  A
+message reports only support-set locations inside its own window; members
+past it stay for a later message.
 
 Wire envelope (big-endian): 1-byte scheme tag, 4-byte offset, 2-byte
 lbmr_seq, 2-byte cbmr_seq, 2-byte payload bit count, then the payload bits
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import copy
 import struct
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,11 +76,9 @@ class SupportSet:
 
     The span may hold non-members at either end, so sets with the same
     members are equal whatever their anchors; memory follows the span.  The
-    codecs anchor each set at the window offset, which makes a payload
-    ``bits[mask[:n]]`` and the removal of reported locations a positional
-    clear.  A published set is never changed: each ppbms update
-    (``_advance``/``_step``) builds a new one, which makes archive
-    snapshots free.  The spbms codecs derive theirs from the previous map.
+    codecs build each set on demand from the maps that imply it: spbms from
+    the previous map, ppbms from an end's own map and its known map of the
+    counterpart, as the window of the higher offset (``_window``).
     """
 
     __slots__ = ("lo", "mask")
@@ -124,50 +126,22 @@ class SupportSet:
         return f"SupportSet({self.locs.tolist()!r})"
 
 
-def _advance(ss: SupportSet, window_end, offset: int, cover_end: int):
-    """Insert newly covered window positions and purge expired ones.
-
-    ``window_end`` is the highest chunk id (exclusive) any earlier message
-    covered, or None before the first message.  The result gets a fresh
-    mask anchored at ``offset``, or higher where no member can lie, so a
-    message far older than the set never widens it.
-    """
-    new_end = cover_end if window_end is None else max(window_end, cover_end)
-    start = offset if window_end is None else max(window_end, offset)
-    lo = max(offset, min(ss.lo, start))
-    mask = np.zeros(max(new_end, ss.lo + ss.mask.size) - lo, dtype=bool)
-    keep = ss.mask[max(lo - ss.lo, 0) :]
-    at = max(ss.lo - lo, 0)
-    mask[at : at + keep.size] = keep
-    if start < cover_end:
-        mask[start - lo : cover_end - lo] = True
-    return SupportSet._of(lo, mask), new_end
-
-
-def _step(ss: SupportSet, window_end, offset: int, n: int, bits=None, payload=None):
-    """One message's update over the window [offset, offset + n): advance the
-    set, read the payload off ``bits`` (sender, replay) or write ``payload``
-    into a window of ones (receiver), then clear the locations reported 1.
-    Returns (set, window_end, reported-location mask, mask of the locations
-    reported 1, payload).
-    """
-    ss, window_end = _advance(ss, window_end, offset, offset + n)
-    skip = ss.lo - offset  # window positions below the set's anchor: never members
-    inside = ss.mask[: max(n - skip, 0)]
-    if skip:
-        win = np.zeros(n, dtype=bool)
-        win[skip:] = inside
-    else:
-        win = inside.copy()
-    if bits is None:
-        bits = _fill(win, payload)
-    else:
-        payload = bits[win]
-    ones = win & bits
-    # ones[skip:] lies within inside, a view of _advance's own mask (no
-    # published set changes), so the XOR clears exactly the reported ones.
-    inside ^= ones[skip:]
-    return ss, window_end, win, ones, payload
+def _window(offset: int, n: int, *maps) -> np.ndarray:
+    """Mask of the positions in [offset, offset + n) filled in none of
+    ``maps`` (None entries are skipped).  A position past a map's window
+    counts as unfilled in it; one below a map's offset is never a member."""
+    filled = np.zeros(n, dtype=bool)
+    for bm in maps:
+        if bm is None:
+            continue
+        shift = offset - bm.offset
+        if shift < 0:  # the first -shift positions lie below the map's offset
+            k = min(-shift, n)
+            filled[:k] = True
+            filled[k:] |= bm.bits[: n - k]
+        elif shift < n:
+            filled[: n - shift] |= bm.bits[shift:]
+    return np.invert(filled, out=filled)
 
 
 def _fill(win: np.ndarray, payload: np.ndarray) -> np.ndarray:
@@ -187,15 +161,16 @@ def _check_offset(last_offset, offset: int):
         raise ProtocolError(f"offset regressed from {last_offset} to {offset}")
 
 
-def _check_bitmap(codec, bm: BufferMap, last_offset: int, what: str):
-    """A sender's input checks: window width, offset progression and
-    monotone filling against its previous bitmap."""
-    if bm.n != codec.n:
-        raise ProtocolError(f"bitmap width {bm.n} != {what} width {codec.n}")
+def _check_bitmap(bm: BufferMap, n: int, prev, last_offset, what: str):
+    """A sender's input checks: window width, offset progression past
+    ``last_offset`` and monotone filling against its previous bitmap
+    ``prev`` (None where there is none to check against)."""
+    if bm.n != n:
+        raise ProtocolError(f"bitmap width {bm.n} != {what} width {n}")
     _check_offset(last_offset, bm.offset)
-    if codec.last_bm is not None:
+    if prev is not None:
         try:
-            check_monotone(codec.last_bm, bm)
+            check_monotone(prev, bm)
         except MonotonicityError as exc:
             raise ProtocolError(f"non-monotone bitmap: {exc}") from exc
 
@@ -350,16 +325,6 @@ def sbms_decode(msg: CompressedBM, n: int) -> BufferMap:
 # SPBMS: per-sender support set
 # ======================================================================
 
-def _spbms_window(prev, offset: int, n: int) -> np.ndarray:
-    """Support-set mask of the window at ``offset`` after map ``prev`` (None:
-    a fresh stream): the unfilled positions of ``prev``, then the new ones."""
-    win = np.ones(n, dtype=bool)
-    shift = n if prev is None else offset - prev.offset
-    if shift < n:
-        np.invert(prev.bits[shift:], out=win[: n - shift])
-    return win
-
-
 class _SpbmsState:
     def __init__(self, n: int):
         if not 0 < n < 2**16:
@@ -379,16 +344,26 @@ class _ReportsLocations:
     """A sending end that keeps its most recent message's window mask, from
     which the locations that message reported are derived on demand."""
 
-    _last_window = None  # (offset, reported-location mask) of the most recent message
+    _last = None  # (offset, reported-location mask) of the most recent message
+
+    @property
+    def last_window(self):
+        """Read-only mask over the most recent message's window, True at the
+        positions it reported; None before the first message."""
+        return None if self._last is None else self._last[1]
 
     @property
     def last_locations(self):
         """Locations reported by the most recent message, as int64, for
         diagnostics; None before the first message."""
-        if self._last_window is None:
+        if self._last is None:
             return None
-        offset, win = self._last_window
+        offset, win = self._last
         return win.nonzero()[0] + offset
+
+    def _keep_window(self, offset: int, win: np.ndarray):
+        win.flags.writeable = False
+        self._last = (offset, win)
 
 
 class SpbmsEncoder(_SpbmsState, _ReportsLocations):
@@ -398,17 +373,19 @@ class SpbmsEncoder(_SpbmsState, _ReportsLocations):
         """Emit the bits of ``bm`` at every support-set location of its
         window, in location order; the first message carries the whole map."""
         prev = self.last_bm
-        _check_bitmap(self, bm, None if prev is None else prev.offset, "codec")
-        win = _spbms_window(prev, bm.offset, self.n)
+        _check_bitmap(bm, self.n, prev, None if prev is None else prev.offset, "codec")
+        win = _window(bm.offset, self.n, prev)
         msg = CompressedBM._of("spbms", bm.offset, self.seq, 0, bm.bits[win])
         self.last_bm = bm
-        self._last_window = (bm.offset, win)
+        self._keep_window(bm.offset, win)
         self.seq += 1
         return msg
 
     def make_resync(self, bm: BufferMap) -> CompressedBM:
         """Restart the stream: emit the whole bitmap and reset state, so the
-        pair behaves exactly like a fresh bootstrap."""
+        pair behaves exactly like a fresh bootstrap.  A bitmap a fresh stream
+        rejects leaves the state as it was."""
+        _check_bitmap(bm, self.n, None, None, "codec")
         self.last_bm = None
         self.seq = 0
         return replace(self.encode(bm), resync=True)
@@ -429,7 +406,7 @@ class SpbmsDecoder(_SpbmsState):
         _check_offset(None if prev is None else prev.offset, msg.offset)
         # Nothing is committed before these checks pass, so a rejected
         # message leaves the state untouched.
-        bits = _fill(_spbms_window(prev, msg.offset, self.n), msg.payload)
+        bits = _fill(_window(msg.offset, self.n, prev), msg.payload)
         self.last_bm = BufferMap._owning(msg.offset, bits)
         self.seq = msg.lbmr_seq + 1
         return self.last_bm
@@ -439,25 +416,21 @@ class SpbmsDecoder(_SpbmsState):
 # PPBMS: shared support set per peer pair
 # ======================================================================
 
-def _covers(log: OrderedDict, a: int, b: int) -> bool:
-    """Whether ``log``, whose keys are consecutive message indices in
-    ascending order, holds every index in [a, b)."""
-    return a >= b or (bool(log) and next(iter(log)) <= a and b <= next(reversed(log)) + 1)
-
-
 class PpbmsSession(_ReportsLocations):
     """One peer's end of a ppbms pairing.
 
-    Both ends run the same state machine over the same message sequence
-    (sends and receives alike mutate the shared support set), which keeps
-    the two support sets identical after every delivered message.
+    Each end keeps two maps: its own last map and its last known map of the
+    counterpart, the counterpart's payload at the reported locations and
+    ones elsewhere.  The shared support set is derived from them (see the
+    module docstring), so both ends hold the same set after every delivered
+    message.
 
     Messages are stamped with (lbmr_seq, cbmr_seq) = (messages this end has
     sent, messages it has received) so a receiver can tell exactly which
-    state a message was encoded against.  Recent states are archived, and
-    recently applied messages are kept as replayable effects (offset and
-    window mask of the locations reported 1), so a message arriving late
-    can still be decoded against the state it references.
+    state a message was encoded against.  The last 2 * ``archive_depth`` + 1
+    own maps are kept with their receive stamps, so a message encoded before
+    the sender saw this end's latest ones still decodes while it lags at
+    most ``archive_depth`` receives and 2 * ``archive_depth`` messages in all.
     """
 
     def __init__(self, n: int, *, archive_depth: int = 8):
@@ -467,62 +440,50 @@ class PpbmsSession(_ReportsLocations):
             raise ValueError("archive depth must be at least 1")
         self.n = n
         self.archive_depth = archive_depth
-        self.last_bm = None
+        self.last_bm = None  # the last bitmap encoded (None for a replica): fills stay monotone
         self._reset_epoch()
 
     # -- state bookkeeping -------------------------------------------------
 
-    @property
-    def support_set(self) -> SupportSet:
-        return self.ss
-
-    def _remember_state(self):
-        self._archive[(self.sent_seq, self.recv_seq)] = (self.ss, self.window_end)
-        while len(self._archive) > 2 * self.archive_depth + 1:
-            self._archive.popitem(last=False)
-
-    def _commit(self, log: OrderedDict, idx: int, offset: int, ones: np.ndarray):
-        """Log a message's effect for replay and archive the new state."""
-        log[idx] = (offset, ones)
-        while len(log) > self.archive_depth:
-            log.popitem(last=False)
-        self._remember_state()
-
-    def _resolve(self, sent: int, recv: int):
-        """Support-set state after ``sent`` own and ``recv`` counterpart
-        messages, rebuilt from the archive plus replay logs if needed."""
-        if (sent, recv) == (self.sent_seq, self.recv_seq):
-            return self.ss, self.window_end
-        hit = self._archive.get((sent, recv))
-        if hit is not None:
-            return hit
-        ahead = recv > self.recv_seq or sent > self.sent_seq
-        for (s0, r0), (ss, we) in reversed(self._archive.items()):
-            if s0 > sent or r0 > recv:
-                continue
-            if _covers(self._sent_log, s0, sent) and _covers(self._recv_log, r0, recv):
-                effects = [self._sent_log[i] for i in range(s0, sent)]
-                effects += [self._recv_log[i] for i in range(r0, recv)]
-                effects.sort(key=lambda e: e[0])
-                for offset, ones in effects:
-                    ss, we = _step(ss, we, offset, self.n, bits=ones)[:2]
-                return ss, we
-        raise MissingReferenceError(
-            f"no support-set snapshot for (sent={sent}, recv={recv}); "
-            f"live state is (sent={self.sent_seq}, recv={self.recv_seq})",
-            ahead=ahead,
-        )
-
     def _reset_epoch(self):
-        self.ss = SupportSet()
-        self.window_end = None
         self.sent_seq = 0
         self.recv_seq = 0
-        self.last_sent_offset = 0
-        self._archive = OrderedDict()  # (sent, recv) -> (ss, window_end)
-        self._sent_log = OrderedDict()  # own message index -> (offset, ones)
-        self._recv_log = OrderedDict()  # counterpart message index -> (offset, ones)
-        self._remember_state()
+        self._own = deque(maxlen=2 * self.archive_depth + 1)  # (own map, cbmr stamp)
+        self._known = None  # the counterpart's last map as received
+
+    @property
+    def _last_own(self):
+        """This end's own last map in this epoch; None before its first."""
+        return self._own[-1][0] if self._own else None
+
+    @property
+    def support_set(self) -> SupportSet:
+        """Positions of one window, from the higher of the two maps'
+        offsets, filled in neither map; built on demand."""
+        own, known = self._last_own, self._known
+        lo = max(-1 if own is None else own.offset, -1 if known is None else known.offset)
+        if lo < 0:  # a fresh epoch: no map yet
+            return SupportSet()
+        return SupportSet._of(lo, _window(lo, self.n, own, known))
+
+    def _own_map(self, c: int):
+        """Own map ``c`` - 1, against which a message stamped cbmr = ``c``
+        was encoded (None for ``c`` = 0).  An older state resolves while own
+        message ``c`` lags the live state by at most ``archive_depth``
+        receives and 2 * ``archive_depth`` messages in all."""
+        S, R, d = self.sent_seq, self.recv_seq, self.archive_depth
+        first = S - len(self._own)  # index of the oldest kept own map
+        if c > S or (c < S and (
+            c < first  # own message c is no longer kept
+            or (lag := R - self._own[c - first][1]) > d
+            or S - c + lag > 2 * d
+        )):
+            raise MissingReferenceError(
+                f"no support-set state for (sent={c}, recv={R}); "
+                f"live state is (sent={S}, recv={R})",
+                ahead=c > S,
+            )
+        return self._own[c - 1 - first][0] if c else None
 
     def _apply(self, body, msg: CompressedBM) -> PartialBufferMap:
         """Run ``body(session, msg)`` on this session.  A resync message
@@ -539,41 +500,38 @@ class PpbmsSession(_ReportsLocations):
         self.__dict__.update(fresh.__dict__)
         return out
 
+    def _commit_sent(self, own: BufferMap, win: np.ndarray):
+        self._own.append((own, self.recv_seq))
+        self._keep_window(own.offset, win)
+        self.sent_seq += 1
+
     # -- protocol ----------------------------------------------------------
 
     def encode(self, bm: BufferMap) -> CompressedBM:
-        """Report own bits at every live shared-support-set location of the
+        """Report own bits at every shared-support-set location of the
         window of ``bm``."""
-        _check_bitmap(self, bm, self.last_sent_offset, "session")
-        self.ss, self.window_end, win, ones, payload = _step(
-            self.ss, self.window_end, bm.offset, self.n, bits=bm.bits
-        )
-        msg = CompressedBM._of("ppbms", bm.offset, self.sent_seq, self.recv_seq, payload)
-        self.last_sent_offset = bm.offset
+        own = self._last_own
+        _check_bitmap(bm, self.n, self.last_bm, None if own is None else own.offset, "session")
+        win = _window(bm.offset, self.n, own, self._known)
+        msg = CompressedBM._of("ppbms", bm.offset, self.sent_seq, self.recv_seq, bm.bits[win])
         self.last_bm = bm
-        self._last_window = (bm.offset, win)
-        self.sent_seq += 1
-        self._commit(self._sent_log, msg.lbmr_seq, bm.offset, ones)
+        self._commit_sent(bm, win)
         return msg
 
     def decode(self, msg: CompressedBM) -> PartialBufferMap:
         return self._apply(PpbmsSession._receive, msg)
 
     def _receive(self, msg: CompressedBM) -> PartialBufferMap:
-        ss, we = self._resolve(msg.cbmr_seq, msg.lbmr_seq)
         if msg.lbmr_seq != self.recv_seq:
+            # Either stamp running ahead of this end means a hold may help.
             raise MissingReferenceError(
                 f"expected counterpart message {self.recv_seq}, got {msg.lbmr_seq}",
-                ahead=msg.lbmr_seq > self.recv_seq,
+                ahead=msg.lbmr_seq > self.recv_seq or msg.cbmr_seq > self.sent_seq,
             )
-        ss, we, win, ones, _ = _step(ss, we, msg.offset, self.n, payload=msg.payload)
-        if msg.cbmr_seq != self.sent_seq:
-            # Encoded against an older state: clear its ones in the live set,
-            # which is further along and already holds its appends and purges.
-            ss, we = _step(self.ss, self.window_end, msg.offset, self.n, bits=ones)[:2]
-        self.ss, self.window_end = ss, we
-        self.recv_seq = msg.lbmr_seq + 1
-        self._commit(self._recv_log, msg.lbmr_seq, msg.offset, ones)
+        own = self._own_map(msg.cbmr_seq)
+        win = _window(msg.offset, self.n, own, self._known)
+        self._known = BufferMap._owning(msg.offset, _fill(win, msg.payload))
+        self.recv_seq += 1
         return PartialBufferMap(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
 
     def apply_sent(self, msg: CompressedBM) -> PartialBufferMap:
@@ -582,10 +540,10 @@ class PpbmsSession(_ReportsLocations):
         Rebuilding a session from a message log (crash recovery, or an
         observer reconstructing a wiretapped exchange) needs both halves
         of the state transition: ``decode`` covers the counterpart's
-        messages, this covers the peer's own.  It advances the shared
-        support set exactly as ``encode`` did when the message was first
-        produced, driven by the wire message instead of a bitmap.
-        Messages must be replayed in their original send order.
+        messages, this covers the peer's own.  Its own map is the payload
+        at the reported locations and ones elsewhere, which implies the
+        same support set as the bitmap ``encode`` saw.  Messages must be
+        replayed in their original send order.
         """
         return self._apply(PpbmsSession._replay_sent, msg)
 
@@ -600,20 +558,19 @@ class PpbmsSession(_ReportsLocations):
                 f"own message {msg.lbmr_seq} was stamped after {msg.cbmr_seq} received"
                 f" messages, but this replica has processed {self.recv_seq}"
             )
-        _check_offset(self.last_sent_offset, msg.offset)
-        self.ss, self.window_end, win, ones, _ = _step(
-            self.ss, self.window_end, msg.offset, self.n, payload=msg.payload
-        )
-        self.last_sent_offset = msg.offset
+        own = self._last_own
+        _check_offset(None if own is None else own.offset, msg.offset)
+        win = _window(msg.offset, self.n, own, self._known)
+        bits = _fill(win, msg.payload)
         self.last_bm = None  # the replica never sees the full bitmap
-        self._last_window = (msg.offset, win)
-        self.sent_seq += 1
-        self._commit(self._sent_log, msg.lbmr_seq, msg.offset, ones)
+        self._commit_sent(BufferMap._owning(msg.offset, bits), win)
         return PartialBufferMap(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
 
     def make_resync(self, bm: BufferMap) -> CompressedBM:
         """Restart the pairing from scratch: ship the whole bitmap; both
-        ends rebuild the shared support set from it alone."""
+        ends rebuild the shared support set from it alone.  A bitmap a
+        fresh epoch rejects leaves the session as it was."""
+        _check_bitmap(bm, self.n, None, None, "session")
         self._reset_epoch()
         self.last_bm = None
         return replace(self.encode(bm), resync=True)

@@ -548,7 +548,7 @@ class _Engine:
             else:
                 # Window positions below the previous window's end were reported before.
                 k = 0 if link.prev_end is None else max(link.prev_end - snap.offset, 0)
-                pos = link.enc.last_locations - snap.offset
+                pos = link.enc.last_window.nonzero()[0]
                 ideal = _ideal_bits(self.ideal, k, pos, msg.payload)
             link.prev_end = snap.end
             if measured:

@@ -47,6 +47,9 @@ def test_retired_api_stays_gone():
         for attr in ("ss", "window_end", "last_offset"):
             assert not hasattr(codec, attr)
     assert not hasattr(schemes.PpbmsSession(8), "last_recv_offset")
+    # A ppbms end keeps two maps and derives its shared set from them.
+    for attr in ("ss", "window_end", "last_sent_offset"):
+        assert not hasattr(schemes.PpbmsSession(8), attr)
     assert not hasattr(coders.HuffmanModel, "__contains__")
     params = {
         schemes.sbms_encode: ["bm"],

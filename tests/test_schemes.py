@@ -2,7 +2,6 @@
 
 import copy
 import random
-from collections import OrderedDict
 from dataclasses import fields, replace
 
 import numpy as np
@@ -20,9 +19,7 @@ from bmkit.schemes import (
     SpbmsDecoder,
     SpbmsEncoder,
     SupportSet,
-    _advance,
-    _covers,
-    _step,
+    _window,
     pack_message,
     sbms_decode,
     sbms_encode,
@@ -47,6 +44,8 @@ def test_support_set_basics():
     assert 5 in ss and 8 not in ss and 2 not in ss
     assert ss == SupportSet([3, 4, 5, 6, 7])
     assert ss != SupportSet([3, 4])
+    assert ss.locs.dtype == np.int64
+    assert repr(ss) == "SupportSet([3, 4, 5, 6, 7])"
 
 
 def test_support_set_must_be_strictly_ascending():
@@ -56,31 +55,46 @@ def test_support_set_must_be_strictly_ascending():
         SupportSet([5, 3])
 
 
-def test_advance_appends_only_newly_covered_positions():
-    ss = SupportSet([2, 5])
-    grown, end = _advance(ss, 6, 0, 9)
-    assert list(grown) == [2, 5, 6, 7, 8] and end == 9
-    assert list(ss) == [2, 5]  # the published set is untouched
-    # Positions below the previous window end were covered before: a
-    # window reaching back over them appends nothing there.
-    same, end = _advance(ss, 6, 0, 4)
-    assert list(same) == [2, 5] and end == 6
+def test_window_matches_a_position_oracle():
+    """``_window`` position by position: a map behind, ahead of and past the
+    window, no map, and two maps."""
+    assert _window(0, 4).tolist() == [True] * 4
+    assert _window(0, 4, None).tolist() == [True] * 4
+    assert _window(3, 4, _bm(2, "1100")).tolist() == [False, True, True, True]  # behind
+    assert _window(0, 4, _bm(2, "1000")).tolist() == [False, False, False, True]  # ahead
+    assert _window(9, 4, _bm(2, "1111")).tolist() == [True] * 4  # past the map
+    assert _window(0, 2, _bm(5, "0000")).tolist() == [False] * 2  # below the map
+    two = _window(2, 4, _bm(2, "1000"), None, _bm(3, "0100"))
+    assert two.tolist() == [False, True, False, True]
+
+    def oracle(offset, n, maps):
+        return [
+            not any(p < m.offset or (p < m.end and m.bits[p - m.offset]) for m in maps)
+            for p in range(offset, offset + n)
+        ]
+
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        maps = [BufferMap(int(rng.integers(0, 30)), rng.random(n) < 0.4)
+                for _ in range(int(rng.integers(0, 3)))]
+        offset = int(rng.integers(0, 40))
+        got = _window(offset, n, *maps)
+        assert got.dtype == bool and got.tolist() == oracle(offset, n, maps)
 
 
 def test_support_set_purge_and_remove():
-    """``_advance`` purges members below the new offset; ``_step`` then
-    removes the window's locations reported 1."""
-    ss = SupportSet([1, 4, 6, 9])
-    assert list(_advance(ss, 10, 5, 10)[0]) == [6, 9]
-    assert list(_advance(ss, 10, 0, 10)[0]) == [1, 4, 6, 9]
-    bits = np.zeros(10, dtype=bool)
-    bits[[4, 9]] = True
-    after, _, win, ones, payload = _step(ss, 10, 0, 10, bits=bits)
-    assert list(after) == [1, 6]
-    assert np.flatnonzero(win).tolist() == [1, 4, 6, 9]
-    assert np.flatnonzero(ones).tolist() == [4, 9]
-    assert payload.tolist() == [False, True, False, True]
-    assert list(_step(ss, 10, 0, 10, bits=np.zeros(10, dtype=bool))[0]) == [1, 4, 6, 9]
+    """Members below a message's offset leave the shared set with it, and so
+    do the locations the message reports filled."""
+    a, b = PpbmsSession(10), PpbmsSession(10)
+    b.decode(a.encode(_bm(0, "1011101101")))
+    assert list(b.support_set) == [1, 5, 8]
+    msg = b.encode(_bm(4, "0100000001"))  # holds chunks 5 and 13
+    assert b.last_locations.tolist() == [5, 8, 10, 11, 12, 13]
+    assert msg.payload.tolist() == [True, False, False, False, False, True]
+    a.decode(msg)
+    for ses in (a, b):  # 1 lies below offset 4; 5 and 13 were reported filled
+        assert list(ses.support_set) == [8, 10, 11, 12]
 
 
 # ----------------------------------------------------------------------
@@ -303,12 +317,12 @@ def test_spbms_codecs_match_a_step_oracle():
     """Seeded monotone streams with offset steps of 0, 1, 2, n/2 + 1, n and
     n + 3, and random resyncs: each message's payload, reported locations,
     reconstruction and both ends' support sets equal those of a reference
-    support set that ``_step`` updates."""
+    support set updated message by message with Python set arithmetic."""
     rng = np.random.default_rng(20261018)
     for n in (1, 2, 5, 8, 33, 64):
         steps = (0, 1, 2, n // 2 + 1, n, n + 3)
         enc, dec = SpbmsEncoder(n), SpbmsDecoder(n)
-        ref, window_end, offset, filled = SupportSet(), None, 0, set()
+        ref, covered, offset, filled = set(), None, 0, set()
         for i in range(200):
             offset += int(rng.choice(steps)) if i else 0
             bits = [c in filled or rng.random() < 0.3 for c in range(offset, offset + n)]
@@ -316,15 +330,19 @@ def test_spbms_codecs_match_a_step_oracle():
             bm = BufferMap(offset, bits)
             if i and rng.random() < 0.05:
                 msg = enc.make_resync(bm)
-                ref, window_end = SupportSet(), None
+                ref, covered = set(), None
             else:
                 msg = enc.encode(bm)
-            ref, window_end, win, _, payload = _step(ref, window_end, offset, n, bits=bm.bits)
-            assert msg.payload.tolist() == payload.tolist()
-            assert enc.last_locations.tolist() == (np.flatnonzero(win) + offset).tolist()
+            start = offset if covered is None else max(covered, offset)
+            ref = {c for c in ref if c >= offset} | set(range(start, offset + n))
+            covered = offset + n if covered is None else max(covered, offset + n)
+            reported = sorted(c for c in ref if c < offset + n)
+            ref -= {c for c in reported if bm.bit_for(c)}
+            assert msg.payload.tolist() == [bm.bit_for(c) for c in reported]
+            assert enc.last_locations.tolist() == reported
             assert dec.decode(unpack_message(pack_message(msg))[0]) == bm
-            assert enc.support_set == ref and dec.support_set == ref
-            assert list(enc.support_set) == list(ref)
+            assert enc.support_set == SupportSet(sorted(ref)) == dec.support_set
+            assert list(enc.support_set) == sorted(ref)
 
 
 # ----------------------------------------------------------------------
@@ -594,9 +612,19 @@ def test_ppbms_desync_is_atomic():
 # ----------------------------------------------------------------------
 
 def test_archive_resolves_live_state_for_in_order_traffic():
-    a, b = _paired_sessions()
-    ss, _ = a._resolve(b.recv_seq, b.sent_seq)
-    assert ss is a.support_set
+    """A message stamped with the receiver's live state decodes however long
+    the exchange and however shallow the archive."""
+    n = 16
+    curve = two_segment_curve(n, 4, 0.75)
+    pa = PeerBufferState("a", curve, rng=np.random.default_rng(8))
+    pb = PeerBufferState("b", curve, rng=np.random.default_rng(9))
+    a, b = PpbmsSession(n, archive_depth=1), PpbmsSession(n, archive_depth=1)
+    for i in range(50):
+        for tx, rx, peer in ((a, b, pa), (b, a, pb)):
+            msg = tx.encode(peer.snapshot(3 * i))
+            assert (msg.lbmr_seq, msg.cbmr_seq) == (rx.recv_seq, rx.sent_seq)
+            assert rx.decode(msg).locations.tolist() == tx.last_locations.tolist()
+            assert rx.support_set == tx.support_set
 
 
 def test_archive_resolves_stale_cross_references():
@@ -624,11 +652,12 @@ def test_delayed_message_beyond_archive_depth_is_unrecoverable():
     n = 8
     a, b = PpbmsSession(n, archive_depth=4), PpbmsSession(n, archive_depth=4)
     first = a.encode(_bm(0, "10000000"))
-    for _ in range(12):  # push the bootstrap state out of B's archive
-        b.encode(_bm(0, "01000000"))
-    with pytest.raises(MissingReferenceError) as info:
-        b.decode(first)
-    assert not info.value.ahead  # a hold-and-retry cannot help; resync needed
+    for sends in (12, 30):  # push the bootstrap state out of B's archive, then far past it
+        while b.sent_seq < sends:
+            b.encode(_bm(0, "01000000"))
+        with pytest.raises(MissingReferenceError) as info:
+            b.decode(first)
+        assert not info.value.ahead  # a hold-and-retry cannot help; resync needed
 
 
 def test_message_from_the_future_is_flagged_ahead():
@@ -770,19 +799,6 @@ def test_ppbms_state_is_two_maps_and_late_messages_resolve_by_rule():
     assert min(seen.values()) >= 20, seen
 
 
-def test_log_coverage_matches_the_membership_scan():
-    """A replay log holds consecutive indices, so its first and last keys
-    tell whether it holds all of [a, b), as scanning every index does."""
-    rng = np.random.default_rng(12)
-    for _ in range(3000):
-        first, size = int(rng.integers(0, 20)), int(rng.integers(0, 6))
-        log = OrderedDict((i, None) for i in range(first, first + size))
-        a, b = (int(x) for x in rng.integers(-2, 28, size=2))
-        assert _covers(log, a, b) == all(i in log for i in range(a, b)), (list(log), a, b)
-    assert _covers(OrderedDict(), 3, 3) and _covers(OrderedDict(), 5, 2)
-    assert not _covers(OrderedDict(), 0, 1)
-
-
 def _ppbms_ten_exchanges():
     """A and B after ten in-order exchanges at n=64 (A speaks first in each),
     and a replica rebuilt from A's wire log."""
@@ -802,19 +818,20 @@ def _ppbms_ten_exchanges():
 
 
 def _session_state(ses):
-    archive = [(key, list(ss), we) for key, (ss, we) in ses._archive.items()]
-    logs = [[(i, off, ones.tobytes()) for i, (off, ones) in log.items()]
-            for log in (ses._sent_log, ses._recv_log)]
-    return (ses.sent_seq, ses.recv_seq, list(ses.support_set), ses.window_end,
-            ses.last_sent_offset, ses.last_bm, ses.last_locations.tolist(), archive, logs)
+    own = [(bm.offset, bm.bits.tobytes(), stamp) for bm, stamp in ses._own]
+    known = ses._known and (ses._known.offset, ses._known.bits.tobytes())
+    return (ses.sent_seq, ses.recv_seq, list(ses.support_set), ses.last_bm,
+            ses.last_locations.tolist(), own, known)
 
 
 def test_a_rejected_ppbms_resync_leaves_the_session_unchanged():
     """A resync runs against a fresh epoch and commits nothing before every
-    check passes: a rejected one leaves state, archive and logs as they
-    were, and the next valid message still decodes (and replays)."""
+    check passes: a rejected one leaves the session and its own-map archive
+    as they were, and the next valid message, stamped with an older state,
+    still decodes (and replays)."""
     a, b, replica, snap = _ppbms_ten_exchanges()
-    assert (b.sent_seq, b.recv_seq) == (10, 10)
+    extra = b.encode(b.last_bm)  # in flight to A: A's next message lags B by one
+    assert (b.sent_seq, b.recv_seq) == (11, 10)
     resync = copy.deepcopy(a).make_resync(snap)
     normal = copy.deepcopy(a).encode(snap)
     rejected = [
@@ -829,8 +846,11 @@ def test_a_rejected_ppbms_resync_leaves_the_session_unchanged():
                 apply(bad)
             assert _session_state(ses) == before
     msg = a.encode(snap)
+    assert msg.cbmr_seq == b.sent_seq - 1
     assert b.decode(msg).locations.tolist() == a.last_locations.tolist()
     assert replica.apply_sent(msg).locations.tolist() == a.last_locations.tolist()
+    a.decode(extra)
+    replica.decode(extra)
     assert a.support_set == b.support_set == replica.support_set
     # A valid resync still restarts the pairing at both ends.
     boot = a.make_resync(snap)
@@ -838,19 +858,49 @@ def test_a_rejected_ppbms_resync_leaves_the_session_unchanged():
     assert (b.sent_seq, b.recv_seq) == (0, 1) and a.support_set == b.support_set
 
 
+def test_a_rejected_resync_bitmap_leaves_the_sender_unchanged():
+    """``make_resync`` checks the bitmap before it resets the sending end, so
+    a bitmap of the wrong width raises and the next valid message decodes."""
+    a, b = PpbmsSession(8), PpbmsSession(8)
+    enc, dec = SpbmsEncoder(8), SpbmsDecoder(8)
+    for offset, bits in ((0, "10100000"), (1, "01000000"), (2, "10000000")):
+        b.decode(a.encode(_bm(offset, bits)))
+        dec.decode(enc.encode(_bm(offset, bits)))
+
+    def state():
+        return (a.sent_seq, a.recv_seq, list(a.support_set), a.last_locations.tolist(),
+                enc.seq, enc.last_bm, enc.last_locations.tolist())
+
+    before = state()
+    assert before[:2] == (3, 0) and before[4] == 3
+    for end in (a, enc):
+        with pytest.raises(ProtocolError, match="bitmap width 3 != "):
+            end.make_resync(BufferMap(3, [1, 0, 1]))
+        assert state() == before
+    nxt = _bm(3, "00000001")
+    assert b.decode(a.encode(nxt)).locations.tolist() == a.last_locations.tolist()
+    assert a.support_set == b.support_set
+    assert dec.decode(enc.encode(nxt)) == nxt
+
+
 def test_last_locations_are_derived_from_the_last_window():
     """Senders keep the last window mask; ``last_locations`` is read-only,
     None before the first message, then that message's int64 locations."""
     enc, a, b = SpbmsEncoder(8), PpbmsSession(8), PpbmsSession(8)
     for end in (enc, a):
-        assert end.last_locations is None
+        assert end.last_locations is None and end.last_window is None
         with pytest.raises(AttributeError):
             end.last_locations = np.arange(3)
+        with pytest.raises(AttributeError):
+            end.last_window = np.ones(8, dtype=bool)
     enc.encode(_bm(4, "10100000"))
     assert enc.last_locations.dtype == np.int64
     assert enc.last_locations.tolist() == list(range(4, 12))  # the whole first window
     enc.encode(_bm(6, "10011001"))
     assert enc.last_locations.tolist() == [7, 8, 9, 10, 11, 12, 13]  # 6 was reported filled
+    assert enc.last_window.tolist() == [False] + [True] * 7
+    with pytest.raises(ValueError):
+        enc.last_window[0] = True  # the mask is read-only
     sent = a.encode(_bm(0, "10100000"))
     part = b.decode(sent)
     assert a.last_locations.dtype == np.int64
@@ -935,7 +985,7 @@ def test_ppbms_far_older_offset_does_not_widen_the_mask():
         assert ses.support_set.mask.size <= 8
 
 # ----------------------------------------------------------------------
-# SupportSet against a set oracle
+# SupportSet equality
 # ----------------------------------------------------------------------
 
 def test_support_set_equality_ignores_the_anchor_and_span():
@@ -945,48 +995,9 @@ def test_support_set_equality_ignores_the_anchor_and_span():
     assert masked != SupportSet([3, 5, 9])
     empty = SupportSet()
     assert empty == SupportSet._of(4, np.zeros(3, dtype=bool))
-    assert empty == _advance(SupportSet([2, 3]), 4, 50, 50)[0]  # purge past the end
+    assert empty == SupportSet._of(50, np.zeros(0, dtype=bool))
     assert len(empty) == 0 and list(empty) == [] and 0 not in empty
-    assert list(_advance(empty, None, 4, 6)[0]) == [4, 5]
     assert SupportSet([3, 5]) != [3, 5]
-
-
-def test_support_set_matches_a_set_oracle():
-    """Seeded random ``_advance`` runs and ``_step`` clears, each step
-    compared with a plain Python set."""
-    rng = random.Random(20240611)
-    for _ in range(150):
-        ss, oracle, window_end = SupportSet(), set(), None
-        for _ in range(25):
-            top = max(oracle) if oracle else rng.randrange(-5, 30)
-            offset = rng.randrange(max(top - 15, 0), top + 10)
-            n = rng.randrange(1, 16)
-            old_end = ss.lo + ss.mask.size
-            start = offset if window_end is None else max(window_end, offset)
-            oracle = {x for x in oracle | set(range(start, offset + n)) if x >= offset}
-            if rng.randrange(2):
-                ss, new_end = _advance(ss, window_end, offset, offset + n)
-                assert offset <= ss.lo and ss.lo + ss.mask.size == max(new_end, old_end)
-            else:
-                bits = np.array([rng.random() < 0.4 for _ in range(n)])
-                ss, new_end, win, ones, payload = _step(ss, window_end, offset, n, bits=bits)
-                reported = sorted(x for x in oracle if x < offset + n)
-                assert (np.flatnonzero(win) + offset).tolist() == reported
-                assert (np.flatnonzero(ones) + offset).tolist() == [
-                    x for x in reported if bits[x - offset]
-                ]
-                assert payload.tolist() == [bool(bits[x - offset]) for x in reported]
-                oracle -= {offset + int(i) for i in np.flatnonzero(bits)}
-            end = offset + n
-            assert new_end == (end if window_end is None else max(window_end, end))
-            window_end = new_end
-            assert list(ss) == sorted(oracle)
-            assert len(ss) == len(oracle)
-            assert ss.locs.dtype == np.int64
-            assert ss == SupportSet(sorted(oracle))
-            probe = rng.randrange(top - 20, top + 20)
-            assert (probe in ss) == (probe in oracle)
-            assert repr(ss) == f"SupportSet({sorted(oracle)!r})"
 
 
 def test_unpack_envelope_reads_the_header_only():

@@ -11,7 +11,7 @@ from bmkit.errors import InvariantError
 from bmkit.fillmodel import SCurve, two_segment_curve
 from bmkit import sim
 from bmkit.bitmap import BufferMap
-from bmkit.schemes import PartialBufferMap, PpbmsSession, SpbmsDecoder, SpbmsEncoder, SupportSet
+from bmkit.schemes import PartialBufferMap, PpbmsSession, SpbmsDecoder, SpbmsEncoder
 from bmkit.sim import (
     ReorderScript,
     SimConfig,
@@ -447,14 +447,14 @@ class _WrongReportSession(PpbmsSession):
 
 
 class _PerturbedSetSession(PpbmsSession):
-    """Reports correctly but adds a member to its shared set after its
-    fifth decoded message."""
+    """Reports correctly but forgets the fills of its known map, which its
+    shared set then gains as members, after its fifth decoded message."""
 
     def decode(self, msg):
         out = super().decode(msg)
         self.calls = getattr(self, "calls", 0) + 1
         if self.calls == 5:
-            self.ss = SupportSet._of(self.ss.lo, np.append(self.ss.mask, True))
+            self._known = BufferMap(self._known.offset, np.zeros(self.n, dtype=bool))
         return out
 
 
