@@ -7,8 +7,6 @@ with trace tooling.
 
 from .bitmap import BufferMap, PeerBufferState, diff_new_fills
 from .coders import (
-    ArithDecoder,
-    ArithEncoder,
     HuffmanModel,
     RleStream,
     arith_decode,

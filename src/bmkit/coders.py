@@ -13,14 +13,24 @@ Three coders share one registry interface (`encode_bits` / `decode_bits`):
 All three are bijective on nonempty bit sequences.  Blob layouts are private
 to this module; the only cross-module contract is bytes in, bits out, with
 the expected bit count supplied out-of-band (the wire header carries it).
+
+The arithmetic coder is one integer loop per direction, shared by the
+adaptive and the model path, and it renormalises a whole run per step
+rather than a bit per step.  The ``32 - (low ^ high).bit_length()`` top bits
+that ``low`` and ``high`` share are settled and leave at once: the first of
+them, then its complement once for every pending underflow bit, then the
+rest.  The underflow run below them, the leading ones of ``low & ~high``
+under bit 31, joins the pending count at once.  Output collects in an
+integer flushed to a bytearray every 32 bits and input is read 8 bytes at a
+time, so both loops stay linear in the payload length.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -35,8 +45,6 @@ __all__ = [
     "huffman_build",
     "huffman_encode",
     "huffman_decode",
-    "ArithEncoder",
-    "ArithDecoder",
     "arith_encode",
     "arith_decode",
     "encode_bits",
@@ -80,6 +88,13 @@ def read_varint(data, pos: int):
         shift += 7
         if shift > 63:
             raise CodingError("varint too long")
+
+
+def _chunk(data, pos: int) -> int:
+    """The 64 bits of ``data`` from byte ``pos`` on, as one integer; a bit
+    reader takes its input 8 bytes at a time, past the end as zeros."""
+    chunk = data[pos : pos + 8]
+    return int.from_bytes(chunk, "big") << 8 * (8 - len(chunk))
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -156,9 +171,14 @@ def rle_decode(stream: RleStream, n_bits: int) -> np.ndarray:
     expected ``n_bits`` raises CodingError before anything is allocated."""
     if stream.n_bits > n_bits:
         raise CodingError(f"runs cover more than the {n_bits} bits expected")
-    values = np.zeros(len(stream.runs), dtype=bool)
-    values[1 - stream.first_bit :: 2] = True
-    return np.repeat(values, stream.runs)
+    return _expand(stream.first_bit, stream.runs)
+
+
+def _expand(first_bit: int, runs) -> np.ndarray:
+    """The bits of alternating positive runs, the first of value ``first_bit``."""
+    values = np.zeros(len(runs), dtype=bool)
+    values[1 - first_bit :: 2] = True
+    return np.repeat(values, runs)
 
 
 # ======================================================================
@@ -180,22 +200,34 @@ class HuffmanModel:
     def __init__(self, lengths: dict):
         if not lengths:
             raise ValueError("empty code")
-        self.lengths = {int(s): int(l) for s, l in lengths.items()}
-        if min(self.lengths.values()) <= 0:
+        lengths = {int(s): int(l) for s, l in lengths.items()}
+        if min(lengths.values()) <= 0:
             raise ValueError("code lengths must be positive")
-        if len(self.lengths) > 1:
+        if len(lengths) > 1:
             # Exact integer Kraft sum: sum of 2^-l is 1 exactly when the sum
             # of 2^(top - l) is 2^top.
-            top = max(self.lengths.values())
-            kraft = sum([1 << (top - l) for l in self.lengths.values()])
+            top = max(lengths.values())
+            kraft = sum([1 << (top - l) for l in lengths.values()])
             if kraft != 1 << top:
                 raise ValueError(
                     f"code lengths violate the Kraft equality (sum={kraft}/2^{top})"
                 )
+        self._assign(lengths)
+
+    @classmethod
+    def _of(cls, lengths: dict) -> "HuffmanModel":
+        """A model over lengths known to be valid (int symbols, positive
+        lengths, Kraft sum exactly 1), without checking them again."""
+        model = cls.__new__(cls)
+        model._assign(lengths)
+        return model
+
+    def _assign(self, lengths: dict):
+        self.lengths = lengths
         self.codes = {}
         code = 0
         prev_len = 0
-        for sym, length in sorted(self.lengths.items(), key=_LENGTH_THEN_SYMBOL):
+        for sym, length in sorted(lengths.items(), key=_LENGTH_THEN_SYMBOL):
             code <<= length - prev_len
             self.codes[sym] = (code, length)
             code += 1
@@ -215,7 +247,7 @@ def huffman_build(hist: dict) -> HuffmanModel:
     if not items:
         raise ValueError("histogram must contain a symbol with positive count")
     if len(items) == 1:
-        return HuffmanModel({next(iter(items)): 1})
+        return HuffmanModel._of({next(iter(items)): 1})
     heap = [(count, sym, sym) for sym, count in items.items()]
     heapq.heapify(heap)
     merges = []
@@ -230,7 +262,8 @@ def huffman_build(hist: dict) -> HuffmanModel:
     depth = {node - 1: 0}
     for parent, n1, n2 in reversed(merges):
         depth[n1] = depth[n2] = depth[parent] + 1
-    return HuffmanModel({sym: depth[sym] for sym in items})
+    # Huffman's merges meet the Kraft equality by construction.
+    return HuffmanModel._of({sym: depth[sym] for sym in items})
 
 
 def _serialize_table(model: HuffmanModel, out: bytearray):
@@ -251,7 +284,7 @@ def _parse_table(data: bytes, pos: int):
             raise CodingError("truncated code table")
         lengths[sym] = data[pos]
         pos += 1
-    try:
+    try:  # a blob is untrusted: its table gets the full check
         return HuffmanModel(lengths), pos
     except ValueError as exc:
         raise CodingError(f"bad code table: {exc}") from exc
@@ -266,21 +299,35 @@ def huffman_encode(bits) -> bytes:
     """
     first, runs = _run_split(_as_bits(bits))
     syms = [r if r <= _MAX_RUN_SYMBOL else ESC for r in runs]
-    model = huffman_build(Counter(syms))
-    head = bytearray([first])
-    write_varint(len(syms), head)
-    _serialize_table(model, head)
-    words = {sym: f"{code:0{length}b}" for sym, (code, length) in model.codes.items()}
-    stream = []
-    for sym, run in zip(syms, runs):
-        stream.append(words[sym])
-        if sym == ESC:
-            extra = bytearray()
-            write_varint(run, extra)
-            stream.extend(f"{b:08b}" for b in extra)
-    code_bits = "".join(stream)
-    code_bits += "0" * (-len(code_bits) % 8)
-    return bytes(head) + int(code_bits, 2).to_bytes(len(code_bits) // 8, "big")
+    hist = {}
+    for sym in syms:
+        hist[sym] = hist.get(sym, 0) + 1
+    model = huffman_build(hist)
+    out = bytearray([first])
+    write_varint(len(syms), out)
+    _serialize_table(model, out)
+    codes = model.codes
+    words = [codes[sym] for sym in syms]  # (code, length) of each run
+    if ESC in codes:  # an escaped run's varint follows its code word
+        for i, run in enumerate(runs):
+            if run > _MAX_RUN_SYMBOL:
+                extra = bytearray()
+                write_varint(run, extra)
+                code, length = words[i]
+                words[i] = ((code << 8 * len(extra)) | int.from_bytes(extra, "big"),
+                            length + 8 * len(extra))
+    acc = nacc = 0  # code bits not yet flushed to ``out``
+    for code, length in words:
+        acc = (acc << length) | code
+        nacc += length
+        if nacc >= 256:
+            rest = nacc & 7
+            out += (acc >> rest).to_bytes((nacc - rest) >> 3, "big")
+            acc &= (1 << rest) - 1
+            nacc = rest
+    pad = -nacc & 7
+    out += (acc << pad).to_bytes((nacc + pad) >> 3, "big")
+    return bytes(out)
 
 
 def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
@@ -305,14 +352,18 @@ def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
         syms.append(sym)
         lens.append(length)
         ends.append((code + 1) << (width - length))
-    stream = bin(int.from_bytes(b"\x01" + blob[pos:], "big"))[3:]
-    avail = len(stream)
-    stream += "0" * width  # peeks past the end read zeros
-    at = 0
+    avail = 8 * (len(blob) - pos)
+    need = width + 80  # a code word and the longest escape varint
+    at = 0  # stream bits consumed
+    win = nwin = 0  # the next ``nwin`` stream bits, read past the end as zeros
     runs = []
     total = 0
     for _ in range(count):
-        i = bisect_right(ends, int(stream[at : at + width], 2))
+        while nwin < need:
+            win = (win << 64) | _chunk(blob, pos)
+            pos += 8
+            nwin += 64
+        i = bisect_right(ends, win >> (nwin - width))
         if i == len(ends):
             # Telling a bad word from a short stream takes width + 1 bits.
             if avail - at <= width:
@@ -321,155 +372,169 @@ def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
         at += lens[i]
         if at > avail:
             raise CodingError("bit stream exhausted")
+        nwin -= lens[i]
         run = syms[i]
         if run == ESC:
             run = shift = 0
             while True:
                 if at + 8 > avail:
                     raise CodingError("bit stream exhausted")
-                b = int(stream[at : at + 8], 2)
                 at += 8
+                nwin -= 8
+                b = (win >> nwin) & 0xFF
                 run |= (b & 0x7F) << shift
                 if not b & 0x80:
                     break
                 shift += 7
                 if shift > 63:
                     raise CodingError("varint too long")
+        win &= (1 << nwin) - 1
         if run <= 0:
             raise CodingError("zero-length run")
         total += run
         if total > n_bits:
             raise CodingError(f"runs cover more than the {n_bits} bits expected")
         runs.append(run)
-    return rle_decode(RleStream(first, tuple(runs)), n_bits)
+    return _expand(first, runs)
 
 
 # ======================================================================
 # Binary arithmetic coding
 # ======================================================================
 
-_STATE_BITS = 32
-_MASK = (1 << _STATE_BITS) - 1
-_HALF = 1 << (_STATE_BITS - 1)
-_QUARTER = 1 << (_STATE_BITS - 2)
+_MASK = (1 << 32) - 1  # 32-bit registers
+_HALF = 1 << 31
+_QUARTER = 1 << 30
 _PROB_BITS = 16
 _PROB_ONE = 1 << _PROB_BITS
 _ADAPT_LIMIT = 1 << 16
 
 
-class ArithEncoder:
-    """Binary arithmetic encoder, 32-bit registers with underflow counting."""
-
-    def __init__(self):
-        self.low = 0
-        self.high = _MASK
-        self._underflow = 0
-        self._buf = bytearray()
-        self._acc = 0
-        self._nacc = 0
-        self._finished = False
-
-    def _emit(self, bit: int):
-        self._acc = (self._acc << 1) | bit
-        self._nacc += 1
-        if self._nacc == 8:
-            self._buf.append(self._acc)
-            self._acc = 0
-            self._nacc = 0
-
-    def encode_bit(self, bit: int, t0: int, total: int = _PROB_ONE):
-        """Narrow the interval; ``t0`` of ``total`` is the weight of zero."""
-        low, high = self.low, self.high
-        rng = high - low + 1
-        split = low + rng * t0 // total - 1
+def _ac_encode(bits: list, t0s) -> bytes:
+    """Arithmetic-code ``bits`` (a list of 0/1) on the interval [low,
+    low + rng), whose high end is low + rng - 1 (see the module docstring).
+    ``t0s`` lists each bit's weight of zero out of _PROB_ONE; None codes
+    with the adaptive counts.  Only an interval within half the register
+    can renormalise."""
+    half, mask, limit = _HALF, _MASK, _ADAPT_LIMIT
+    quarter, three_quarters = _QUARTER, _HALF + _QUARTER
+    low, rng, pending = 0, mask + 1, 0
+    c0 = c1 = 1
+    total = _PROB_ONE
+    out = bytearray()
+    acc = nacc = 0  # output bits not yet flushed to ``out``
+    for bit, t0 in zip(bits, repeat(None) if t0s is None else t0s):
+        if t0 is None:  # adaptive: weigh by the counts so far
+            total = c0 + c1
+            if total >= limit:
+                c0 = (c0 + 1) >> 1
+                c1 = (c1 + 1) >> 1
+                total = c0 + c1
+            t0 = c0
+        zero = rng * t0 // total  # width of the zero subinterval
         if bit:
-            low = split + 1
+            low += zero
+            rng -= zero
+            c1 += 1
         else:
-            high = split
-        while True:
-            if (low ^ high) & _HALF == 0:
-                b = low >> (_STATE_BITS - 1)
-                self._emit(b)
-                flip = b ^ 1
-                while self._underflow:
-                    self._emit(flip)
-                    self._underflow -= 1
-            elif low & ~high & _QUARTER:
-                self._underflow += 1
-                low ^= _QUARTER
-                high ^= _QUARTER
-            else:
-                break
-            low = (low << 1) & _MASK
-            high = ((high << 1) & _MASK) | 1
-        self.low, self.high = low, high
+            rng = zero
+            c0 += 1
+        if rng > half:
+            continue
+        k = 32 - (low ^ (low + rng - 1)).bit_length()  # settled top bits
+        if k:
+            word, width = low >> (32 - k), k
+            if pending:  # the first settled bit b, pending times not-b, the rest
+                word += ((1 << pending) - 1) << (k - 1)
+                width += pending
+                pending = 0
+            acc = (acc << width) | word
+            nacc += width
+            if nacc >= 32:
+                rest = nacc & 7
+                out += (acc >> rest).to_bytes((nacc - rest) >> 3, "big")
+                acc &= (1 << rest) - 1
+                nacc = rest
+            low = (low << k) & mask
+            rng <<= k
+        if low >= quarter and low + rng <= three_quarters:  # low 01..., high 10...
+            m = 31 - ((low & ~(low + rng - 1)) ^ (half - 1)).bit_length()
+            pending += m
+            low = (low << m) & (half - 1)
+            rng <<= m
+    # Flush: a 1, its pending complements, then zeros to the byte boundary.
+    nacc += pending + 1
+    acc = (acc << (pending + 1)) | (1 << pending)
+    pad = -nacc & 7
+    out += (acc << pad).to_bytes((nacc + pad) >> 3, "big")
+    return bytes(out)
 
-    def finish(self) -> bytes:
-        if self._finished:
-            raise CodingError("encoder already finished")
-        self._finished = True
-        self._emit(1)
-        while self._underflow:
-            self._emit(0)
-            self._underflow -= 1
-        if self._nacc:
-            self._buf.append((self._acc << (8 - self._nacc)) & 0xFF)
-        return bytes(self._buf)
 
+def _ac_decode(data, n_bits: int, t0s) -> np.ndarray:
+    """Mirror of _ac_encode; reads past the end of ``data`` as zeros.
 
-class ArithDecoder:
-    """Mirror of ArithEncoder; reads past the blob end as zeros."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._bitpos = 0
-        self.low = 0
-        self.high = _MASK
-        self.code = 0
-        for _ in range(_STATE_BITS):
-            self.code = (self.code << 1) | self._read_bit()
-
-    def _read_bit(self) -> int:
-        byte = self._bitpos >> 3
-        if byte >= len(self._data):
-            return 0
-        bit = (self._data[byte] >> (7 - (self._bitpos & 7))) & 1
-        self._bitpos += 1
-        return bit
-
-    def decode_bit(self, t0: int, total: int = _PROB_ONE) -> int:
-        low, high, code = self.low, self.high, self.code
-        rng = high - low + 1
-        split = low + rng * t0 // total - 1
-        bit = 1 if code > split else 0
-        if bit:
-            low = split + 1
+    It tracks ``val``, the code value's offset from ``low``, which always
+    lies in [0, rng); a renormalisation shifts the next input bits into it.
+    """
+    out = bytearray(n_bits)
+    half, mask, limit = _HALF, _MASK, _ADAPT_LIMIT
+    quarter, three_quarters = _QUARTER, _HALF + _QUARTER
+    low, rng = 0, mask + 1
+    c0 = c1 = 1
+    total = _PROB_ONE
+    win, at, nwin = _chunk(data, 0), 8, 64 - 32
+    val = win >> nwin  # the first 32 bits; the rest wait in ``win``
+    win &= (1 << nwin) - 1
+    for i, t0 in enumerate(repeat(None, n_bits) if t0s is None else t0s[:n_bits]):
+        if t0 is None:
+            total = c0 + c1
+            if total >= limit:
+                c0 = (c0 + 1) >> 1
+                c1 = (c1 + 1) >> 1
+                total = c0 + c1
+            t0 = c0
+        zero = rng * t0 // total
+        if val >= zero:
+            out[i] = 1
+            val -= zero
+            low += zero
+            rng -= zero
+            c1 += 1
         else:
-            high = split
-        while True:
-            if (low ^ high) & _HALF == 0:
-                pass
-            elif low & ~high & _QUARTER:
-                low ^= _QUARTER
-                high ^= _QUARTER
-                code ^= _QUARTER
-            else:
-                break
-            low = (low << 1) & _MASK
-            high = ((high << 1) & _MASK) | 1
-            code = ((code << 1) & _MASK) | self._read_bit()
-        self.low, self.high, self.code = low, high, code
-        return bit
+            rng = zero
+            c0 += 1
+        if rng > half:
+            continue
+        k = 32 - (low ^ (low + rng - 1)).bit_length()
+        if k:
+            low = (low << k) & mask
+            rng <<= k
+        if low >= quarter and low + rng <= three_quarters:
+            m = 31 - ((low & ~(low + rng - 1)) ^ (half - 1)).bit_length()
+            low = (low << m) & (half - 1)
+            rng <<= m
+            k += m
+        elif not k:
+            continue
+        if nwin < k:
+            win = (win << 64) | _chunk(data, at)
+            at += 8
+            nwin += 64
+        nwin -= k
+        val = (val << k) | (win >> nwin)
+        win &= (1 << nwin) - 1
+    return np.frombuffer(out, dtype=bool)
 
 
-def _scale_probs(model) -> np.ndarray:
+def _scale_probs(model) -> list:
+    """Per-position weights of zero out of _PROB_ONE, as Python ints."""
     p1 = np.asarray(model, dtype=np.float64)
     if p1.ndim != 1:
         raise ValueError("probability model must be one-dimensional")
     if np.any(p1 < 0.0) or np.any(p1 > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     t1 = np.clip(np.rint(p1 * _PROB_ONE), 1, _PROB_ONE - 1).astype(np.int64)
-    return _PROB_ONE - t1  # weight of zero per position
+    return (_PROB_ONE - t1).tolist()
 
 
 def arith_encode(bits, model=None) -> bytes:
@@ -481,55 +546,27 @@ def arith_encode(bits, model=None) -> bytes:
     caller keeps the bit count.
     """
     arr = _as_bits(bits)
-    enc = ArithEncoder()
+    t0s = None
     if model is not None:
         t0s = _scale_probs(model)
-        if t0s.size < arr.size:
+        if len(t0s) < arr.size:
             raise ValueError(
-                f"model covers {t0s.size} positions but input has {arr.size} bits"
+                f"model covers {len(t0s)} positions but input has {arr.size} bits"
             )
-        for bit, t0 in zip(arr.view(np.uint8), t0s):
-            enc.encode_bit(int(bit), int(t0))
-    else:
-        c0 = c1 = 1
-        for bit in arr.view(np.uint8):
-            enc.encode_bit(int(bit), c0, c0 + c1)
-            if bit:
-                c1 += 1
-            else:
-                c0 += 1
-            if c0 + c1 >= _ADAPT_LIMIT:
-                c0 = (c0 + 1) >> 1
-                c1 = (c1 + 1) >> 1
-    return enc.finish()
+    return _ac_encode(arr.view(np.uint8).tolist(), t0s)
 
 
 def arith_decode(data: bytes, n_bits: int, model=None) -> np.ndarray:
     if n_bits < 0:
         raise ValueError("bit count must be nonnegative")
-    dec = ArithDecoder(data)
-    out = np.empty(n_bits, dtype=bool)
+    t0s = None
     if model is not None:
         t0s = _scale_probs(model)
-        if t0s.size < n_bits:
+        if len(t0s) < n_bits:
             raise ValueError(
-                f"model covers {t0s.size} positions but {n_bits} bits are expected"
+                f"model covers {len(t0s)} positions but {n_bits} bits are expected"
             )
-        for i in range(n_bits):
-            out[i] = dec.decode_bit(int(t0s[i]))
-    else:
-        c0 = c1 = 1
-        for i in range(n_bits):
-            bit = dec.decode_bit(c0, c0 + c1)
-            out[i] = bit
-            if bit:
-                c1 += 1
-            else:
-                c0 += 1
-            if c0 + c1 >= _ADAPT_LIMIT:
-                c0 = (c0 + 1) >> 1
-                c1 = (c1 + 1) >> 1
-    return out
+    return _ac_decode(data, n_bits, t0s)
 
 
 # ======================================================================

@@ -431,6 +431,9 @@ class PpbmsSession(_ReportsLocations):
     own maps are kept with their receive stamps, so a message encoded before
     the sender saw this end's latest ones still decodes while it lags at
     most ``archive_depth`` receives and 2 * ``archive_depth`` messages in all.
+    A sender's cbmr stamps never decrease within an epoch, so a message
+    whose cbmr is below that of the counterpart message decoded before it
+    raises MissingReferenceError (not ahead) and changes nothing.
     """
 
     def __init__(self, n: int, *, archive_depth: int = 8):
@@ -450,6 +453,7 @@ class PpbmsSession(_ReportsLocations):
         self.recv_seq = 0
         self._own = deque(maxlen=2 * self.archive_depth + 1)  # (own map, cbmr stamp)
         self._known = None  # the counterpart's last map as received
+        self._known_cbmr = 0  # its cbmr stamp: a sender's stamps never decrease
 
     @property
     def _last_own(self):
@@ -528,9 +532,16 @@ class PpbmsSession(_ReportsLocations):
                 f"expected counterpart message {self.recv_seq}, got {msg.lbmr_seq}",
                 ahead=msg.lbmr_seq > self.recv_seq or msg.cbmr_seq > self.sent_seq,
             )
+        if msg.cbmr_seq < self._known_cbmr:
+            raise MissingReferenceError(
+                f"counterpart message {msg.lbmr_seq} is stamped after {msg.cbmr_seq} of"
+                f" this end's messages, its previous one after {self._known_cbmr}",
+                ahead=False,
+            )
         own = self._own_map(msg.cbmr_seq)
         win = _window(msg.offset, self.n, own, self._known)
         self._known = BufferMap._owning(msg.offset, _fill(win, msg.payload))
+        self._known_cbmr = msg.cbmr_seq
         self.recv_seq += 1
         return PartialBufferMap(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
 

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bmkit import calibrate_curve
 from bmkit.coders import ESC, write_varint
+
+# Property tests draw the same examples on every run, keep no example
+# database and have no per-example deadline, so tier-1 stays deterministic.
+settings.register_profile(
+    "bmkit", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("bmkit")
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,9 @@ def test_retired_api_stays_gone():
     for attr in ("ss", "window_end", "last_sent_offset"):
         assert not hasattr(schemes.PpbmsSession(8), attr)
     assert not hasattr(coders.HuffmanModel, "__contains__")
+    # One integer kernel per direction codes every arithmetic-coded payload.
+    for name in ("ArithEncoder", "ArithDecoder"):
+        assert name not in exported and not hasattr(coders, name)
     params = {
         schemes.sbms_encode: ["bm"],
         schemes.sbms_decode: ["msg", "n"],

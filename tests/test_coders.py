@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bmkit import (
     CodingError,
@@ -21,6 +25,8 @@ from bmkit.coders import (
     CODER_NAMES,
     RleStream,
     _parse_table,
+    _scale_probs,
+    _serialize_table,
     read_varint,
     write_varint,
 )
@@ -347,6 +353,173 @@ def test_huffman_decode_matches_its_bit_at_a_time_reference():
 # ----------------------------------------------------------------------
 # adaptive binary arithmetic coder
 # ----------------------------------------------------------------------
+
+_MASK, _HALF, _QUARTER = (1 << 32) - 1, 1 << 31, 1 << 30
+
+
+def _reference_weights(model):
+    """Each position's (weight of zero, total), fixed by ``model`` or drawn
+    from the adaptive counts, which ``learn(bit)`` updates."""
+    t0s = None if model is None else _scale_probs(model)
+    counts = [1, 1]
+
+    def weight(i):
+        return (t0s[i], 1 << 16) if t0s is not None else (counts[0], sum(counts))
+
+    def learn(bit):
+        counts[bit] += 1
+        if sum(counts) >= 1 << 16:
+            counts[:] = [(c + 1) >> 1 for c in counts]
+
+    return weight, learn
+
+
+def _reference_arith_encode(bits, model=None):
+    """Arithmetic encoding one renormalisation step and one output bit at a
+    time: the reference the integer kernel must match."""
+    bits = np.asarray(bits, dtype=bool).astype(int).tolist()
+    weight, learn = _reference_weights(model)
+    low, high, underflow, out = 0, _MASK, 0, []
+    for i, bit in enumerate(bits):
+        t0, total = weight(i)
+        split = low + (high - low + 1) * t0 // total - 1
+        if bit:
+            low = split + 1
+        else:
+            high = split
+        learn(bit)
+        while True:
+            if (low ^ high) & _HALF == 0:
+                out.append(low >> 31)
+                out += [1 - out[-1]] * underflow
+                underflow = 0
+            elif low & ~high & _QUARTER:
+                underflow += 1
+                low ^= _QUARTER
+                high ^= _QUARTER
+            else:
+                break
+            low = (low << 1) & _MASK
+            high = ((high << 1) & _MASK) | 1
+    out += [1] + [0] * underflow
+    return np.packbits(out).tobytes()
+
+
+def _reference_arith_decode(data, n_bits, model=None):
+    """The decoder matching _reference_arith_encode: one input bit per
+    renormalisation step, read past the end of ``data`` as zeros."""
+    stream = iter(np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8)).tolist())
+    weight, learn = _reference_weights(model)
+    low, high, code, out = 0, _MASK, 0, []
+    for _ in range(32):
+        code = (code << 1) | next(stream, 0)
+    for i in range(n_bits):
+        t0, total = weight(i)
+        split = low + (high - low + 1) * t0 // total - 1
+        bit = int(code > split)
+        if bit:
+            low = split + 1
+        else:
+            high = split
+        learn(bit)
+        out.append(bit)
+        while True:
+            if (low ^ high) & _HALF == 0:
+                pass
+            elif low & ~high & _QUARTER:
+                low ^= _QUARTER
+                high ^= _QUARTER
+                code ^= _QUARTER
+            else:
+                break
+            low = (low << 1) & _MASK
+            high = ((high << 1) & _MASK) | 1
+            code = ((code << 1) & _MASK) | next(stream, 0)
+    return np.array(out, dtype=bool)
+
+
+def _reference_huffman_encode(bits):
+    """Huffman encoding through one string of code bits: the reference the
+    integer packing must match."""
+    stream = rle_encode(bits)
+    syms = [r if r <= 255 else ESC for r in stream.runs]
+    model = huffman_build(Counter(syms))
+    head = bytearray([stream.first_bit])
+    write_varint(len(syms), head)
+    _serialize_table(model, head)
+    words = {sym: f"{code:0{length}b}" for sym, (code, length) in model.codes.items()}
+    code_bits = ""
+    for sym, run in zip(syms, stream.runs):
+        code_bits += words[sym]
+        if sym == ESC:
+            extra = bytearray()
+            write_varint(run, extra)
+            code_bits += "".join(f"{b:08b}" for b in extra)
+    code_bits += "0" * (-len(code_bits) % 8)
+    return bytes(head) + int(code_bits, 2).to_bytes(len(code_bits) // 8, "big")
+
+
+def _assert_coders_match_their_references(bits, model=None):
+    blob = arith_encode(bits, model=model)
+    assert blob == _reference_arith_encode(bits, model)
+    decoded = arith_decode(blob, len(bits), model=model)
+    assert decoded.dtype == bool and decoded.shape == (len(bits),)
+    assert np.array_equal(decoded, _reference_arith_decode(blob, len(bits), model))
+    assert np.array_equal(decoded, np.asarray(bits, dtype=bool))
+    if len(bits) and model is None:
+        assert huffman_encode(bits) == _reference_huffman_encode(bits)
+
+
+def test_coder_kernels_match_their_one_step_references():
+    """The arithmetic coder's integer kernel gives the blobs and bits of the
+    bit-at-a-time loop, on both paths; Huffman's integer packing gives the
+    blobs of the string-based encoder."""
+    for bits in _adversarial_strings():
+        _assert_coders_match_their_references(bits)
+    rng = np.random.default_rng(41)
+    for _ in range(24):
+        n = int(rng.integers(1, 5001))
+        bits = rng.random(n) < rng.random() ** 2
+        _assert_coders_match_their_references(bits)
+        model = np.clip(rng.random(n + int(rng.integers(0, 40))) ** 3, 0.0, 1.0)
+        model[rng.integers(model.size, size=3)] = [0.0, 1.0, 0.5]
+        _assert_coders_match_their_references(bits, model)  # the model may be longer
+    # The adaptive counts halve from bit 65,534 on.
+    for p in (0.2, 0.5):
+        _assert_coders_match_their_references(np.random.default_rng(41).random(70_000) < p)
+    # Escapes (runs over 255 bits) and one-symbol tables.
+    for runs in ([256], [300, 2, 70_000], [1] * 40, [7] * 9, [255, 256, 255, 1000]):
+        bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
+        assert huffman_encode(bits) == _reference_huffman_encode(bits)
+        assert huffman_encode(~bits) == _reference_huffman_encode(~bits)
+
+
+def test_ac_decodes_garbage_like_its_one_step_reference():
+    rng = np.random.default_rng(43)
+    for size in range(13):
+        for _ in range(8):
+            blob = rng.bytes(size)
+            for n_bits in (0, 1, 31, 200):
+                assert np.array_equal(arith_decode(blob, n_bits),
+                                      _reference_arith_decode(blob, n_bits))
+
+
+@given(bits=st.lists(st.booleans(), max_size=400),
+       probs=st.lists(st.floats(0.0, 1.0), max_size=420))
+def test_coders_match_their_references_on_any_bit_list(bits, probs):
+    _assert_coders_match_their_references(bits)
+    if len(probs) >= len(bits):
+        _assert_coders_match_their_references(bits, probs)
+
+
+def test_ac_rejects_a_short_model_and_a_negative_count():
+    with pytest.raises(ValueError, match="^model covers 2 positions but input has 3 bits$"):
+        arith_encode([1, 0, 1], model=[0.5, 0.5])
+    with pytest.raises(ValueError, match="^model covers 2 positions but 3 bits are expected$"):
+        arith_decode(b"", 3, model=[0.5, 0.5])
+    with pytest.raises(ValueError, match="^bit count must be nonnegative$"):
+        arith_decode(b"", -1)
+
 
 def test_ac_round_trips():
     for bits in _adversarial_strings():

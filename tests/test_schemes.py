@@ -699,11 +699,12 @@ def _two_map_set(n, own, known):
     return _two_map_window(lo, n, own, known)
 
 
-def _resolves(S, R, stamps, d, lbmr, c):
+def _resolves(S, R, stamps, d, lbmr, c, known_c=0):
     """Whether an end that sent S messages (own message i stamped after
-    ``stamps[i]`` receives) and received R decodes a message stamped
-    (lbmr, cbmr = c) at archive depth d."""
-    if lbmr != R or c > S:
+    ``stamps[i]`` receives) and received R, the last of them stamped cbmr =
+    ``known_c``, decodes a message stamped (lbmr, cbmr = c) at archive
+    depth d.  A sender's stamps never decrease, so c below known_c fails."""
+    if lbmr != R or c > S or c < known_c:
         return False
     if c == S:
         return True
@@ -719,7 +720,7 @@ class _OracleEnd:
         self.ses = PpbmsSession(n, archive_depth=d)
         self.lag, self.offset, self.filled = lag, lag, set()
         self.maps, self.stamps = [], []  # own message i: (offset, filled ids), cbmr stamp
-        self.known = None
+        self.known, self.known_c = None, 0  # and the cbmr stamp it came with
         self.in_flight = []  # (message, sender's map) not yet delivered
 
     def check(self, n):
@@ -733,7 +734,8 @@ def test_ppbms_state_is_two_maps_and_late_messages_resolve_by_rule():
     higher offset that are filled neither in the end's own last map nor in its
     last map of the counterpart, read off the payload with ones elsewhere.  A
     message stamped (lbmr, cbmr = c) decodes exactly when lbmr is the next
-    counterpart index and either c is the live stamp S or, with r_c the
+    counterpart index, c is no lower than the cbmr of the counterpart message
+    decoded before it, and either c is the live stamp S or, with r_c the
     receive stamp of own message c, R - r_c <= d and (S - c) + (R - r_c) <= 2d;
     every other stamp c it is probed with raises MissingReferenceError, ahead
     when c > S.  A decoded message reports the window of own map c - 1 and the
@@ -780,9 +782,10 @@ def test_ppbms_state_is_two_maps_and_late_messages_resolve_by_rule():
                     assert exc.ahead == (lbmr > R or c > S), (lbmr, c, S, R)
                 except DesyncError:
                     resolved = True  # resolved, then the payload length disagreed
-                assert resolved == _resolves(S, R, rx.stamps, d, lbmr, c), (lbmr, c, S, R)
+                assert resolved == _resolves(S, R, rx.stamps, d, lbmr, c, rx.known_c), (
+                    lbmr, c, S, R)
             c = msg.cbmr_seq
-            if not _resolves(S, R, rx.stamps, d, msg.lbmr_seq, c):
+            if not _resolves(S, R, rx.stamps, d, msg.lbmr_seq, c, rx.known_c):
                 with pytest.raises(MissingReferenceError):
                     rx.ses.decode(msg)
                 seen["miss"] += 1
@@ -794,6 +797,7 @@ def test_ppbms_state_is_two_maps_and_late_messages_resolve_by_rule():
             assert part.bits.tolist() == [loc in sent_map[1] for loc in part.locations.tolist()]
             unfilled = {loc for loc, bit in part.pairs if not bit}
             rx.known = (msg.offset, set(range(msg.offset, msg.offset + n)) - unfilled)
+            rx.known_c = c
             rx.check(n)
             tx.check(n)
     assert min(seen.values()) >= 20, seen
@@ -819,7 +823,7 @@ def _ppbms_ten_exchanges():
 
 def _session_state(ses):
     own = [(bm.offset, bm.bits.tobytes(), stamp) for bm, stamp in ses._own]
-    known = ses._known and (ses._known.offset, ses._known.bits.tobytes())
+    known = ses._known and (ses._known.offset, ses._known.bits.tobytes(), ses._known_cbmr)
     return (ses.sent_seq, ses.recv_seq, list(ses.support_set), ses.last_bm,
             ses.last_locations.tolist(), own, known)
 
@@ -856,6 +860,26 @@ def test_a_rejected_ppbms_resync_leaves_the_session_unchanged():
     boot = a.make_resync(snap)
     b.decode(boot)
     assert (b.sent_seq, b.recv_seq) == (0, 1) and a.support_set == b.support_set
+
+
+def test_ppbms_decode_rejects_a_cbmr_below_the_previous_one():
+    """A sender's cbmr stamps never decrease within an epoch.  A message
+    stamped below the counterpart message decoded before it names an own map
+    its sender had already moved past: it raises MissingReferenceError, not
+    ahead, and changes nothing; the genuine message still decodes."""
+    a, b = PpbmsSession(8), PpbmsSession(8)
+    for offset in range(3):
+        a.decode(b.encode(_bm(offset, "00000000")))
+    b.decode(a.encode(_bm(0, "00000000")))
+    msg = a.encode(_bm(0, "00010000"))
+    assert (msg.lbmr_seq, msg.cbmr_seq) == (1, 3)
+    before = copy.deepcopy(b)
+    for c in (0, 1, 2):
+        with pytest.raises(MissingReferenceError) as exc:
+            b.decode(replace(msg, cbmr_seq=c))
+        assert not exc.value.ahead
+        assert _session_state(b) == _session_state(before)
+    assert b.decode(msg).filled().tolist() == [3]
 
 
 def test_a_rejected_resync_bitmap_leaves_the_sender_unchanged():
