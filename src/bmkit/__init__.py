@@ -7,14 +7,11 @@ with trace tooling.
 
 from .bitmap import BufferMap, PeerBufferState, diff_new_fills
 from .coders import (
-    HuffmanModel,
-    RleStream,
     arith_decode,
     arith_encode,
     chi_square_uniform,
     decode_bits,
     encode_bits,
-    huffman_build,
     huffman_decode,
     huffman_encode,
     rle_decode,

@@ -338,7 +338,8 @@ def _cmd_fit_curve(args) -> int:
         if delays.min() < 0 or np.any(delays != np.rint(delays)):
             raise ValueError("delay samples must be nonnegative integers")
         ages = np.arange(args.n, dtype=np.float64)
-        freq = (delays[None, :] <= ages[:, None]).mean(axis=1)
+        # The share of delays at most each age, in O(samples) memory.
+        freq = np.searchsorted(np.sort(delays), ages, side="right") / delays.size
         points = np.stack([ages, freq], axis=1)
     elif data.shape[1] == 2:
         points = data  # (age, probability) pairs as-is

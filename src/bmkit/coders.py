@@ -1,18 +1,26 @@
 """Generic lossless coders for bit sequences.
 
-Three coders share one registry interface (`encode_bits` / `decode_bits`):
+Every coder is two functions over bytes, ``encode(bits) -> blob`` and
+``decode(blob, n_bits) -> bits``, registered once by name for
+`encode_bits` / `decode_bits`:
 
-* ``rle``     - run lengths as LEB128 varints behind a first-bit flag byte.
+* ``rle``     - run lengths as LEB128 varints behind a first-bit flag byte
+  (`rle_encode` / `rle_decode`).
 * ``huffman`` - canonical Huffman over run-length symbols 1..255 with an
-  escape symbol (0) for longer runs; the code table travels in the blob.
+  escape symbol (0) for longer runs (`huffman_encode` / `huffman_decode`).
+  The encoder builds its code from the data and the blob carries the code
+  lengths alone; canonical code words follow from them (Schwartz & Kallick,
+  CACM 1964).  The decoder checks the table's Kraft sum exactly.
 * ``ac``      - adaptive binary arithmetic coding (order-0 counts with +1
-  smoothing, 32-bit registers); also accepts an explicit per-position
-  probability model, which is how simulated payloads are squeezed down to
-  their information content.
+  smoothing, 32-bit registers; `arith_encode` / `arith_decode`); also
+  accepts an explicit per-position probability model, which is how
+  simulated payloads are squeezed down to their information content.
 
 All three are bijective on nonempty bit sequences.  Blob layouts are private
 to this module; the only cross-module contract is bytes in, bits out, with
 the expected bit count supplied out-of-band (the wire header carries it).
+A decoder returns exactly that many bits or raises CodingError; a run-length
+blob whose runs cover more fails before anything is allocated.
 
 The arithmetic coder is one integer loop per direction, shared by the
 adaptive and the model path, and it renormalises a whole run per step
@@ -29,7 +37,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
@@ -38,11 +45,8 @@ import numpy as np
 from .errors import CodingError
 
 __all__ = [
-    "RleStream",
     "rle_encode",
     "rle_decode",
-    "HuffmanModel",
-    "huffman_build",
     "huffman_encode",
     "huffman_decode",
     "arith_encode",
@@ -53,8 +57,6 @@ __all__ = [
     "chi_square_uniform",
     "CODER_NAMES",
 ]
-
-CODER_NAMES = ("rle", "huffman", "ac")
 
 
 # ======================================================================
@@ -117,65 +119,50 @@ def _run_split(bits: np.ndarray):
 # Run-length coding
 # ======================================================================
 
-@dataclass(frozen=True)
-class RleStream:
-    """First bit value plus the lengths of alternating runs."""
-
-    first_bit: int
-    runs: tuple
-
-    def __post_init__(self):
-        if self.first_bit not in (0, 1):
-            raise ValueError("first_bit must be 0 or 1")
-        runs = tuple(map(int, self.runs))
-        if not runs or min(runs) <= 0:
-            raise ValueError("runs must be positive")
-        object.__setattr__(self, "runs", runs)
-
-    @property
-    def n_bits(self) -> int:
-        return sum(self.runs)
-
-    def to_bytes(self) -> bytes:
-        out = bytearray([self.first_bit])
-        for r in self.runs:
-            write_varint(r, out)
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "RleStream":
-        if not blob:
-            raise CodingError("empty run-length blob")
-        first = blob[0]
-        if first not in (0, 1):
-            raise CodingError(f"bad flag byte 0x{first:02x}")
-        runs = []
-        pos = 1
-        while pos < len(blob):
-            r, pos = read_varint(blob, pos)
-            if r == 0:
-                raise CodingError("zero-length run")
-            runs.append(r)
-        if not runs:
-            raise CodingError("run-length blob carries no runs")
-        return cls(first, tuple(runs))
-
-
-def rle_encode(bits) -> RleStream:
+def rle_encode(bits) -> bytes:
+    """Flag byte (first bit), then each run length as a varint."""
     first, runs = _run_split(_as_bits(bits))
-    return RleStream(first, tuple(runs))
+    out = bytearray([first])
+    for r in runs:
+        write_varint(r, out)
+    return bytes(out)
 
 
-def rle_decode(stream: RleStream, n_bits: int) -> np.ndarray:
-    """Expand a run-length stream; one whose runs cover more than the
+def rle_decode(blob: bytes, n_bits: int) -> np.ndarray:
+    """Expand a run-length blob; one whose runs cover more than the
     expected ``n_bits`` raises CodingError before anything is allocated."""
-    if stream.n_bits > n_bits:
+    first = _first_bit(blob, "run-length")
+    runs = []
+    pos = 1
+    while pos < len(blob):
+        r, pos = read_varint(blob, pos)
+        if r == 0:
+            raise CodingError("zero-length run")
+        runs.append(r)
+    if not runs:
+        raise CodingError("run-length blob carries no runs")
+    return _expand(first, runs, n_bits)
+
+
+def _first_bit(blob, coder: str) -> int:
+    """The flag byte that opens an rle or huffman blob."""
+    if not blob:
+        raise CodingError(f"empty {coder} blob")
+    first = blob[0]
+    if first not in (0, 1):
+        raise CodingError(f"bad flag byte 0x{first:02x}")
+    return first
+
+
+def _expand(first_bit: int, runs: list, n_bits: int) -> np.ndarray:
+    """The bits of alternating positive runs, the first of value
+    ``first_bit``; runs that do not cover exactly ``n_bits`` raise
+    CodingError, those that cover more before anything is allocated."""
+    total = sum(runs)
+    if total > n_bits:
         raise CodingError(f"runs cover more than the {n_bits} bits expected")
-    return _expand(stream.first_bit, stream.runs)
-
-
-def _expand(first_bit: int, runs) -> np.ndarray:
-    """The bits of alternating positive runs, the first of value ``first_bit``."""
+    if total < n_bits:
+        raise CodingError(f"decoded {total} bits where {n_bits} were expected")
     values = np.zeros(len(runs), dtype=bool)
     values[1 - first_bit :: 2] = True
     return np.repeat(values, runs)
@@ -190,68 +177,14 @@ _MAX_RUN_SYMBOL = 255
 _LENGTH_THEN_SYMBOL = itemgetter(1, 0)  # sort key of (symbol, length) pairs
 
 
-class HuffmanModel:
-    """Canonical prefix code over integer symbols.
-
-    Built from code lengths alone; codes are assigned in (length, symbol)
-    order so a table of lengths reproduces the code exactly.
-    """
-
-    def __init__(self, lengths: dict):
-        if not lengths:
-            raise ValueError("empty code")
-        lengths = {int(s): int(l) for s, l in lengths.items()}
-        if min(lengths.values()) <= 0:
-            raise ValueError("code lengths must be positive")
-        if len(lengths) > 1:
-            # Exact integer Kraft sum: sum of 2^-l is 1 exactly when the sum
-            # of 2^(top - l) is 2^top.
-            top = max(lengths.values())
-            kraft = sum([1 << (top - l) for l in lengths.values()])
-            if kraft != 1 << top:
-                raise ValueError(
-                    f"code lengths violate the Kraft equality (sum={kraft}/2^{top})"
-                )
-        self._assign(lengths)
-
-    @classmethod
-    def _of(cls, lengths: dict) -> "HuffmanModel":
-        """A model over lengths known to be valid (int symbols, positive
-        lengths, Kraft sum exactly 1), without checking them again."""
-        model = cls.__new__(cls)
-        model._assign(lengths)
-        return model
-
-    def _assign(self, lengths: dict):
-        self.lengths = lengths
-        self.codes = {}
-        code = 0
-        prev_len = 0
-        for sym, length in sorted(lengths.items(), key=_LENGTH_THEN_SYMBOL):
-            code <<= length - prev_len
-            self.codes[sym] = (code, length)
-            code += 1
-            prev_len = length
-
-    def __eq__(self, other):
-        return isinstance(other, HuffmanModel) and self.lengths == other.lengths
-
-    def mean_length(self, hist: dict) -> float:
-        total = sum(hist.values())
-        return sum(hist[s] * self.lengths[s] for s in hist) / total
-
-
-def huffman_build(hist: dict) -> HuffmanModel:
-    """Canonical Huffman code for a symbol histogram."""
-    items = {int(s): int(c) for s, c in hist.items() if c > 0}
-    if not items:
-        raise ValueError("histogram must contain a symbol with positive count")
-    if len(items) == 1:
-        return HuffmanModel._of({next(iter(items)): 1})
-    heap = [(count, sym, sym) for sym, count in items.items()]
+def _code_lengths(hist: dict) -> dict:
+    """Huffman code lengths for a histogram of positive symbol counts."""
+    if len(hist) == 1:
+        return {sym: 1 for sym in hist}
+    heap = [(count, sym, sym) for sym, count in hist.items()]
     heapq.heapify(heap)
     merges = []
-    node = max(items) + 1
+    node = max(hist) + 1
     while len(heap) > 1:
         c1, _, n1 = heapq.heappop(heap)
         c2, _, n2 = heapq.heappop(heap)
@@ -262,18 +195,26 @@ def huffman_build(hist: dict) -> HuffmanModel:
     depth = {node - 1: 0}
     for parent, n1, n2 in reversed(merges):
         depth[n1] = depth[n2] = depth[parent] + 1
-    # Huffman's merges meet the Kraft equality by construction.
-    return HuffmanModel._of({sym: depth[sym] for sym in items})
+    return {sym: depth[sym] for sym in hist}
 
 
-def _serialize_table(model: HuffmanModel, out: bytearray):
-    write_varint(len(model.lengths), out)
-    for sym in sorted(model.lengths):
-        write_varint(sym, out)
-        out.append(model.lengths[sym])
+def _canonical(lengths: dict) -> list:
+    """The canonical code's ``(symbol, code, length)`` words in (length,
+    symbol) order: the lengths alone fix the code (Schwartz & Kallick)."""
+    words = []
+    code = prev_len = 0
+    for sym, length in sorted(lengths.items(), key=_LENGTH_THEN_SYMBOL):
+        code <<= length - prev_len
+        words.append((sym, code, length))
+        code += 1
+        prev_len = length
+    return words
 
 
 def _parse_table(data: bytes, pos: int):
+    """Read a code table, ``{symbol: length}``, and check it: a blob is
+    untrusted, and only a table whose Kraft sum is exactly 1 (or that has
+    one word) gives a prefix code whose words fit their lengths."""
     count, pos = read_varint(data, pos)
     if count == 0:
         raise CodingError("empty code table")
@@ -284,10 +225,19 @@ def _parse_table(data: bytes, pos: int):
             raise CodingError("truncated code table")
         lengths[sym] = data[pos]
         pos += 1
-    try:  # a blob is untrusted: its table gets the full check
-        return HuffmanModel(lengths), pos
-    except ValueError as exc:
-        raise CodingError(f"bad code table: {exc}") from exc
+    if min(lengths.values()) <= 0:
+        raise CodingError("bad code table: code lengths must be positive")
+    if len(lengths) > 1:
+        # Exact integer Kraft sum: sum of 2^-l is 1 exactly when the sum
+        # of 2^(top - l) is 2^top.
+        top = max(lengths.values())
+        kraft = sum([1 << (top - l) for l in lengths.values()])
+        if kraft != 1 << top:
+            raise CodingError(
+                "bad code table: code lengths violate the Kraft equality "
+                f"(sum={kraft}/2^{top})"
+            )
+    return lengths, pos
 
 
 def huffman_encode(bits) -> bytes:
@@ -302,11 +252,14 @@ def huffman_encode(bits) -> bytes:
     hist = {}
     for sym in syms:
         hist[sym] = hist.get(sym, 0) + 1
-    model = huffman_build(hist)
+    lengths = _code_lengths(hist)
     out = bytearray([first])
     write_varint(len(syms), out)
-    _serialize_table(model, out)
-    codes = model.codes
+    write_varint(len(lengths), out)
+    for sym in sorted(lengths):
+        write_varint(sym, out)
+        out.append(lengths[sym])
+    codes = {sym: (code, length) for sym, code, length in _canonical(lengths)}
     words = [codes[sym] for sym in syms]  # (code, length) of each run
     if ESC in codes:  # an escaped run's varint follows its code word
         for i, run in enumerate(runs):
@@ -331,27 +284,20 @@ def huffman_encode(bits) -> bytes:
 
 
 def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
-    """Decode a Huffman blob; raise CodingError as soon as the runs read so
-    far cover more than the expected ``n_bits``."""
-    if not blob:
-        raise CodingError("empty huffman blob")
-    first = blob[0]
-    if first not in (0, 1):
-        raise CodingError(f"bad flag byte 0x{first:02x}")
+    """Decode a Huffman blob to exactly ``n_bits`` bits; raise CodingError as
+    soon as the runs read so far cover more than that."""
+    first = _first_bit(blob, "huffman")
     count, pos = read_varint(blob, 1)
     if count == 0:
         raise CodingError("huffman blob carries no runs")
-    model, pos = _parse_table(blob, pos)
+    lengths, pos = _parse_table(blob, pos)
     # Canonical code words, left-aligned to ``width`` bits, cover adjacent
     # ranges in (length, symbol) order: the word at the head of the stream
     # is the one whose range holds the next ``width`` bits.  A peek that
     # falls past every range (a one-word code) is no word at all.
-    width = max(model.lengths.values())
-    syms, lens, ends = [], [], []
-    for sym, (code, length) in model.codes.items():
-        syms.append(sym)
-        lens.append(length)
-        ends.append((code + 1) << (width - length))
+    width = max(lengths.values())
+    syms, codes, lens = zip(*_canonical(lengths))
+    ends = [(code + 1) << (width - length) for code, length in zip(codes, lens)]
     avail = 8 * (len(blob) - pos)
     need = width + 80  # a code word and the longest escape varint
     at = 0  # stream bits consumed
@@ -395,7 +341,7 @@ def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
         if total > n_bits:
             raise CodingError(f"runs cover more than the {n_bits} bits expected")
         runs.append(run)
-    return _expand(first, runs)
+    return _expand(first, runs, n_bits)
 
 
 # ======================================================================
@@ -573,29 +519,27 @@ def arith_decode(data: bytes, n_bits: int, model=None) -> np.ndarray:
 # Registry + diagnostics
 # ======================================================================
 
+_CODERS = {  # name -> (encode, decode)
+    "rle": (rle_encode, rle_decode),
+    "huffman": (huffman_encode, huffman_decode),
+    "ac": (arith_encode, arith_decode),
+}
+CODER_NAMES = tuple(_CODERS)
+
+
+def _coder(name: str):
+    if name not in CODER_NAMES:
+        raise ValueError(f"unknown coder {name!r}; choose from {CODER_NAMES}")
+    return _CODERS[name]
+
+
 def encode_bits(name: str, bits) -> bytes:
     """Encode with a coder chosen by name ('rle', 'huffman', 'ac')."""
-    if name == "rle":
-        return rle_encode(bits).to_bytes()
-    if name == "huffman":
-        return huffman_encode(bits)
-    if name == "ac":
-        return arith_encode(bits)
-    raise ValueError(f"unknown coder {name!r}; choose from {CODER_NAMES}")
+    return _coder(name)[0](bits)
 
 
 def decode_bits(name: str, blob: bytes, n_bits: int) -> np.ndarray:
-    if name == "rle":
-        bits = rle_decode(RleStream.from_bytes(blob), n_bits)
-    elif name == "huffman":
-        bits = huffman_decode(blob, n_bits)
-    elif name == "ac":
-        return arith_decode(blob, n_bits)
-    else:
-        raise ValueError(f"unknown coder {name!r}; choose from {CODER_NAMES}")
-    if bits.size != n_bits:
-        raise CodingError(f"decoded {bits.size} bits where {n_bits} were expected")
-    return bits
+    return _coder(name)[1](blob, n_bits)
 
 
 def symbol_distribution(payloads) -> np.ndarray:

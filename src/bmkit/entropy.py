@@ -102,29 +102,27 @@ def _check_tau(T: int, tau: int):
         raise ValueError(f"need 0 <= tau <= T, got tau={tau}, T={T}")
 
 
-def _cond_term(p: np.ndarray, lag: int) -> np.ndarray:
-    """(1 - p_{i-lag}) * h(q_{i-lag,i}) for ages i >= lag, elementwise.
+def _cond_fill(p: np.ndarray, lag: int):
+    """Per age i, ``left`` = 1 - p_{i-lag}, the probability a position was
+    still unfilled ``lag`` chunk-times earlier, and the conditional
+    q_{i-lag,i} = (p_i - p_{i-lag}) / left that it has filled since.
 
-    Positions certainly filled a period ago contribute exactly zero; the
-    conditional is left undefined there and masked out.
+    Both are NaN below ``lag``; q is also NaN where left is 0 (a position
+    certainly filled back then is never reported again).
     """
-    now = p[lag:]
-    before = p[:-lag] if lag else p
-    left = 1.0 - before
-    q = np.zeros_like(now)
-    open_ = left > 0.0
-    q[open_] = (now[open_] - before[open_]) / left[open_]
-    return left * _h_arr(q)
+    n = p.size
+    prev = np.full(n, np.nan)
+    prev[lag:] = p[: n - lag]
+    left = 1.0 - prev
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(left > 0.0, (p - prev) / left, np.nan)
+    return left, q
 
 
 def h_spbms(curve: SCurve, T: int) -> float:
-    """Bits per message when the sender never re-reports a filled position."""
-    _check_T(curve, T)
-    p = curve.probs
-    fresh = float(_h_arr(p[:T]).sum())
-    if T == curve.n:
-        return fresh
-    return fresh + float(_cond_term(p, T).sum())
+    """Bits per message when the sender never re-reports a filled position:
+    a direction whose counterpart never excludes anything."""
+    return _h_directed(curve, T, T, curve.n, None)
 
 
 def _counterpart_factors(curve: SCurve, counterpart, stale: int, n: int) -> np.ndarray:
@@ -150,7 +148,9 @@ def _h_directed(curve: SCurve, T: int, tau: int, stale: int, counterpart) -> flo
     cf = _counterpart_factors(curve, counterpart, stale, n)
     total = float((cf[:T] * _h_arr(p[:T])).sum())
     if T < n:
-        total += float((cf[T:] * _cond_term(p, T)).sum())
+        # A position certainly filled a period ago (left 0, q NaN) adds 0.
+        left, q = _cond_fill(p, T)
+        total += float((cf[T:] * (left[T:] * _h_arr(q[T:]))).sum())
     return total
 
 

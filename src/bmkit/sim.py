@@ -55,7 +55,7 @@ import numpy as np
 from . import traceio
 from .bitmap import PeerBufferState
 from .coders import CODER_NAMES, encode_bits
-from .entropy import ExchangeParams
+from .entropy import ExchangeParams, _cond_fill
 from .errors import InvariantError, MissingReferenceError
 from .fillmodel import SCurve
 from .schemes import PpbmsSession, SpbmsDecoder, SpbmsEncoder, sbms_decode, sbms_encode
@@ -272,11 +272,8 @@ class _IdealTables(dict):
         p = curve.probs
         self.n = n = p.size
         self.period = period
-        prev = np.full(n, np.nan)
-        prev[period:] = p[: n - period]
-        left = 1.0 - prev
+        _, q = _cond_fill(p, period)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(left > 0.0, (p - prev) / left, np.nan)
             by_age = np.log2(np.concatenate([1.0 - p, p, 1.0 - q, q])).reshape(4, n)
         by_pos = by_age[:, ::-1]  # rows: fresh 0, fresh 1, old 0, old 1
         self._fresh, self._old = by_pos[:2], by_pos[2:]

@@ -50,9 +50,10 @@ def test_retired_api_stays_gone():
     # A ppbms end keeps two maps and derives its shared set from them.
     for attr in ("ss", "window_end", "last_sent_offset"):
         assert not hasattr(schemes.PpbmsSession(8), attr)
-    assert not hasattr(coders.HuffmanModel, "__contains__")
-    # One integer kernel per direction codes every arithmetic-coded payload.
-    for name in ("ArithEncoder", "ArithDecoder"):
+    # Every coder is two functions over bytes, encode(bits) and decode(blob,
+    # n_bits); one integer kernel per direction codes every arithmetic-coded
+    # payload.
+    for name in ("ArithEncoder", "ArithDecoder", "RleStream", "HuffmanModel", "huffman_build"):
         assert name not in exported and not hasattr(coders, name)
     params = {
         schemes.sbms_encode: ["bm"],

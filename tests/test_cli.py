@@ -1,6 +1,7 @@
 """Command-line front end, exercised in-process through main(argv)."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,25 @@ def test_fit_curve_from_raw_delays(tmp_path, capsys):
     got = load_curve(fitted)
     assert got.n == 64
     assert np.abs(got.probs - curve.probs).max() < 0.08
+
+
+def test_fit_curve_from_many_raw_delays_in_bounded_memory(tmp_path, capsys):
+    """The per-age fill frequency of 200,000 delays takes memory in the
+    number of samples, not in samples x window positions (a bool matrix
+    of 89 MB at --n 456)."""
+    rng = np.random.default_rng(9)
+    delays = sample_fill_delays(two_segment_curve(456, 41, 0.9), rng.random(200_000))
+    samples = tmp_path / "delays.txt"
+    np.savetxt(samples, delays, fmt="%d")
+    tracemalloc.start()
+    try:
+        assert main(["fit-curve", "--samples", str(samples), "--n", "456"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    breakpoint = int(_lines(capsys)[1].split(",")[0])
+    assert abs(breakpoint - 41) <= 2
 
 
 def test_fit_curve_from_age_probability_pairs(tmp_path, capsys):

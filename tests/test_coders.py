@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,13 +8,11 @@ from hypothesis import strategies as st
 
 from bmkit import (
     CodingError,
-    HuffmanModel,
     arith_decode,
     arith_encode,
     chi_square_uniform,
     decode_bits,
     encode_bits,
-    huffman_build,
     huffman_decode,
     huffman_encode,
     rle_decode,
@@ -23,10 +22,11 @@ from bmkit import (
 from bmkit.coders import (
     ESC,
     CODER_NAMES,
-    RleStream,
+    _canonical,
+    _code_lengths,
     _parse_table,
+    _run_split,
     _scale_probs,
-    _serialize_table,
     read_varint,
     write_varint,
 )
@@ -86,38 +86,36 @@ def test_varint_boundaries():
 # ----------------------------------------------------------------------
 
 def test_rle_known_values():
-    s = rle_encode([1, 1, 0, 0, 0, 1])
-    assert s.first_bit == 1
-    assert s.runs == (2, 3, 1)
-    assert s.n_bits == 6
+    # flag byte 1, then runs of 2, 3 and 1
+    assert rle_encode([1, 1, 0, 0, 0, 1]) == bytes([1, 2, 3, 1])
+    assert _run_split(np.array([1, 1, 0, 0, 0, 1], dtype=bool)) == (1, [2, 3, 1])
     # a whole-window blank map costs three bytes: flag + varint(456)
-    blank = rle_encode(np.zeros(456, dtype=bool))
-    assert blank.to_bytes() == bytes.fromhex("00c803")
+    assert rle_encode(np.zeros(456, dtype=bool)) == bytes.fromhex("00c803")
 
 
 def test_rle_round_trips():
     for bits in _adversarial_strings():
         assert np.array_equal(rle_decode(rle_encode(bits), bits.size), bits)
     for bits in _random_strings(200, seed=2):
-        stream = RleStream.from_bytes(rle_encode(bits).to_bytes())
-        assert np.array_equal(rle_decode(stream, bits.size), bits)
+        assert np.array_equal(rle_decode(rle_encode(bits), bits.size), bits)
 
 
 def test_rle_rejects_bad_input():
-    with pytest.raises(CodingError):
+    with pytest.raises(CodingError, match="^cannot run-length encode an empty"):
         rle_encode([])
-    with pytest.raises(ValueError):
-        RleStream(2, (1,))
-    with pytest.raises(ValueError):
-        RleStream(0, (3, 0))
-    with pytest.raises(CodingError):
-        RleStream.from_bytes(b"")
-    with pytest.raises(CodingError):
-        RleStream.from_bytes(b"\x05\x01")
-    with pytest.raises(CodingError):
-        RleStream.from_bytes(b"\x00")  # flag with no runs
-    with pytest.raises(CodingError):
-        RleStream.from_bytes(b"\x00\x00")  # zero-length run
+    for blob, message in [
+        (b"", "empty run-length blob"),
+        (b"\x02\x01", "bad flag byte 0x02"),
+        (b"\x05\x01", "bad flag byte 0x05"),
+        (b"\x00", "run-length blob carries no runs"),  # flag with no runs
+        (b"\x00\x03\x00", "zero-length run"),
+        (b"\x00\x00", "zero-length run"),
+        (b"\x00\x80", "truncated varint"),
+    ]:
+        with pytest.raises(CodingError, match=f"^{message}$"):
+            rle_decode(blob, 3)
+    with pytest.raises(CodingError, match="^decoded 3 bits where 4 were expected$"):
+        rle_decode(b"\x00\x03", 4)
 
 
 # ----------------------------------------------------------------------
@@ -125,19 +123,16 @@ def test_rle_rejects_bad_input():
 # ----------------------------------------------------------------------
 
 def test_huffman_uniform_histogram():
-    model = huffman_build({1: 10, 2: 10, 3: 10, 4: 10})
-    assert set(model.lengths.values()) == {2}
+    assert set(_code_lengths({1: 10, 2: 10, 3: 10, 4: 10}).values()) == {2}
 
 
 def test_huffman_skewed_pair():
-    model = huffman_build({1: 1000, 2: 1})
-    assert model.lengths == {1: 1, 2: 1}
+    assert _code_lengths({1: 1000, 2: 1}) == {1: 1, 2: 1}
 
 
 def test_huffman_single_symbol():
-    model = huffman_build({7: 5})
-    assert model.lengths == {7: 1}
-    assert model.codes[7] == (0, 1)
+    assert _code_lengths({7: 5}) == {7: 1}
+    assert _canonical({7: 1}) == [(7, 0, 1)]
 
 
 def test_huffman_codes_are_canonical_and_prefix_free():
@@ -145,10 +140,14 @@ def test_huffman_codes_are_canonical_and_prefix_free():
     for _ in range(20):
         syms = rng.choice(200, size=rng.integers(2, 40), replace=False)
         hist = {int(s): int(rng.integers(1, 500)) for s in syms}
-        model = huffman_build(hist)
-        kraft = sum(2.0 ** -l for l in model.lengths.values())
+        lengths = _code_lengths(hist)
+        assert set(lengths) == set(hist)
+        kraft = sum(2.0 ** -l for l in lengths.values())
         assert kraft == pytest.approx(1.0)
-        codes = [f"{c:0{l}b}" for c, l in model.codes.values()]
+        words = _canonical(lengths)
+        assert [(s, l) for s, _, l in words] == sorted(lengths.items(), key=lambda w: w[::-1])
+        codes = [f"{c:0{l}b}" for _, c, l in words]
+        assert codes == sorted(codes)  # canonical: words count up in order
         for a in codes:
             for b in codes:
                 if a is not b:
@@ -156,17 +155,7 @@ def test_huffman_codes_are_canonical_and_prefix_free():
         # mean length within one bit of the histogram entropy
         total = sum(hist.values())
         ent = -sum(c / total * np.log2(c / total) for c in hist.values())
-        assert ent <= model.mean_length(hist) < ent + 1
-
-
-def test_huffman_model_validation():
-    with pytest.raises(ValueError):
-        HuffmanModel({})
-    with pytest.raises(ValueError):
-        HuffmanModel({1: 1, 2: 2})  # Kraft sum 0.75
-    with pytest.raises(ValueError):
-        HuffmanModel({1: 0})
-    assert HuffmanModel({5: 3}).codes == {5: (0, 3)}  # one word: exempt
+        assert ent <= sum(hist[s] * lengths[s] for s in hist) / total < ent + 1
 
 
 # Over-full by 2^-45: a float Kraft sum within 1e-9 of 1 let it through, and
@@ -174,15 +163,33 @@ def test_huffman_model_validation():
 _OVER_FULL = {k: k for k in range(1, 41)} | {41: 40, 42: 45, 0: 45}
 
 
-def test_huffman_model_needs_an_exact_kraft_sum():
-    for lengths in (_OVER_FULL, {k: k for k in range(1, 41)}, {1: 1, 2: 2, 3: 2, 4: 3}):
-        with pytest.raises(ValueError, match="Kraft"):
-            HuffmanModel(lengths)
-    HuffmanModel({k: k for k in range(1, 41)} | {41: 40})  # exactly 1
-    blob = _table_blob(np.random.default_rng(0), _OVER_FULL)
-    for decode in (huffman_decode, lambda b, n: decode_bits("huffman", b, n)):
-        with pytest.raises(CodingError, match="bad code table"):
-            decode(blob, 85)
+_HUFFMAN_DECODERS = (huffman_decode, lambda b, n: decode_bits("huffman", b, n))
+
+
+def test_huffman_decoder_checks_its_code_table():
+    for decode in _HUFFMAN_DECODERS:
+        with pytest.raises(CodingError, match="^empty code table$"):
+            decode(b"\x00\x01\x00", 8)
+        for lengths in ({1: 0}, {1: 1, 2: 0}):
+            with pytest.raises(CodingError, match="^bad code table: code lengths must be pos"):
+                decode(_table_head(0, 1, lengths), 8)
+    # One word is exempt from the Kraft equality: {5: 3} is the code word 000.
+    assert _canonical({5: 3}) == [(5, 0, 3)]
+    blob = _blob_with_table(0, [5, 5, 5], {5: 3})
+    assert np.array_equal(huffman_decode(blob, 15), np.repeat([False, True, False], 5))
+
+
+def test_huffman_decoder_needs_an_exact_kraft_sum():
+    full = {k: k for k in range(1, 41)}  # Kraft sum 1 - 2^-40
+    for lengths in (_OVER_FULL, full, {1: 1, 2: 2}, {1: 1, 2: 2, 3: 2, 4: 3}):
+        for decode in _HUFFMAN_DECODERS:
+            with pytest.raises(CodingError, match="^bad code table: .*Kraft"):
+                decode(_table_head(0, 1, lengths), 85)
+    exact = full | {41: 40}  # exactly 1
+    runs = [1, 2, 41, 40]
+    bits = np.repeat(np.arange(4) % 2 == 1, runs)
+    for decode in _HUFFMAN_DECODERS:
+        assert np.array_equal(decode(_blob_with_table(0, runs, exact), bits.size), bits)
 
 
 def test_huffman_round_trips():
@@ -192,17 +199,21 @@ def test_huffman_round_trips():
         assert np.array_equal(huffman_decode(huffman_encode(bits), bits.size), bits)
 
 
-def _blob_with_table(first, runs, lengths):
-    """A Huffman blob coding ``runs`` with the given code table; a run the
-    table has no symbol for goes through the escape."""
+def _table_head(first, count, lengths):
+    """The head of a Huffman blob: flag byte, run count and code table."""
     out = bytearray([first])
-    write_varint(len(runs), out)
+    write_varint(count, out)
     write_varint(len(lengths), out)
     for sym, length in lengths.items():
         write_varint(sym, out)
         out.append(length)
-    codes = HuffmanModel(lengths).codes
-    words = {sym: f"{code:0{length}b}" for sym, (code, length) in codes.items()}
+    return bytes(out)
+
+
+def _blob_with_table(first, runs, lengths):
+    """A Huffman blob coding ``runs`` with the given code table; a run the
+    table has no symbol for goes through the escape."""
+    words = {sym: f"{code:0{length}b}" for sym, code, length in _canonical(lengths)}
     stream = ""
     for run in runs:
         if run in lengths:
@@ -212,7 +223,7 @@ def _blob_with_table(first, runs, lengths):
             write_varint(run, extra)
             stream += words[ESC] + "".join(f"{b:08b}" for b in extra)
     stream += "0" * (-len(stream) % 8)
-    return bytes(out) + int(stream, 2).to_bytes(len(stream) // 8, "big")
+    return _table_head(first, len(runs), lengths) + int(stream, 2).to_bytes(len(stream) // 8, "big")
 
 
 def test_huffman_escapes_runs_past_the_symbol_limit():
@@ -224,7 +235,7 @@ def test_huffman_escapes_runs_past_the_symbol_limit():
     long_run = np.r_[np.zeros(300, dtype=bool), np.ones(3, dtype=bool)]
     for bits in (data, long_run):
         assert np.array_equal(huffman_decode(huffman_encode(bits), bits.size), bits)
-    first, runs = int(data[0]), rle_encode(data).runs
+    first, runs = _run_split(data)
     blob = _blob_with_table(first, runs, {1: 2, 36: 2, ESC: 1})
     assert np.array_equal(huffman_decode(blob, data.size), data)
 
@@ -252,9 +263,9 @@ def _reference_huffman_decode(blob, n_bits):
     count, pos = read_varint(blob, 1)
     if count == 0:
         raise CodingError("huffman blob carries no runs")
-    model, pos = _parse_table(blob, pos)
-    words = {(l, c): s for s, (c, l) in model.codes.items()}
-    max_len = max(model.lengths.values())
+    lengths, pos = _parse_table(blob, pos)
+    words = {(l, c): s for s, c, l in _canonical(lengths)}
+    max_len = max(lengths.values())
     at = 8 * pos
 
     def bit():
@@ -291,7 +302,9 @@ def _reference_huffman_decode(blob, n_bits):
         runs.append(sym)
         if sum(runs) > n_bits:
             raise CodingError(f"runs cover more than the {n_bits} bits expected")
-    return rle_decode(RleStream(blob[0], tuple(runs)), n_bits)
+    if sum(runs) < n_bits:
+        raise CodingError(f"decoded {sum(runs)} bits where {n_bits} were expected")
+    return np.repeat(np.arange(len(runs)) % 2 != blob[0], runs)
 
 
 def _outcome(fn, *args):
@@ -304,20 +317,15 @@ def _outcome(fn, *args):
 
 def _table_blob(rng, lengths):
     """A Huffman blob with the given code table over random code bits."""
-    out = bytearray([rng.integers(2)])
-    write_varint(int(rng.integers(0, 12)), out)
-    write_varint(len(lengths), out)
-    for sym, length in lengths.items():
-        write_varint(sym, out)
-        out.append(length)
-    return bytes(out) + rng.bytes(int(rng.integers(0, 12)))
+    head = _table_head(int(rng.integers(2)), int(rng.integers(0, 12)), lengths)
+    return head + rng.bytes(int(rng.integers(0, 12)))
 
 
 def test_huffman_decode_matches_its_bit_at_a_time_reference():
     """Valid, mutated and hand-built blobs decode to the same bits, or
     fail with the same error, as the one-bit-at-a-time loop."""
     rng = np.random.default_rng(31)
-    escaping = huffman_build({1: 5, 2: 3, ESC: 1}).lengths
+    escaping = _code_lengths({1: 5, 2: 3, ESC: 1})
     blobs = []
     for _ in range(60):
         runs = rng.integers(1, rng.choice([4, 40, 400]), size=rng.integers(1, 20))
@@ -344,10 +352,16 @@ def test_huffman_decode_matches_its_bit_at_a_time_reference():
             else:
                 b += rng.bytes(int(rng.integers(1, 4)))
             cases.append(bytes(b))
+    decoded = 0
     for blob in cases:
-        for n_bits in (16, 300, 5000):
-            assert _outcome(huffman_decode, blob, n_bits) == _outcome(
-                _reference_huffman_decode, blob, n_bits)
+        # A decoder returns exactly the expected bits: where the reference
+        # reads runs covering fewer than 5000, try their length too.
+        short = re.match(r"decoded (\d+) bits", str(_outcome(_reference_huffman_decode, blob, 5000)[1]))
+        for n_bits in (16, 300, 5000, *([int(short[1])] if short else [])):
+            got = _outcome(huffman_decode, blob, n_bits)
+            assert got == _outcome(_reference_huffman_decode, blob, n_bits)
+            decoded += got[0] == n_bits
+    assert decoded > len(blobs)
 
 
 # ----------------------------------------------------------------------
@@ -441,15 +455,18 @@ def _reference_arith_decode(data, n_bits, model=None):
 def _reference_huffman_encode(bits):
     """Huffman encoding through one string of code bits: the reference the
     integer packing must match."""
-    stream = rle_encode(bits)
-    syms = [r if r <= 255 else ESC for r in stream.runs]
-    model = huffman_build(Counter(syms))
-    head = bytearray([stream.first_bit])
+    first, runs = _run_split(np.asarray(bits, dtype=bool))
+    syms = [r if r <= 255 else ESC for r in runs]
+    lengths = _code_lengths(Counter(syms))
+    head = bytearray([first])
     write_varint(len(syms), head)
-    _serialize_table(model, head)
-    words = {sym: f"{code:0{length}b}" for sym, (code, length) in model.codes.items()}
+    write_varint(len(lengths), head)
+    for sym in sorted(lengths):
+        write_varint(sym, head)
+        head.append(lengths[sym])
+    words = {sym: f"{code:0{length}b}" for sym, code, length in _canonical(lengths)}
     code_bits = ""
-    for sym, run in zip(syms, stream.runs):
+    for sym, run in zip(syms, runs):
         code_bits += words[sym]
         if sym == ESC:
             extra = bytearray()
@@ -610,8 +627,10 @@ def test_registry_checks_length():
     blob = encode_bits("rle", np.zeros(20, dtype=bool))
     with pytest.raises(CodingError):
         decode_bits("rle", blob, 21)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown coder 'nope'"):
         encode_bits("nope", np.zeros(4, dtype=bool))
+    with pytest.raises(ValueError, match="^unknown coder 'nope'"):
+        decode_bits("nope", b"\x00", 1)
 
 
 def test_decoders_reject_runs_past_the_expected_length():
@@ -622,13 +641,15 @@ def test_decoders_reject_runs_past_the_expected_length():
         for name, blob in blobs.items():
             with pytest.raises(CodingError):
                 decode_bits(name, blob, 8)
-        for stream in (RleStream.from_bytes(blobs["rle"]), RleStream(1, (3, size, 2**62))):
-            with pytest.raises(CodingError):
-                rle_decode(stream, 8)
-        with pytest.raises(CodingError):
+        many = bytearray(b"\x01")
+        for run in (3, size, 2**62):
+            write_varint(run, many)
+        for blob in (blobs["rle"], bytes(many)):
+            # The rle blob itself parses: only the expected length rules it out.
+            with pytest.raises(CodingError, match="^runs cover more than the 8 bits"):
+                rle_decode(blob, 8)
+        with pytest.raises(CodingError, match="^runs cover more than the 8 bits"):
             huffman_decode(blobs["huffman"], 8)
-        # The rle blob itself parses: only the expected length rules it out.
-        assert RleStream.from_bytes(blobs["rle"]).n_bits == size
     bits = np.ones(300, dtype=bool)
     for name in ("rle", "huffman"):
         blob = encode_bits(name, bits)
