@@ -218,7 +218,8 @@ def _read_frames(data: bytes):
                 bits = np.zeros(0, dtype=bool)
             else:
                 bits = decode_bits(coder, bytes(body[HEADER_LEN:]), nbits)
-            msg = CompressedBM(scheme, offset, lbmr, cbmr, bits, resync=resync)
+            # unpack_envelope has checked the tag; the bits are fresh.
+            msg = CompressedBM._of(scheme, offset, lbmr, cbmr, bits, resync)
         yield ts, peer, _ID_DIRS[dir_id], msg
 
 

@@ -16,11 +16,21 @@ Every coder is two functions over bytes, ``encode(bits) -> blob`` and
   accepts an explicit per-position probability model, which is how
   simulated payloads are squeezed down to their information content.
 
-All three are bijective on nonempty bit sequences.  Blob layouts are private
-to this module; the only cross-module contract is bytes in, bits out, with
-the expected bit count supplied out-of-band (the wire header carries it).
-A decoder returns exactly that many bits or raises CodingError; a run-length
-blob whose runs cover more fails before anything is allocated.
+Every nonempty bit sequence round-trips through each coder.  Blob layouts
+are private to this module; the only cross-module contract is bytes in, bits
+out, with the expected bit count supplied out-of-band (the wire header
+carries it).  A decoder returns exactly that many bits or raises
+CodingError; a run-length blob whose runs cover more fails before anything
+is allocated.
+
+An rle blob has one form: a varint with a trailing zero byte (overlong) is
+rejected.  A Huffman blob has one form for a given code table: overlong
+varints, table symbols that do not ascend strictly or exceed 255, an escape
+for a run of 255 or less, 8 or more stream bits after the last run and
+nonzero padding are rejected.  The table itself is free: any table with an
+exact Kraft sum decodes, whether or not its lengths are the ones the
+encoder would build.  An ``ac`` blob has no single form either: its
+decoder reads past the end as zeros and ignores bytes it does not need.
 
 The arithmetic coder is one integer loop per direction, shared by the
 adaptive and the model path, and it renormalises a whole run per step
@@ -86,6 +96,8 @@ def read_varint(data, pos: int):
         pos += 1
         value |= (b & 0x7F) << shift
         if not b & 0x80:
+            if not b and shift:
+                raise CodingError("overlong varint")
             return value, pos
         shift += 7
         if shift > 63:
@@ -213,18 +225,25 @@ def _canonical(lengths: dict) -> list:
 
 def _parse_table(data: bytes, pos: int):
     """Read a code table, ``{symbol: length}``, and check it: a blob is
-    untrusted, and only a table whose Kraft sum is exactly 1 (or that has
-    one word) gives a prefix code whose words fit their lengths."""
+    untrusted, its symbols must ascend strictly up to the longest run
+    symbol, and only a table whose Kraft sum is exactly 1 (or that has one
+    word) gives a prefix code whose words fit their lengths."""
     count, pos = read_varint(data, pos)
     if count == 0:
         raise CodingError("empty code table")
     lengths = {}
+    sym = -1
     for _ in range(count):
+        prev = sym
         sym, pos = read_varint(data, pos)
+        if sym <= prev:
+            raise CodingError("bad code table: symbols must ascend strictly")
         if pos >= len(data):
             raise CodingError("truncated code table")
         lengths[sym] = data[pos]
         pos += 1
+    if sym > _MAX_RUN_SYMBOL:
+        raise CodingError(f"bad code table: symbol {sym} above {_MAX_RUN_SYMBOL}")
     if min(lengths.values()) <= 0:
         raise CodingError("bad code table: code lengths must be positive")
     if len(lengths) > 1:
@@ -330,17 +349,25 @@ def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
                 b = (win >> nwin) & 0xFF
                 run |= (b & 0x7F) << shift
                 if not b & 0x80:
+                    if not b and shift:
+                        raise CodingError("overlong varint")
                     break
                 shift += 7
                 if shift > 63:
                     raise CodingError("varint too long")
+            if run <= _MAX_RUN_SYMBOL:
+                raise CodingError(f"escaped run {run} fits a run symbol")
         win &= (1 << nwin) - 1
-        if run <= 0:
-            raise CodingError("zero-length run")
         total += run
         if total > n_bits:
             raise CodingError(f"runs cover more than the {n_bits} bits expected")
         runs.append(run)
+    # The stream ends within the byte of its last code bit, zero-padded.
+    left = avail - at
+    if left >= 8:
+        raise CodingError(f"{left} bits follow the last run")
+    if left and blob[-1] & ((1 << left) - 1):
+        raise CodingError("padding bits past the code stream must be zero")
     return _expand(first, runs, n_bits)
 
 

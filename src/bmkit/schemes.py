@@ -309,8 +309,8 @@ def unpack_stream(data: bytes):
 # ======================================================================
 
 def sbms_encode(bm: BufferMap) -> CompressedBM:
-    """Wrap a whole buffer map."""
-    return CompressedBM("sbms", bm.offset, 0, 0, bm.bits)
+    """Wrap a whole buffer map; the message shares its read-only bits."""
+    return CompressedBM._of("sbms", bm.offset, 0, 0, bm.bits)
 
 
 def sbms_decode(msg: CompressedBM, n: int) -> BufferMap:
@@ -318,7 +318,9 @@ def sbms_decode(msg: CompressedBM, n: int) -> BufferMap:
         raise ProtocolError(f"expected an sbms message, got {msg.scheme}")
     if msg.n_bits != n:
         raise DesyncError(f"expected {n} raw bits, got {msg.n_bits}")
-    return BufferMap(msg.offset, msg.payload)
+    if not n:
+        raise ValueError("bits must be a one-dimensional, nonempty sequence")
+    return BufferMap._owning(msg.offset, msg.payload.copy())
 
 
 # ======================================================================
@@ -585,3 +587,15 @@ class PpbmsSession(_ReportsLocations):
         self._reset_epoch()
         self.last_bm = None
         return replace(self.encode(bm), resync=True)
+
+
+def _unfilled_past(session: PpbmsSession, end: int) -> int:
+    """Members of ``session``'s shared set at chunk ``end`` or later: the
+    unfilled positions there of its known map of the counterpart.  Right
+    after it sent a map ending at ``end``, these are the members its message
+    could not report; the rest are the locations it reported 0."""
+    known = session._known
+    if known is None or known.end <= end:
+        return 0
+    tail = known.bits[max(end - known.offset, 0) :]
+    return tail.size - int(np.count_nonzero(tail))

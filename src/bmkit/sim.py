@@ -31,6 +31,13 @@ exactly the per-message information quantities the entropy module computes,
 which is what the formula-validation tests exploit.  A trace carries no
 generative model, so its ideal lengths are NaN.
 
+Each measured spbms or ppbms message also records the size of the
+support set it leaves at its sender (``ss_sizes``, averaged as
+``mean_ss_size``; sbms keeps no set).  A sender never re-reports a
+location it has announced filled, so that set is the locations the message
+reported 0.  A ppbms set adds the counterpart's members past the sender's
+window, which no message of the sender can reach yet.
+
 The log2 probabilities are laid out once per run by window position, one
 table per old-prefix length k: the number of window positions below the
 sender's previous window end.  Each table is built the first time a
@@ -58,7 +65,14 @@ from .coders import CODER_NAMES, encode_bits
 from .entropy import ExchangeParams, _cond_fill
 from .errors import InvariantError, MissingReferenceError
 from .fillmodel import SCurve
-from .schemes import PpbmsSession, SpbmsDecoder, SpbmsEncoder, sbms_decode, sbms_encode
+from .schemes import (
+    PpbmsSession,
+    SpbmsDecoder,
+    SpbmsEncoder,
+    _unfilled_past,
+    sbms_decode,
+    sbms_encode,
+)
 
 __all__ = [
     "SCHEMES",
@@ -551,10 +565,11 @@ class _Engine:
             if measured:
                 link.ideal.append(ideal)
                 link.payloads.append(msg.payload)
-                if link.scheme == "spbms":  # the unfilled positions of snap, now its last map
-                    link.ss.append(self.n - np.count_nonzero(snap.bits))
-                elif link.enc is not None:
-                    link.ss.append(len(link.enc.support_set))
+                if link.enc is not None:  # the set it leaves; see the module docstring
+                    ss = msg.n_bits - np.count_nonzero(msg.payload)
+                    if link.scheme == "ppbms":
+                        ss += _unfilled_past(link.enc, snap.end)
+                    link.ss.append(ss)
                 for c in self.coders:
                     if msg.n_bits:
                         link.coder_bytes[c] += len(encode_bits(c, msg.payload))
@@ -647,6 +662,11 @@ def _simulate(cfg: SimConfig, script: ReorderScript | None) -> SimResult:
         "A", cfg.curve, base_offset=cfg.offset_lag, rng=np.random.default_rng(seq_a)
     )
     warm = cfg.warmup_periods
+    # Touch each peer's newest chunk of the run, so that its fill delays are
+    # drawn in one batch; split draws read the same stream.
+    last = warm + cfg.rounds - 1
+    peer_b.fill_delay(last * cfg.T + cfg.n - 1)
+    peer_a.fill_delay(cfg.offset_lag + last * cfg.T + cfg.tau + cfg.n - 1)
 
     def sends():
         for i in range(warm + cfg.rounds):

@@ -200,11 +200,12 @@ def test_huffman_round_trips():
 
 
 def _table_head(first, count, lengths):
-    """The head of a Huffman blob: flag byte, run count and code table."""
+    """The head of a Huffman blob: flag byte, run count and code table, its
+    symbols in ascending order."""
     out = bytearray([first])
     write_varint(count, out)
     write_varint(len(lengths), out)
-    for sym, length in lengths.items():
+    for sym, length in sorted(lengths.items()):
         write_varint(sym, out)
         out.append(length)
     return bytes(out)
@@ -223,21 +224,26 @@ def _blob_with_table(first, runs, lengths):
             write_varint(run, extra)
             stream += words[ESC] + "".join(f"{b:08b}" for b in extra)
     stream += "0" * (-len(stream) % 8)
-    return _table_head(first, len(runs), lengths) + int(stream, 2).to_bytes(len(stream) // 8, "big")
+    code = int(stream or "0", 2).to_bytes(len(stream) // 8, "big")
+    return _table_head(first, len(runs), lengths) + code
 
 
 def test_huffman_escapes_runs_past_the_symbol_limit():
-    """A run longer than 255 is coded as the escape plus a varint; a hand-
-    built table may escape short runs too, and both decode the same."""
+    """A run longer than 255 is coded as the escape plus a varint, whatever
+    the table; an escape for a shorter run is a second form, rejected."""
     data = np.zeros(400, dtype=bool)
     data[::37] = True
     data[300:] = True  # runs of 1 and 36, then 3 zeros and 100 ones
     long_run = np.r_[np.zeros(300, dtype=bool), np.ones(3, dtype=bool)]
     for bits in (data, long_run):
         assert np.array_equal(huffman_decode(huffman_encode(bits), bits.size), bits)
+    first, runs = _run_split(long_run)
+    blob = _blob_with_table(first, runs, {3: 1, ESC: 1})
+    assert np.array_equal(huffman_decode(blob, long_run.size), long_run)
     first, runs = _run_split(data)
     blob = _blob_with_table(first, runs, {1: 2, 36: 2, ESC: 1})
-    assert np.array_equal(huffman_decode(blob, data.size), data)
+    with pytest.raises(CodingError, match="^escaped run 3 fits a run symbol$"):
+        huffman_decode(blob, data.size)
 
 
 def test_huffman_decode_rejects_corrupt_blob():
@@ -252,6 +258,43 @@ def test_huffman_blob_with_no_runs_is_a_coding_error():
     blob = b"\x00\x00\x01\x01\x01"  # flag 0, zero runs, a one-word table
     with pytest.raises(CodingError, match="^huffman blob carries no runs$"):
         decode_bits("huffman", blob, 8)
+
+
+def test_rle_and_huffman_blobs_have_one_form():
+    """A second blob for the same bits is a CodingError: an overlong
+    varint, bytes or set bits past the Huffman stream, an escape for a run
+    a symbol could code, and a table whose symbols do not ascend."""
+    with pytest.raises(CodingError, match="^overlong varint$"):
+        decode_bits("rle", b"\x00\x81\x00", 1)  # 1 as two bytes; rle_encode gives 00 01
+    with pytest.raises(CodingError, match="^overlong varint$"):
+        read_varint(b"\x80\x80\x00", 0)
+    assert read_varint(b"\x00", 0) == (0, 1)
+    blob = huffman_encode([0, 0, 1])
+    assert np.array_equal(huffman_decode(blob, 3), [0, 0, 1])
+    with pytest.raises(CodingError, match="^14 bits follow the last run$"):
+        huffman_decode(blob + b"\xff", 3)
+    with pytest.raises(CodingError, match="^padding bits past the code stream must be zero$"):
+        huffman_decode(blob[:-1] + bytes([blob[-1] | 1]), 3)
+    # Flag 0, 2 runs, a table of symbol 2 twice (the later length once won).
+    with pytest.raises(CodingError, match="^bad code table: symbols must ascend strictly$"):
+        huffman_decode(bytes([0, 2, 2, 2, 1, 2, 1, 0x00]), 4)
+    with pytest.raises(CodingError, match="^bad code table: symbols must ascend strictly$"):
+        huffman_decode(bytes([0, 2, 2, 2, 1, 1, 1, 0x40]), 3)
+    with pytest.raises(CodingError, match="^bad code table: symbol 256 above 255$"):
+        huffman_decode(_blob_with_table(0, [256, 1], {1: 1, 256: 1}), 257)
+    # Run 300 (ac 02) through the escape, with its varint padded to 3 bytes.
+    stream = "0" + "".join(f"{b:08b}" for b in b"\xac\x82\x00") + "1"
+    blob = _table_head(0, 2, {ESC: 1, 1: 1}) + int(stream + "000000", 2).to_bytes(4, "big")
+    with pytest.raises(CodingError, match="^overlong varint$"):
+        huffman_decode(blob, 301)
+
+
+@given(runs=st.lists(st.integers(1, 20_000), min_size=1, max_size=30), first=st.booleans())
+def test_rle_and_huffman_encoders_give_the_one_form(runs, first):
+    """Every encoder output decodes, escapes and long varints included."""
+    bits = np.repeat(np.arange(len(runs)) % 2 != first, runs)
+    for name in ("rle", "huffman"):
+        assert np.array_equal(decode_bits(name, encode_bits(name, bits), bits.size), bits)
 
 
 def _reference_huffman_decode(blob, n_bits):
@@ -293,15 +336,22 @@ def _reference_huffman_decode(blob, n_bits):
                     b = (b << 1) | bit()
                 sym |= (b & 0x7F) << shift
                 if not b & 0x80:
+                    if not b and shift:
+                        raise CodingError("overlong varint")
                     break
                 shift += 7
                 if shift > 63:
                     raise CodingError("varint too long")
-        if sym <= 0:
-            raise CodingError("zero-length run")
+            if sym <= 255:
+                raise CodingError(f"escaped run {sym} fits a run symbol")
         runs.append(sym)
         if sum(runs) > n_bits:
             raise CodingError(f"runs cover more than the {n_bits} bits expected")
+    left = 8 * len(blob) - at
+    if left >= 8:
+        raise CodingError(f"{left} bits follow the last run")
+    if any(bit() for _ in range(left)):
+        raise CodingError("padding bits past the code stream must be zero")
     if sum(runs) < n_bits:
         raise CodingError(f"decoded {sum(runs)} bits where {n_bits} were expected")
     return np.repeat(np.arange(len(runs)) % 2 != blob[0], runs)
@@ -316,9 +366,12 @@ def _outcome(fn, *args):
 
 
 def _table_blob(rng, lengths):
-    """A Huffman blob with the given code table over random code bits."""
-    head = _table_head(int(rng.integers(2)), int(rng.integers(0, 12)), lengths)
-    return head + rng.bytes(int(rng.integers(0, 12)))
+    """A Huffman blob with the given code table over up to 11 random code
+    words; an escape word codes a random run past the symbol limit."""
+    syms = sorted(lengths)
+    runs = [int(rng.choice(syms)) for _ in range(int(rng.integers(0, 12)))]
+    runs = [run or int(rng.integers(256, 1000)) for run in runs]
+    return _blob_with_table(int(rng.integers(2)), runs, lengths)
 
 
 def test_huffman_decode_matches_its_bit_at_a_time_reference():
@@ -330,16 +383,18 @@ def test_huffman_decode_matches_its_bit_at_a_time_reference():
     for _ in range(60):
         runs = rng.integers(1, rng.choice([4, 40, 400]), size=rng.integers(1, 20))
         bits = np.repeat(np.arange(runs.size) % 2 == rng.integers(2), runs)
-        blobs += [huffman_encode(bits), _blob_with_table(int(bits[0]), runs.tolist(), escaping)]
+        long_runs = np.where(runs > 2, runs + 253, runs)  # escaped past the symbol limit
+        blobs += [huffman_encode(bits), _blob_with_table(int(bits[0]), long_runs.tolist(), escaping)]
+    bad_tables = []
     for _ in range(40):
         blobs.append(_table_blob(rng, {int(rng.integers(0, 300)): int(rng.integers(1, 5))}))
-        blobs.append(_table_blob(rng, {k: k for k in range(1, 41)}))  # Kraft 1 - 2**-40: bad
-        blobs.append(_table_blob(rng, _OVER_FULL))  # bad
+        bad_tables.append(_table_blob(rng, {k: k for k in range(1, 41)}))  # Kraft 1 - 2**-40
+        bad_tables.append(_table_blob(rng, _OVER_FULL))
         blobs.append(_table_blob(rng, {0: 1, 1: 2, 2: 2}))
     # An escape whose varint never ends.
     blobs.append(bytes([0, 1, 2, ESC, 1, 1, 1]) + b"\x7f" + b"\xff" * 9 + b"\x80")
     cases = []
-    for blob in blobs:
+    for blob in blobs + bad_tables:
         cases.append(blob)
         for _ in range(6):
             b = bytearray(blob)
@@ -361,6 +416,7 @@ def test_huffman_decode_matches_its_bit_at_a_time_reference():
             got = _outcome(huffman_decode, blob, n_bits)
             assert got == _outcome(_reference_huffman_decode, blob, n_bits)
             decoded += got[0] == n_bits
+    # The blobs outside bad_tables average more than one exact decode each.
     assert decoded > len(blobs)
 
 

@@ -209,6 +209,20 @@ def test_sbms_ships_the_whole_map():
     assert sbms_decode(msg, 8) == bm
 
 
+def test_sbms_decode_checks_the_message_and_owns_its_bits():
+    payload = np.array([1, 0, 1, 1], dtype=bool)
+    msg = CompressedBM("sbms", 5, 0, 0, payload)  # shares the caller's array
+    out = sbms_decode(msg, 4)
+    payload[0] = False
+    assert out == _bm(5, "1011") and not out.bits.flags.writeable
+    with pytest.raises(ProtocolError):
+        sbms_decode(CompressedBM("spbms", 5, 0, 0, payload), 4)
+    with pytest.raises(DesyncError):
+        sbms_decode(msg, 5)
+    with pytest.raises(ValueError, match="nonempty"):
+        sbms_decode(CompressedBM("sbms", 5, 0, 0, []), 0)
+
+
 def test_sbms_round_trips_through_generic_coders():
     """The coder blob follows the envelope, whose bit count is the map's."""
     rng = np.random.default_rng(3)

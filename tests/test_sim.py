@@ -556,6 +556,39 @@ def test_ppbms_with_a_lagging_window_reports_only_the_senders_window(T, tau, lag
             assert np.all((out.locations >= out.offset) & (out.locations < out.offset + n))
 
 
+@pytest.mark.parametrize("T, tau, lag, faults", [(8, 3, 30, False), (4, 4, 1, False),
+                                                (4, 2, 5, True)])
+def test_measured_set_sizes_equal_the_senders_support_sets(monkeypatch, T, tau, lag, faults):
+    """The engine counts each set off its message; that count equals the
+    sending end's support set right after the encode, with windows lagging
+    either way and across a drop and a delay that force resyncs."""
+    sizes, engines = [], []
+    for cls in (SpbmsEncoder, PpbmsSession):
+        def encode(self, bm, _encode=cls.encode):
+            msg = _encode(self, bm)  # make_resync encodes through here too
+            sizes.append((self, len(self.support_set)))
+            return msg
+
+        monkeypatch.setattr(cls, "encode", encode)
+
+    def run(self, *args, _run=sim._Engine.run, **kwargs):
+        engines.append(self)
+        return _run(self, *args, **kwargs)
+
+    monkeypatch.setattr(sim._Engine, "run", run)
+    n = 64
+    cfg = SimConfig(calibrate_curve(20.0, n).to_curve(n), T=T, tau=tau, rounds=30,
+                    schemes=("spbms", "ppbms"), offset_lag=lag)
+    script = ReorderScript(drops=[("ab", 12)], delays={("ba", 20): 11}) if faults else None
+    res = reorder_fault_run(cfg, script) if faults else run_synthetic(cfg)
+    (engine,) = engines
+    for scheme in ("spbms", "ppbms"):
+        assert (res.total_resyncs(scheme) > 0) == faults
+        for d, link in engine.links[scheme].items():
+            want = [size for enc, size in sizes if enc is link.enc][-cfg.rounds:]
+            assert res.ss_sizes[(scheme, d)].tolist() == want, (scheme, d)
+
+
 # ----------------------------------------------------------------------
 # One driver for synthetic runs and trace replays
 # ----------------------------------------------------------------------
