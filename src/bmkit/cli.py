@@ -214,7 +214,9 @@ def _read_frames(data: bytes):
                 raise ValueError("frame length disagrees with message length")
         else:
             scheme, offset, lbmr, cbmr, nbits, resync = unpack_envelope(body)
-            if nbits == 0:
+            if nbits == 0:  # no payload to code: the frame is the header alone
+                if body_len != HEADER_LEN:
+                    raise ValueError("frame length disagrees with message length")
                 bits = np.zeros(0, dtype=bool)
             else:
                 bits = decode_bits(coder, bytes(body[HEADER_LEN:]), nbits)

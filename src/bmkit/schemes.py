@@ -517,7 +517,10 @@ class PpbmsSession(_ReportsLocations):
         """Report own bits at every shared-support-set location of the
         window of ``bm``."""
         own = self._last_own
-        _check_bitmap(bm, self.n, self.last_bm, None if own is None else own.offset, "session")
+        # A counterpart's resync empties the own maps but keeps last_bm; a
+        # replica has only its own maps.
+        last = own if self.last_bm is None else self.last_bm
+        _check_bitmap(bm, self.n, self.last_bm, None if last is None else last.offset, "session")
         win = _window(bm.offset, self.n, own, self._known)
         msg = CompressedBM._of("ppbms", bm.offset, self.sent_seq, self.recv_seq, bm.bits[win])
         self.last_bm = bm

@@ -1,11 +1,13 @@
 """Two-peer exchange simulator.
 
-One engine drives every selected scheme over one stream of buffer maps,
-each sent in one direction: ``ba`` (peer B to A) or ``ab`` (A to B).  A
-synthetic run samples the stream on the standard schedule: peer B sends
-at ``i*T``, peer A answers at ``i*T + tau``.  A trace replay takes it from
-the records of one or two peers: the first peer to appear plays B, the
-second A.  Each message is encoded, optionally entropy-coded, delivered
+Every selected scheme runs over one stream of buffer maps, each sent in
+one direction: ``ba`` (peer B to A) or ``ab`` (A to B).  A synthetic run
+samples the stream on the standard schedule: peer B sends at ``i*T``, peer
+A answers at ``i*T + tau``.  A trace replay takes it from the records of
+one or two peers: the first peer to appear plays B, the second A.  An
+engine models one pairing: a ppbms engine carries both directions, and
+each sbms or spbms direction has its own, so the engines share nothing but
+the stream.  Each message is encoded, optionally entropy-coded, delivered
 (immediately, delayed, swapped, or dropped per an optional reorder
 script), decoded, and checked:
 
@@ -325,32 +327,16 @@ def _ideal_bits(tables: _IdealTables, k: int, pos, bits: np.ndarray) -> float:
     raise InvariantError("payload contains a zero-probability bit under the true model")
 
 
-@dataclass
-class _Pairing:
-    """Loss-recovery state of one pairing.  Both ppbms links share one;
-    each sbms or spbms link has its own.  ``dirs`` names the directions of
-    its links, which the engine looks up: a pairing holds no link, so the
-    two form no reference cycle."""
-
-    dirs: tuple
-    send_epoch: int = 0
-    recv_epoch: int = 0
-    needs_resync: bool = False
-    dirty: bool = False  # lost a message; true until a resync lands
-    resyncs: int = 0
-
-
 class _Link:
-    """One scheme in one direction: the codec ends that send (``enc``) and
-    receive (``dec``) on it, None for sbms; its pairing; what was measured
-    on it; and the envelopes it holds back."""
+    """One direction of a pairing: the codec ends that send (``enc``) and
+    receive (``dec``) on it, None for sbms; what was measured on it; and the
+    envelopes it holds back."""
 
-    def __init__(self, scheme, direction, enc, dec, pairing, coders):
-        self.scheme = scheme
+    def __init__(self, direction, enc, dec, coders):
         self.direction = direction
         self.enc = enc
         self.dec = dec
-        self.pairing = pairing
+        self.sent = 0  # messages sent, the next one's per-direction index
         self.prev_end = None  # end of the previous sent window; None after a resync
         self.held = []
         self.swap_stash = None
@@ -361,19 +347,19 @@ class _Link:
         self.coder_bytes = {c: 0 for c in coders}
         self.drops = 0
 
-    def stats(self) -> SchemeDirStats:
+    def stats(self, scheme, resyncs) -> SchemeDirStats:
         pb = np.array([p.size for p in self.payloads], dtype=np.float64)
         ideal = np.asarray(self.ideal, dtype=np.float64)
         ss = np.asarray(self.ss, dtype=np.float64)
         return SchemeDirStats(
-            self.scheme,
+            scheme,
             self.direction,
             len(self.payloads),
             float(pb.mean()) if pb.size else float("nan"),
             float(pb.std()) if pb.size else float("nan"),
             float(ideal.mean()) if ideal.size and not np.isnan(ideal).any() else float("nan"),
             float(ss.mean()) if ss.size else float("nan"),
-            self.pairing.resyncs,
+            resyncs,
             self.drops,
             dict(self.coder_bytes),
         )
@@ -394,83 +380,78 @@ class _Envelope:
 
 
 class _Engine:
-    """The one exchange driver, for synthetic runs and trace replays alike.
+    """One pairing of one scheme, with its loss-recovery state, its links
+    (direction -> ``_Link``; both directions for ppbms, one for sbms and
+    spbms) and the envelopes in flight on them.
 
-    ``run`` consumes a stream of ``(direction, BufferMap, measured)`` sends
-    in time order.  ``script`` injects delivery faults; ``ideal`` holds the
-    run's ``_IdealTables`` for ideal code lengths, or None, which makes
-    every length NaN.
+    ``send`` takes a map of a direction the pairing carries, ``deliver_due``
+    delivers what is due by a slot, and ``flush`` delivers the rest once the
+    stream ends.  ``script`` injects delivery faults; ``ideal`` holds the
+    run's ``_IdealTables``, or None, which makes every ideal length NaN.
     """
 
-    def __init__(self, n, schemes, coders, archive_depth=8, keep_messages=False,
-                 script=None, ideal=None):
+    def __init__(self, scheme, dirs, n, coders, archive_depth, keep_messages, script, ideal):
+        self.scheme = scheme
         self.n = n
-        self.schemes = schemes
         self.coders = coders
         self.archive_depth = archive_depth
         self.keep_messages = keep_messages
-        self.script = script or ReorderScript()
+        self.script = script
         self.ideal = ideal
-        self.links = {}  # scheme -> direction -> _Link
-        for s in schemes:
-            if s == "ppbms":
-                # One pairing of two peer sessions: A sends ab, B sends ba.
-                a, b = (PpbmsSession(n, archive_depth=archive_depth) for _ in range(2))
-                shared = _Pairing(_DIRS)
-                ends = {"ab": (a, b, shared), "ba": (b, a, shared)}
-            elif s == "spbms":
-                ends = {d: (SpbmsEncoder(n), SpbmsDecoder(n), _Pairing((d,))) for d in _DIRS}
-            else:
-                ends = {d: (None, None, _Pairing((d,))) for d in _DIRS}
-            self.links[s] = {d: _Link(s, d, *ends[d], coders) for d in _DIRS}
+        if scheme == "ppbms":
+            # Two peer sessions: A sends ab, B sends ba.
+            a, b = (PpbmsSession(n, archive_depth=archive_depth) for _ in range(2))
+            ends = {"ab": (a, b), "ba": (b, a)}
+        elif scheme == "spbms":
+            ends = {d: (SpbmsEncoder(n), SpbmsDecoder(n)) for d in dirs}
+        else:
+            ends = {d: (None, None) for d in dirs}
+        self.links = {d: _Link(d, *ends[d], coders) for d in dirs}
+        self.send_epoch = 0
+        self.recv_epoch = 0
+        self.needs_resync = False
+        self.dirty = False  # lost a message; true until a resync lands
+        self.resyncs = 0
         self.pending = []  # heap of (due, counter, link, envelope)
-        self.send_idx = {d: 0 for d in _DIRS}
         self._counter = 0
 
     # -- delivery ---------------------------------------------------------
 
-    def _outstanding(self, scheme) -> int:
-        k = sum(1 for _, _, link, _ in self.pending if link.scheme == scheme)
-        for link in self.links[scheme].values():
+    def _outstanding(self) -> int:
+        k = len(self.pending)
+        for link in self.links.values():
             k += len(link.held) + (link.swap_stash is not None)
         return k
 
-    def _assert_consistent(self, scheme):
-        links = self.links[scheme].values()
-        if scheme == "sbms" or self._outstanding(scheme):
+    def _assert_consistent(self):
+        if self.scheme == "sbms" or self.needs_resync or self.dirty or self._outstanding():
             return
-        if any(link.pairing.needs_resync or link.pairing.dirty for link in links):
+        # A ppbms pairing's two sessions are both ends of its first link.
+        link = next(iter(self.links.values()))
+        # Equal spbms maps leave equal sets; only differing ones need building.
+        if self.scheme == "spbms" and link.enc.last_bm == link.dec.last_bm:
             return
-        for link in links:
-            # A shared pairing's two ends are compared once, on its first link.
-            if link.direction != link.pairing.dirs[0]:
-                continue
-            # Equal spbms maps leave equal sets; only differing ones need building.
-            if scheme == "spbms" and link.enc.last_bm == link.dec.last_bm:
-                continue
-            if not link.enc.support_set == link.dec.support_set:
-                raise InvariantError(
-                    f"{scheme} {link.direction}: the support sets at the two ends diverged"
-                )
+        if not link.enc.support_set == link.dec.support_set:
+            raise InvariantError(
+                f"{self.scheme} {link.direction}: the support sets at the two ends diverged"
+            )
 
     def _deliver(self, link, env: _Envelope) -> str:
-        scheme, d = link.scheme, link.direction
+        scheme, d = self.scheme, link.direction
         if scheme == "sbms":
             rt = sbms_decode(env.msg, self.n)
             if not rt == env.snap:
                 raise InvariantError(f"sbms {d} message {env.idx}: reconstruction differs")
             return "ok"
-        pairing = link.pairing
-        if env.epoch < pairing.recv_epoch:
+        if env.epoch < self.recv_epoch:
             return "discard"
-        if env.epoch > pairing.recv_epoch and not env.msg.resync:
+        if env.epoch > self.recv_epoch and not env.msg.resync:
             self._hold(link, env)
             return "held"
         if env.msg.resync:
-            pairing.recv_epoch = env.epoch
-            pairing.dirty = False
-            for dd in pairing.dirs:
-                other = self.links[scheme][dd]
+            self.recv_epoch = env.epoch
+            self.dirty = False
+            for other in self.links.values():
                 other.held = [e for e in other.held if e.epoch >= env.epoch]
         try:
             out = link.dec.decode(env.msg)
@@ -493,22 +474,22 @@ class _Engine:
                 self._hold(link, env)
                 return "held"
             # Reference evicted: designed recovery is a pair resync.
-            pairing.needs_resync = True
-            pairing.dirty = True
+            self.needs_resync = True
+            self.dirty = True
             return "discard"
 
     def _hold(self, link, env: _Envelope):
         link.held.append(env)
         if len(link.held) > self.archive_depth:
-            link.pairing.needs_resync = True
-            link.pairing.dirty = True
+            self.needs_resync = True
+            self.dirty = True
             link.held.clear()
 
-    def _pump(self, scheme):
+    def _pump(self):
         progressed = True
         while progressed:
             progressed = False
-            for link in self.links[scheme].values():
+            for link in self.links.values():
                 q = link.held
                 if not q:
                     continue
@@ -524,69 +505,77 @@ class _Engine:
                     if outcome == "ok":
                         progressed = True
 
-    def _deliver_due(self, now: float):
+    def deliver_due(self, now: float):
         """Deliver every pending envelope due by ``now`` in (due, counter)
         order; those not yet popped stay pending, so they count as in flight."""
         while self.pending and self.pending[0][0] <= now:
             _, _, link, env = heapq.heappop(self.pending)
             if self._deliver(link, env) == "ok":
-                self._pump(link.scheme)
-            self._assert_consistent(link.scheme)
+                self._pump()
+            self._assert_consistent()
+
+    def flush(self):
+        """Deliver what is still in flight after the last send, then check
+        the drained pairing."""
+        for link in self.links.values():
+            if link.swap_stash is not None:  # swap named a final message; deliver it late
+                self._enqueue(link, link.swap_stash)
+                link.swap_stash = None
+        self.deliver_due(math.inf)
+        self._assert_consistent()
 
     # -- sending ----------------------------------------------------------
 
     def send(self, eidx, d, snap, measured):
-        idx = self.send_idx[d]
-        self.send_idx[d] += 1
-        for links in self.links.values():
-            link = links[d]
-            pairing = link.pairing
-            resync = pairing.needs_resync
-            if link.scheme == "sbms":
-                msg = sbms_encode(snap)
-            else:
-                msg = link.enc.make_resync(snap) if resync else link.enc.encode(snap)
-            if resync:
-                pairing.needs_resync = False
-                pairing.send_epoch += 1
-                pairing.resyncs += 1
-                for dd in pairing.dirs:
-                    links[dd].prev_end = None
-            if self.ideal is None:
-                ideal = math.nan
-            elif link.scheme == "sbms":  # the whole window, none of it reported before
-                ideal = _ideal_bits(self.ideal, 0, None, msg.payload)
-            else:
-                # Window positions below the previous window's end were reported before.
-                k = 0 if link.prev_end is None else max(link.prev_end - snap.offset, 0)
-                pos = link.enc.last_window.nonzero()[0]
-                ideal = _ideal_bits(self.ideal, k, pos, msg.payload)
-            link.prev_end = snap.end
-            if measured:
-                link.ideal.append(ideal)
-                link.payloads.append(msg.payload)
-                if link.enc is not None:  # the set it leaves; see the module docstring
-                    ss = msg.n_bits - np.count_nonzero(msg.payload)
-                    if link.scheme == "ppbms":
-                        ss += _unfilled_past(link.enc, snap.end)
-                    link.ss.append(ss)
-                for c in self.coders:
-                    if msg.n_bits:
-                        link.coder_bytes[c] += len(encode_bits(c, msg.payload))
-            self._route(eidx, link, msg, snap, idx)
+        link = self.links[d]
+        idx = link.sent
+        link.sent += 1
+        resync = self.needs_resync
+        if self.scheme == "sbms":
+            msg = sbms_encode(snap)
+        else:
+            msg = link.enc.make_resync(snap) if resync else link.enc.encode(snap)
+        if resync:
+            self.needs_resync = False
+            self.send_epoch += 1
+            self.resyncs += 1
+            for other in self.links.values():
+                other.prev_end = None
+        if self.ideal is None:
+            ideal = math.nan
+        elif self.scheme == "sbms":  # the whole window, none of it reported before
+            ideal = _ideal_bits(self.ideal, 0, None, msg.payload)
+        else:
+            # Window positions below the previous window's end were reported before.
+            k = 0 if link.prev_end is None else max(link.prev_end - snap.offset, 0)
+            pos = link.enc.last_window.nonzero()[0]
+            ideal = _ideal_bits(self.ideal, k, pos, msg.payload)
+        link.prev_end = snap.end
+        if measured:
+            link.ideal.append(ideal)
+            link.payloads.append(msg.payload)
+            if link.enc is not None:  # the set it leaves; see the module docstring
+                ss = msg.n_bits - np.count_nonzero(msg.payload)
+                if self.scheme == "ppbms":
+                    ss += _unfilled_past(link.enc, snap.end)
+                link.ss.append(ss)
+            for c in self.coders:
+                if msg.n_bits:
+                    link.coder_bytes[c] += len(encode_bits(c, msg.payload))
+        self._route(eidx, link, msg, snap, idx)
 
     def _route(self, eidx, link, msg, snap, idx):
         script = self.script
         d = link.direction
         if (d, idx) in script.drops:
             link.drops += 1
-            link.pairing.dirty = True
+            self.dirty = True
             due = eidx + 1
         else:
             env = _Envelope(
                 due=eidx + 1 + script.delays.get((d, idx), 0),
                 counter=self._counter,
-                epoch=link.pairing.send_epoch,
+                epoch=self.send_epoch,
                 msg=msg,
                 snap=snap,
                 idx=idx,
@@ -612,44 +601,53 @@ class _Engine:
     def _enqueue(self, link, env: _Envelope):
         heapq.heappush(self.pending, (env.due, env.counter, link, env))
 
-    # -- main loop --------------------------------------------------------
 
-    def run(self, sends, **meta) -> SimResult:
-        """Drive the codecs over ``sends``; ``meta`` fills the result's T,
-        tau, rounds, seed and source."""
-        for eidx, (d, snap, measured) in enumerate(sends):
-            self._deliver_due(eidx)
-            self.send(eidx, d, snap, measured)
-        links = [link for by_dir in self.links.values() for link in by_dir.values()]
-        for link in links:
-            if link.swap_stash is not None:  # swap named a final message; deliver it late
-                self._enqueue(link, link.swap_stash)
-                link.swap_stash = None
-        self._deliver_due(math.inf)
-        for scheme in self.schemes:
-            self._assert_consistent(scheme)
-        payloads = {}
-        ss_sizes = {}
-        ideal = {}
-        decoded = {}
-        for link in links:
-            key = (link.scheme, link.direction)
+def _run(sends, n, schemes, coders, archive_depth=8, keep_messages=False, script=None,
+         ideal=None, **meta) -> SimResult:
+    """Drive one engine per pairing over ``sends``, a stream of
+    ``(direction, BufferMap, measured)`` in time order; ``meta`` fills the
+    result's T, tau, rounds, seed and source.
+
+    The schemes share nothing but the stream, so each slot first lets every
+    engine deliver what is due by it, then hands the send to the engines
+    that carry its direction.  Engines and their links are built in row
+    order: schemes in order, ab before ba.
+    """
+    script = script or ReorderScript()
+    engines = [
+        _Engine(s, dirs, n, coders, archive_depth, keep_messages, script, ideal)
+        for s in schemes
+        for dirs in ((_DIRS,) if s == "ppbms" else (("ab",), ("ba",)))
+    ]
+    carriers = {d: [e for e in engines if d in e.links] for d in _DIRS}
+    for eidx, (d, snap, measured) in enumerate(sends):
+        for engine in engines:
+            engine.deliver_due(eidx)
+        for engine in carriers[d]:
+            engine.send(eidx, d, snap, measured)
+    for engine in engines:
+        engine.flush()
+    stats, payloads, ss_sizes, ideal_bits, decoded = [], {}, {}, {}, {}
+    for engine in engines:
+        for link in engine.links.values():
+            key = (engine.scheme, link.direction)
+            stats.append(link.stats(engine.scheme, engine.resyncs))
             payloads[key] = link.payloads
             ss_sizes[key] = np.asarray(link.ss, dtype=np.int64)
-            ideal[key] = np.asarray(link.ideal, dtype=np.float64)
-            if self.keep_messages:
+            ideal_bits[key] = np.asarray(link.ideal, dtype=np.float64)
+            if keep_messages:
                 decoded[key] = link.decoded
-        return SimResult(
-            n=self.n,
-            schemes=self.schemes,
-            coders=self.coders,
-            stats=tuple(link.stats() for link in links),
-            payloads=payloads,
-            ss_sizes=ss_sizes,
-            ideal_bits=ideal,
-            decoded=decoded,
-            **meta,
-        )
+    return SimResult(
+        n=n,
+        schemes=schemes,
+        coders=coders,
+        stats=tuple(stats),
+        payloads=payloads,
+        ss_sizes=ss_sizes,
+        ideal_bits=ideal_bits,
+        decoded=decoded,
+        **meta,
+    )
 
 
 def _simulate(cfg: SimConfig, script: ReorderScript | None) -> SimResult:
@@ -673,10 +671,9 @@ def _simulate(cfg: SimConfig, script: ReorderScript | None) -> SimResult:
             yield "ba", peer_b.snapshot(i * cfg.T), i >= warm
             yield "ab", peer_a.snapshot(i * cfg.T + cfg.tau), i >= warm
 
-    engine = _Engine(cfg.n, cfg.schemes, cfg.coders, cfg.archive_depth, cfg.keep_messages,
-                     script, _IdealTables(cfg.curve, cfg.T))
-    return engine.run(sends(), T=cfg.T, tau=cfg.tau, rounds=cfg.rounds, seed=cfg.seed,
-                      source="synthetic")
+    return _run(sends(), cfg.n, cfg.schemes, cfg.coders, cfg.archive_depth, cfg.keep_messages,
+                script, _IdealTables(cfg.curve, cfg.T), T=cfg.T, tau=cfg.tau,
+                rounds=cfg.rounds, seed=cfg.seed, source="synthetic")
 
 
 def run_synthetic(config: SimConfig) -> SimResult:
@@ -718,6 +715,6 @@ def run_trace(trace, schemes=("spbms",), coders=(), keep_messages: bool = False)
         need = "exactly two peers" if "ppbms" in schemes else "one or two peers"
         raise ValueError(f"trace replay needs {need}, trace has {len(peers)} ({peers})")
     direction = dict(zip(peers, ("ba", "ab")))
-    engine = _Engine(records[0].bm.n, schemes, coders, keep_messages=keep_messages)
     sends = ((direction[rec.peer], rec.bm, True) for rec in records)
-    return engine.run(sends, T=0, tau=0, rounds=len(records), seed=0, source="trace")
+    return _run(sends, records[0].bm.n, schemes, coders, keep_messages=keep_messages, T=0,
+                tau=0, rounds=len(records), seed=0, source="trace")

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bmkit.bitmap import BufferMap
 from bmkit.cli import main
 from bmkit.fillmodel import (
     load_curve,
@@ -14,7 +15,12 @@ from bmkit.fillmodel import (
     two_segment_curve,
 )
 from bmkit.schemes import HEADER_LEN, unpack_envelope
+from bmkit.traceio import TraceRecord, write_trace
 from conftest import hostile_blob
+
+
+def _bm(offset, bits):
+    return BufferMap(offset, [int(b) for b in bits])
 
 
 def _lines(capsys):
@@ -269,6 +275,30 @@ def test_decode_rejects_nonzero_padding(tmp_path, small_trace, capsys):
     dirty.write_bytes(bytes(data))
     assert main(["decode", str(dirty), "--out", str(tmp_path / "o.tsv")]) == 2
     assert "padding bits past the payload must be zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coder", [None, "rle"])
+def test_decode_rejects_bytes_past_a_zero_bit_message(tmp_path, coder, capsys):
+    """A message with no payload bits is its header alone, coded or not: a
+    frame that carries bytes past it is invalid input."""
+    full = "1" * 8
+    records = [TraceRecord(0, "B", "received", _bm(0, full)),
+               TraceRecord(1, "A", "sent", _bm(1, full)),
+               TraceRecord(2, "B", "received", _bm(1, full))]  # nothing left to report
+    trace, dump = tmp_path / "t.tsv", tmp_path / "d.bmd"
+    write_trace(trace, records)
+    argv = ["encode", "--trace", str(trace), "--scheme", "ppbms", "--out", str(dump)]
+    assert main(argv + (["--coder", coder] if coder else [])) == 0
+    data = dump.read_bytes()
+    tail = struct.Struct(">BBH")
+    at = len(data) - HEADER_LEN - tail.size  # the last frame's tail
+    direction, coder_id, body_len = tail.unpack_from(data, at)
+    assert body_len == HEADER_LEN and unpack_envelope(data[-HEADER_LEN:])[4] == 0
+    padded = tmp_path / "p.bmd"
+    padded.write_bytes(data[:at] + tail.pack(direction, coder_id, body_len + 2)
+                       + data[-HEADER_LEN:] + b"\xde\xad")
+    assert main(["decode", str(padded), "--out", str(tmp_path / "o.tsv")]) == 2
+    assert "frame length disagrees with message length" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("coder", ["rle", "huffman"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bmkit.entropy import (
+    CALIBRATION_TOL,
     DEFAULT_KNEE_FRAC,
     REPORT_COLUMNS,
     ExchangeParams,
@@ -191,6 +192,18 @@ def test_calibrate_rejects_unreachable_targets():
         calibrate_curve(65.0, 64)
     with pytest.raises(CalibrationError):
         calibrate_curve(10.0, 1)
+
+
+def test_calibrate_scans_every_breakpoint_when_the_knee_misses():
+    """1 bit at n=32 is out of reach at the default knee (breakpoint 3), so
+    the scan settles on breakpoint 2; 31 bits is out of every breakpoint's
+    reach and raises."""
+    assert int(round(DEFAULT_KNEE_FRAC * 31)) == 3
+    params = calibrate_curve(1.0, 32)
+    assert params.breakpoint == 2
+    assert abs(h_sbms(params.to_curve(32)) - 1.0) <= CALIBRATION_TOL
+    with pytest.raises(CalibrationError, match="no two-segment curve reaches 31.0 bits"):
+        calibrate_curve(31.0, 32)
 
 
 def test_calibrate_various_targets_round_trip():

@@ -10,6 +10,7 @@ reports must update the digest in the same change.  A second digest pins
 every per-message ideal code length of the same runs by value, a third
 pins ``run_trace`` replays of fixed traces, and a fourth pins what the
 ``bmkit encode``/``decode`` commands write and the generic coders' blobs.
+A fifth pins seeded random fault runs, the corners the fixed runs miss.
 """
 
 import dataclasses
@@ -214,3 +215,55 @@ def test_cli_dumps_outputs_and_coder_blobs_match_the_golden_digest(tmp_path):
             h.update(coder.encode() + bits.size.to_bytes(4, "big") + len(blob).to_bytes(4, "big"))
             h.update(blob)
     assert h.hexdigest() == CLI_SHA256
+
+
+FAULT_CORNER_SHA256 = "1c23a140b01ec9f2e5f771facce9b69a1e1625923901980f7e156162f78075fd"
+
+
+def _fault_corner_runs(count, seed):
+    """Seeded random fault runs of all three schemes: n in {16, 32, 64},
+    T in {2, 4, 8}, every tau, archive depth 1-8, offset_lag 0-5, and up to
+    six mixed drops, delays and swaps.  Delays reach past the archive, and
+    adjacent swaps on one direction overlap, so some runs raise."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.choice([16, 32, 64]))
+        T = int(rng.choice([2, 4, 8]))
+        tau = int(rng.integers(1, T + 1))
+        curve = two_segment_curve(n, int(rng.integers(1, n - 1)), float(rng.uniform(0.1, 0.9)))
+        depth = int(rng.integers(1, 9))
+        cfg = SimConfig(curve, T=T, tau=tau, rounds=int(rng.integers(4, 17)),
+                        seed=int(rng.integers(2**31)), archive_depth=depth,
+                        offset_lag=int(rng.integers(0, 6)), keep_messages=True)
+        sent = cfg.warmup_periods + cfg.rounds  # messages per direction
+        delays, drops, swaps = {}, set(), set()
+        for _ in range(int(rng.integers(0, 7))):
+            key = (("ab", "ba")[rng.integers(2)], int(rng.integers(sent)))
+            kind = rng.integers(3)
+            if kind == 0:
+                drops.add(key)
+            elif kind == 1:
+                delays[key] = int(rng.integers(1, 2 * depth + 4))
+            else:
+                swaps.add(key)
+        yield cfg, ReorderScript(delays=delays, drops=drops, swaps=swaps)
+
+
+def test_random_fault_runs_match_the_golden_digest():
+    """320 seeded random fault runs: ``to_csv``, payloads, support-set
+    sizes, decoded outputs and every ideal length by value, or the type and
+    message of the exception a run raises.  A run that raises stays pinned
+    as raising until a change mends it on purpose: seven with overlapping
+    swaps, and run 316, whose spbms ab check fails after a drop behind an
+    in-flight resync."""
+    h = hashlib.sha256()
+    for cfg, script in _fault_corner_runs(320, 15):
+        try:
+            res = reorder_fault_run(cfg, script)
+        except Exception as exc:  # the raise is the pinned outcome
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+            continue
+        _feed_result(h, res)
+        for key in sorted(res.ideal_bits):
+            h.update((res.ideal_bits[key] + 0.0).tobytes())
+    assert h.hexdigest() == FAULT_CORNER_SHA256

@@ -896,6 +896,25 @@ def test_ppbms_decode_rejects_a_cbmr_below_the_previous_one():
     assert b.decode(msg).filled().tolist() == [3]
 
 
+def test_a_regressed_offset_after_a_counterpart_resync_is_a_protocol_error():
+    """Decoding the counterpart's resync empties an end's own-map archive but
+    keeps its last bitmap, so an offset below that bitmap's still raises
+    ProtocolError and changes nothing, as it does without the resync."""
+    a, b = PpbmsSession(8), PpbmsSession(8)
+    for offset in (1, 2, 3):
+        b.decode(a.encode(_bm(offset, "10000000")))
+        a.decode(b.encode(_bm(offset, "10000000")))
+    for resynced in (False, True):
+        end = copy.deepcopy(b)
+        if resynced:
+            end.decode(copy.deepcopy(a).make_resync(_bm(5, "11000000")))
+            assert not end._own
+        before = _session_state(end)
+        with pytest.raises(ProtocolError, match="^offset regressed from 3 to 1$"):
+            end.encode(_bm(1, "11100000"))
+        assert _session_state(end) == before
+
+
 def test_a_rejected_resync_bitmap_leaves_the_sender_unchanged():
     """``make_resync`` checks the bitmap before it resets the sending end, so
     a bitmap of the wrong width raises and the next valid message decodes."""

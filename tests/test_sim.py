@@ -1,5 +1,6 @@
 """Two-peer exchange engine: measured sizes, trace replay, delivery faults."""
 
+import dataclasses
 import gc
 import math
 
@@ -272,6 +273,53 @@ def test_a_swap_whose_partner_is_dropped_arrives_in_its_slot():
     assert len(swapped.decoded[("spbms", "ab")]) == 30
 
 
+def test_a_swap_of_a_directions_final_message_delivers_it_at_the_end():
+    """A swap that names a direction's last message has no partner to wait
+    for: the message is delivered when the stream ends, and every message
+    decodes without a resync.  spbms decodes what a fault-free run does;
+    a ppbms A answers B's last message before it arrives."""
+    cfg = _cfg(rounds=20, warmup=0, keep_messages=True)
+    swapped = reorder_fault_run(cfg, ReorderScript(swaps=[("ab", 19), ("ba", 19)]))
+    plain = run_synthetic(cfg)
+    for scheme in ("spbms", "ppbms"):
+        assert swapped.total_resyncs(scheme) == 0
+        for d in ("ab", "ba"):
+            assert len(swapped.decoded[(scheme, d)]) == 20
+    for d in ("ab", "ba"):
+        assert swapped.decoded[("spbms", d)] == plain.decoded[("spbms", d)]
+
+
+def test_overlapping_swaps_on_one_direction_are_rejected():
+    script = ReorderScript(swaps=[("ab", 5), ("ab", 6)])
+    with pytest.raises(ValueError, match="^overlapping swaps on direction ab$"):
+        reorder_fault_run(_cfg(rounds=20), script)
+
+
+def test_an_all_schemes_fault_run_equals_each_scheme_run_alone():
+    """The schemes share nothing but the stream of buffer maps: in a fault
+    run of all three, each scheme's rows, payloads, set sizes, ideal lengths
+    and decoded outputs equal those of that scheme run alone."""
+    n = 64
+    cfg = SimConfig(calibrate_curve(20.0, n).to_curve(n), T=8, tau=3, rounds=60, seed=3,
+                    coders=("rle",), keep_messages=True)
+    script = ReorderScript(delays={("ab", 30): 12, ("ba", 12): 2},
+                           drops=[("ab", 15), ("ba", 40)], swaps=[("ba", 20), ("ab", 50)])
+    every = reorder_fault_run(cfg, script)
+    assert every.total_resyncs("spbms") > 0 and every.total_resyncs("ppbms") > 0
+    rows = every.to_csv().splitlines()
+    for scheme in sim.SCHEMES:
+        alone = reorder_fault_run(dataclasses.replace(cfg, schemes=(scheme,)), script)
+        assert alone.to_csv().splitlines()[2:] == [r for r in rows if r.startswith(scheme + ",")]
+        for d in ("ab", "ba"):
+            key = (scheme, d)
+            assert len(alone.payloads[key]) == len(every.payloads[key])
+            for a, b in zip(alone.payloads[key], every.payloads[key]):
+                assert np.array_equal(a, b)
+            assert np.array_equal(alone.ss_sizes[key], every.ss_sizes[key])
+            assert np.array_equal(alone.ideal_bits[key], every.ideal_bits[key])
+            assert alone.decoded[key] == every.decoded[key]
+
+
 def test_ideal_bits_match_the_per_location_model():
     curve = two_segment_curve(32, 4, 0.8)
     n, T, offset = 32, 8, 100
@@ -375,17 +423,17 @@ def test_engine_ideal_lengths_equal_a_per_location_reference(monkeypatch, calibr
         monkeypatch.setattr(cls, "encode", encode)
         monkeypatch.setattr(cls, "make_resync", make_resync)
 
-    def run(self, *args, _run=sim._Engine.run, **kwargs):
+    def flush(self, _flush=sim._Engine.flush):
         engines.append(self)
-        return _run(self, *args, **kwargs)
+        return _flush(self)
 
-    monkeypatch.setattr(sim._Engine, "run", run)
+    monkeypatch.setattr(sim._Engine, "flush", flush)
     cfg, script = _ideal_case(case, calibrated_curve)
     res = run_synthetic(cfg) if script is None else reorder_fault_run(cfg, script)
-    (engine,) = engines
+    assert len(engines) == 5  # sbms and spbms: one per direction; ppbms: one
     p, n, T = cfg.curve.probs, cfg.n, cfg.T
-    sender = {id(link.enc): (s, d) for s, by_dir in engine.links.items()
-              for d, link in by_dir.items() if link.enc is not None}
+    sender = {id(link.enc): (engine.scheme, d) for engine in engines
+              for d, link in engine.links.items() if link.enc is not None}
     expect = {key: [] for key in sender.values()}
     prev_end = {}
     for enc, offset, locs, payload, resync in sent:
@@ -571,22 +619,23 @@ def test_measured_set_sizes_equal_the_senders_support_sets(monkeypatch, T, tau, 
 
         monkeypatch.setattr(cls, "encode", encode)
 
-    def run(self, *args, _run=sim._Engine.run, **kwargs):
+    def flush(self, _flush=sim._Engine.flush):
         engines.append(self)
-        return _run(self, *args, **kwargs)
+        return _flush(self)
 
-    monkeypatch.setattr(sim._Engine, "run", run)
+    monkeypatch.setattr(sim._Engine, "flush", flush)
     n = 64
     cfg = SimConfig(calibrate_curve(20.0, n).to_curve(n), T=T, tau=tau, rounds=30,
                     schemes=("spbms", "ppbms"), offset_lag=lag)
     script = ReorderScript(drops=[("ab", 12)], delays={("ba", 20): 11}) if faults else None
     res = reorder_fault_run(cfg, script) if faults else run_synthetic(cfg)
-    (engine,) = engines
+    assert [e.scheme for e in engines] == ["spbms", "spbms", "ppbms"]
     for scheme in ("spbms", "ppbms"):
         assert (res.total_resyncs(scheme) > 0) == faults
-        for d, link in engine.links[scheme].items():
+    for engine in engines:
+        for d, link in engine.links.items():
             want = [size for enc, size in sizes if enc is link.enc][-cfg.rounds:]
-            assert res.ss_sizes[(scheme, d)].tolist() == want, (scheme, d)
+            assert res.ss_sizes[(engine.scheme, d)].tolist() == want, (engine.scheme, d)
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +733,7 @@ def test_codec_stand_ins_on_the_sim_module_see_every_message(monkeypatch):
 
 
 def test_an_engine_leaves_no_cyclic_garbage():
-    """Links, pairings and envelopes point one way only, so a finished run
+    """Engines, links and envelopes point one way only, so a finished run
     is freed by reference counting alone, even with a message still held
     at the end (the one after the dropped ab 28)."""
     script = ReorderScript(delays={("ab", 12): 2}, drops=[("ab", 28)], swaps=[("ba", 5)])
