@@ -9,14 +9,12 @@ from .bitmap import BufferMap, PeerBufferState, diff_new_fills
 from .coders import (
     arith_decode,
     arith_encode,
-    chi_square_uniform,
     decode_bits,
     encode_bits,
     huffman_decode,
     huffman_encode,
     rle_decode,
     rle_encode,
-    symbol_distribution,
 )
 from .entropy import (
     EntropyReport,
@@ -67,7 +65,6 @@ from .schemes import (
     sbms_decode,
     sbms_encode,
     unpack_message,
-    unpack_stream,
 )
 from .sim import (
     ReorderScript,

@@ -77,7 +77,10 @@ class BufferMap:
             isinstance(other, BufferMap)
             and self.offset == other.offset
             and self.bits.shape == other.bits.shape
-            and not np.count_nonzero(self.bits != other.bits)
+            and (
+                self.bits.tobytes() == other.bits.tobytes()
+                or not np.count_nonzero(self.bits != other.bits)
+            )
         )
 
     def __repr__(self):

@@ -63,8 +63,6 @@ __all__ = [
     "arith_decode",
     "encode_bits",
     "decode_bits",
-    "symbol_distribution",
-    "chi_square_uniform",
     "CODER_NAMES",
 ]
 
@@ -567,33 +565,3 @@ def encode_bits(name: str, bits) -> bytes:
 
 def decode_bits(name: str, blob: bytes, n_bits: int) -> np.ndarray:
     return _coder(name)[1](blob, n_bits)
-
-
-def symbol_distribution(payloads) -> np.ndarray:
-    """Byte-symbol histogram (256 bins) of concatenated payload bits.
-
-    Payloads are packed most-significant-bit first, as on the wire; a final
-    partial byte is dropped rather than zero-padded so padding does not
-    masquerade as structure.
-    """
-    chunks = []
-    for p in payloads:
-        bits = _as_bits(p)
-        n = bits.size - (bits.size % 8)
-        if n:
-            chunks.append(np.packbits(bits[:n]))
-    if not chunks:
-        return np.zeros(256, dtype=np.int64)
-    data = np.concatenate(chunks)
-    return np.bincount(data, minlength=256).astype(np.int64)
-
-
-def chi_square_uniform(hist) -> float:
-    """Chi-square statistic of a histogram against the uniform law
-    (255 degrees of freedom for byte symbols); a diagnostic, not a test."""
-    h = np.asarray(hist, dtype=np.float64)
-    total = h.sum()
-    if total == 0:
-        return 0.0
-    expected = total / h.size
-    return float(((h - expected) ** 2 / expected).sum())

@@ -55,7 +55,6 @@ __all__ = [
     "pack_message",
     "unpack_envelope",
     "unpack_message",
-    "unpack_stream",
     "HEADER_LEN",
 ]
 
@@ -78,7 +77,7 @@ class SupportSet:
     members are equal whatever their anchors; memory follows the span.  The
     codecs build each set on demand from the maps that imply it: spbms from
     the previous map, ppbms from an end's own map and its known map of the
-    counterpart, as the window of the higher offset (``_window``).
+    counterpart, as the window of the higher offset (``_shared``).
     """
 
     __slots__ = ("lo", "mask")
@@ -295,15 +294,6 @@ def unpack_message(data: bytes, pos: int = 0):
     return CompressedBM._of(scheme, offset, lbmr, cbmr, bits, resync), end
 
 
-def unpack_stream(data: bytes):
-    pos = 0
-    out = []
-    while pos < len(data):
-        msg, pos = unpack_message(data, pos)
-        out.append(msg)
-    return out
-
-
 # ======================================================================
 # SBMS: stateless whole-map shipping
 # ======================================================================
@@ -466,11 +456,22 @@ class PpbmsSession(_ReportsLocations):
     def support_set(self) -> SupportSet:
         """Positions of one window, from the higher of the two maps'
         offsets, filled in neither map; built on demand."""
-        own, known = self._last_own, self._known
-        lo = max(-1 if own is None else own.offset, -1 if known is None else known.offset)
-        if lo < 0:  # a fresh epoch: no map yet
-            return SupportSet()
-        return SupportSet._of(lo, _window(lo, self.n, own, known))
+        lo, filled = self._shared()
+        return SupportSet._of(lo, ~filled)
+
+    def _shared(self):
+        """``(lo, filled)`` of the shared set: its anchor, the higher of the
+        two maps' offsets, and the positions of the window from there that
+        either map has filled; ``(0, [])`` in a fresh epoch."""
+        first, other = self._last_own, self._known
+        if first is None or (other is not None and other.offset > first.offset):
+            first, other = other, first  # first is the map that starts at lo
+        if first is None:
+            return 0, np.zeros(0, dtype=bool)
+        filled = first.bits.copy()
+        if other is not None and (shift := first.offset - other.offset) < self.n:
+            filled[: self.n - shift] |= other.bits[shift:]
+        return first.offset, filled
 
     def _own_map(self, c: int):
         """Own map ``c`` - 1, against which a message stamped cbmr = ``c``

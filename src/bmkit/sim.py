@@ -19,6 +19,10 @@ script), decoded, and checked:
   snapshot, and the two shared support sets must match whenever the pair
   is drained.
 
+Each check compares raw bytes first (maps, reported bits, or a ppbms end's
+anchor and filled positions); only a mismatch runs the elementwise or
+support-set comparison, which decides.
+
 With ``keep_messages`` a result's ``decoded`` holds, per scheme and
 direction, every spbms reconstruction and ppbms report in delivery order;
 sbms lists stay empty.
@@ -424,13 +428,20 @@ class _Engine:
         return k
 
     def _assert_consistent(self):
+        """Raise when a drained pairing's ends hold different support sets.
+        Equal spbms maps, or equal ppbms anchors and filled-position bytes,
+        pass at once; otherwise both sets are built and compared."""
         if self.scheme == "sbms" or self.needs_resync or self.dirty or self._outstanding():
             return
         # A ppbms pairing's two sessions are both ends of its first link.
         link = next(iter(self.links.values()))
-        # Equal spbms maps leave equal sets; only differing ones need building.
-        if self.scheme == "spbms" and link.enc.last_bm == link.dec.last_bm:
-            return
+        if self.scheme == "spbms":
+            if link.enc.last_bm == link.dec.last_bm:
+                return
+        else:
+            (lo, filled), (lo2, filled2) = link.enc._shared(), link.dec._shared()
+            if lo == lo2 and filled.tobytes() == filled2.tobytes():
+                return
         if not link.enc.support_set == link.dec.support_set:
             raise InvariantError(
                 f"{self.scheme} {link.direction}: the support sets at the two ends diverged"
@@ -462,7 +473,9 @@ class _Engine:
                     )
             else:
                 truth = env.snap.bits[out.locations - env.snap.offset]
-                if out.bits.shape != truth.shape or np.count_nonzero(out.bits != truth):
+                if out.bits.shape != truth.shape or (
+                    out.bits.tobytes() != truth.tobytes() and np.count_nonzero(out.bits != truth)
+                ):
                     raise InvariantError(
                         f"ppbms {d} message {env.idx}: reported bits differ from snapshot"
                     )

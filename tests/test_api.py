@@ -53,8 +53,11 @@ def test_retired_api_stays_gone():
     # Every coder is two functions over bytes, encode(bits) and decode(blob,
     # n_bits); one integer kernel per direction codes every arithmetic-coded
     # payload.
-    for name in ("ArithEncoder", "ArithDecoder", "RleStream", "HuffmanModel", "huffman_build"):
+    for name in ("ArithEncoder", "ArithDecoder", "RleStream", "HuffmanModel", "huffman_build",
+                 "symbol_distribution", "chi_square_uniform"):
         assert name not in exported and not hasattr(coders, name)
+    # Consecutive messages are read with unpack_message(data, pos).
+    assert "unpack_stream" not in exported and not hasattr(schemes, "unpack_stream")
     params = {
         schemes.sbms_encode: ["bm"],
         schemes.sbms_decode: ["msg", "n"],

@@ -40,6 +40,16 @@ def test_buffer_map_validation():
         bm.bits[0] = False
 
 
+def test_buffer_map_equality_reads_bool_values_not_bytes():
+    """Bytes 0/2 viewed as bool are the same bits as 0/1; only a real
+    difference makes two maps unequal."""
+    bits = np.array([0, 1, 1, 0, 1], dtype=bool)
+    raw = np.array([0, 2, 2, 0, 2], dtype=np.uint8).view(bool)
+    assert raw.tobytes() != bits.tobytes()
+    assert BufferMap(4, bits) == BufferMap._owning(4, raw)
+    assert BufferMap(4, bits) != BufferMap._owning(4, raw[::-1].copy())
+
+
 def test_hex_round_trip():
     bm = BufferMap(3, [1, 0, 1, 1, 0, 0, 0, 0, 1])
     assert BufferMap.from_hex(3, bm.to_hex(), 9) == bm

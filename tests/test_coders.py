@@ -10,14 +10,12 @@ from bmkit import (
     CodingError,
     arith_decode,
     arith_encode,
-    chi_square_uniform,
     decode_bits,
     encode_bits,
     huffman_decode,
     huffman_encode,
     rle_decode,
     rle_encode,
-    symbol_distribution,
 )
 from bmkit.coders import (
     ESC,
@@ -713,19 +711,3 @@ def test_decoders_reject_runs_past_the_expected_length():
         with pytest.raises(CodingError):
             decode_bits(name, blob, 299)
 
-
-def test_symbol_distribution_drops_partial_bytes():
-    hist = symbol_distribution([np.ones(12, dtype=bool)])
-    assert hist.sum() == 1  # only the one full byte counts
-    assert hist[0xFF] == 1
-    assert symbol_distribution([np.ones(7, dtype=bool)]).sum() == 0
-    assert symbol_distribution([]).sum() == 0
-
-
-def test_chi_square_uniform_behaviour():
-    flat = np.full(256, 40)
-    assert chi_square_uniform(flat) == 0.0
-    spiked = np.zeros(256)
-    spiked[3] = 1000
-    assert chi_square_uniform(spiked) > 1000
-    assert chi_square_uniform(np.zeros(256)) == 0.0

@@ -25,7 +25,6 @@ from bmkit.schemes import (
     sbms_encode,
     unpack_envelope,
     unpack_message,
-    unpack_stream,
 )
 
 
@@ -114,11 +113,14 @@ def test_pack_unpack_round_trip_every_scheme():
             assert back == msg
 
 
-def test_unpack_stream_splits_consecutive_messages():
+def test_unpack_message_splits_consecutive_messages():
     m1 = CompressedBM("spbms", 0, 0, 0, [1, 0, 1])
     m2 = CompressedBM("ppbms", 9, 2, 3, [0] * 11, resync=True)
-    out = unpack_stream(pack_message(m1) + pack_message(m2))
-    assert out == [m1, m2]
+    data = pack_message(m1) + pack_message(m2)
+    back1, pos = unpack_message(data)
+    assert (back1, pos) == (m1, HEADER_LEN + 1)
+    back2, end = unpack_message(data, pos)
+    assert (back2, end) == (m2, len(data))
 
 
 def test_unpack_rejects_garbage():

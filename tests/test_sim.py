@@ -525,6 +525,66 @@ def test_injected_divergence_ends_the_run(monkeypatch, scheme, attr, stand_in, m
         run_synthetic(_cfg(schemes=(scheme,), rounds=20))
 
 
+def _drained_ppbms(a_maps, b_maps):
+    """A drained ppbms engine whose ends hold the given (own, known) maps
+    (None for none), as if their messages had been delivered."""
+    engine = sim._Engine("ppbms", ("ab", "ba"), 8, (), 8, False, ReorderScript(), None)
+    a, b = engine.links["ab"].enc, engine.links["ab"].dec
+    for end, (own, known) in ((a, a_maps), (b, b_maps)):
+        if own is not None:
+            end._own.append((own, 0))
+        end._known = known
+    return engine
+
+
+_DIVERGED = "^ppbms ab: the support sets at the two ends diverged$"
+
+
+def test_drained_ppbms_check_compares_bytes_then_falls_back_to_the_sets():
+    """Equal anchors and filled positions pass at once; any other pair of
+    ends is decided by their support sets, so equal members at different
+    anchors pass and one flipped member raises."""
+    own_a, own_b = BufferMap(10, [1, 1, 0, 0, 1, 0, 0, 0]), BufferMap(10, [0, 1, 0, 0, 0, 0, 1, 0])
+    _drained_ppbms((own_a, own_b), (own_b, own_a))._assert_consistent()
+    flipped = BufferMap(10, [1, 1, 1, 0, 1, 0, 0, 0])  # member 12 filled at one end only
+    with pytest.raises(InvariantError, match=_DIVERGED):
+        _drained_ppbms((own_a, own_b), (own_b, flipped))._assert_consistent()
+    # Members 14..17 at both ends: anchored at 10 and at 12.
+    at_10, at_12 = BufferMap(10, [1, 1, 1, 1, 0, 0, 0, 0]), BufferMap(12, [1, 1, 0, 0, 0, 0, 1, 1])
+    _drained_ppbms((at_10, None), (at_12, None))._assert_consistent()
+    # An end in a fresh epoch holds no member.
+    _drained_ppbms((None, None), (None, None))._assert_consistent()
+    _drained_ppbms((None, None), (None, BufferMap(3, [1] * 8)))._assert_consistent()
+    with pytest.raises(InvariantError, match=_DIVERGED):
+        _drained_ppbms((None, None), (None, own_a))._assert_consistent()
+
+
+def test_the_drained_check_runs_after_every_delivery(monkeypatch):
+    """Each engine checks its pairing once per envelope it pops, and once
+    more when the stream ends; every enqueued envelope is popped by then."""
+    checks, enqueued = {}, {}
+
+    def count(into, meth):
+        def counted(self, *args):
+            into[self] = into.get(self, 0) + 1
+            return meth(self, *args)
+        return counted
+
+    monkeypatch.setattr(sim._Engine, "_assert_consistent",
+                        count(checks, sim._Engine._assert_consistent))
+    monkeypatch.setattr(sim._Engine, "_enqueue", count(enqueued, sim._Engine._enqueue))
+    script = ReorderScript(delays={("ab", 12): 2, ("ba", 30): 11}, drops=[("ab", 20)],
+                           swaps=[("ba", 5)])
+    res = reorder_fault_run(_cfg(rounds=40), script)
+    assert res.total_resyncs("spbms") == res.total_resyncs("ppbms") == 1
+    assert checks == {e: enqueued[e] + 1 for e in checks}
+    # 45 sends a direction; the dropped ab 20 is never popped.
+    assert {(e.scheme, *e.links): k for e, k in checks.items()} == {
+        ("sbms", "ab"): 45, ("sbms", "ba"): 46, ("spbms", "ab"): 45, ("spbms", "ba"): 46,
+        ("ppbms", "ab", "ba"): 90,
+    }
+
+
 _ONE_DROP_HEAD = (
     "# n=32 T=8 tau=2 rounds=60 seed=3 source=synthetic\n"
     "scheme,direction,messages,mean_payload_bits,std_payload_bits,mean_ideal_bits,"
