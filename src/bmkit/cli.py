@@ -305,8 +305,8 @@ def _cmd_decode(args) -> int:
             out = replica.apply_sent(msg)
         else:
             out = replica.decode(msg)
-        for loc, bit in out.pairs:
-            lines.append(f"{ts},{peer},{direction},{out.offset},{loc},{int(bit)}")
+        head, bits = f"{ts},{peer},{direction},{out.offset},", out.bits.tolist()
+        lines += [f"{head}{loc},{'01'[bit]}" for loc, bit in zip(out.locations.tolist(), bits)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

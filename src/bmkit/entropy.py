@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationError
-from .fillmodel import SCurve, TwoSegmentParams, two_segment_curve
+from .fillmodel import SCurve, TwoSegmentParams, _two_segment_probs
 
 __all__ = [
     "ExchangeParams",
@@ -190,17 +190,22 @@ def overhead(bits_per_message: float, T: int) -> float:
 DEFAULT_KNEE_FRAC = 0.09
 # How far, in bits, a calibrated curve's information may miss its target.
 CALIBRATION_TOL = 0.5
+_GRID_BLOCK = 2**12
 
 
-def _two_segment_h(n: int, b: int, p_break: float) -> float:
-    return h_sbms(two_segment_curve(n, b, p_break))
+def _two_segment_h(n: int, b: int, p_break) -> np.ndarray:
+    """h_sbms of the two-segment curve at each value of ``p_break``, bit for
+    bit as ``h_sbms(two_segment_curve(n, b, pb))`` computes it."""
+    return _h_arr(_two_segment_probs(n, b, p_break)).sum(axis=1)
 
 
 def _solve_p_break(target: float, n: int, b: int):
     """Best p_break for a fixed breakpoint, or None if the target is out of
     reach; coarse grid then bisection on the bracketing interval."""
     grid = np.linspace(0.0, 1.0, 257)
-    vals = np.array([_two_segment_h(n, b, pb) for pb in grid])
+    # Rows of at most about _GRID_BLOCK values at a time bound the pass's memory.
+    blocks = np.array_split(grid, -(-grid.size * n // _GRID_BLOCK))
+    vals = np.concatenate([_two_segment_h(n, b, block) for block in blocks])
     err = np.abs(vals - target)
     best = int(err.argmin())
     lo = None
@@ -213,13 +218,13 @@ def _solve_p_break(target: float, n: int, b: int):
         return (float(grid[best]), float(err[best])) if err[best] <= CALIBRATION_TOL else None
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fmid = _two_segment_h(n, b, mid) - target
+        fmid = float(_two_segment_h(n, b, mid)[0]) - target
         if flo * fmid <= 0.0:
             hi = mid
         else:
             lo, flo = mid, fmid
     pb = 0.5 * (lo + hi)
-    return pb, abs(_two_segment_h(n, b, pb) - target)
+    return pb, abs(float(_two_segment_h(n, b, pb)[0]) - target)
 
 
 @lru_cache(maxsize=64)

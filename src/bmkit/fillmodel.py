@@ -91,20 +91,24 @@ class TwoSegmentParams:
     def to_curve(self, n: int) -> SCurve:
         if not 0 <= self.breakpoint <= n - 1:
             raise ValueError(f"breakpoint {self.breakpoint} outside [0, {n - 1}]")
-        b = self.breakpoint
-        probs = np.empty(n, dtype=np.float64)
-        if b > 0:
-            probs[: b + 1] = self.initial + (self.p_break - self.initial) * (
-                np.arange(b + 1) / b
-            )
-        else:
-            probs[0] = self.p_break
-        if b < n - 1:
-            probs[b:] = self.p_break + (self.terminal - self.p_break) * (
-                np.arange(n - b) / (n - 1 - b)
-            )
-        # Clip float noise so the monotonicity check never trips on rounding.
-        return SCurve(np.clip(probs, 0.0, 1.0))
+        return SCurve(
+            _two_segment_probs(n, self.breakpoint, self.p_break, self.terminal, self.initial)[0]
+        )
+
+
+def _two_segment_probs(n, b, p_break, terminal=1.0, initial=0.0) -> np.ndarray:
+    """The two-segment curve's probabilities, one row per value in the
+    column ``p_break``, every other parameter shared and unchecked."""
+    p_break = np.reshape(p_break, (-1, 1))
+    probs = np.empty((p_break.shape[0], n), dtype=np.float64)
+    if b > 0:
+        probs[:, : b + 1] = initial + (p_break - initial) * (np.arange(b + 1) / b)
+    else:
+        probs[:, :1] = p_break
+    if b < n - 1:
+        probs[:, b:] = p_break + (terminal - p_break) * (np.arange(n - b) / (n - 1 - b))
+    # Clip float noise so the monotonicity check never trips on rounding.
+    return np.clip(probs, 0.0, 1.0)
 
 
 def two_segment_curve(n, breakpoint, p_break, terminal=1.0, initial=0.0) -> SCurve:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import copy
 import struct
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -178,7 +178,7 @@ def _check_bitmap(bm: BufferMap, n: int, prev, last_offset, what: str):
 # Messages
 # ======================================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompressedBM:
     """One buffer-map message as it travels on the wire."""
 
@@ -204,13 +204,12 @@ class CompressedBM:
         """Message over a known scheme and a fresh 1-D bool payload the codec
         has just built, without the constructor's checks."""
         out = cls.__new__(cls)
-        set_ = object.__setattr__  # the dataclass is frozen
-        set_(out, "scheme", scheme)
-        set_(out, "offset", offset)
-        set_(out, "lbmr_seq", lbmr_seq)
-        set_(out, "cbmr_seq", cbmr_seq)
-        set_(out, "payload", payload)
-        set_(out, "resync", resync)
+        _set_scheme(out, scheme)
+        _set_offset(out, offset)
+        _set_lbmr(out, lbmr_seq)
+        _set_cbmr(out, cbmr_seq)
+        _set_payload(out, payload)
+        _set_resync(out, resync)
         return out
 
     @property
@@ -229,7 +228,7 @@ class CompressedBM:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialBufferMap:
     """Statuses decoded from one ppbms message: exactly the reported
     locations, nothing else."""
@@ -237,6 +236,15 @@ class PartialBufferMap:
     offset: int
     locations: np.ndarray
     bits: np.ndarray
+
+    @classmethod
+    def _of(cls, offset, locations, bits):
+        """Report over arrays the session has just built, unchecked."""
+        out = cls.__new__(cls)
+        _set_part_offset(out, offset)
+        _set_locations(out, locations)
+        _set_bits(out, bits)
+        return out
 
     @property
     def pairs(self):
@@ -253,6 +261,13 @@ class PartialBufferMap:
             and np.array_equal(self.locations, other.locations)
             and np.array_equal(self.bits, other.bits)
         )
+
+
+# Slot descriptors of the classes above: the _of builders store through them.
+_set_scheme, _set_offset, _set_lbmr, _set_cbmr, _set_payload, _set_resync = (
+    getattr(CompressedBM, f.name).__set__ for f in fields(CompressedBM))
+_set_part_offset, _set_locations, _set_bits = (
+    getattr(PartialBufferMap, f.name).__set__ for f in fields(PartialBufferMap))
 
 
 def pack_message(msg: CompressedBM) -> bytes:
@@ -289,7 +304,7 @@ def unpack_message(data: bytes, pos: int = 0):
     pad = -nbits % 8
     if pad and data[end - 1] & ((1 << pad) - 1):
         raise ValueError("padding bits past the payload must be zero")
-    raw = np.frombuffer(data[pos + HEADER_LEN : end], dtype=np.uint8)
+    raw = np.frombuffer(data, np.uint8, end - pos - HEADER_LEN, pos + HEADER_LEN)
     bits = np.unpackbits(raw, count=nbits).view(bool)
     return CompressedBM._of(scheme, offset, lbmr, cbmr, bits, resync), end
 
@@ -380,7 +395,7 @@ class SpbmsEncoder(_SpbmsState, _ReportsLocations):
         _check_bitmap(bm, self.n, None, None, "codec")
         self.last_bm = None
         self.seq = 0
-        return replace(self.encode(bm), resync=True)
+        return CompressedBM._of("spbms", bm.offset, 0, 0, self.encode(bm).payload, resync=True)
 
 
 class SpbmsDecoder(_SpbmsState):
@@ -549,7 +564,7 @@ class PpbmsSession(_ReportsLocations):
         self._known = BufferMap._owning(msg.offset, _fill(win, msg.payload))
         self._known_cbmr = msg.cbmr_seq
         self.recv_seq += 1
-        return PartialBufferMap(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
+        return PartialBufferMap._of(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
 
     def apply_sent(self, msg: CompressedBM) -> PartialBufferMap:
         """Replay one of this peer's own transmitted messages.
@@ -581,7 +596,7 @@ class PpbmsSession(_ReportsLocations):
         bits = _fill(win, msg.payload)
         self.last_bm = None  # the replica never sees the full bitmap
         self._commit_sent(BufferMap._owning(msg.offset, bits), win)
-        return PartialBufferMap(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
+        return PartialBufferMap._of(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
 
     def make_resync(self, bm: BufferMap) -> CompressedBM:
         """Restart the pairing from scratch: ship the whole bitmap; both
@@ -590,7 +605,7 @@ class PpbmsSession(_ReportsLocations):
         _check_bitmap(bm, self.n, None, None, "session")
         self._reset_epoch()
         self.last_bm = None
-        return replace(self.encode(bm), resync=True)
+        return CompressedBM._of("ppbms", bm.offset, 0, 0, self.encode(bm).payload, resync=True)
 
 
 def _unfilled_past(session: PpbmsSession, end: int) -> int:

@@ -15,7 +15,7 @@ from bmkit.fillmodel import (
     two_segment_curve,
 )
 from bmkit.schemes import HEADER_LEN, unpack_envelope
-from bmkit.traceio import TraceRecord, write_trace
+from bmkit.traceio import TraceRecord, parse_trace, write_trace
 from conftest import hostile_blob
 
 
@@ -191,6 +191,26 @@ def test_ppbms_dump_decodes_to_fill_report(tmp_path, small_trace, capsys):
     # Every reported location lies inside the window it was reported for.
     for r in rows:
         assert 0 <= int(r["location"]) - int(r["offset"]) < 64
+
+
+def test_ppbms_fill_report_rows_are_the_fills_the_trace_implies(tmp_path, small_trace, capsys):
+    """Row by row: each message reports every position of its window that
+    neither peer announced filled before, with the sender's bit there."""
+    dump = tmp_path / "d.bmd"
+    assert main(["encode", "--trace", str(small_trace), "--scheme", "ppbms",
+                 "--out", str(dump)]) == 0
+    assert main(["decode", str(dump)]) == 0
+    lines = _lines(capsys)
+    announced, expected = set(), ["timestamp,peer,direction,offset,location,bit"]
+    for rec in parse_trace(small_trace):
+        o = rec.bm.offset
+        for loc, bit in enumerate(rec.bm.bits.tolist(), o):
+            if loc not in announced:
+                expected.append(f"{rec.timestamp},{rec.peer},{rec.direction},{o},{loc},{int(bit)}")
+                if bit:
+                    announced.add(loc)
+    assert len(expected) > 100
+    assert lines == expected
 
 
 def test_ppbms_dump_is_smaller_than_spbms_dump(tmp_path, small_trace):

@@ -1,6 +1,7 @@
 """Per-message information of the three schemes and the calibration helper."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from bmkit.entropy import (
     h_spbms,
     overhead,
     report_grid,
+    _two_segment_h,
 )
 from bmkit.errors import CalibrationError
-from bmkit.fillmodel import SCurve, transition_prob, two_segment_curve
+from bmkit.fillmodel import SCurve, _two_segment_probs, transition_prob, two_segment_curve
 
 from conftest import random_monotone_curve
 
@@ -215,6 +217,37 @@ def test_calibrate_various_targets_round_trip():
         target = float(rng.uniform(0.5, 0.65 * n))
         curve = calibrate_curve(target, n).to_curve(n)
         assert abs(h_sbms(curve) - target) <= 0.5
+
+
+def test_calibration_grid_matches_the_scalar_curve_bit_for_bit():
+    """The calibration search evaluates many p_break values in one array
+    pass; each value must equal the one-curve h_sbms exactly, and each row
+    the two-segment formula computed one float at a time."""
+    rng = np.random.default_rng(17)
+    for k in range(40):
+        n = int(rng.integers(3, 500))
+        b = int(rng.integers(1, n - 1))
+        pbs = np.concatenate([np.linspace(0.0, 1.0, 257), rng.random(20)])
+        scalar = [h_sbms(two_segment_curve(n, b, float(pb))) for pb in pbs]
+        assert _two_segment_h(n, b, pbs).tolist() == scalar
+        if k % 8 == 0:
+            for pb in pbs[::40].tolist():
+                row = [pb * (i / b) if i < b else pb + (1.0 - pb) * ((i - b) / (n - 1 - b))
+                       for i in range(n)]
+                ref = [min(max(p, 0.0), 1.0) for p in row]
+                assert _two_segment_probs(n, b, pb)[0].tolist() == ref
+
+
+def test_calibration_grid_runs_in_bounded_memory():
+    """The grid is evaluated in blocks of rows: one 257 x 456 pass would
+    hold about 6.6 MB of temporaries at once."""
+    tracemalloc.start()
+    try:
+        calibrate_curve.__wrapped__(77.0, 456)  # past the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Support-set codecs: sbms/spbms/ppbms state machines and the wire envelope."""
 
 import copy
+import pickle
 import random
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,32 @@ def test_unpack_rejects_nonzero_padding():
         dirty = blob[:-1] + bytes([blob[-1] | 1 << pad])
         with pytest.raises(ValueError, match="^padding bits past the payload must be zero$"):
             unpack_message(dirty)
+
+
+def test_unpack_message_reads_every_position_of_a_buffer_in_place():
+    """Each message of a concatenated buffer reads from its own position,
+    up to a 0-bit message at the very end; the payload never aliases the
+    buffer, and one byte short is the same truncation error."""
+    rng = np.random.default_rng(11)
+    msgs = [CompressedBM(s, 5 * i, i, 2 * i, rng.integers(0, 2, nbits), resync=bool(i % 2))
+            for i, (s, nbits) in enumerate(zip(["sbms", "spbms", "ppbms"] * 3,
+                                               (9, 1, 0, 16, 456, 7, 8, 3, 0)))]
+    blobs = [pack_message(m) for m in msgs]
+    data = bytearray(b"".join(blobs))
+    pos = 0
+    for msg, blob in zip(msgs, blobs):
+        back, end = unpack_message(data, pos)
+        assert (back, end) == (msg, pos + len(blob))
+        assert not np.shares_memory(back.payload, np.frombuffer(data, np.uint8))
+        data[pos + HEADER_LEN : end] = bytes(end - pos - HEADER_LEN)  # overwrite the payload
+        assert back == msg
+        pos = end
+    assert pos == len(data)
+    with pytest.raises(ValueError, match="^truncated message header$"):
+        unpack_message(bytes(data[:-1]), pos - HEADER_LEN)
+    cut = sum(map(len, blobs[:5])) - 1  # one byte short of the 456-bit message
+    with pytest.raises(ValueError, match="^truncated message payload$"):
+        unpack_message(b"".join(blobs)[:cut], cut + 1 - len(blobs[4]))
 
 
 def test_codec_messages_match_the_checking_constructor():
@@ -531,6 +558,38 @@ def test_ppbms_decode_mirrors_the_exact_extracted_bits():
     assert part.offset == 0
     assert np.array_equal(part.bits, msg.payload)
     assert np.array_equal(part.locations[part.bits], part.filled())
+
+
+def test_unchecked_builders_match_the_constructors():
+    payload = np.array([True, False, True])
+    for args in (("spbms", 0, 0, 0, payload, False), ("ppbms", 70000, 513, 9, payload, True)):
+        assert CompressedBM._of(*args) == CompressedBM(*args[:5], resync=args[5])
+    locs = np.array([2, 5, 7])
+    assert PartialBufferMap._of(4, locs, payload) == PartialBufferMap(4, locs, payload)
+
+
+def test_wire_value_objects_stay_frozen_copyable_and_picklable():
+    payload, locs = np.array([True, False, True]), np.array([2, 5, 7])
+    msg = CompressedBM._of("ppbms", 9, 2, 3, payload, True)
+    part = PartialBufferMap._of(1, locs, payload)
+    assert [f.name for f in fields(msg)] == [
+        "scheme", "offset", "lbmr_seq", "cbmr_seq", "payload", "resync"]
+    assert [f.name for f in fields(part)] == ["offset", "locations", "bits"]
+    for obj in (msg, part):
+        assert not hasattr(obj, "__dict__")
+        for f in fields(obj):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+        deep = copy.deepcopy(obj)
+        assert deep == obj and all(
+            not np.shares_memory(getattr(deep, f.name), getattr(obj, f.name))
+            for f in fields(obj) if isinstance(getattr(obj, f.name), np.ndarray))
+        assert copy.copy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert replace(msg, resync=False) == CompressedBM("ppbms", 9, 2, 3, payload)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        replace(msg, scheme="nope")  # replace still runs the constructor's checks
+    assert replace(part, offset=2) == PartialBufferMap(2, locs, payload)
 
 
 def test_partial_buffer_maps_compare_by_their_arrays():
