@@ -83,7 +83,8 @@ print("    shared support set:", list(a.support_set))
 msg = a.encode(bm(0, "00010001"))    # A holds 1s at 3 and 7
 show("a->b", msg)
 got = b.decode(msg)
-print("    B decoded (location, bit):", got.pairs)
+print("    B decoded (location, bit):",
+      list(zip(got.locations.tolist(), got.bits.astype(int).tolist())))
 print("    shared support set now:", list(a.support_set),
       "==", list(b.support_set))
 

@@ -230,31 +230,22 @@ def _cmd_encode(args) -> int:
     if not records:
         raise ValueError(f"trace {args.trace} holds no records")
     n = records[0].bm.n
-    peers = []
-    for rec in records:
-        if rec.peer not in peers:
-            peers.append(rec.peer)
-    coder = args.coder
+    peers = list(dict.fromkeys(rec.peer for rec in records))
+    if args.scheme == "ppbms" and len(peers) != 2:
+        raise ValueError(
+            f"ppbms needs a two-peer trace (both directions); "
+            f"{args.trace} names {len(peers)} peer(s)"
+        )
+    # Each peer's sending end; sbms keeps none.
+    end_type = {"sbms": None, "spbms": SpbmsEncoder, "ppbms": PpbmsSession}[args.scheme]
+    ends = {p: end_type(n) if end_type else None for p in peers}
     frames = [_DUMP_MAGIC]
-    if args.scheme == "sbms":
-        for rec in records:
-            frames.append(_frame(rec, sbms_encode(rec.bm), coder))
-    elif args.scheme == "spbms":
-        encoders = {p: SpbmsEncoder(n) for p in peers}
-        for rec in records:
-            frames.append(_frame(rec, encoders[rec.peer].encode(rec.bm), coder))
-    else:
-        if len(peers) != 2:
-            raise ValueError(
-                f"ppbms needs a two-peer trace (both directions); "
-                f"{args.trace} names {len(peers)} peer(s)"
-            )
-        sessions = {p: PpbmsSession(n) for p in peers}
-        for rec in records:
-            other = peers[1 - peers.index(rec.peer)]
-            msg = sessions[rec.peer].encode(rec.bm)
-            sessions[other].decode(msg)
-            frames.append(_frame(rec, msg, coder))
+    for rec in records:
+        end = ends[rec.peer]
+        msg = sbms_encode(rec.bm) if end is None else end.encode(rec.bm)
+        if args.scheme == "ppbms":  # the other peer's session takes it in
+            ends[peers[1 - peers.index(rec.peer)]].decode(msg)
+        frames.append(_frame(rec, msg, args.coder))
     with open(args.out, "wb") as fh:
         fh.write(b"".join(frames))
     return 0
@@ -275,25 +266,16 @@ def _cmd_decode(args) -> int:
     if scheme != "ppbms" and not args.out:
         raise _UsageError(f"decoding a {scheme} dump writes a trace file; --out is required")
     n = frames[0][3].n_bits
-    if scheme == "sbms":
-        records = [
-            TraceRecord(ts, peer, direction, sbms_decode(msg, n))
-            for ts, peer, direction, msg in frames
-        ]
-        write_trace(args.out, records)
-        return 0
-    if scheme == "spbms":
+    if scheme != "ppbms":
         decoders = {}
         records = []
         for ts, peer, direction, msg in frames:
-            dec = decoders.setdefault(peer, SpbmsDecoder(n))
-            records.append(TraceRecord(ts, peer, direction, dec.decode(msg)))
+            dec = decoders.setdefault(peer, SpbmsDecoder(n)) if scheme == "spbms" else None
+            bm = sbms_decode(msg, n) if dec is None else dec.decode(msg)
+            records.append(TraceRecord(ts, peer, direction, bm))
         write_trace(args.out, records)
         return 0
-    peers = []
-    for _, peer, _, _ in frames:
-        if peer not in peers:
-            peers.append(peer)
+    peers = list(dict.fromkeys(peer for _, peer, _, _ in frames))
     if len(peers) != 2:
         raise ValueError(f"ppbms dump needs both directions; found peer(s) {peers}")
     # One replica, playing the first peer, reconstructs the whole shared

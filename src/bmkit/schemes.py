@@ -75,9 +75,10 @@ class SupportSet:
 
     The span may hold non-members at either end, so sets with the same
     members are equal whatever their anchors; memory follows the span.  The
-    codecs build each set on demand from the maps that imply it: spbms from
-    the previous map, ppbms from an end's own map and its known map of the
-    counterpart, as the window of the higher offset (``_shared``).
+    codecs build each set on demand as the unfilled positions of the
+    ``(lo, filled)`` span their ``_shared()`` gives: an spbms end's previous
+    map, or the window of the higher offset over a ppbms end's own map and
+    its known map of the counterpart.
     """
 
     __slots__ = ("lo", "mask")
@@ -246,10 +247,6 @@ class PartialBufferMap:
         _set_bits(out, bits)
         return out
 
-    @property
-    def pairs(self):
-        return [(int(l), int(b)) for l, b in zip(self.locations, self.bits)]
-
     def filled(self) -> np.ndarray:
         """Chunk ids this message announced as buffered."""
         return self.locations[np.asarray(self.bits, dtype=bool)]
@@ -343,8 +340,15 @@ class _SpbmsState:
     @property
     def support_set(self) -> SupportSet:
         """The previous map's unfilled positions, built on demand."""
+        lo, filled = self._shared()
+        return SupportSet._of(lo, ~filled)
+
+    def _shared(self):
+        """``(lo, filled)`` as ``PpbmsSession._shared`` gives it: the
+        previous map's offset and bits; ``(0, [])`` on a fresh or resynced
+        stream."""
         prev = self.last_bm
-        return SupportSet() if prev is None else SupportSet._of(prev.offset, ~prev.bits)
+        return (0, np.zeros(0, dtype=bool)) if prev is None else (prev.offset, prev.bits)
 
 
 class _ReportsLocations:
@@ -607,14 +611,3 @@ class PpbmsSession(_ReportsLocations):
         self.last_bm = None
         return CompressedBM._of("ppbms", bm.offset, 0, 0, self.encode(bm).payload, resync=True)
 
-
-def _unfilled_past(session: PpbmsSession, end: int) -> int:
-    """Members of ``session``'s shared set at chunk ``end`` or later: the
-    unfilled positions there of its known map of the counterpart.  Right
-    after it sent a map ending at ``end``, these are the members its message
-    could not report; the rest are the locations it reported 0."""
-    known = session._known
-    if known is None or known.end <= end:
-        return 0
-    tail = known.bits[max(end - known.offset, 0) :]
-    return tail.size - int(np.count_nonzero(tail))

@@ -19,9 +19,9 @@ script), decoded, and checked:
   snapshot, and the two shared support sets must match whenever the pair
   is drained.
 
-Each check compares raw bytes first (maps, reported bits, or a ppbms end's
-anchor and filled positions); only a mismatch runs the elementwise or
-support-set comparison, which decides.
+Each check compares raw bytes first (maps, reported bits, or the anchors and
+filled positions of two ends' ``_shared()``); only a mismatch runs the
+elementwise or support-set comparison, which decides.
 
 With ``keep_messages`` a result's ``decoded`` holds, per scheme and
 direction, every spbms reconstruction and ppbms report in delivery order;
@@ -39,10 +39,12 @@ generative model, so its ideal lengths are NaN.
 
 Each measured spbms or ppbms message also records the size of the
 support set it leaves at its sender (``ss_sizes``, averaged as
-``mean_ss_size``; sbms keeps no set).  A sender never re-reports a
-location it has announced filled, so that set is the locations the message
-reported 0.  A ppbms set adds the counterpart's members past the sender's
-window, which no message of the sender can reach yet.
+``mean_ss_size``; an sbms link has no codec end and keeps no set): the
+unfilled positions of the sender's ``_shared()`` span after the send.  A
+sender never re-reports a location it has announced filled, so inside the
+message's window these are the locations it reported 0.  A ppbms set also
+counts the counterpart's members past the sender's window, which no
+message of the sender can reach yet.
 
 The log2 probabilities are laid out once per run by window position, one
 table per old-prefix length k: the number of window positions below the
@@ -66,19 +68,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import traceio
-from .bitmap import PeerBufferState
 from .coders import CODER_NAMES, encode_bits
 from .entropy import ExchangeParams, _cond_fill
 from .errors import InvariantError, MissingReferenceError
 from .fillmodel import SCurve
-from .schemes import (
-    PpbmsSession,
-    SpbmsDecoder,
-    SpbmsEncoder,
-    _unfilled_past,
-    sbms_decode,
-    sbms_encode,
-)
+from .schemes import PpbmsSession, SpbmsDecoder, SpbmsEncoder, sbms_decode, sbms_encode
 
 __all__ = [
     "SCHEMES",
@@ -428,32 +422,24 @@ class _Engine:
         return k
 
     def _assert_consistent(self):
-        """Raise when a drained pairing's ends hold different support sets.
-        Equal spbms maps, or equal ppbms anchors and filled-position bytes,
-        pass at once; otherwise both sets are built and compared."""
-        if self.scheme == "sbms" or self.needs_resync or self.dirty or self._outstanding():
-            return
+        """Raise when a drained pairing's ends hold different support sets
+        (sbms ends hold none).  Equal anchors and filled-position bytes of
+        the two ends' ``_shared()`` pass at once; otherwise both sets are
+        built and compared."""
         # A ppbms pairing's two sessions are both ends of its first link.
         link = next(iter(self.links.values()))
-        if self.scheme == "spbms":
-            if link.enc.last_bm == link.dec.last_bm:
-                return
-        else:
-            (lo, filled), (lo2, filled2) = link.enc._shared(), link.dec._shared()
-            if lo == lo2 and filled.tobytes() == filled2.tobytes():
-                return
+        if link.enc is None or self.needs_resync or self.dirty or self._outstanding():
+            return
+        (lo, filled), (lo2, filled2) = link.enc._shared(), link.dec._shared()
+        if lo == lo2 and filled.tobytes() == filled2.tobytes():
+            return
         if not link.enc.support_set == link.dec.support_set:
             raise InvariantError(
                 f"{self.scheme} {link.direction}: the support sets at the two ends diverged"
             )
 
     def _deliver(self, link, env: _Envelope) -> str:
-        scheme, d = self.scheme, link.direction
-        if scheme == "sbms":
-            rt = sbms_decode(env.msg, self.n)
-            if not rt == env.snap:
-                raise InvariantError(f"sbms {d} message {env.idx}: reconstruction differs")
-            return "ok"
+        # An sbms pairing never resyncs, so its epoch stays 0.
         if env.epoch < self.recv_epoch:
             return "discard"
         if env.epoch > self.recv_epoch and not env.msg.resync:
@@ -464,24 +450,9 @@ class _Engine:
             self.dirty = False
             for other in self.links.values():
                 other.held = [e for e in other.held if e.epoch >= env.epoch]
+        dec = link.dec
         try:
-            out = link.dec.decode(env.msg)
-            if scheme == "spbms":
-                if not out == env.snap:
-                    raise InvariantError(
-                        f"spbms {d} message {env.idx}: reconstruction differs"
-                    )
-            else:
-                truth = env.snap.bits[out.locations - env.snap.offset]
-                if out.bits.shape != truth.shape or (
-                    out.bits.tobytes() != truth.tobytes() and np.count_nonzero(out.bits != truth)
-                ):
-                    raise InvariantError(
-                        f"ppbms {d} message {env.idx}: reported bits differ from snapshot"
-                    )
-            if self.keep_messages:
-                link.decoded.append(out)
-            return "ok"
+            out = sbms_decode(env.msg, self.n) if dec is None else dec.decode(env.msg)
         except MissingReferenceError as exc:
             if exc.ahead:
                 self._hold(link, env)
@@ -490,6 +461,21 @@ class _Engine:
             self.needs_resync = True
             self.dirty = True
             return "discard"
+        if self.scheme == "ppbms":
+            truth = env.snap.bits[out.locations - env.snap.offset]
+            if out.bits.shape != truth.shape or (
+                out.bits.tobytes() != truth.tobytes() and np.count_nonzero(out.bits != truth)
+            ):
+                raise InvariantError(
+                    f"ppbms {link.direction} message {env.idx}: reported bits differ from snapshot"
+                )
+        elif not out == env.snap:
+            raise InvariantError(
+                f"{self.scheme} {link.direction} message {env.idx}: reconstruction differs"
+            )
+        if self.keep_messages and dec is not None:
+            link.decoded.append(out)
+        return "ok"
 
     def _hold(self, link, env: _Envelope):
         link.held.append(env)
@@ -541,13 +527,14 @@ class _Engine:
 
     def send(self, eidx, d, snap, measured):
         link = self.links[d]
+        enc = link.enc
         idx = link.sent
         link.sent += 1
         resync = self.needs_resync
-        if self.scheme == "sbms":
+        if enc is None:
             msg = sbms_encode(snap)
         else:
-            msg = link.enc.make_resync(snap) if resync else link.enc.encode(snap)
+            msg = enc.make_resync(snap) if resync else enc.encode(snap)
         if resync:
             self.needs_resync = False
             self.send_epoch += 1
@@ -556,22 +543,20 @@ class _Engine:
                 other.prev_end = None
         if self.ideal is None:
             ideal = math.nan
-        elif self.scheme == "sbms":  # the whole window, none of it reported before
+        elif enc is None:  # sbms: the whole window, none of it reported before
             ideal = _ideal_bits(self.ideal, 0, None, msg.payload)
         else:
             # Window positions below the previous window's end were reported before.
             k = 0 if link.prev_end is None else max(link.prev_end - snap.offset, 0)
-            pos = link.enc.last_window.nonzero()[0]
+            pos = enc.last_window.nonzero()[0]
             ideal = _ideal_bits(self.ideal, k, pos, msg.payload)
         link.prev_end = snap.end
         if measured:
             link.ideal.append(ideal)
             link.payloads.append(msg.payload)
-            if link.enc is not None:  # the set it leaves; see the module docstring
-                ss = msg.n_bits - np.count_nonzero(msg.payload)
-                if self.scheme == "ppbms":
-                    ss += _unfilled_past(link.enc, snap.end)
-                link.ss.append(ss)
+            if enc is not None:  # the set it leaves; see the module docstring
+                filled = enc._shared()[1]
+                link.ss.append(filled.size - np.count_nonzero(filled))
             for c in self.coders:
                 if msg.n_bits:
                     link.coder_bytes[c] += len(encode_bits(c, msg.payload))
@@ -664,27 +649,15 @@ def _run(sends, n, schemes, coders, archive_depth=8, keep_messages=False, script
 
 
 def _simulate(cfg: SimConfig, script: ReorderScript | None) -> SimResult:
-    """Run the engine over two synthetic peers: B sends at i*T, then A at
-    i*T + tau.  That order is already sorted in time; with tau == T, A's
-    send comes before B's next, the order they were scheduled in."""
-    seq_b, seq_a = np.random.SeedSequence(cfg.seed).spawn(2)
-    peer_b = PeerBufferState("B", cfg.curve, rng=np.random.default_rng(seq_b))
-    peer_a = PeerBufferState(
-        "A", cfg.curve, base_offset=cfg.offset_lag, rng=np.random.default_rng(seq_a)
-    )
+    """Run the engine over two synthetic peers on the standard schedule
+    (``traceio._schedule``): B sends at i*T, then A at i*T + tau.  That order
+    is already sorted in time; with tau == T, A's send comes before B's next,
+    the order they were scheduled in."""
     warm = cfg.warmup_periods
-    # Touch each peer's newest chunk of the run, so that its fill delays are
-    # drawn in one batch; split draws read the same stream.
-    last = warm + cfg.rounds - 1
-    peer_b.fill_delay(last * cfg.T + cfg.n - 1)
-    peer_a.fill_delay(cfg.offset_lag + last * cfg.T + cfg.tau + cfg.n - 1)
-
-    def sends():
-        for i in range(warm + cfg.rounds):
-            yield "ba", peer_b.snapshot(i * cfg.T), i >= warm
-            yield "ab", peer_a.snapshot(i * cfg.T + cfg.tau), i >= warm
-
-    return _run(sends(), cfg.n, cfg.schemes, cfg.coders, cfg.archive_depth, cfg.keep_messages,
+    stream = traceio._schedule(cfg.curve, cfg.T, cfg.tau, warm + cfg.rounds, cfg.seed,
+                               cfg.offset_lag)
+    sends = ((("ba", "ab")[k % 2], bm, k // 2 >= warm) for k, (_, bm) in enumerate(stream))
+    return _run(sends, cfg.n, cfg.schemes, cfg.coders, cfg.archive_depth, cfg.keep_messages,
                 script, _IdealTables(cfg.curve, cfg.T), T=cfg.T, tau=cfg.tau,
                 rounds=cfg.rounds, seed=cfg.seed, source="synthetic")
 

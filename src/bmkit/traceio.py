@@ -167,11 +167,23 @@ def generate(curve: SCurve, T: int, rounds: int, seed: int, tau: int | None = No
         tau = max(1, T // 4)
     if not 0 < tau <= T:
         raise ValueError(f"need 0 < tau <= T, got tau={tau}")
+    logged = (("B", "received"), ("A", "sent"))
+    return [TraceRecord(t, *logged[k % 2], bm)
+            for k, (t, bm) in enumerate(_schedule(curve, T, tau, rounds, seed))]
+
+
+def _schedule(curve: SCurve, T: int, tau: int, periods: int, seed: int, offset_lag: int = 0):
+    """Yield ``(t, map)`` of peer B at ``i*T``, then of peer A at ``i*T +
+    tau``, for each of ``periods`` periods.  ``seed`` spawns the two peers'
+    streams, B's first; A's window starts ``offset_lag`` chunks later."""
     seq_b, seq_a = np.random.SeedSequence(seed).spawn(2)
     peer_b = PeerBufferState("B", curve, rng=np.random.default_rng(seq_b))
-    peer_a = PeerBufferState("A", curve, rng=np.random.default_rng(seq_a))
-    records = []
-    for i in range(rounds):
-        records.append(TraceRecord(i * T, "B", "received", peer_b.snapshot(i * T)))
-        records.append(TraceRecord(i * T + tau, "A", "sent", peer_a.snapshot(i * T + tau)))
-    return records
+    peer_a = PeerBufferState("A", curve, base_offset=offset_lag, rng=np.random.default_rng(seq_a))
+    # Touch each peer's newest chunk of the run, so that its fill delays are
+    # drawn in one batch; split draws read the same stream.
+    last = (periods - 1) * T + curve.n - 1
+    peer_b.fill_delay(last)
+    peer_a.fill_delay(offset_lag + last + tau)
+    for i in range(periods):
+        yield i * T, peer_b.snapshot(i * T)
+        yield i * T + tau, peer_a.snapshot(i * T + tau)

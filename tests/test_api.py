@@ -58,6 +58,8 @@ def test_retired_api_stays_gone():
         assert name not in exported and not hasattr(coders, name)
     # Consecutive messages are read with unpack_message(data, pos).
     assert "unpack_stream" not in exported and not hasattr(schemes, "unpack_stream")
+    # A ppbms report is read through its locations and bits.
+    assert not hasattr(schemes.PartialBufferMap, "pairs")
     params = {
         schemes.sbms_encode: ["bm"],
         schemes.sbms_decode: ["msg", "n"],
@@ -70,3 +72,21 @@ def test_retired_api_stays_gone():
     # The expected bit count bounds every run-length decoder.
     for fn in (coders.rle_decode, coders.huffman_decode):
         assert inspect.signature(fn).parameters["n_bits"].default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("module, source", [("cli", None), ("sim", "schemes")])
+def test_module_imports_no_private_name(module, source):
+    """``cli`` imports no ``_``-prefixed name from bmkit, and ``sim`` none
+    from ``schemes``: each goes through the other modules' public names."""
+    tree = ast.parse((INIT.parent / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        where = node.module or ""
+        if node.level == 0:
+            if where.split(".")[0] != "bmkit":
+                continue  # the standard library and numpy
+            where = where.removeprefix("bmkit").lstrip(".")
+        if source in (None, where):
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, f"{module} imports {private} from {node.module or '.'}"

@@ -524,7 +524,8 @@ def test_ppbms_worked_trace_payload_and_shared_set():
     assert msg.payload.tolist() == [False, True, False, True]
     assert list(a.support_set) == [1, 5]
     got = b.decode(msg)
-    assert got.pairs == [(1, 0), (3, 1), (5, 0), (7, 1)]
+    assert got.locations.tolist() == [1, 3, 5, 7]
+    assert got.bits.tolist() == [False, True, False, True]
     assert got.filled().tolist() == [3, 7]
     assert b.support_set == a.support_set
 
@@ -535,7 +536,8 @@ def test_ppbms_counterpart_fills_are_never_reported_back():
     a.decode(b.encode(_bm(0, "11111111")))
     reply = a.encode(_bm(0, "00000000"))
     assert reply.n_bits == 0  # no appends, nothing unknown
-    assert b.decode(reply).pairs == []
+    got = b.decode(reply)
+    assert got.locations.tolist() == [] and got.bits.tolist() == []
 
 
 def test_ppbms_symmetric_peers_report_joint_gaps_once():
@@ -870,7 +872,7 @@ def test_ppbms_state_is_two_maps_and_late_messages_resolve_by_rule():
             own = rx.maps[c - 1] if c else None
             assert part.locations.tolist() == _two_map_window(msg.offset, n, own, rx.known)
             assert part.bits.tolist() == [loc in sent_map[1] for loc in part.locations.tolist()]
-            unfilled = {loc for loc, bit in part.pairs if not bit}
+            unfilled = set(part.locations[~part.bits].tolist())
             rx.known = (msg.offset, set(range(msg.offset, msg.offset + n)) - unfilled)
             rx.known_c = c
             rx.check(n)
@@ -1079,7 +1081,7 @@ def test_ppbms_reports_only_the_senders_window():
     msg = b.encode(_bm(0, "00000011"))  # B's window is [0, 8): only 6 lies in it
     assert msg.payload.tolist() == [True]
     got = a.decode(msg)
-    assert got.pairs == [(6, 1)]
+    assert got.locations.tolist() == [6] and got.bits.tolist() == [True]
     assert list(a.support_set) == [8, 9, 10, 11, 12]
     assert a.support_set == b.support_set
     replica = PpbmsSession(8)

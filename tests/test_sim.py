@@ -559,6 +559,45 @@ def test_drained_ppbms_check_compares_bytes_then_falls_back_to_the_sets():
         _drained_ppbms((None, None), (None, own_a))._assert_consistent()
 
 
+def _drained_spbms(enc_map, dec_map):
+    """A drained spbms ab engine whose ends keep the given previous maps
+    (None for a fresh end)."""
+    engine = sim._Engine("spbms", ("ab",), 8, (), 8, False, ReorderScript(), None)
+    link = engine.links["ab"]
+    link.enc.last_bm, link.dec.last_bm = enc_map, dec_map
+    return engine
+
+
+def test_drained_spbms_check_compares_bytes_then_falls_back_to_the_sets():
+    """The spbms twin of the ppbms check above: equal maps pass at once,
+    equal members at different anchors pass on their sets, and one flipped
+    member raises."""
+    bm = BufferMap(10, [1, 1, 0, 0, 1, 0, 0, 0])
+    _drained_spbms(bm, BufferMap(10, bm.bits.copy()))._assert_consistent()
+    flipped = BufferMap(10, [1, 1, 1, 0, 1, 0, 0, 0])  # member 12 filled at one end only
+    with pytest.raises(InvariantError,
+                       match="^spbms ab: the support sets at the two ends diverged$"):
+        _drained_spbms(bm, flipped)._assert_consistent()
+    # Members 14..17 at both ends: anchored at 10 and at 12.
+    at_10, at_12 = BufferMap(10, [1, 1, 1, 1, 0, 0, 0, 0]), BufferMap(12, [1, 1, 0, 0, 0, 0, 1, 1])
+    _drained_spbms(at_10, at_12)._assert_consistent()
+    _drained_spbms(None, None)._assert_consistent()
+
+
+def test_sbms_decoded_lists_stay_empty_under_keep_messages():
+    """sbms ends decode nothing worth keeping: its ``decoded`` lists stay
+    empty in a fault run and in a trace replay, while the other schemes'
+    fill up."""
+    script = ReorderScript(delays={("ab", 12): 2}, drops=[("ba", 20)], swaps=[("ab", 5)])
+    synthetic = reorder_fault_run(_cfg(rounds=20, keep_messages=True), script)
+    replay = run_trace(generate(_cfg().curve, T=8, rounds=20, seed=3, tau=2),
+                       schemes=sim.SCHEMES, keep_messages=True)
+    for res in (synthetic, replay):
+        for d in ("ab", "ba"):
+            assert res.decoded[("sbms", d)] == []
+            assert res.decoded[("spbms", d)] and res.decoded[("ppbms", d)]
+
+
 def test_the_drained_check_runs_after_every_delivery(monkeypatch):
     """Each engine checks its pairing once per envelope it pops, and once
     more when the stream ends; every enqueued envelope is popped by then."""
