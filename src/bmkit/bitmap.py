@@ -135,11 +135,10 @@ class PeerBufferState:
         """Buffer map at time ``t`` (chunk-times since creation)."""
         if t < 0:
             raise ValueError("t must be at or after the state's creation time")
-        offset = self.base_offset + t
-        newest = offset + self.n - 1
-        self._ensure_delays(newest)
-        start = offset - self.base_offset
-        return BufferMap._owning(offset, self._delays[start : start + self.n] <= self._ages)
+        end = t + self.n  # the window covers delays [t, end)
+        if end > self._delays.size:
+            self._ensure_delays(self.base_offset + end - 1)
+        return BufferMap._owning(self.base_offset + t, self._delays[t:end] <= self._ages)
 
 
 def check_monotone(prev: BufferMap, cur: BufferMap) -> None:

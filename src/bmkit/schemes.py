@@ -15,15 +15,15 @@ Three schemes share one wire envelope:
   known map of the counterpart, which is the counterpart's payload at the
   reported locations and ones elsewhere.
 
-Every window is one function of the maps that came before it
-(``_window``): the positions filled in none of them, where a position past
-a map's window counts as unfilled and one below a map's offset is never a
-member.  spbms passes the previous map; ppbms passes its own map and the
-known map, and its shared set is the window from the higher of their two
-offsets.  A ppbms message arriving late is decoded against the own map its
-sender had seen, kept for the last 2 * ``archive_depth`` + 1 messages.  A
-message reports only support-set locations inside its own window; members
-past it stay for a later message.
+Every window is one function of the maps that came before it: the
+positions filled in none of them (``_mark`` sets the others), where a
+position past a map's window counts as unfilled and one below a map's
+offset is never a member.  spbms passes the previous map; ppbms passes its
+own map and the known map, and its shared set is the window from the
+higher of their two offsets.  A ppbms message arriving late is decoded
+against the own map its sender had seen, kept for the last
+2 * ``archive_depth`` + 1 messages.  A message reports only support-set
+locations inside its own window; members past it stay for a later message.
 
 Wire envelope (big-endian): 1-byte scheme tag, 4-byte offset, 2-byte
 lbmr_seq, 2-byte cbmr_seq, 2-byte payload bit count, then the payload bits
@@ -61,8 +61,9 @@ __all__ = [
 HEADER_LEN = 11
 _HEADER = struct.Struct(">BIHHH")
 _SCHEME_TAGS = {"sbms": 1, "spbms": 2, "ppbms": 3}
-_TAG_SCHEMES = {v: k for k, v in _SCHEME_TAGS.items()}
 _RESYNC_FLAG = 0x80
+_TAG_KINDS = {t | f: (k, bool(f)) for k, t in _SCHEME_TAGS.items() for f in (0, _RESYNC_FLAG)}
+_NO_BITS = np.zeros(0, dtype=bool)
 
 
 # ======================================================================
@@ -126,34 +127,45 @@ class SupportSet:
         return f"SupportSet({self.locs.tolist()!r})"
 
 
-def _window(offset: int, n: int, *maps) -> np.ndarray:
-    """Mask of the positions in [offset, offset + n) filled in none of
-    ``maps`` (None entries are skipped).  A position past a map's window
-    counts as unfilled in it; one below a map's offset is never a member."""
-    filled = np.zeros(n, dtype=bool)
+def _mark(filled: np.ndarray, offset: int, *maps) -> np.ndarray:
+    """``filled``, a mask over the window from ``offset``, with every
+    position filled in one of ``maps`` (None entries are skipped) set in
+    place.  A position past a map's window counts as unfilled in it; one
+    below a map's offset as filled, so it is never a support-set member."""
+    n = filled.size
     for bm in maps:
         if bm is None:
             continue
         shift = offset - bm.offset
-        if shift < 0:  # the first -shift positions lie below the map's offset
+        if 0 <= shift < n:
+            filled[: n - shift] |= bm.bits[shift:]
+        elif shift < 0:  # the first -shift positions lie below the map's offset
             k = min(-shift, n)
             filled[:k] = True
             filled[k:] |= bm.bits[: n - k]
-        elif shift < n:
-            filled[: n - shift] |= bm.bits[shift:]
-    return np.invert(filled, out=filled)
+    return filled
 
 
-def _fill(win: np.ndarray, payload: np.ndarray) -> np.ndarray:
-    """A receiver's window: ``payload`` at the reported locations, else ones."""
-    implied = int(np.count_nonzero(win))
-    if payload.size != implied:
+def _shifted(prev, offset: int, n: int):
+    """A fresh mask over the window of ``n`` from ``offset`` holding the
+    bits of ``prev`` there (none without ``prev``, which must not start
+    past ``offset``), and the slice of ``prev`` it copied."""
+    filled = np.zeros(n, dtype=bool)
+    old = _NO_BITS if prev is None else prev.bits[offset - prev.offset :]
+    filled[: old.size] = old
+    return filled, old
+
+
+def _fill(filled: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    """Write ``payload`` in place at the unfilled positions of a receiver's
+    window ``filled``; returns those positions, the reported locations."""
+    loc = (~filled).nonzero()[0]
+    if payload.size != loc.size:
         raise DesyncError(
-            f"payload carries {payload.size} bits but the support set implies {implied}"
+            f"payload carries {payload.size} bits but the support set implies {loc.size}"
         )
-    bits = ~win
-    bits[win] = payload
-    return bits
+    filled[loc] = payload
+    return loc
 
 
 def _check_offset(last_offset, offset: int):
@@ -161,18 +173,21 @@ def _check_offset(last_offset, offset: int):
         raise ProtocolError(f"offset regressed from {last_offset} to {offset}")
 
 
-def _check_bitmap(bm: BufferMap, n: int, prev, last_offset, what: str):
+def _check_bitmap(bm: BufferMap, n: int, prev, last_offset, what: str) -> np.ndarray:
     """A sender's input checks: window width, offset progression past
     ``last_offset`` and monotone filling against its previous bitmap
-    ``prev`` (None where there is none to check against)."""
+    ``prev`` (None where there is none to check against, else at
+    ``last_offset``).  Returns ``_shifted`` of ``prev`` over ``bm``'s window."""
     if bm.n != n:
         raise ProtocolError(f"bitmap width {bm.n} != {what} width {n}")
     _check_offset(last_offset, bm.offset)
-    if prev is not None:
+    filled, old = _shifted(prev, bm.offset, n)
+    if np.count_nonzero(old > bm.bits[: old.size]):
         try:
             check_monotone(prev, bm)
         except MonotonicityError as exc:
             raise ProtocolError(f"non-monotone bitmap: {exc}") from exc
+    return filled
 
 
 # ======================================================================
@@ -286,10 +301,10 @@ def unpack_envelope(data: bytes, pos: int = 0):
     if len(data) - pos < HEADER_LEN:
         raise ValueError("truncated message header")
     tag, offset, lbmr, cbmr, nbits = _HEADER.unpack_from(data, pos)
-    scheme = _TAG_SCHEMES.get(tag & ~_RESYNC_FLAG)
-    if scheme is None:
+    kind = _TAG_KINDS.get(tag)
+    if kind is None:
         raise ValueError(f"unknown scheme tag 0x{tag:02x}")
-    return scheme, offset, lbmr, cbmr, nbits, bool(tag & _RESYNC_FLAG)
+    return kind[0], offset, lbmr, cbmr, nbits, kind[1]
 
 
 def unpack_message(data: bytes, pos: int = 0):
@@ -329,7 +344,41 @@ def sbms_decode(msg: CompressedBM, n: int) -> BufferMap:
 # SPBMS: per-sender support set
 # ======================================================================
 
-class _SpbmsState:
+class _SharedSet:
+    """A stateful codec end.  ``_maps()`` gives the map its support set is
+    anchored at (None on a fresh stream) and another map's bits from that
+    anchor on; the set is the window of ``n`` from the anchor less both."""
+
+    @property
+    def support_set(self) -> SupportSet:
+        """The support set, built on demand."""
+        lo, filled = self._shared()
+        return SupportSet._of(lo, ~filled)
+
+    def _shared(self):
+        """``(lo, filled)``: the set's anchor and the positions of the window
+        from there that are filled; ``(0, [])`` on a fresh stream."""
+        first, over = self._maps()
+        if first is None:
+            return 0, _NO_BITS
+        filled = first.bits
+        if over.size:
+            filled = filled.copy()
+            filled[: over.size] |= over
+        return first.offset, filled
+
+    def _set_size(self) -> int:
+        """Members of the support set, counted without building it."""
+        first, over = self._maps()
+        if first is None:
+            return 0
+        unfilled = self.n - np.count_nonzero(first.bits)
+        if over.size:  # less the second map's fills the first lacks
+            unfilled -= np.count_nonzero(over > first.bits[: over.size])
+        return unfilled
+
+
+class _SpbmsState(_SharedSet):
     def __init__(self, n: int):
         if not 0 < n < 2**16:
             raise ValueError("window width must fit in the wire bit count")
@@ -337,18 +386,9 @@ class _SpbmsState:
         self.last_bm = None  # the previous map; None on a fresh or resynced stream
         self.seq = 0
 
-    @property
-    def support_set(self) -> SupportSet:
-        """The previous map's unfilled positions, built on demand."""
-        lo, filled = self._shared()
-        return SupportSet._of(lo, ~filled)
-
-    def _shared(self):
-        """``(lo, filled)`` as ``PpbmsSession._shared`` gives it: the
-        previous map's offset and bits; ``(0, [])`` on a fresh or resynced
-        stream."""
-        prev = self.last_bm
-        return (0, np.zeros(0, dtype=bool)) if prev is None else (prev.offset, prev.bits)
+    def _maps(self):
+        """The previous map (None on a fresh or resynced stream), alone."""
+        return self.last_bm, _NO_BITS
 
 
 class _ReportsLocations:
@@ -384,8 +424,8 @@ class SpbmsEncoder(_SpbmsState, _ReportsLocations):
         """Emit the bits of ``bm`` at every support-set location of its
         window, in location order; the first message carries the whole map."""
         prev = self.last_bm
-        _check_bitmap(bm, self.n, prev, None if prev is None else prev.offset, "codec")
-        win = _window(bm.offset, self.n, prev)
+        filled = _check_bitmap(bm, self.n, prev, None if prev is None else prev.offset, "codec")
+        win = np.invert(filled, out=filled)
         msg = CompressedBM._of("spbms", bm.offset, self.seq, 0, bm.bits[win])
         self.last_bm = bm
         self._keep_window(bm.offset, win)
@@ -417,7 +457,8 @@ class SpbmsDecoder(_SpbmsState):
         _check_offset(None if prev is None else prev.offset, msg.offset)
         # Nothing is committed before these checks pass, so a rejected
         # message leaves the state untouched.
-        bits = _fill(_window(msg.offset, self.n, prev), msg.payload)
+        bits, _ = _shifted(prev, msg.offset, self.n)
+        _fill(bits, msg.payload)
         self.last_bm = BufferMap._owning(msg.offset, bits)
         self.seq = msg.lbmr_seq + 1
         return self.last_bm
@@ -427,7 +468,7 @@ class SpbmsDecoder(_SpbmsState):
 # PPBMS: shared support set per peer pair
 # ======================================================================
 
-class PpbmsSession(_ReportsLocations):
+class PpbmsSession(_SharedSet, _ReportsLocations):
     """One peer's end of a ppbms pairing.
 
     Each end keeps two maps: its own last map and its last known map of the
@@ -471,26 +512,14 @@ class PpbmsSession(_ReportsLocations):
         """This end's own last map in this epoch; None before its first."""
         return self._own[-1][0] if self._own else None
 
-    @property
-    def support_set(self) -> SupportSet:
-        """Positions of one window, from the higher of the two maps'
-        offsets, filled in neither map; built on demand."""
-        lo, filled = self._shared()
-        return SupportSet._of(lo, ~filled)
-
-    def _shared(self):
-        """``(lo, filled)`` of the shared set: its anchor, the higher of the
-        two maps' offsets, and the positions of the window from there that
-        either map has filled; ``(0, [])`` in a fresh epoch."""
+    def _maps(self):
+        """The map that starts at the shared set's anchor, the higher of the
+        two maps' offsets (None in a fresh epoch), and the other map's bits
+        from there on: the set is the window from there filled in neither."""
         first, other = self._last_own, self._known
         if first is None or (other is not None and other.offset > first.offset):
-            first, other = other, first  # first is the map that starts at lo
-        if first is None:
-            return 0, np.zeros(0, dtype=bool)
-        filled = first.bits.copy()
-        if other is not None and (shift := first.offset - other.offset) < self.n:
-            filled[: self.n - shift] |= other.bits[shift:]
-        return first.offset, filled
+            first, other = other, first
+        return first, _NO_BITS if other is None else other.bits[first.offset - other.offset :]
 
     def _own_map(self, c: int):
         """Own map ``c`` - 1, against which a message stamped cbmr = ``c``
@@ -536,12 +565,14 @@ class PpbmsSession(_ReportsLocations):
     def encode(self, bm: BufferMap) -> CompressedBM:
         """Report own bits at every shared-support-set location of the
         window of ``bm``."""
-        own = self._last_own
-        # A counterpart's resync empties the own maps but keeps last_bm; a
-        # replica has only its own maps.
-        last = own if self.last_bm is None else self.last_bm
-        _check_bitmap(bm, self.n, self.last_bm, None if last is None else last.offset, "session")
-        win = _window(bm.offset, self.n, own, self._known)
+        own, last = self._last_own, self.last_bm
+        ref = own if last is None else last
+        # The check's mask holds the fills of last_bm: the own map's, except
+        # on a replica (own maps only) or after a counterpart's resync (none).
+        filled = _check_bitmap(bm, self.n, last, None if ref is None else ref.offset, "session")
+        if own is not last:
+            filled = _mark(np.zeros(self.n, dtype=bool), bm.offset, own)
+        win = np.invert(_mark(filled, bm.offset, self._known), out=filled)
         msg = CompressedBM._of("ppbms", bm.offset, self.sent_seq, self.recv_seq, bm.bits[win])
         self.last_bm = bm
         self._commit_sent(bm, win)
@@ -564,11 +595,12 @@ class PpbmsSession(_ReportsLocations):
                 ahead=False,
             )
         own = self._own_map(msg.cbmr_seq)
-        win = _window(msg.offset, self.n, own, self._known)
-        self._known = BufferMap._owning(msg.offset, _fill(win, msg.payload))
+        bits = _mark(np.zeros(self.n, dtype=bool), msg.offset, own, self._known)
+        loc = _fill(bits, msg.payload)
+        self._known = BufferMap._owning(msg.offset, bits)
         self._known_cbmr = msg.cbmr_seq
         self.recv_seq += 1
-        return PartialBufferMap._of(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
+        return PartialBufferMap._of(msg.offset, loc + msg.offset, msg.payload)
 
     def apply_sent(self, msg: CompressedBM) -> PartialBufferMap:
         """Replay one of this peer's own transmitted messages.
@@ -596,11 +628,12 @@ class PpbmsSession(_ReportsLocations):
             )
         own = self._last_own
         _check_offset(None if own is None else own.offset, msg.offset)
-        win = _window(msg.offset, self.n, own, self._known)
-        bits = _fill(win, msg.payload)
+        bits = _mark(np.zeros(self.n, dtype=bool), msg.offset, own, self._known)
+        win = ~bits
+        loc = _fill(bits, msg.payload)
         self.last_bm = None  # the replica never sees the full bitmap
         self._commit_sent(BufferMap._owning(msg.offset, bits), win)
-        return PartialBufferMap._of(msg.offset, win.nonzero()[0] + msg.offset, msg.payload)
+        return PartialBufferMap._of(msg.offset, loc + msg.offset, msg.payload)
 
     def make_resync(self, bm: BufferMap) -> CompressedBM:
         """Restart the pairing from scratch: ship the whole bitmap; both

@@ -40,11 +40,11 @@ generative model, so its ideal lengths are NaN.
 Each measured spbms or ppbms message also records the size of the
 support set it leaves at its sender (``ss_sizes``, averaged as
 ``mean_ss_size``; an sbms link has no codec end and keeps no set): the
-unfilled positions of the sender's ``_shared()`` span after the send.  A
-sender never re-reports a location it has announced filled, so inside the
-message's window these are the locations it reported 0.  A ppbms set also
-counts the counterpart's members past the sender's window, which no
-message of the sender can reach yet.
+unfilled positions of the sender's ``_shared()`` span after the send, as
+``_set_size()`` counts them.  A sender never re-reports a location it has
+announced filled, so inside the message's window these are the locations
+it reported 0.  A ppbms set also counts the counterpart's members past the
+sender's window, which no message of the sender can reach yet.
 
 The log2 probabilities are laid out once per run by window position, one
 table per old-prefix length k: the number of window positions below the
@@ -325,6 +325,11 @@ def _ideal_bits(tables: _IdealTables, k: int, pos, bits: np.ndarray) -> float:
     raise InvariantError("payload contains a zero-probability bit under the true model")
 
 
+def _mean(x: np.ndarray) -> float:
+    """``x.mean()`` without its dispatch, bit for bit (NaN when empty)."""
+    return float(np.add.reduce(x) / x.size) if x.size else math.nan
+
+
 class _Link:
     """One direction of a pairing: the codec ends that send (``enc``) and
     receive (``dec``) on it, None for sbms; what was measured on it; and the
@@ -347,16 +352,15 @@ class _Link:
 
     def stats(self, scheme, resyncs) -> SchemeDirStats:
         pb = np.array([p.size for p in self.payloads], dtype=np.float64)
-        ideal = np.asarray(self.ideal, dtype=np.float64)
-        ss = np.asarray(self.ss, dtype=np.float64)
+        mean_pb = _mean(pb)
         return SchemeDirStats(
             scheme,
             self.direction,
             len(self.payloads),
-            float(pb.mean()) if pb.size else float("nan"),
-            float(pb.std()) if pb.size else float("nan"),
-            float(ideal.mean()) if ideal.size and not np.isnan(ideal).any() else float("nan"),
-            float(ss.mean()) if ss.size else float("nan"),
+            mean_pb,
+            math.sqrt(_mean(np.square(pb - mean_pb))),
+            _mean(np.asarray(self.ideal, dtype=np.float64)),
+            _mean(np.asarray(self.ss, dtype=np.float64)),
             resyncs,
             self.drops,
             dict(self.coder_bytes),
@@ -555,8 +559,7 @@ class _Engine:
             link.ideal.append(ideal)
             link.payloads.append(msg.payload)
             if enc is not None:  # the set it leaves; see the module docstring
-                filled = enc._shared()[1]
-                link.ss.append(filled.size - np.count_nonzero(filled))
+                link.ss.append(enc._set_size())
             for c in self.coders:
                 if msg.n_bits:
                     link.coder_bytes[c] += len(encode_bits(c, msg.payload))

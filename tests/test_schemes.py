@@ -20,7 +20,7 @@ from bmkit.schemes import (
     SpbmsDecoder,
     SpbmsEncoder,
     SupportSet,
-    _window,
+    _mark,
     pack_message,
     sbms_decode,
     sbms_encode,
@@ -55,9 +55,14 @@ def test_support_set_must_be_strictly_ascending():
         SupportSet([5, 3])
 
 
+def _window(offset, n, *maps):
+    """The window ``_mark`` implies: the positions filled in none of ``maps``."""
+    return ~_mark(np.zeros(n, dtype=bool), offset, *maps)
+
+
 def test_window_matches_a_position_oracle():
-    """``_window`` position by position: a map behind, ahead of and past the
-    window, no map, and two maps."""
+    """The window ``_mark`` implies, position by position: a map behind,
+    ahead of and past the window, no map, and two maps."""
     assert _window(0, 4).tolist() == [True] * 4
     assert _window(0, 4, None).tolist() == [True] * 4
     assert _window(3, 4, _bm(2, "1100")).tolist() == [False, True, True, True]  # behind

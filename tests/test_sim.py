@@ -851,3 +851,27 @@ def test_an_engine_leaves_no_cyclic_garbage():
         if was_enabled:
             gc.enable()
     assert not [k for k in kinds if k.__module__ in ("bmkit.sim", "bmkit.schemes")]
+
+
+def test_scheme_dir_stats_equal_ndarray_mean_and_std_bit_for_bit():
+    """``SchemeDirStats`` reduces each list without ``ndarray.mean``/``std``
+    and still gives their values to the last bit, on lists shorter and
+    longer than numpy's 8-wide and 128-wide summation blocks, with a NaN
+    ideal length, and NaN for no messages."""
+    rng = np.random.default_rng(19)
+    sizes = [0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300] + rng.integers(1, 301, 40).tolist()
+    for m in sizes:
+        link = sim._Link("ab", None, None, ())
+        link.payloads = [np.zeros(int(k), dtype=bool) for k in rng.integers(0, 457, m)]
+        link.ideal = (rng.random(m) * 10.0 ** rng.integers(-2, 4)).tolist()
+        link.ss = rng.integers(0, 457, m).tolist()
+        if m % 5 == 3:
+            link.ideal[m // 2] = math.nan
+        got = link.stats("spbms", 0)
+        pb = np.array([p.size for p in link.payloads], dtype=np.float64)
+        want = [pb.mean(), pb.std(), np.asarray(link.ideal).mean(),
+                np.asarray(link.ss, dtype=np.float64).mean()] if m else [math.nan] * 4
+        have = [got.mean_payload_bits, got.std_payload_bits, got.mean_ideal_bits, got.mean_ss_size]
+        for h, w in zip(have, want):
+            assert type(h) is float
+            assert (math.isnan(h) and math.isnan(w)) or h == w
