@@ -140,9 +140,9 @@ def sample_fill_delays(curve: SCurve, u) -> np.ndarray:
     (one past the largest in-window age) instead of ``inf``."""
     u = np.asarray(u, dtype=np.float64)
     probs = curve.probs
-    d = np.searchsorted(probs, u, side="left")
-    zero_hi = np.searchsorted(probs, 0.0, side="right")
-    return np.where(u > 0.0, d, zero_hi).astype(np.int64)
+    d = np.asarray(probs.searchsorted(u), dtype=np.int64)
+    d[~(u > 0.0)] = probs.searchsorted(0.0, side="right")  # NaN too, as before
+    return d
 
 
 def transition_prob(curve: SCurve, i: int, j: int) -> float:

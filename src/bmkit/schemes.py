@@ -367,18 +367,10 @@ class _SharedSet:
             filled[: over.size] |= over
         return first.offset, filled
 
-    def _set_size(self) -> int:
-        """Members of the support set, counted without building it."""
-        first, over = self._maps()
-        if first is None:
-            return 0
-        unfilled = self.n - np.count_nonzero(first.bits)
-        if over.size:  # less the second map's fills the first lacks
-            unfilled -= np.count_nonzero(over > first.bits[: over.size])
-        return unfilled
-
 
 class _SpbmsState(_SharedSet):
+    _known = None  # an spbms end knows no map of its counterpart
+
     def __init__(self, n: int):
         if not 0 < n < 2**16:
             raise ValueError("window width must fit in the wire bit count")

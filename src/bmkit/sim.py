@@ -40,17 +40,21 @@ generative model, so its ideal lengths are NaN.
 Each measured spbms or ppbms message also records the size of the
 support set it leaves at its sender (``ss_sizes``, averaged as
 ``mean_ss_size``; an sbms link has no codec end and keeps no set): the
-unfilled positions of the sender's ``_shared()`` span after the send, as
-``_set_size()`` counts them.  A sender never re-reports a location it has
-announced filled, so inside the message's window these are the locations
-it reported 0.  A ppbms set also counts the counterpart's members past the
-sender's window, which no message of the sender can reach yet.
+unfilled positions of the sender's ``_shared()`` span after the send.  It
+is counted off the message (``_set_size``).  A sender never re-reports a
+location it has announced filled, so inside the message's window these are
+the locations it reported 0.  A ppbms set also counts the unfilled
+positions of the counterpart's known map past the sender's window when
+that map starts past the window's offset: no message of the sender can
+reach them yet.
 
-The log2 probabilities are laid out once per run by window position, one
-table per old-prefix length k: the number of window positions below the
-sender's previous window end.  Each table is built the first time a
-message needs it and then kept, so pricing a message is one gather of its
-(bit, position) entries in location order and one sum.
+The log2 probabilities are laid out by window position, one table per
+old-prefix length k: the number of window positions below the sender's
+previous window end.  Each table is built the first time a message needs
+it and then kept, and the tables of one curve and period are shared by
+every run over the same curve values and period (the last
+``_TABLE_SETS`` such pairs are kept), so pricing a message is one gather
+of its (bit, position) entries in location order and one sum.
 
 Message loss is the designed recovery path, not an error: a receiver that
 can no longer resolve references (archive eviction or an overflowing hold
@@ -270,10 +274,11 @@ class SimResult:
 
 
 class _IdealTables(dict):
-    """Log2 probabilities of payload bits under the true fill model for one
-    run, laid out by window position: table ``k``, built on first use,
-    prices the bit at window position j (age n - 1 - j) at entry
-    ``bit * n + j``, as a location reported before when j < k.
+    """Log2 probabilities of payload bits under the true fill model of one
+    curve and period, laid out by window position: table ``k``, built on
+    first use and read-only, since runs share it, prices the bit at window
+    position j (age n - 1 - j) at entry ``bit * n + j``, as a location
+    reported before when j < k.
 
     A fresh location's bit is distributed as p_age; an old one, reported
     one period earlier while unfilled at age - period, as
@@ -294,8 +299,26 @@ class _IdealTables(dict):
 
     def __missing__(self, k: int) -> np.ndarray:
         tab = np.concatenate([self._old[:, :k], self._fresh[:, k:]], axis=1).ravel()
+        tab.flags.writeable = False
         self[k] = tab
         return tab
+
+
+_TABLE_SETS = 8  # (curve values, period) pairs whose tables are kept
+_table_sets = {}  # (probs bytes, period) -> _IdealTables, oldest first
+
+
+def _ideal_tables(curve: SCurve, period: int) -> _IdealTables:
+    """The tables of ``curve`` at ``period``, built once and shared by every
+    run over equal curve values and the same period.  Past ``_TABLE_SETS``
+    pairs, the oldest is dropped."""
+    key = (curve.probs.tobytes(), period)
+    tables = _table_sets.get(key)
+    if tables is None:
+        if len(_table_sets) >= _TABLE_SETS:
+            del _table_sets[next(iter(_table_sets))]
+        tables = _table_sets[key] = _IdealTables(curve, period)
+    return tables
 
 
 def _ideal_bits(tables: _IdealTables, k: int, pos, bits: np.ndarray) -> float:
@@ -325,6 +348,19 @@ def _ideal_bits(tables: _IdealTables, k: int, pos, bits: np.ndarray) -> float:
     raise InvariantError("payload contains a zero-probability bit under the true model")
 
 
+def _set_size(end, bm, payload: np.ndarray) -> int:
+    """Members of the support set a codec end holds right after sending
+    ``payload`` for ``bm``: the locations it reported 0, plus the unfilled
+    positions past ``bm``'s window of its known map of the counterpart when
+    that map starts past ``bm``'s offset (an spbms end knows none)."""
+    size = payload.size - np.count_nonzero(payload)
+    known = end._known
+    if known is not None and known.offset > bm.offset:
+        past = known.bits[max(bm.end - known.offset, 0) :]
+        size += past.size - np.count_nonzero(past)
+    return size
+
+
 def _mean(x: np.ndarray) -> float:
     """``x.mean()`` without its dispatch, bit for bit (NaN when empty)."""
     return float(np.add.reduce(x) / x.size) if x.size else math.nan
@@ -332,13 +368,17 @@ def _mean(x: np.ndarray) -> float:
 
 class _Link:
     """One direction of a pairing: the codec ends that send (``enc``) and
-    receive (``dec``) on it, None for sbms; what was measured on it; and the
-    envelopes it holds back."""
+    receive (``dec``) on it, None for sbms; its faults of the reorder
+    script, by message index; what was measured on it; and the envelopes it
+    holds back."""
 
-    def __init__(self, direction, enc, dec, coders):
+    def __init__(self, direction, enc, dec, coders, script):
         self.direction = direction
         self.enc = enc
         self.dec = dec
+        self.drop_at = {i for d, i in script.drops if d == direction}
+        self.swap_at = {i for d, i in script.swaps if d == direction}
+        self.delay_at = {i: v for (d, i), v in script.delays.items() if d == direction}
         self.sent = 0  # messages sent, the next one's per-direction index
         self.prev_end = None  # end of the previous sent window; None after a resync
         self.held = []
@@ -367,7 +407,7 @@ class _Link:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Envelope:
     """A message in flight.  It does not name its link: the link's held
     queue and swap stash own envelopes, and the pending heap pairs each one
@@ -389,7 +429,8 @@ class _Engine:
     ``send`` takes a map of a direction the pairing carries, ``deliver_due``
     delivers what is due by a slot, and ``flush`` delivers the rest once the
     stream ends.  ``script`` injects delivery faults; ``ideal`` holds the
-    run's ``_IdealTables``, or None, which makes every ideal length NaN.
+    ``_IdealTables`` of the run's curve and period, or None, which makes
+    every ideal length NaN.
     """
 
     def __init__(self, scheme, dirs, n, coders, archive_depth, keep_messages, script, ideal):
@@ -398,7 +439,6 @@ class _Engine:
         self.coders = coders
         self.archive_depth = archive_depth
         self.keep_messages = keep_messages
-        self.script = script
         self.ideal = ideal
         if scheme == "ppbms":
             # Two peer sessions: A sends ab, B sends ba.
@@ -408,7 +448,7 @@ class _Engine:
             ends = {d: (SpbmsEncoder(n), SpbmsDecoder(n)) for d in dirs}
         else:
             ends = {d: (None, None) for d in dirs}
-        self.links = {d: _Link(d, *ends[d], coders) for d in dirs}
+        self.links = {d: _Link(d, *ends[d], coders, script) for d in dirs}
         self.send_epoch = 0
         self.recv_epoch = 0
         self.needs_resync = False
@@ -559,32 +599,24 @@ class _Engine:
             link.ideal.append(ideal)
             link.payloads.append(msg.payload)
             if enc is not None:  # the set it leaves; see the module docstring
-                link.ss.append(enc._set_size())
+                link.ss.append(_set_size(enc, snap, msg.payload))
             for c in self.coders:
                 if msg.n_bits:
                     link.coder_bytes[c] += len(encode_bits(c, msg.payload))
         self._route(eidx, link, msg, snap, idx)
 
     def _route(self, eidx, link, msg, snap, idx):
-        script = self.script
-        d = link.direction
-        if (d, idx) in script.drops:
+        if idx in link.drop_at:
             link.drops += 1
             self.dirty = True
             due = eidx + 1
         else:
-            env = _Envelope(
-                due=eidx + 1 + script.delays.get((d, idx), 0),
-                counter=self._counter,
-                epoch=self.send_epoch,
-                msg=msg,
-                snap=snap,
-                idx=idx,
-            )
+            env = _Envelope(eidx + 1 + link.delay_at.get(idx, 0), self._counter,
+                            self.send_epoch, msg, snap, idx)
             self._counter += 1
-            if (d, idx) in script.swaps:
+            if idx in link.swap_at:
                 if link.swap_stash is not None:
-                    raise ValueError(f"overlapping swaps on direction {d}")
+                    raise ValueError(f"overlapping swaps on direction {link.direction}")
                 link.swap_stash = env
                 return
             self._enqueue(link, env)
@@ -661,7 +693,7 @@ def _simulate(cfg: SimConfig, script: ReorderScript | None) -> SimResult:
                                cfg.offset_lag)
     sends = ((("ba", "ab")[k % 2], bm, k // 2 >= warm) for k, (_, bm) in enumerate(stream))
     return _run(sends, cfg.n, cfg.schemes, cfg.coders, cfg.archive_depth, cfg.keep_messages,
-                script, _IdealTables(cfg.curve, cfg.T), T=cfg.T, tau=cfg.tau,
+                script, _ideal_tables(cfg.curve, cfg.T), T=cfg.T, tau=cfg.tau,
                 rounds=cfg.rounds, seed=cfg.seed, source="synthetic")
 
 

@@ -60,6 +60,9 @@ def test_retired_api_stays_gone():
     assert "unpack_stream" not in exported and not hasattr(schemes, "unpack_stream")
     # A ppbms report is read through its locations and bits.
     assert not hasattr(schemes.PartialBufferMap, "pairs")
+    # The simulator counts each sent set off its message; the ends keep no count.
+    for end in (schemes.SpbmsEncoder(8), schemes.SpbmsDecoder(8), schemes.PpbmsSession(8)):
+        assert not hasattr(end, "_set_size")
     params = {
         schemes.sbms_encode: ["bm"],
         schemes.sbms_decode: ["msg", "n"],

@@ -24,6 +24,7 @@ from bmkit.schemes import (
     SpbmsEncoder,
     SupportSet,
 )
+from bmkit.sim import _set_size
 
 N = 12
 
@@ -223,9 +224,15 @@ def same_state(real, plain):
         prev = real.last_bm
         expect = SupportSet() if prev is None else plain_set(prev.offset, real.n, prev)
     assert real.support_set == expect
-    assert real._set_size() == len(expect)
     if getattr(real, "_last", None) is not None:
         assert np.array_equal(real.last_locations, plain.last_locations)
+
+
+def same_count(end, bm, sent):
+    """After a send, the simulator's count of the set off the message is
+    the size of the set the sender holds."""
+    if sent[0] is not None:
+        assert _set_size(end, bm, sent[0].payload) == len(end.support_set)
 
 
 def tamper(msg, how):
@@ -258,6 +265,7 @@ def test_spbms_ends_match_the_plain_reference(seed, steps):
         sent = outcome(getattr(enc, name), bm)
         same_outcome(sent, outcome(getattr(plain_enc, name), bm))
         same_state(enc, plain_enc)
+        same_count(enc, bm, sent)
         if sent[0] is not None:
             msg = tamper(sent[0], how)
             same_outcome(outcome(dec.decode, msg), outcome(plain_dec.decode, msg))
@@ -312,6 +320,7 @@ def test_ppbms_ends_match_the_plain_reference(seed, lag, steps):
         sent = outcome(getattr(real[who], name), bm)
         same_outcome(sent, outcome(getattr(plain[who], name), bm))
         same_state(real[who], plain[who])
+        same_count(real[who], bm, sent)
         if sent[0] is None:
             continue
         queue[who].append(sent[0])
@@ -320,5 +329,8 @@ def test_ppbms_ends_match_the_plain_reference(seed, lag, steps):
                 step = (real["R"].encode, plain["R"].encode, bm)
             else:
                 step = (real["R"].apply_sent, plain["R"].apply_sent, sent[0])
-            same_outcome(outcome(step[0], step[2]), outcome(step[1], step[2]))
+            replica = outcome(step[0], step[2])
+            same_outcome(replica, outcome(step[1], step[2]))
             same_state(real["R"], plain["R"])
+            if kind == "replica-sends":
+                same_count(real["R"], bm, replica)

@@ -108,6 +108,27 @@ def test_vectorised_sampling_matches_scalar():
             assert dd == (c.n if scalar == math.inf else scalar)
 
 
+@pytest.mark.parametrize("probs", [[0.0, 0.2, 0.2, 0.7, 0.95], [0.3, 0.5, 1.0], [0.0, 0.0, 1.0],
+                                   [1.0, 1.0]])
+def test_vectorised_sampling_pins_the_where_formula(probs):
+    """Every draw, the edge ones included (zero, negative, NaN, the largest
+    double below 1), gives the int64 delay of the plain formula: the left
+    search for a positive draw, else the first age past the zero
+    probabilities."""
+    c = SCurve(probs)
+    edges = [0.0, -0.0, -0.5, -np.inf, np.nan, 1.0 - 2.0**-53, 5e-324, 0.2, 0.7, 0.95, 1.0]
+    u = np.concatenate([edges, np.random.default_rng(4).random(199)])
+    for draws in (u, u[::-1], u[:1], u[:0], u.reshape(-1, 3)):
+        want = np.where(draws > 0.0, np.searchsorted(c.probs, draws, side="left"),
+                        np.searchsorted(c.probs, 0.0, side="right")).astype(np.int64)
+        got = sample_fill_delays(c, draws)
+        assert got.dtype == np.int64 and got.shape == draws.shape
+        assert got.tobytes() == want.tobytes()
+    scalar = sample_fill_delays(c, np.nan)
+    assert scalar.dtype == np.int64 and scalar.shape == ()
+    assert int(scalar) == int(np.searchsorted(c.probs, 0.0, side="right"))
+
+
 def test_transition_prob_known_value():
     c = SCurve([0.2, 0.6])
     assert transition_prob(c, 0, 1) == pytest.approx(0.5)

@@ -367,6 +367,42 @@ def test_ideal_bits_reject_payloads_the_model_cannot_produce():
         _ideal_bits(tables, 1, oldest, np.array([True]))
 
 
+def test_ideal_tables_are_shared_per_curve_values_and_period(monkeypatch):
+    """Runs over equal curve values and the same period share one table
+    set; another curve or period gets its own; at most ``_TABLE_SETS`` sets
+    are kept, the oldest dropped first; and a run on tables other runs
+    already filled prices every message to the same bytes as a cold run."""
+    monkeypatch.setattr(sim, "_table_sets", {})
+    p = calibrate_curve(20.0, 64).to_curve(64).probs
+    a, twin, other = SCurve(p), SCurve(p.copy()), two_segment_curve(64, 4, 0.8)
+    tables = sim._ideal_tables(a, 8)
+    assert sim._ideal_tables(twin, 8) is tables
+    assert sim._ideal_tables(a, 4) is not tables
+    assert sim._ideal_tables(other, 8) is not tables
+    assert len(sim._table_sets) == 3
+    for period in range(1, 2 * sim._TABLE_SETS + 1):
+        sim._ideal_tables(other, period)
+        assert len(sim._table_sets) <= sim._TABLE_SETS
+    assert list(sim._table_sets) == [(other.probs.tobytes(), T)
+                                     for T in range(sim._TABLE_SETS + 1, 2 * sim._TABLE_SETS + 1)]
+    assert sim._ideal_tables(a, 8) is not tables  # dropped, so built again
+
+    script = ReorderScript(drops=[("ab", 14)], delays={("ba", 18): 12}, swaps=[("ab", 20)])
+    cfg = SimConfig(a, T=8, tau=3, rounds=30, seed=6, offset_lag=2, archive_depth=4)
+    other = dataclasses.replace(cfg, tau=8, offset_lag=5, seed=1)
+    monkeypatch.setattr(sim, "_table_sets", {})
+    cold = reorder_fault_run(cfg, script)
+    run_synthetic(other)
+    warm = reorder_fault_run(cfg, script)
+    monkeypatch.setattr(sim, "_table_sets", {})
+    run_synthetic(other)
+    warmed_by_other = reorder_fault_run(cfg, script)
+    for key, bits in cold.ideal_bits.items():
+        assert bits.dtype == np.float64 and np.isfinite(bits).all()
+        assert warm.ideal_bits[key].tobytes() == bits.tobytes()
+        assert warmed_by_other.ideal_bits[key].tobytes() == bits.tobytes()
+
+
 def _reference_ideal(p, T, offset, locs, bits, prev_end):
     """Minus log2 probability of a payload, priced location by location
     from the curve: a location below ``prev_end`` was reported one period
@@ -737,6 +773,41 @@ def test_measured_set_sizes_equal_the_senders_support_sets(monkeypatch, T, tau, 
             assert res.ss_sizes[(engine.scheme, d)].tolist() == want, (engine.scheme, d)
 
 
+def test_every_send_counts_its_set_off_the_message(monkeypatch):
+    """After every spbms and ppbms send of seeded fault runs, warm-up and
+    resyncs included, the count off the message equals the size of the set
+    the sender holds.  With peer A's window ahead of B's (T = tau = 2, a
+    lag of 1 to 5), B's known map of A often starts past B's window, and
+    its members past that window count too."""
+    past = []
+    for cls in (SpbmsEncoder, PpbmsSession):
+        def encode(self, bm, _encode=cls.encode):
+            msg = _encode(self, bm)  # make_resync encodes through here too
+            size = sim._set_size(self, bm, msg.payload)
+            assert size == len(self.support_set)
+            past.append(size - (msg.n_bits - np.count_nonzero(msg.payload)))
+            return msg
+
+        monkeypatch.setattr(cls, "encode", encode)
+    rng = np.random.default_rng(2020)
+    for n, h, T, tau, lag in [(16, 5.0, 2, 2, 1), (16, 5.0, 2, 2, 3), (16, 5.0, 2, 1, 5),
+                              (64, 20.0, 2, 2, 2), (64, 20.0, 2, 2, 5), (64, 20.0, 4, 3, 4),
+                              (64, 20.0, 8, 8, 0), (456, 77.0, 20, 5, 1), (456, 77.0, 4, 4, 3)]:
+        curve = calibrate_curve(h, n).to_curve(n)
+        for _ in range(3):
+            cfg = SimConfig(curve, T=T, tau=tau, rounds=24, seed=int(rng.integers(2**31)),
+                            schemes=("spbms", "ppbms"), offset_lag=lag, archive_depth=4)
+            periods = cfg.warmup_periods + cfg.rounds
+            at = rng.choice(np.arange(2, periods - 2, 3), size=3, replace=False)
+            d = [("ab", "ba")[int(k)] for k in rng.integers(2, size=3)]
+            script = ReorderScript(drops=[(d[0], at[0])], swaps=[(d[1], at[1])],
+                                   delays={(d[2], at[2]): int(rng.integers(1, 10))})
+            reorder_fault_run(cfg, script)
+    past = np.array(past)
+    assert past.size > 4000 and (past >= 0).all()
+    assert 0 < np.count_nonzero(past) < past.size
+
+
 # ----------------------------------------------------------------------
 # One driver for synthetic runs and trace replays
 # ----------------------------------------------------------------------
@@ -861,7 +932,7 @@ def test_scheme_dir_stats_equal_ndarray_mean_and_std_bit_for_bit():
     rng = np.random.default_rng(19)
     sizes = [0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300] + rng.integers(1, 301, 40).tolist()
     for m in sizes:
-        link = sim._Link("ab", None, None, ())
+        link = sim._Link("ab", None, None, (), ReorderScript())
         link.payloads = [np.zeros(int(k), dtype=bool) for k in rng.integers(0, 457, m)]
         link.ideal = (rng.random(m) * 10.0 ** rng.integers(-2, 4)).tolist()
         link.ss = rng.integers(0, 457, m).tolist()
