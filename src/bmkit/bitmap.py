@@ -35,7 +35,7 @@ class BufferMap:
     def _owning(cls, offset: int, bits: np.ndarray) -> "BufferMap":
         """Map over a fresh bool array no one else holds, without copying
         or checking it; the array becomes read-only."""
-        bits.flags.writeable = False
+        bits.setflags(write=False)
         bm = cls.__new__(cls)
         bm.offset = offset
         bm.bits = bits
@@ -70,7 +70,13 @@ class BufferMap:
             raise ValueError(f"hex bitmap has {len(data)} bytes, expected {(n + 7) // 8}")
         if data and data[-1] & ((1 << (8 * len(data) - n)) - 1):
             raise ValueError("padding bits past the window width must be zero")
-        return cls(offset, np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n])
+        if offset < 0:
+            raise ValueError("offset must be nonnegative")
+        if n <= 0:
+            raise ValueError("bits must be a one-dimensional, nonempty sequence")
+        # The unpacked array is fresh, so the map owns it without a copy.
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n).view(bool)
+        return cls._owning(int(offset), bits)
 
     def __eq__(self, other):
         return (
@@ -127,9 +133,6 @@ class PeerBufferState:
             raise ValueError(f"chunk {chunk_id} predates this peer's stream")
         self._ensure_delays(chunk_id)
         return int(self._delays[chunk_id - self.base_offset])
-
-    def offset_at(self, t: int) -> int:
-        return self.base_offset + t
 
     def snapshot(self, t: int) -> BufferMap:
         """Buffer map at time ``t`` (chunk-times since creation)."""

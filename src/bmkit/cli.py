@@ -162,26 +162,33 @@ def _cmd_simulate(args) -> int:
 # encode / decode
 # ----------------------------------------------------------------------
 
-def _frame(rec: TraceRecord, msg: CompressedBM, coder) -> bytes:
-    peer = rec.peer.encode("utf-8")
-    if len(peer) > 255:
-        raise ValueError(f"peer name too long: {rec.peer!r}")
+def _peer_name(peer: str) -> bytes:
+    """A peer's name as its frames carry it."""
+    name = peer.encode("utf-8")
+    if len(name) > 255:
+        raise ValueError(f"peer name too long: {peer!r}")
+    return name
+
+
+def _frame(out: list, rec: TraceRecord, name: bytes, msg: CompressedBM, coder) -> None:
+    """Append the frame of ``rec``'s message ``msg`` to ``out`` as pieces
+    for one join; ``name`` is ``_peer_name(rec.peer)``."""
     if rec.timestamp >= 1 << 32:
         raise ValueError(f"timestamp {rec.timestamp} does not fit the frame field")
     wire = pack_message(msg)
-    if coder is None:
-        body = wire
-    elif msg.n_bits == 0:
-        body = wire  # nothing to code; keep the bare header
-    else:
-        body = wire[:HEADER_LEN] + encode_bits(coder, msg.payload)
-    if len(body) > 0xFFFF:
+    if coder is None or msg.n_bits == 0:  # nothing to code: the whole message
+        head, blob = wire, b""
+    else:  # the header, then the coder's blob of the payload
+        head, blob = wire[:HEADER_LEN], encode_bits(coder, msg.payload)
+    size = len(head) + len(blob)
+    if size > 0xFFFF:
         raise ValueError("message body exceeds frame capacity")
-    return (
-        _FRAME_HEAD.pack(rec.timestamp, len(peer))
-        + peer
-        + _FRAME_TAIL.pack(_DIR_IDS[rec.direction], _CODER_IDS[coder], len(body))
-        + body
+    out += (
+        _FRAME_HEAD.pack(rec.timestamp, len(name)),
+        name,
+        _FRAME_TAIL.pack(_DIR_IDS[rec.direction], _CODER_IDS[coder], size),
+        head,
+        blob,
     )
 
 
@@ -189,39 +196,44 @@ def _read_frames(data: bytes):
     """Yield (timestamp, peer, direction, message) from a dump."""
     if data[: len(_DUMP_MAGIC)] != _DUMP_MAGIC:
         raise ValueError("not a message dump (bad magic)")
+    names = {}  # each peer name's bytes -> its decoded name
     pos = len(_DUMP_MAGIC)
-    while pos < len(data):
-        if len(data) - pos < _FRAME_HEAD.size:
+    end = len(data)
+    while pos < end:
+        if end - pos < _FRAME_HEAD.size:
             raise ValueError("truncated frame header")
         ts, plen = _FRAME_HEAD.unpack_from(data, pos)
         pos += _FRAME_HEAD.size
-        if len(data) - pos < plen + _FRAME_TAIL.size:
+        if end - pos < plen + _FRAME_TAIL.size:
             raise ValueError("truncated frame header")
-        peer = data[pos : pos + plen].decode("utf-8")
+        raw = data[pos : pos + plen]
+        peer = names.get(raw)
+        if peer is None:
+            peer = names[raw] = raw.decode("utf-8")
         pos += plen
         dir_id, coder_id, body_len = _FRAME_TAIL.unpack_from(data, pos)
         pos += _FRAME_TAIL.size
         if dir_id not in _ID_DIRS or coder_id not in _ID_CODERS:
             raise ValueError(f"corrupt frame for peer {peer!r}")
-        if len(data) - pos < body_len or body_len < HEADER_LEN:
+        if end - pos < body_len or body_len < HEADER_LEN:
             raise ValueError("truncated frame body")
-        body = data[pos : pos + body_len]
-        pos += body_len
         coder = _ID_CODERS[coder_id]
         if coder is None:
+            body = data[pos : pos + body_len]
             msg, used = unpack_message(body)
-            if used != len(body):
+            if used != body_len:
                 raise ValueError("frame length disagrees with message length")
-        else:
-            scheme, offset, lbmr, cbmr, nbits, resync = unpack_envelope(body)
+        else:  # the envelope and the coder's blob are read in place
+            scheme, offset, lbmr, cbmr, nbits, resync = unpack_envelope(data, pos)
             if nbits == 0:  # no payload to code: the frame is the header alone
                 if body_len != HEADER_LEN:
                     raise ValueError("frame length disagrees with message length")
                 bits = np.zeros(0, dtype=bool)
             else:
-                bits = decode_bits(coder, bytes(body[HEADER_LEN:]), nbits)
+                bits = decode_bits(coder, data[pos + HEADER_LEN : pos + body_len], nbits)
             # unpack_envelope has checked the tag; the bits are fresh.
             msg = CompressedBM._of(scheme, offset, lbmr, cbmr, bits, resync)
+        pos += body_len
         yield ts, peer, _ID_DIRS[dir_id], msg
 
 
@@ -239,13 +251,17 @@ def _cmd_encode(args) -> int:
     # Each peer's sending end; sbms keeps none.
     end_type = {"sbms": None, "spbms": SpbmsEncoder, "ppbms": PpbmsSession}[args.scheme]
     ends = {p: end_type(n) if end_type else None for p in peers}
+    names = {}  # each peer's name as its frames carry it, checked at its first frame
     frames = [_DUMP_MAGIC]
     for rec in records:
         end = ends[rec.peer]
         msg = sbms_encode(rec.bm) if end is None else end.encode(rec.bm)
         if args.scheme == "ppbms":  # the other peer's session takes it in
             ends[peers[1 - peers.index(rec.peer)]].decode(msg)
-        frames.append(_frame(rec, msg, args.coder))
+        name = names.get(rec.peer)
+        if name is None:
+            name = names[rec.peer] = _peer_name(rec.peer)
+        _frame(frames, rec, name, msg, args.coder)
     with open(args.out, "wb") as fh:
         fh.write(b"".join(frames))
     return 0
@@ -267,10 +283,12 @@ def _cmd_decode(args) -> int:
         raise _UsageError(f"decoding a {scheme} dump writes a trace file; --out is required")
     n = frames[0][3].n_bits
     if scheme != "ppbms":
-        decoders = {}
+        # Each peer's receiving end; sbms keeps none.
+        decoders = {} if scheme == "sbms" else {
+            peer: SpbmsDecoder(n) for peer in dict.fromkeys(peer for _, peer, _, _ in frames)}
         records = []
         for ts, peer, direction, msg in frames:
-            dec = decoders.setdefault(peer, SpbmsDecoder(n)) if scheme == "spbms" else None
+            dec = decoders.get(peer)
             bm = sbms_decode(msg, n) if dec is None else dec.decode(msg)
             records.append(TraceRecord(ts, peer, direction, bm))
         write_trace(args.out, records)

@@ -74,29 +74,25 @@ __all__ = [
 def write_varint(value: int, out: bytearray) -> None:
     if value < 0:
         raise ValueError("varints are unsigned")
-    while True:
-        b = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
+    out.append(value)
 
 
 def read_varint(data, pos: int):
-    value = 0
-    shift = 0
+    value = shift = 0
+    end = len(data)
     while True:
-        if pos >= len(data):
+        if pos >= end:
             raise CodingError("truncated varint")
         b = data[pos]
         pos += 1
-        value |= (b & 0x7F) << shift
-        if not b & 0x80:
+        if b < 0x80:  # the last byte
             if not b and shift:
                 raise CodingError("overlong varint")
-            return value, pos
+            return value | b << shift, pos
+        value |= (b & 0x7F) << shift
         shift += 7
         if shift > 63:
             raise CodingError("varint too long")
@@ -121,8 +117,14 @@ def _run_split(bits: np.ndarray):
     if bits.size == 0:
         raise CodingError("cannot run-length encode an empty bit sequence")
     # The last index of every run; their differences are the run lengths.
-    ends = [-1, *(bits[1:] != bits[:-1]).nonzero()[0].tolist(), bits.size - 1]
-    return int(bits[0]), [b - a for a, b in zip(ends, ends[1:])]
+    ends = (bits[1:] != bits[:-1]).nonzero()[0].tolist()
+    ends.append(bits.size - 1)
+    runs = []
+    prev = -1
+    for end in ends:
+        runs.append(end - prev)
+        prev = end
+    return int(bits[0]), runs
 
 
 # ======================================================================
@@ -133,8 +135,11 @@ def rle_encode(bits) -> bytes:
     """Flag byte (first bit), then each run length as a varint."""
     first, runs = _run_split(_as_bits(bits))
     out = bytearray([first])
-    for r in runs:
-        write_varint(r, out)
+    for r in runs:  # write_varint, inlined: every run is positive
+        while r > 0x7F:
+            out.append(r & 0x7F | 0x80)
+            r >>= 7
+        out.append(r)
     return bytes(out)
 
 
@@ -143,12 +148,23 @@ def rle_decode(blob: bytes, n_bits: int) -> np.ndarray:
     expected ``n_bits`` raises CodingError before anything is allocated."""
     first = _first_bit(blob, "run-length")
     runs = []
-    pos = 1
-    while pos < len(blob):
-        r, pos = read_varint(blob, pos)
-        if r == 0:
+    run = shift = 0  # read_varint over the whole blob, one byte at a time
+    for b in blob[1:]:
+        if b & 0x80:
+            run |= (b & 0x7F) << shift
+            shift += 7
+            if shift > 63:
+                raise CodingError("varint too long")
+            continue
+        if not b and shift:
+            raise CodingError("overlong varint")
+        run |= b << shift
+        if not run:
             raise CodingError("zero-length run")
-        runs.append(r)
+        runs.append(run)
+        run = shift = 0
+    if shift:
+        raise CodingError("truncated varint")
     if not runs:
         raise CodingError("run-length blob carries no runs")
     return _expand(first, runs, n_bits)
@@ -231,12 +247,13 @@ def _parse_table(data: bytes, pos: int):
         raise CodingError("empty code table")
     lengths = {}
     sym = -1
+    end = len(data)
     for _ in range(count):
         prev = sym
         sym, pos = read_varint(data, pos)
         if sym <= prev:
             raise CodingError("bad code table: symbols must ascend strictly")
-        if pos >= len(data):
+        if pos >= end:
             raise CodingError("truncated code table")
         lengths[sym] = data[pos]
         pos += 1
@@ -265,29 +282,29 @@ def huffman_encode(bits) -> bytes:
     following the code word as a varint.
     """
     first, runs = _run_split(_as_bits(bits))
-    syms = [r if r <= _MAX_RUN_SYMBOL else ESC for r in runs]
     hist = {}
-    for sym in syms:
+    for run in runs:
+        sym = run if run <= _MAX_RUN_SYMBOL else ESC
         hist[sym] = hist.get(sym, 0) + 1
     lengths = _code_lengths(hist)
     out = bytearray([first])
-    write_varint(len(syms), out)
+    write_varint(len(runs), out)
     write_varint(len(lengths), out)
     for sym in sorted(lengths):
         write_varint(sym, out)
         out.append(lengths[sym])
-    codes = {sym: (code, length) for sym, code, length in _canonical(lengths)}
-    words = [codes[sym] for sym in syms]  # (code, length) of each run
-    if ESC in codes:  # an escaped run's varint follows its code word
-        for i, run in enumerate(runs):
-            if run > _MAX_RUN_SYMBOL:
-                extra = bytearray()
-                write_varint(run, extra)
-                code, length = words[i]
-                words[i] = ((code << 8 * len(extra)) | int.from_bytes(extra, "big"),
-                            length + 8 * len(extra))
+    # The (code, length) word of each run symbol.
+    words = {sym: (code, length) for sym, code, length in _canonical(lengths)}
     acc = nacc = 0  # code bits not yet flushed to ``out``
-    for code, length in words:
+    for run in runs:
+        if run > _MAX_RUN_SYMBOL:  # the escape word, then the run's varint
+            extra = bytearray()
+            write_varint(run, extra)
+            code, length = words[ESC]
+            code = code << 8 * len(extra) | int.from_bytes(extra, "big")
+            length += 8 * len(extra)
+        else:
+            code, length = words[run]
         acc = (acc << length) | code
         nacc += length
         if nacc >= 256:
@@ -315,6 +332,7 @@ def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
     width = max(lengths.values())
     syms, codes, lens = zip(*_canonical(lengths))
     ends = [(code + 1) << (width - length) for code, length in zip(codes, lens)]
+    nwords = len(ends)
     avail = 8 * (len(blob) - pos)
     need = width + 80  # a code word and the longest escape varint
     at = 0  # stream bits consumed
@@ -327,15 +345,16 @@ def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
             pos += 8
             nwin += 64
         i = bisect_right(ends, win >> (nwin - width))
-        if i == len(ends):
+        if i == nwords:
             # Telling a bad word from a short stream takes width + 1 bits.
             if avail - at <= width:
                 raise CodingError("bit stream exhausted")
             raise CodingError("invalid code word")
-        at += lens[i]
+        length = lens[i]
+        at += length
         if at > avail:
             raise CodingError("bit stream exhausted")
-        nwin -= lens[i]
+        nwin -= length
         run = syms[i]
         if run == ESC:
             run = shift = 0

@@ -151,7 +151,9 @@ class ReorderScript:
     ``drops`` lose the message; ``swaps`` invert messages idx and idx+1 of
     one direction; ``delays`` hold a message for that many delivery slots.
     A dropped index wins over a swap or delay on the same message.  When a
-    swap's partner idx+1 is dropped, message idx arrives in its slot.
+    swap's partner idx+1 is dropped, message idx arrives in its slot.  Swaps
+    at idx and idx+1 of one direction, neither dropped, overlap: the script
+    is rejected.
     """
 
     delays: dict = field(default_factory=dict)
@@ -170,6 +172,13 @@ class ReorderScript:
         for d, i in self.drops | self.swaps:
             if d not in _DIRS or i < 0:
                 raise ValueError(f"bad message key ({d!r}, {i})")
+        # Swaps at i and i + 1 of one direction, neither dropped, would hold
+        # two messages back at once.  Name the overlap a run would meet
+        # first: the lowest i + 1, ba's before ab's (B sends first each period).
+        live = self.swaps - self.drops
+        overlaps = [(i, d != "ba", d) for d, i in live if (d, i + 1) in live]
+        if overlaps:
+            raise ValueError(f"overlapping swaps on direction {min(overlaps)[2]}")
 
 
 @dataclass(frozen=True)
@@ -614,9 +623,7 @@ class _Engine:
             env = _Envelope(eidx + 1 + link.delay_at.get(idx, 0), self._counter,
                             self.send_epoch, msg, snap, idx)
             self._counter += 1
-            if idx in link.swap_at:
-                if link.swap_stash is not None:
-                    raise ValueError(f"overlapping swaps on direction {link.direction}")
+            if idx in link.swap_at:  # ReorderScript rejects overlapping swaps
                 link.swap_stash = env
                 return
             self._enqueue(link, env)

@@ -41,7 +41,7 @@ class TraceRecord:
             raise ValueError("timestamp must be nonnegative")
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
-        if not self.peer or any(c.isspace() for c in self.peer):
+        if self.peer.split() != [self.peer]:  # empty, or holds whitespace
             raise ValueError("peer id must be nonempty and contain no whitespace")
 
     @property
@@ -60,29 +60,34 @@ def _validate(records) -> None:
     per-peer offset progression and monotone filling."""
     last_t = None
     width = None
-    prev = {}
+    prev = {}  # peer -> its previous map
     for idx, rec in enumerate(records):
+        bm = rec.bm
         if width is None:
-            width = rec.bm.n
-        elif rec.bm.n != width:
+            width = bm.bits.size
+        elif bm.bits.size != width:
             raise TraceError(
-                f"record {idx}: bitmap width {rec.bm.n} differs from {width}"
+                f"record {idx}: bitmap width {bm.bits.size} differs from {width}"
             )
         if last_t is not None and rec.timestamp < last_t:
             raise TraceError(f"record {idx}: timestamp regressed to {rec.timestamp}")
         last_t = rec.timestamp
         before = prev.get(rec.peer)
-        if before is not None:
-            if rec.bm.offset < before.bm.offset:
-                raise TraceError(
-                    f"record {idx}: peer {rec.peer} offset regressed "
-                    f"from {before.bm.offset} to {rec.bm.offset}"
-                )
+        prev[rec.peer] = bm
+        if before is None:
+            continue
+        shift = bm.offset - before.offset
+        if shift < 0:
+            raise TraceError(
+                f"record {idx}: peer {rec.peer} offset regressed "
+                f"from {before.offset} to {bm.offset}"
+            )
+        # One comparison of the overlap; check_monotone names the chunk.
+        if shift < width and np.count_nonzero(before.bits[shift:] > bm.bits[: width - shift]):
             try:
-                check_monotone(before.bm, rec.bm)
+                check_monotone(before, bm)
             except MonotonicityError as exc:
                 raise TraceError(f"record {idx}: peer {rec.peer}: {exc}") from exc
-        prev[rec.peer] = rec
 
 
 def parse_trace(path) -> list:

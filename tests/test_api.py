@@ -56,6 +56,8 @@ def test_retired_api_stays_gone():
     for name in ("ArithEncoder", "ArithDecoder", "RleStream", "HuffmanModel", "huffman_build",
                  "symbol_distribution", "chi_square_uniform"):
         assert name not in exported and not hasattr(coders, name)
+    # A peer's window at time t starts at base_offset + t: snapshot(t).offset.
+    assert not hasattr(bitmap.PeerBufferState, "offset_at")
     # Consecutive messages are read with unpack_message(data, pos).
     assert "unpack_stream" not in exported and not hasattr(schemes, "unpack_stream")
     # A ppbms report is read through its locations and bits.

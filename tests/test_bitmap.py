@@ -151,7 +151,6 @@ def test_peer_state_bits_match_sampled_delays():
 def test_peer_state_base_offset_and_lazy_growth():
     curve = two_segment_curve(8, 2, 0.9)
     peer = PeerBufferState("p", curve, base_offset=100, rng=np.random.default_rng(1))
-    assert peer.offset_at(0) == 100
     assert peer.snapshot(0).offset == 100
     with pytest.raises(ValueError):
         peer.fill_delay(99)

@@ -223,8 +223,9 @@ FAULT_CORNER_SHA256 = "1c23a140b01ec9f2e5f771facce9b69a1e1625923901980f7e156162f
 def _fault_corner_runs(count, seed):
     """Seeded random fault runs of all three schemes: n in {16, 32, 64},
     T in {2, 4, 8}, every tau, archive depth 1-8, offset_lag 0-5, and up to
-    six mixed drops, delays and swaps.  Delays reach past the archive, and
-    adjacent swaps on one direction overlap, so some runs raise."""
+    six mixed drops, delays and swaps, as ``ReorderScript`` keyword
+    arguments.  Delays reach past the archive, and adjacent swaps on one
+    direction overlap, so some scripts are rejected as they are built."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.choice([16, 32, 64]))
@@ -246,20 +247,20 @@ def _fault_corner_runs(count, seed):
                 delays[key] = int(rng.integers(1, 2 * depth + 4))
             else:
                 swaps.add(key)
-        yield cfg, ReorderScript(delays=delays, drops=drops, swaps=swaps)
+        yield cfg, dict(delays=delays, drops=drops, swaps=swaps)
 
 
 def test_random_fault_runs_match_the_golden_digest():
     """320 seeded random fault runs: ``to_csv``, payloads, support-set
     sizes, decoded outputs and every ideal length by value, or the type and
     message of the exception a run raises.  A run that raises stays pinned
-    as raising until a change mends it on purpose: seven with overlapping
-    swaps, and run 316, whose spbms ab check fails after a drop behind an
-    in-flight resync."""
+    as raising until a change mends it on purpose: seven whose scripts hold
+    overlapping swaps, rejected as the script is built, and run 316, whose
+    spbms ab check fails after a drop behind an in-flight resync."""
     h = hashlib.sha256()
-    for cfg, script in _fault_corner_runs(320, 15):
+    for cfg, faults in _fault_corner_runs(320, 15):
         try:
-            res = reorder_fault_run(cfg, script)
+            res = reorder_fault_run(cfg, ReorderScript(**faults))
         except Exception as exc:  # the raise is the pinned outcome
             h.update(f"{type(exc).__name__}: {exc}".encode())
             continue

@@ -290,9 +290,28 @@ def test_a_swap_of_a_directions_final_message_delivers_it_at_the_end():
 
 
 def test_overlapping_swaps_on_one_direction_are_rejected():
-    script = ReorderScript(swaps=[("ab", 5), ("ab", 6)])
-    with pytest.raises(ValueError, match="^overlapping swaps on direction ab$"):
-        reorder_fault_run(_cfg(rounds=20), script)
+    """Swaps at messages i and i + 1 of one direction, neither dropped, are
+    a script error, raised as the script is built, even past a run's end.
+    The error names the direction whose message i + 1 a run sends first:
+    the lower i + 1, and ba before ab at the same index, since B sends each
+    period's message before A does."""
+    for swaps, direction in [
+        ([("ab", 5), ("ab", 6)], "ab"),
+        ([("ab", 5), ("ab", 6), ("ba", 7), ("ba", 8)], "ab"),
+        ([("ab", 7), ("ab", 8), ("ba", 5), ("ba", 6)], "ba"),
+        ([("ab", 5), ("ab", 6), ("ba", 5), ("ba", 6)], "ba"),
+        ([("ab", 5), ("ab", 6), ("ab", 7)], "ab"),
+        ([("ba", 900), ("ba", 901)], "ba"),
+    ]:
+        with pytest.raises(ValueError, match=f"^overlapping swaps on direction {direction}$"):
+            ReorderScript(swaps=swaps)
+    # A dropped message takes no swap, so neither pair overlaps, and the run
+    # completes; so do swaps two apart or on opposite directions.
+    cfg = _cfg(rounds=20)
+    for script in (ReorderScript(swaps=[("ab", 5), ("ab", 6)], drops=[("ab", 5)]),
+                   ReorderScript(swaps=[("ab", 5), ("ab", 6)], drops=[("ab", 6)]),
+                   ReorderScript(swaps=[("ab", 5), ("ab", 7), ("ba", 6)])):
+        assert reorder_fault_run(cfg, script).row("spbms", "ab").messages
 
 
 def test_an_all_schemes_fault_run_equals_each_scheme_run_alone():
