@@ -38,6 +38,7 @@ from .schemes import (
     PpbmsSession,
     SpbmsDecoder,
     SpbmsEncoder,
+    pack_envelope,
     pack_message,
     sbms_decode,
     sbms_encode,
@@ -175,11 +176,10 @@ def _frame(out: list, rec: TraceRecord, name: bytes, msg: CompressedBM, coder) -
     for one join; ``name`` is ``_peer_name(rec.peer)``."""
     if rec.timestamp >= 1 << 32:
         raise ValueError(f"timestamp {rec.timestamp} does not fit the frame field")
-    wire = pack_message(msg)
     if coder is None or msg.n_bits == 0:  # nothing to code: the whole message
-        head, blob = wire, b""
+        head, blob = pack_message(msg), b""
     else:  # the header, then the coder's blob of the payload
-        head, blob = wire[:HEADER_LEN], encode_bits(coder, msg.payload)
+        head, blob = pack_envelope(msg), encode_bits(coder, msg.payload)
     size = len(head) + len(blob)
     if size > 0xFFFF:
         raise ValueError("message body exceeds frame capacity")

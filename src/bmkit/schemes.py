@@ -52,6 +52,7 @@ __all__ = [
     "PpbmsSession",
     "sbms_encode",
     "sbms_decode",
+    "pack_envelope",
     "pack_message",
     "unpack_envelope",
     "unpack_message",
@@ -71,18 +72,19 @@ _NO_BITS = np.zeros(0, dtype=bool)
 # ======================================================================
 
 class SupportSet:
-    """Chunk ids not yet known to be buffered, as a bool mask anchored at
-    chunk id ``lo``: chunk ``lo + i`` is a member exactly when ``mask[i]``.
+    """Chunk ids not yet known to be buffered, as the filled positions of a
+    window anchored at chunk id ``lo``: chunk ``lo + i`` is a member exactly
+    when ``filled[i]`` is False.
 
     The span may hold non-members at either end, so sets with the same
-    members are equal whatever their anchors; memory follows the span.  The
-    codecs build each set on demand as the unfilled positions of the
-    ``(lo, filled)`` span their ``_shared()`` gives: an spbms end's previous
-    map, or the window of the higher offset over a ppbms end's own map and
-    its known map of the counterpart.
+    members are equal whatever their anchors; memory follows the span.  A
+    codec end's set is its window as it stands and may share the read-only
+    bits of one of its maps: an spbms end's previous map, or the window of
+    the higher offset over a ppbms end's own map and its known map of the
+    counterpart.
     """
 
-    __slots__ = ("lo", "mask")
+    __slots__ = ("lo", "filled")
 
     def __init__(self, locs=()):
         arr = np.asarray(locs, dtype=np.int64)
@@ -91,33 +93,37 @@ class SupportSet:
         if arr.size > 1 and np.any(np.diff(arr) <= 0):
             raise ValueError("locations must be strictly ascending")
         self.lo = int(arr[0]) if arr.size else 0
-        self.mask = np.zeros(int(arr[-1]) + 1 - self.lo if arr.size else 0, dtype=bool)
-        self.mask[arr - self.lo] = True
+        self.filled = np.ones(int(arr[-1]) + 1 - self.lo if arr.size else 0, dtype=bool)
+        self.filled[arr - self.lo] = False
 
     @classmethod
-    def _of(cls, lo: int, mask: np.ndarray) -> "SupportSet":
+    def _of(cls, lo: int, filled: np.ndarray) -> "SupportSet":
         out = cls.__new__(cls)
         out.lo = lo
-        out.mask = mask
+        out.filled = filled
         return out
 
     @property
     def locs(self) -> np.ndarray:
         """Members as an ascending int64 array."""
-        return np.flatnonzero(self.mask) + self.lo
+        return np.flatnonzero(~self.filled) + self.lo
 
     def __len__(self):
-        return int(np.count_nonzero(self.mask))
+        return self.filled.size - np.count_nonzero(self.filled)
 
     def __contains__(self, loc):
         i = loc - self.lo
-        return 0 <= i < self.mask.size and bool(self.mask[i])
+        return 0 <= i < self.filled.size and not self.filled[i]
 
     def __eq__(self, other):
+        """Equal anchors and spans compare their bytes first; only a
+        mismatch compares the values, which decides when a bool array holds
+        bytes other than 0 and 1."""
         if not isinstance(other, SupportSet):
             return False
-        if self.lo == other.lo and self.mask.size == other.mask.size:
-            return not np.count_nonzero(self.mask != other.mask)
+        a, b = self.filled, other.filled
+        if self.lo == other.lo and a.size == b.size:
+            return a.tobytes() == b.tobytes() or not np.count_nonzero(a != b)
         return np.array_equal(self.locs, other.locs)
 
     def __iter__(self):
@@ -282,7 +288,8 @@ _set_part_offset, _set_locations, _set_bits = (
     getattr(PartialBufferMap, f.name).__set__ for f in fields(PartialBufferMap))
 
 
-def pack_message(msg: CompressedBM) -> bytes:
+def pack_envelope(msg: CompressedBM) -> bytes:
+    """The 11-byte envelope of ``msg``, the twin of ``unpack_envelope``."""
     if not 0 <= msg.offset < 2**32:
         raise ValueError("offset must fit in 4 bytes")
     if not (0 <= msg.lbmr_seq < 2**16 and 0 <= msg.cbmr_seq < 2**16):
@@ -290,9 +297,11 @@ def pack_message(msg: CompressedBM) -> bytes:
     if msg.n_bits >= 2**16:
         raise ValueError("payload too long for the 2-byte bit count")
     tag = _SCHEME_TAGS[msg.scheme] | (_RESYNC_FLAG if msg.resync else 0)
-    head = _HEADER.pack(tag, msg.offset, msg.lbmr_seq, msg.cbmr_seq, msg.n_bits)
-    body = np.packbits(msg.payload).tobytes()
-    return head + body
+    return _HEADER.pack(tag, msg.offset, msg.lbmr_seq, msg.cbmr_seq, msg.n_bits)
+
+
+def pack_message(msg: CompressedBM) -> bytes:
+    return pack_envelope(msg) + np.packbits(msg.payload).tobytes()
 
 
 def unpack_envelope(data: bytes, pos: int = 0):
@@ -344,31 +353,7 @@ def sbms_decode(msg: CompressedBM, n: int) -> BufferMap:
 # SPBMS: per-sender support set
 # ======================================================================
 
-class _SharedSet:
-    """A stateful codec end.  ``_maps()`` gives the map its support set is
-    anchored at (None on a fresh stream) and another map's bits from that
-    anchor on; the set is the window of ``n`` from the anchor less both."""
-
-    @property
-    def support_set(self) -> SupportSet:
-        """The support set, built on demand."""
-        lo, filled = self._shared()
-        return SupportSet._of(lo, ~filled)
-
-    def _shared(self):
-        """``(lo, filled)``: the set's anchor and the positions of the window
-        from there that are filled; ``(0, [])`` on a fresh stream."""
-        first, over = self._maps()
-        if first is None:
-            return 0, _NO_BITS
-        filled = first.bits
-        if over.size:
-            filled = filled.copy()
-            filled[: over.size] |= over
-        return first.offset, filled
-
-
-class _SpbmsState(_SharedSet):
+class _SpbmsState:
     _known = None  # an spbms end knows no map of its counterpart
 
     def __init__(self, n: int):
@@ -378,9 +363,12 @@ class _SpbmsState(_SharedSet):
         self.last_bm = None  # the previous map; None on a fresh or resynced stream
         self.seq = 0
 
-    def _maps(self):
-        """The previous map (None on a fresh or resynced stream), alone."""
-        return self.last_bm, _NO_BITS
+    @property
+    def support_set(self) -> SupportSet:
+        """The previous map's unfilled positions; empty on a fresh or
+        resynced stream."""
+        bm = self.last_bm
+        return SupportSet._of(0, _NO_BITS) if bm is None else SupportSet._of(bm.offset, bm.bits)
 
 
 class _ReportsLocations:
@@ -460,7 +448,7 @@ class SpbmsDecoder(_SpbmsState):
 # PPBMS: shared support set per peer pair
 # ======================================================================
 
-class PpbmsSession(_SharedSet, _ReportsLocations):
+class PpbmsSession(_ReportsLocations):
     """One peer's end of a ppbms pairing.
 
     Each end keeps two maps: its own last map and its last known map of the
@@ -504,14 +492,21 @@ class PpbmsSession(_SharedSet, _ReportsLocations):
         """This end's own last map in this epoch; None before its first."""
         return self._own[-1][0] if self._own else None
 
-    def _maps(self):
-        """The map that starts at the shared set's anchor, the higher of the
-        two maps' offsets (None in a fresh epoch), and the other map's bits
-        from there on: the set is the window from there filled in neither."""
+    @property
+    def support_set(self) -> SupportSet:
+        """The shared set: the window from the higher of the own and known
+        maps' offsets, less the positions filled in either; empty in a
+        fresh epoch."""
         first, other = self._last_own, self._known
         if first is None or (other is not None and other.offset > first.offset):
             first, other = other, first
-        return first, _NO_BITS if other is None else other.bits[first.offset - other.offset :]
+        if first is None:
+            return SupportSet._of(0, _NO_BITS)
+        filled = first.bits
+        if other is not None and other.end > first.offset:
+            filled = filled.copy()
+            filled[: other.end - first.offset] |= other.bits[first.offset - other.offset :]
+        return SupportSet._of(first.offset, filled)
 
     def _own_map(self, c: int):
         """Own map ``c`` - 1, against which a message stamped cbmr = ``c``

@@ -19,9 +19,9 @@ script), decoded, and checked:
   snapshot, and the two shared support sets must match whenever the pair
   is drained.
 
-Each check compares raw bytes first (maps, reported bits, or the anchors and
-filled positions of two ends' ``_shared()``); only a mismatch runs the
-elementwise or support-set comparison, which decides.
+Each check compares raw bytes first (maps, reported bits, or the filled
+windows of two support sets, in ``SupportSet ==``); only a mismatch runs
+the elementwise comparison, which decides.
 
 With ``keep_messages`` a result's ``decoded`` holds, per scheme and
 direction, every spbms reconstruction and ppbms report in delivery order;
@@ -40,8 +40,8 @@ generative model, so its ideal lengths are NaN.
 Each measured spbms or ppbms message also records the size of the
 support set it leaves at its sender (``ss_sizes``, averaged as
 ``mean_ss_size``; an sbms link has no codec end and keeps no set): the
-unfilled positions of the sender's ``_shared()`` span after the send.  It
-is counted off the message (``_set_size``).  A sender never re-reports a
+unfilled positions of the sender's ``support_set`` window after the send.
+It is counted off the message (``_set_size``).  A sender never re-reports a
 location it has announced filled, so inside the message's window these are
 the locations it reported 0.  A ppbms set also counts the unfilled
 positions of the counterpart's known map past the sender's window when
@@ -476,15 +476,10 @@ class _Engine:
 
     def _assert_consistent(self):
         """Raise when a drained pairing's ends hold different support sets
-        (sbms ends hold none).  Equal anchors and filled-position bytes of
-        the two ends' ``_shared()`` pass at once; otherwise both sets are
-        built and compared."""
+        (sbms ends hold none)."""
         # A ppbms pairing's two sessions are both ends of its first link.
         link = next(iter(self.links.values()))
         if link.enc is None or self.needs_resync or self.dirty or self._outstanding():
-            return
-        (lo, filled), (lo2, filled2) = link.enc._shared(), link.dec._shared()
-        if lo == lo2 and filled.tobytes() == filled2.tobytes():
             return
         if not link.enc.support_set == link.dec.support_set:
             raise InvariantError(

@@ -50,6 +50,10 @@ def test_retired_api_stays_gone():
     # A ppbms end keeps two maps and derives its shared set from them.
     for attr in ("ss", "window_end", "last_sent_offset"):
         assert not hasattr(schemes.PpbmsSession(8), attr)
+    # A support set is its filled window; an end exposes it as support_set alone.
+    assert not hasattr(schemes.SupportSet, "mask") and not hasattr(schemes, "_SharedSet")
+    for end in (schemes.SpbmsEncoder(8), schemes.SpbmsDecoder(8), schemes.PpbmsSession(8)):
+        assert not hasattr(end, "_shared") and not hasattr(end, "_maps")
     # Every coder is two functions over bytes, encode(bits) and decode(blob,
     # n_bits); one integer kernel per direction codes every arithmetic-coded
     # payload.

@@ -62,6 +62,8 @@ def test_from_hex_rejects_dirty_padding():
         BufferMap.from_hex(0, "b081", 9)  # a padding bit is set
     with pytest.raises(ValueError):
         BufferMap.from_hex(0, "b0", 9)  # too short
+    with pytest.raises(ValueError, match="nonempty"):
+        BufferMap.from_hex(0, "", 0)  # no window at all
 
 
 def test_diff_new_fills_contract():
@@ -154,6 +156,8 @@ def test_peer_state_base_offset_and_lazy_growth():
     assert peer.snapshot(0).offset == 100
     with pytest.raises(ValueError):
         peer.fill_delay(99)
+    with pytest.raises(ValueError, match="^base_offset must be nonnegative$"):
+        PeerBufferState("p", curve, base_offset=-1)
     # far beyond one allocation batch
     snap = peer.snapshot(10_000)
     assert snap.offset == 10_100

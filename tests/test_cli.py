@@ -321,6 +321,38 @@ def test_decode_rejects_bytes_past_a_zero_bit_message(tmp_path, coder, capsys):
     assert "frame length disagrees with message length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coder", ["rle", "huffman", "ac"])
+def test_a_coded_zero_bit_message_round_trips(tmp_path, coder):
+    """An spbms map sent again unchanged leaves nothing to report: its coded
+    frame is the header alone, and it decodes back to the map."""
+    records = [TraceRecord(t, "B", "received", _bm(0, "1" * 8)) for t in (0, 1)]
+    trace, dump, back = tmp_path / "t.tsv", tmp_path / "d.bmd", tmp_path / "back.tsv"
+    write_trace(trace, records)
+    assert main(["encode", "--trace", str(trace), "--scheme", "spbms", "--coder", coder,
+                 "--out", str(dump)]) == 0
+    data = dump.read_bytes()
+    body_len = struct.unpack_from(">H", data, len(data) - HEADER_LEN - 2)[0]
+    assert body_len == HEADER_LEN and unpack_envelope(data[-HEADER_LEN:])[4] == 0
+    assert main(["decode", str(dump), "--out", str(back)]) == 0
+    assert back.read_bytes() == trace.read_bytes()
+
+
+@pytest.mark.parametrize("records, message", [
+    (None, "holds no records"),  # the header line alone
+    ([TraceRecord(0, "p" * 256, "sent", _bm(0, "10"))], "peer name too long"),
+    ([TraceRecord(2**32, "B", "sent", _bm(0, "10"))], "does not fit the frame field"),
+])
+def test_encode_rejects_a_trace_no_dump_can_hold(tmp_path, records, message, capsys):
+    trace = tmp_path / "t.tsv"
+    if records is None:
+        trace.write_text("#bmtrace v1 n=8\n")
+    else:
+        write_trace(trace, records)
+    assert main(["encode", "--trace", str(trace), "--scheme", "spbms",
+                 "--out", str(tmp_path / "d.bmd")]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("coder", ["rle", "huffman"])
 def test_decode_rejects_a_coder_blob_claiming_2_62_bits(tmp_path, small_trace, coder, capsys):
     """A coded payload whose runs overrun the header's bit count is invalid

@@ -77,6 +77,8 @@ def test_varint_boundaries():
         write_varint(-1, bytearray())
     with pytest.raises(CodingError):
         read_varint(b"\x80", 0)  # continuation bit with nothing after it
+    with pytest.raises(CodingError, match="^varint too long$"):
+        read_varint(b"\x80" * 10, 0)  # a tenth 7-bit group passes 63 bits
 
 
 # ----------------------------------------------------------------------
@@ -109,6 +111,7 @@ def test_rle_rejects_bad_input():
         (b"\x00\x03\x00", "zero-length run"),
         (b"\x00\x00", "zero-length run"),
         (b"\x00\x80", "truncated varint"),
+        (b"\x00" + b"\x80" * 10, "varint too long"),
     ]:
         with pytest.raises(CodingError, match=f"^{message}$"):
             rle_decode(blob, 3)
@@ -590,6 +593,12 @@ def test_ac_rejects_a_short_model_and_a_negative_count():
         arith_decode(b"", 3, model=[0.5, 0.5])
     with pytest.raises(ValueError, match="^bit count must be nonnegative$"):
         arith_decode(b"", -1)
+    with pytest.raises(ValueError, match="^bit sequence must be one-dimensional$"):
+        arith_encode([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="^probability model must be one-dimensional$"):
+        arith_encode([1, 0], model=[[0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+        arith_encode([1, 0], model=[0.5, 1.5])
 
 
 def test_ac_round_trips():

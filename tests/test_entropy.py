@@ -1,5 +1,6 @@
 """Per-message information of the three schemes and the calibration helper."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from bmkit.entropy import (
     CALIBRATION_TOL,
     DEFAULT_KNEE_FRAC,
     REPORT_COLUMNS,
+    EntropyReport,
     ExchangeParams,
     calibrate_curve,
     h_ab,
@@ -155,6 +157,8 @@ def test_ppbms_equals_spbms_only_against_a_silent_counterpart():
         assert h_ppbms(curve, T, tau, counterpart=silent) == pytest.approx(hs, abs=1e-12)
         if hs > 1e-9:  # a live counterpart strictly shrinks a live direction
             assert h_ppbms(curve, T, tau) < hs - 1e-12
+    with pytest.raises(ValueError, match="^counterpart curve must have the same width$"):
+        h_ab(curve, T, tau, counterpart=SCurve(np.zeros(n + 1)))
 
 
 def test_tau_zero_is_accepted_as_a_limit_label():
@@ -289,6 +293,12 @@ def test_report_csv_shape(calibrated_curve):
     assert all(len(l.split(",")) == len(REPORT_COLUMNS) for l in lines[1:])
     first = lines[1].split(",")
     assert first[0] == "sbms" and float(first[3]) == pytest.approx(77.0, abs=0.5)
+
+
+def test_report_rejects_a_negative_information_row(calibrated_curve):
+    row = report_grid(calibrated_curve, [8], taus="min").rows[0]
+    with pytest.raises(ValueError, match="^negative information quantity in row"):
+        EntropyReport((dataclasses.replace(row, bits_per_msg=-1e-9),))
 
 
 def test_report_mean_gain(calibrated_curve):

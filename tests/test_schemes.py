@@ -406,6 +406,9 @@ def test_spbms_encoder_rejects_bad_input():
         enc.encode(_bm(3, "10100000"))  # offset regression
     with pytest.raises(ProtocolError):
         enc.encode(_bm(5, "01100000"))  # a 1 flipped back to 0
+    for end_type, n in ((SpbmsEncoder, 0), (SpbmsDecoder, 2**16)):
+        with pytest.raises(ValueError, match="^window width must fit in the wire bit count$"):
+            end_type(n)
 
 
 def test_spbms_decode_desync_leaves_state_untouched():
@@ -1098,7 +1101,8 @@ def test_ppbms_reports_only_the_senders_window():
 
 def test_ppbms_far_older_offset_does_not_widen_the_mask():
     """A window far below the shared set's span has no member to report, and
-    the set's mask stays window-sized instead of stretching down to it."""
+    the set's filled window stays window-sized instead of stretching down to
+    it."""
     far = 2**24
     a, b = PpbmsSession(8), PpbmsSession(8)
     b.decode(a.encode(_bm(far, "10100000")))
@@ -1107,22 +1111,33 @@ def test_ppbms_far_older_offset_does_not_widen_the_mask():
     a.decode(msg)
     for ses in (a, b):
         assert list(ses.support_set) == [far + 1] + list(range(far + 3, far + 8))
-        assert ses.support_set.mask.size <= 8
+        assert ses.support_set.filled.size <= 8
 
 # ----------------------------------------------------------------------
 # SupportSet equality
 # ----------------------------------------------------------------------
 
 def test_support_set_equality_ignores_the_anchor_and_span():
-    masked = SupportSet._of(0, np.arange(10) % 2 == 1)
-    masked.mask[[1, 7, 9]] = False
-    assert masked == SupportSet([3, 5]) and SupportSet([3, 5]) == masked
-    assert masked != SupportSet([3, 5, 9])
+    window = SupportSet._of(0, np.arange(10) % 2 == 0)
+    window.filled[[1, 7, 9]] = True
+    assert window == SupportSet([3, 5]) and SupportSet([3, 5]) == window
+    assert window != SupportSet([3, 5, 9])
     empty = SupportSet()
-    assert empty == SupportSet._of(4, np.zeros(3, dtype=bool))
+    assert empty == SupportSet._of(4, np.ones(3, dtype=bool))
     assert empty == SupportSet._of(50, np.zeros(0, dtype=bool))
     assert len(empty) == 0 and list(empty) == [] and 0 not in empty
     assert SupportSet([3, 5]) != [3, 5]
+
+
+def test_support_set_equality_over_one_span_reads_bool_values_not_bytes():
+    """Over one anchor and span, equal bytes pass at once; a bool array whose
+    bytes are not all 0 or 1 still compares by its values."""
+    raw = np.array([2, 0, 1, 0], np.uint8).view(bool)  # a True stored as 2
+    odd, plain = SupportSet._of(7, raw), SupportSet._of(7, np.array([1, 0, 1, 0], dtype=bool))
+    assert odd.filled.tobytes() != plain.filled.tobytes()
+    assert odd == plain and plain == odd
+    assert odd != SupportSet._of(7, np.array([1, 0, 1, 1], dtype=bool))
+    assert list(odd) == [8, 10] and len(odd) == 2
 
 
 def test_unpack_envelope_reads_the_header_only():

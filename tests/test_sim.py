@@ -54,6 +54,8 @@ def test_config_validation():
         _cfg(coders=("rle", "rle"))
     with pytest.raises(ValueError):
         _cfg(offset_lag=-1)
+    with pytest.raises(ValueError, match="^warmup must be nonnegative$"):
+        _cfg(warmup=-1)
 
 
 def test_instant_fill_leaves_only_window_appends():
@@ -201,7 +203,12 @@ def test_trace_replay_validation(calibrated_curve):
     solo = [r for r in recs if r.peer == "B"]
     with pytest.raises(ValueError, match="two peers"):
         run_trace(solo, schemes=("ppbms",))
-    run_trace(solo, schemes=("spbms",))  # fine: spbms streams are per-peer
+    res = run_trace(solo, schemes=("spbms",))  # fine: spbms streams are per-peer
+    # A result holds no statistics for a scheme it did not run.
+    with pytest.raises(KeyError, match="no stats for"):
+        res.row("ppbms", "ab")
+    with pytest.raises(ValueError, match="^no measured messages for ppbms$"):
+        res.mean_ideal("ppbms")
     with pytest.raises(ValueError, match="schemes"):
         run_trace(recs, schemes=("bogus",))
     with pytest.raises(ValueError, match="coders"):
@@ -595,10 +602,11 @@ def _drained_ppbms(a_maps, b_maps):
 _DIVERGED = "^ppbms ab: the support sets at the two ends diverged$"
 
 
-def test_drained_ppbms_check_compares_bytes_then_falls_back_to_the_sets():
-    """Equal anchors and filled positions pass at once; any other pair of
-    ends is decided by their support sets, so equal members at different
-    anchors pass and one flipped member raises."""
+def test_drained_ppbms_check_is_support_set_eq():
+    """The drained check is ``SupportSet ==`` over the two ends' sets: equal
+    anchors and filled positions pass on their bytes, equal members at
+    different anchors pass on their locations, and one flipped member
+    raises."""
     own_a, own_b = BufferMap(10, [1, 1, 0, 0, 1, 0, 0, 0]), BufferMap(10, [0, 1, 0, 0, 0, 0, 1, 0])
     _drained_ppbms((own_a, own_b), (own_b, own_a))._assert_consistent()
     flipped = BufferMap(10, [1, 1, 1, 0, 1, 0, 0, 0])  # member 12 filled at one end only
@@ -623,10 +631,10 @@ def _drained_spbms(enc_map, dec_map):
     return engine
 
 
-def test_drained_spbms_check_compares_bytes_then_falls_back_to_the_sets():
-    """The spbms twin of the ppbms check above: equal maps pass at once,
-    equal members at different anchors pass on their sets, and one flipped
-    member raises."""
+def test_drained_spbms_check_is_support_set_eq():
+    """The spbms twin of the ppbms check above: equal maps pass on their
+    bytes, equal members at different anchors pass on their locations, and
+    one flipped member raises."""
     bm = BufferMap(10, [1, 1, 0, 0, 1, 0, 0, 0])
     _drained_spbms(bm, BufferMap(10, bm.bits.copy()))._assert_consistent()
     flipped = BufferMap(10, [1, 1, 1, 0, 1, 0, 0, 0])  # member 12 filled at one end only
