@@ -354,8 +354,6 @@ def sbms_decode(msg: CompressedBM, n: int) -> BufferMap:
 # ======================================================================
 
 class _SpbmsState:
-    _known = None  # an spbms end knows no map of its counterpart
-
     def __init__(self, n: int):
         if not 0 < n < 2**16:
             raise ValueError("window width must fit in the wire bit count")

@@ -46,15 +46,23 @@ location it has announced filled, so inside the message's window these are
 the locations it reported 0.  A ppbms set also counts the unfilled
 positions of the counterpart's known map past the sender's window when
 that map starts past the window's offset: no message of the sender can
-reach them yet.
+reach them yet.  That known map is the last report the sender decoded in
+its epoch, with ones off the reported locations, so the engine keeps that
+report on the link it arrived by.
 
-The log2 probabilities are laid out by window position, one table per
-old-prefix length k: the number of window positions below the sender's
-previous window end.  Each table is built the first time a message needs
-it and then kept, and the tables of one curve and period are shared by
-every run over the same curve values and period (the last
-``_TABLE_SETS`` such pairs are kept), so pricing a message is one gather
-of its (bit, position) entries in location order and one sum.
+The log2 probabilities are laid out in one table of the run's curve and
+period, shared by every run over the same curve values and period (the
+last ``_TABLE_SETS`` such pairs are kept): fresh 0, fresh 1, old 0 and old
+1 by window position, where a position is old when it lies below the
+sender's previous window end.  Sending does not price: each link keeps its
+sends unpriced and prices them ``_BLOCK`` at a time, and the rest when the
+run ends.  A block is one pass: one gather of every send's (old, bit,
+position) entries in location order (an sbms block, whole windows, one
+``np.where``) and one finiteness check, warm-up included, then one sum per
+measured send over its own entries.  A bit the model cannot produce
+therefore raises at the end of its block, not at its send; no correct run
+does, since each bit the generator draws has positive probability under
+the same curve.
 
 Message loss is the designed recovery path, not an error: a receiver that
 can no longer resolve references (archive eviction or an overflowing hold
@@ -66,6 +74,7 @@ an engine-level epoch stamp on each delivery.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -282,12 +291,12 @@ class SimResult:
         return "\n".join(lines) + "\n"
 
 
-class _IdealTables(dict):
+class _IdealTables:
     """Log2 probabilities of payload bits under the true fill model of one
-    curve and period, laid out by window position: table ``k``, built on
-    first use and read-only, since runs share it, prices the bit at window
-    position j (age n - 1 - j) at entry ``bit * n + j``, as a location
-    reported before when j < k.
+    curve and period, laid out by window position j (age n - 1 - j).
+    Entry ``(2 * old + bit) * n + j`` of the read-only ``flat``, which runs
+    share, prices ``bit`` at position j of a location that is fresh
+    (``old`` 0) or was reported one period earlier (``old`` 1).
 
     A fresh location's bit is distributed as p_age; an old one, reported
     one period earlier while unfilled at age - period, as
@@ -296,21 +305,14 @@ class _IdealTables(dict):
     """
 
     def __init__(self, curve: SCurve, period: int):
-        super().__init__()
         p = curve.probs
         self.n = n = p.size
         self.period = period
         _, q = _cond_fill(p, period)
         with np.errstate(divide="ignore", invalid="ignore"):
             by_age = np.log2(np.concatenate([1.0 - p, p, 1.0 - q, q])).reshape(4, n)
-        by_pos = by_age[:, ::-1]  # rows: fresh 0, fresh 1, old 0, old 1
-        self._fresh, self._old = by_pos[:2], by_pos[2:]
-
-    def __missing__(self, k: int) -> np.ndarray:
-        tab = np.concatenate([self._old[:, :k], self._fresh[:, k:]], axis=1).ravel()
-        tab.flags.writeable = False
-        self[k] = tab
-        return tab
+        self.flat = by_age[:, ::-1].ravel()  # rows: fresh 0, fresh 1, old 0, old 1
+        self.flat.flags.writeable = False
 
 
 _TABLE_SETS = 8  # (curve values, period) pairs whose tables are kept
@@ -330,42 +332,74 @@ def _ideal_tables(curve: SCurve, period: int) -> _IdealTables:
     return tables
 
 
-def _ideal_bits(tables: _IdealTables, k: int, pos, bits: np.ndarray) -> float:
-    """Minus log2 probability of a payload under the true fill model.
+_BLOCK = 256  # sends a link prices in one pass; bounds what a long run holds unpriced
 
-    ``bits`` are the payload's bits at the ascending window positions
-    ``pos`` (None: the whole window); positions below ``k`` were reported
-    before.
+
+def _ideal_bits(tables: _IdealTables, sends) -> list:
+    """Minus log2 probabilities of a block of payloads under the true fill
+    model, one per measured send, in send order.
+
+    ``sends`` holds ``(k, win, bits, measured)`` per send: ``bits`` are the
+    payload's bits at the True positions of the window mask ``win``, in
+    position order, and positions below ``k`` were reported before.  A
+    block of sbms sends has every ``win`` None: each payload is a whole
+    window, none of it reported before.  Every send is checked, measured
+    or not; a bit the model cannot produce raises InvariantError, naming
+    the first such send's fault.
     """
-    if bits.size == 0:
-        return 0.0  # not the -0.0 that negating an empty sum gives
+    n, flat = tables.n, tables.flat
+    ks, wins, payloads, measured = zip(*sends)
+    bits = np.concatenate(payloads)
+    if wins[0] is None:
+        log_p = np.where(bits.reshape(-1, n), flat[n : 2 * n], flat[:n])
+        sums = np.add.reduce(log_p, axis=1)
+        if not math.isfinite(np.add.reduce(sums)):
+            _raise_first(tables, sends, log_p)
+        return [float(-s) for s, m in zip(sums, measured) if m]
+    sizes = [b.size for b in payloads]
+    pos = np.flatnonzero(np.concatenate(wins))  # send i's positions, plus i * n
+    pos -= np.repeat(np.arange(0, n * len(sends), n), sizes)
+    old = pos < np.repeat(np.array(ks), sizes)
+    log_p = flat[pos + n * (bits + 2 * old)]
+    ends = list(itertools.accumulate(sizes))
+    if not math.isfinite(np.add.reduce(log_p)):
+        _raise_first(tables, sends, np.split(log_p, ends[:-1]))
+    # One sum per payload over its own slice: np.add.reduceat would group
+    # the additions differently and change the last bits.
+    return [-float(np.add.reduce(log_p[end - size : end])) if size else 0.0
+            for size, end, m in zip(sizes, ends, measured) if m]
+
+
+def _raise_first(tables: _IdealTables, sends, log_ps):
+    """Raise the InvariantError of the first send whose log2 probabilities
+    ``log_ps`` hold a non-finite entry."""
     n = tables.n
-    tab = tables[k]
-    log_p = np.where(bits, tab[n:], tab[:n]) if pos is None else tab[pos + n * bits]
-    total = np.add.reduce(log_p)
-    if math.isfinite(total):
-        return float(-total)
-    if np.isnan(log_p).any():
-        pos = np.arange(n) if pos is None else pos
-        if np.any(pos[pos < k] >= n - tables.period):
+    for (k, win, _, _), log_p in zip(sends, log_ps):
+        if np.isfinite(log_p).all():
+            continue
+        if np.isnan(log_p).any():
+            pos = np.arange(n) if win is None else win.nonzero()[0]
+            if np.any(pos[pos < k] >= n - tables.period):
+                raise InvariantError(
+                    "a previously reported location is younger than one period"
+                )
             raise InvariantError(
-                "a previously reported location is younger than one period"
+                "a support-set location was certainly filled at its previous report"
             )
-        raise InvariantError(
-            "a support-set location was certainly filled at its previous report"
-        )
-    raise InvariantError("payload contains a zero-probability bit under the true model")
+        raise InvariantError("payload contains a zero-probability bit under the true model")
 
 
-def _set_size(end, bm, payload: np.ndarray) -> int:
+def _set_size(bm, payload: np.ndarray, known) -> int:
     """Members of the support set a codec end holds right after sending
     ``payload`` for ``bm``: the locations it reported 0, plus the unfilled
     positions past ``bm``'s window of its known map of the counterpart when
-    that map starts past ``bm``'s offset (an spbms end knows none)."""
+    that map starts past ``bm``'s offset.  ``known`` is the last report the
+    end decoded in its epoch (None for none; an spbms end decodes none),
+    and its known map holds that report's bits at the report's locations
+    and ones elsewhere."""
     size = payload.size - np.count_nonzero(payload)
-    known = end._known
     if known is not None and known.offset > bm.offset:
-        past = known.bits[max(bm.end - known.offset, 0) :]
+        past = known.bits[np.searchsorted(known.locations, bm.end) :]
         size += past.size - np.count_nonzero(past)
     return size
 
@@ -378,8 +412,8 @@ def _mean(x: np.ndarray) -> float:
 class _Link:
     """One direction of a pairing: the codec ends that send (``enc``) and
     receive (``dec``) on it, None for sbms; its faults of the reorder
-    script, by message index; what was measured on it; and the envelopes it
-    holds back."""
+    script, by message index; what was measured on it; its sends not yet
+    priced; and the envelopes it holds back."""
 
     def __init__(self, direction, enc, dec, coders, script):
         self.direction = direction
@@ -390,6 +424,8 @@ class _Link:
         self.delay_at = {i: v for (d, i), v in script.delays.items() if d == direction}
         self.sent = 0  # messages sent, the next one's per-direction index
         self.prev_end = None  # end of the previous sent window; None after a resync
+        self.report = None  # ppbms: the last report ``dec`` decoded, its known map of ``enc``
+        self.unpriced = []  # (k, window mask or None, payload, measured) per send
         self.held = []
         self.swap_stash = None
         self.ideal = []
@@ -398,6 +434,13 @@ class _Link:
         self.decoded = []
         self.coder_bytes = {c: 0 for c in coders}
         self.drops = 0
+
+    def price(self, tables):
+        """Append the ideal lengths of the measured unpriced sends (a run
+        without ``tables`` keeps none unpriced)."""
+        if self.unpriced:
+            self.ideal += _ideal_bits(tables, self.unpriced)
+            self.unpriced = []
 
     def stats(self, scheme, resyncs) -> SchemeDirStats:
         pb = np.array([p.size for p in self.payloads], dtype=np.float64)
@@ -517,6 +560,7 @@ class _Engine:
                 raise InvariantError(
                     f"ppbms {link.direction} message {env.idx}: reported bits differ from snapshot"
                 )
+            link.report = out
         elif not out == env.snap:
             raise InvariantError(
                 f"{self.scheme} {link.direction} message {env.idx}: reconstruction differs"
@@ -562,14 +606,16 @@ class _Engine:
             self._assert_consistent()
 
     def flush(self):
-        """Deliver what is still in flight after the last send, then check
-        the drained pairing."""
+        """Deliver what is still in flight after the last send, check the
+        drained pairing, and price the sends not yet priced."""
         for link in self.links.values():
             if link.swap_stash is not None:  # swap named a final message; deliver it late
                 self._enqueue(link, link.swap_stash)
                 link.swap_stash = None
         self.deliver_due(math.inf)
         self._assert_consistent()
+        for link in self.links.values():
+            link.price(self.ideal)
 
     # -- sending ----------------------------------------------------------
 
@@ -583,27 +629,34 @@ class _Engine:
             msg = sbms_encode(snap)
         else:
             msg = enc.make_resync(snap) if resync else enc.encode(snap)
+        # A ppbms sender's known map comes from the reports of the other link.
+        back = self.links.get("ba" if d == "ab" else "ab")
         if resync:
             self.needs_resync = False
             self.send_epoch += 1
             self.resyncs += 1
             for other in self.links.values():
                 other.prev_end = None
+            if back is not None:  # the sender's fresh epoch knows no map of its counterpart
+                back.report = None
         if self.ideal is None:
-            ideal = math.nan
-        elif enc is None:  # sbms: the whole window, none of it reported before
-            ideal = _ideal_bits(self.ideal, 0, None, msg.payload)
+            if measured:
+                link.ideal.append(math.nan)
         else:
-            # Window positions below the previous window's end were reported before.
-            k = 0 if link.prev_end is None else max(link.prev_end - snap.offset, 0)
-            pos = enc.last_window.nonzero()[0]
-            ideal = _ideal_bits(self.ideal, k, pos, msg.payload)
+            if enc is None:  # sbms: the whole window, none of it reported before
+                k, win = 0, None
+            else:
+                # Window positions below the previous window's end were reported before.
+                k = 0 if link.prev_end is None else max(link.prev_end - snap.offset, 0)
+                win = enc.last_window
+            link.unpriced.append((k, win, msg.payload, measured))
+            if len(link.unpriced) >= _BLOCK:
+                link.price(self.ideal)
         link.prev_end = snap.end
         if measured:
-            link.ideal.append(ideal)
             link.payloads.append(msg.payload)
             if enc is not None:  # the set it leaves; see the module docstring
-                link.ss.append(_set_size(enc, snap, msg.payload))
+                link.ss.append(_set_size(snap, msg.payload, None if back is None else back.report))
             for c in self.coders:
                 if msg.n_bits:
                     link.coder_bytes[c] += len(encode_bits(c, msg.payload))

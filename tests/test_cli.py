@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bmkit import cli
 from bmkit.bitmap import BufferMap
 from bmkit.cli import main
+from bmkit.errors import InvariantError
 from bmkit.fillmodel import (
     load_curve,
     sample_fill_delays,
@@ -351,6 +353,35 @@ def test_encode_rejects_a_trace_no_dump_can_hold(tmp_path, records, message, cap
     assert main(["encode", "--trace", str(trace), "--scheme", "spbms",
                  "--out", str(tmp_path / "d.bmd")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_encode_rejects_a_coded_message_past_frame_capacity(tmp_path, capsys):
+    """An rle blob of a 65,535-bit alternating map is 65,536 bytes, so the
+    frame's 16-bit body size cannot hold it with its envelope: invalid
+    input (exit 2), and no dump is written."""
+    trace, dump = tmp_path / "t.tsv", tmp_path / "d.bmd"
+    bits = np.arange(65535) % 2 == 0
+    write_trace(trace, [TraceRecord(0, "B", "sent", BufferMap(0, bits))])
+    assert main(["encode", "--trace", str(trace), "--scheme", "sbms", "--coder", "rle",
+                 "--out", str(dump)]) == 2
+    assert capsys.readouterr().err == "bmkit: message body exceeds frame capacity\n"
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("exc, err", [
+    (InvariantError("sets diverged"), "bmkit: internal invariant breach: sets diverged\n"),
+    (KeyError("oops"), "bmkit: internal error: KeyError('oops')\n"),
+])
+def test_a_command_that_breaks_an_invariant_or_fails_unexpectedly_exits_3(
+        monkeypatch, capsys, exc, err):
+    """A bug in the tool, an invariant breach or an exception no command
+    expects, exits 3 with its own stderr prefix."""
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_analyze", broken)
+    assert main(["analyze"]) == 3
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("coder", ["rle", "huffman"])

@@ -228,11 +228,12 @@ def same_state(real, plain):
         assert np.array_equal(real.last_locations, plain.last_locations)
 
 
-def same_count(end, bm, sent):
+def same_count(end, bm, sent, known=None):
     """After a send, the simulator's count of the set off the message is
-    the size of the set the sender holds."""
+    the size of the set the sender holds.  ``known`` is the last report the
+    sender decoded in its epoch, None for none."""
     if sent[0] is not None:
-        assert _set_size(end, bm, sent[0].payload) == len(end.support_set)
+        assert _set_size(bm, sent[0].payload, known) == len(end.support_set)
 
 
 def tamper(msg, how):
@@ -304,6 +305,7 @@ def test_ppbms_ends_match_the_plain_reference(seed, lag, steps):
     real = {p: PpbmsSession(N, archive_depth=2) for p in ("A", "B", "R")}
     plain = {p: PlainPpbmsSession(N, archive_depth=2) for p in ("A", "B", "R")}
     queue = {"A": [], "B": []}  # messages each peer has sent, not yet delivered
+    known = dict.fromkeys(real)  # the last report each end decoded in its epoch
     for who, kind, move, how in steps:
         other = "B" if who == "A" else "A"
         if kind == "deliver":  # ``who`` receives the oldest message in flight to it
@@ -312,15 +314,20 @@ def test_ppbms_ends_match_the_plain_reference(seed, lag, steps):
             msg = tamper(queue[other].pop(0), how)
             receivers = ("A", "R") if who == "A" else ("B",)
             for p in receivers:
-                same_outcome(outcome(real[p].decode, msg), outcome(plain[p].decode, msg))
+                got = outcome(real[p].decode, msg)
+                same_outcome(got, outcome(plain[p].decode, msg))
                 same_state(real[p], plain[p])
+                if got[1] is None:
+                    known[p] = got[0]
             continue
         bm = peers[who].next(move)
         name = "make_resync" if kind == "resync" else "encode"
         sent = outcome(getattr(real[who], name), bm)
         same_outcome(sent, outcome(getattr(plain[who], name), bm))
         same_state(real[who], plain[who])
-        same_count(real[who], bm, sent)
+        if kind == "resync" and sent[0] is not None:
+            known[who] = None
+        same_count(real[who], bm, sent, known[who])
         if sent[0] is None:
             continue
         queue[who].append(sent[0])
@@ -333,4 +340,4 @@ def test_ppbms_ends_match_the_plain_reference(seed, lag, steps):
             same_outcome(replica, outcome(step[1], step[2]))
             same_state(real["R"], plain["R"])
             if kind == "replica-sends":
-                same_count(real["R"], bm, replica)
+                same_count(real["R"], bm, replica, known["R"])

@@ -346,13 +346,27 @@ def test_an_all_schemes_fault_run_equals_each_scheme_run_alone():
             assert alone.decoded[key] == every.decoded[key]
 
 
+def _alone(tables, k, pos, bits):
+    """The ideal length of one message priced as a block of its own:
+    ``bits`` at the window positions ``pos`` (None: the whole window, as
+    sbms sends it), positions below ``k`` reported before."""
+    win = None
+    if pos is not None:
+        win = np.zeros(tables.n, dtype=bool)
+        win[pos] = True
+    return _ideal_bits(tables, [(k, win, bits, True)])[0]
+
+
 def test_ideal_bits_match_the_per_location_model():
+    """One message priced alone matches the per-location model, and a
+    block of messages, some unmeasured, gives each measured one those bits."""
     curve = two_segment_curve(32, 4, 0.8)
     n, T, offset = 32, 8, 100
     p = curve.probs
     tables = _IdealTables(curve, T)
     rng = np.random.default_rng(0)
-    for _ in range(50):
+    block, alone = [], []
+    for i in range(50):
         locs = np.sort(rng.choice(np.arange(offset, offset + n), size=rng.integers(1, n),
                                   replace=False))
         prev_end = [None, offset + n - T][rng.integers(2)]
@@ -366,13 +380,22 @@ def test_ideal_bits_match_the_per_location_model():
             bits[k] = q == 1.0 or (q > 0.0 and rng.random() < 0.5)
             expect -= math.log2(q if bits[k] else 1.0 - q)
         k = 0 if prev_end is None else prev_end - offset
-        got = _ideal_bits(tables, k, locs - offset, bits)
+        got = _alone(tables, k, locs - offset, bits)
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
-    assert _ideal_bits(tables, 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)) == 0.0
+        win = np.zeros(n, dtype=bool)
+        win[locs - offset] = True
+        block.append((k, win, bits, i % 3 > 0))
+        if i % 3:
+            alone.append(got)
+    empty = np.empty(0, dtype=bool)
+    block.insert(7, (0, np.zeros(n, dtype=bool), empty, True))
+    alone.insert(sum(m for *_, m in block[:7]), 0.0)
+    got = _ideal_bits(tables, block)
+    assert np.array(got).tobytes() == np.array(alone).tobytes()
+    assert _alone(tables, 0, np.empty(0, dtype=np.int64), empty) == 0.0
     whole = rng.random(n) < p[::-1]  # a whole window, newest position last
     whole[-1] = False  # p_0 = 0
-    assert _ideal_bits(tables, 0, None, whole) == _ideal_bits(tables, 0, np.arange(n), whole)
-    assert set(tables) == {0, n - T}  # one table per old-prefix length, kept
+    assert _alone(tables, 0, None, whole) == _alone(tables, 0, np.arange(n), whole)
 
 
 def test_ideal_bits_reject_payloads_the_model_cannot_produce():
@@ -381,16 +404,16 @@ def test_ideal_bits_reject_payloads_the_model_cannot_produce():
     oldest = np.array([0])
     tables = _IdealTables(two_segment_curve(n, 4, 0.8), T)  # p_0 = 0
     with pytest.raises(InvariantError, match="zero-probability"):
-        _ideal_bits(tables, 0, newest, np.array([True]))
+        _alone(tables, 0, newest, np.array([True]))
     with pytest.raises(InvariantError, match="zero-probability"):
-        _ideal_bits(tables, 0, None, np.ones(n, dtype=bool))
+        _alone(tables, 0, None, np.ones(n, dtype=bool))
     # An old location younger than one period cannot have been reported.
     with pytest.raises(InvariantError, match="younger than one period"):
-        _ideal_bits(tables, n, newest, np.array([False]))
+        _alone(tables, n, newest, np.array([False]))
     certain = SCurve(np.r_[np.linspace(0.0, 1.0, 16), np.ones(16)])
     tables = _IdealTables(certain, T)
     with pytest.raises(InvariantError, match="certainly filled"):
-        _ideal_bits(tables, 1, oldest, np.array([True]))
+        _alone(tables, 1, oldest, np.array([True]))
 
 
 def test_ideal_tables_are_shared_per_curve_values_and_period(monkeypatch):
@@ -517,6 +540,64 @@ def test_engine_ideal_lengths_equal_a_per_location_reference(monkeypatch, calibr
     if case == "faults":
         assert res.total_resyncs("spbms") >= 2 and res.total_resyncs("ppbms") >= 2
         assert any(resync for *_, resync in sent)
+
+
+@pytest.mark.parametrize("kw, script", [
+    (dict(T=8, tau=8, warmup=0, offset_lag=3, rounds=300),
+     ReorderScript(drops=[("ab", 100)], swaps=[("ba", 270)])),
+    (dict(T=8, tau=3, rounds=280), None),
+])
+def test_block_pricing_equals_one_message_pricing(monkeypatch, kw, script):
+    """Links of every scheme sending past one block price each message to
+    the bits that pricing it alone gives, so the result is the same to the
+    byte, across a drop and its resync too."""
+    blocks = []
+
+    def spy(tables, sends, _price=sim._ideal_bits):
+        blocks.append(len(sends))
+        return _price(tables, sends)
+
+    monkeypatch.setattr(sim, "_ideal_bits", spy)
+    cfg = SimConfig(calibrate_curve(20.0, 64).to_curve(64), seed=8, coders=("rle",), **kw)
+    run = (lambda: run_synthetic(cfg)) if script is None else (
+        lambda: reorder_fault_run(cfg, script))
+    res = run()
+    assert blocks.count(sim._BLOCK) == 6 and 0 < min(blocks) < sim._BLOCK  # one per link
+    assert all(res.total_resyncs(s) == (0 if script is None or s == "sbms" else 1)
+               for s in sim.SCHEMES)
+    monkeypatch.setattr(sim, "_BLOCK", 1)
+    alone = run()
+    assert res.to_csv() == alone.to_csv()
+    for key, bits in res.ideal_bits.items():
+        assert bits.size == cfg.rounds and np.isfinite(bits).all()
+        assert bits.tobytes() == alone.ideal_bits[key].tobytes(), key
+
+
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+@pytest.mark.parametrize("fresh, old, match", [
+    (-np.inf, None, "zero-probability"),  # spbms, ppbms: only the warm-up bootstrap reaches it
+    (None, np.nan, "certainly filled"),
+    (-np.inf, np.nan, "zero-probability"),  # the bootstrap fails first
+])
+def test_a_non_finite_table_entry_ends_the_run(monkeypatch, scheme, fresh, old, match):
+    """A non-finite entry of the ideal tables, fresh at the oldest window
+    position or old at a middle one, ends the run in the InvariantError
+    that its first send to reach it gives priced alone, even when only a
+    warm-up send reaches it.  An sbms send prices no old entry."""
+    cfg = _cfg(curve=calibrate_curve(20.0, 64).to_curve(64), schemes=(scheme,), rounds=20)
+    monkeypatch.setattr(sim, "_table_sets", {})
+    tables = sim._ideal_tables(cfg.curve, cfg.T)
+    n, flat = tables.n, tables.flat.copy()
+    if fresh is not None:
+        flat[[0, n]] = fresh  # fresh 0 and fresh 1 at position 0
+    if old is not None:
+        flat[[2 * n + n // 2, 3 * n + n // 2]] = old
+    monkeypatch.setattr(tables, "flat", flat)
+    if scheme == "sbms" and fresh is None:
+        assert np.isfinite(run_synthetic(cfg).ideal_bits[("sbms", "ab")]).all()
+        return
+    with pytest.raises(InvariantError, match=match):
+        run_synthetic(cfg)
 
 
 def _flip_first(bits):
@@ -806,16 +887,24 @@ def test_every_send_counts_its_set_off_the_message(monkeypatch):
     the sender holds.  With peer A's window ahead of B's (T = tau = 2, a
     lag of 1 to 5), B's known map of A often starts past B's window, and
     its members past that window count too."""
-    past = []
+    sizes, engines, past = [], [], []
     for cls in (SpbmsEncoder, PpbmsSession):
         def encode(self, bm, _encode=cls.encode):
             msg = _encode(self, bm)  # make_resync encodes through here too
-            size = sim._set_size(self, bm, msg.payload)
-            assert size == len(self.support_set)
-            past.append(size - (msg.n_bits - np.count_nonzero(msg.payload)))
+            sizes.append((self, len(self.support_set)))
             return msg
 
         monkeypatch.setattr(cls, "encode", encode)
+
+    def send(self, eidx, d, snap, measured, _send=sim._Engine.send):
+        return _send(self, eidx, d, snap, True)  # count the warm-up's sets too
+
+    def flush(self, _flush=sim._Engine.flush):
+        engines.append(self)
+        return _flush(self)
+
+    monkeypatch.setattr(sim._Engine, "send", send)
+    monkeypatch.setattr(sim._Engine, "flush", flush)
     rng = np.random.default_rng(2020)
     for n, h, T, tau, lag in [(16, 5.0, 2, 2, 1), (16, 5.0, 2, 2, 3), (16, 5.0, 2, 1, 5),
                               (64, 20.0, 2, 2, 2), (64, 20.0, 2, 2, 5), (64, 20.0, 4, 3, 4),
@@ -829,7 +918,16 @@ def test_every_send_counts_its_set_off_the_message(monkeypatch):
             d = [("ab", "ba")[int(k)] for k in rng.integers(2, size=3)]
             script = ReorderScript(drops=[(d[0], at[0])], swaps=[(d[1], at[1])],
                                    delays={(d[2], at[2]): int(rng.integers(1, 10))})
-            reorder_fault_run(cfg, script)
+            sizes.clear()
+            engines.clear()
+            res = reorder_fault_run(cfg, script)
+            for engine in engines:
+                for d, link in engine.links.items():
+                    key = (engine.scheme, d)
+                    want = [size for enc, size in sizes if enc is link.enc]
+                    assert res.ss_sizes[key].tolist() == want, key
+                    zeros = [p.size - np.count_nonzero(p) for p in res.payloads[key]]
+                    past.extend(res.ss_sizes[key] - zeros)
     past = np.array(past)
     assert past.size > 4000 and (past >= 0).all()
     assert 0 < np.count_nonzero(past) < past.size
