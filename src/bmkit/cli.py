@@ -99,6 +99,19 @@ def _resolve_curve(args):
     return calibrate_curve(target, args.n).to_curve(args.n)
 
 
+def _timing(args, n) -> tuple:
+    """``(T, tau)`` from ``--T`` (default 20) and ``--tau`` (default a
+    quarter period, at least 1), checked against each other and against the
+    window width ``n``."""
+    T = args.T if args.T is not None else 20
+    tau = args.tau if args.tau is not None else max(1, T // 4)
+    if not 0 < tau <= T:
+        raise _UsageError(f"need 0 < tau <= T, got tau={tau} T={T}")
+    if T > n:
+        raise _UsageError(f"need T <= n, got T={T} n={n}")
+    return T, tau
+
+
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -139,12 +152,7 @@ def _cmd_simulate(args) -> int:
         result = run_trace(args.trace, schemes=schemes, coders=coders)
     else:
         curve = _resolve_curve(args)
-        T = args.T if args.T is not None else 20
-        tau = args.tau if args.tau is not None else max(1, T // 4)
-        if not 0 < tau <= T:
-            raise _UsageError(f"need 0 < tau <= T, got tau={tau} T={T}")
-        if T > curve.n:
-            raise _UsageError(f"need T <= n, got T={T} n={curve.n}")
+        T, tau = _timing(args, curve.n)
         cfg = SimConfig(
             curve=curve,
             T=T,
@@ -282,10 +290,10 @@ def _cmd_decode(args) -> int:
     if scheme != "ppbms" and not args.out:
         raise _UsageError(f"decoding a {scheme} dump writes a trace file; --out is required")
     n = frames[0][3].n_bits
+    peers = list(dict.fromkeys(peer for _, peer, _, _ in frames))
     if scheme != "ppbms":
         # Each peer's receiving end; sbms keeps none.
-        decoders = {} if scheme == "sbms" else {
-            peer: SpbmsDecoder(n) for peer in dict.fromkeys(peer for _, peer, _, _ in frames)}
+        decoders = {} if scheme == "sbms" else {peer: SpbmsDecoder(n) for peer in peers}
         records = []
         for ts, peer, direction, msg in frames:
             dec = decoders.get(peer)
@@ -293,7 +301,6 @@ def _cmd_decode(args) -> int:
             records.append(TraceRecord(ts, peer, direction, bm))
         write_trace(args.out, records)
         return 0
-    peers = list(dict.fromkeys(peer for _, peer, _, _ in frames))
     if len(peers) != 2:
         raise ValueError(f"ppbms dump needs both directions; found peer(s) {peers}")
     # One replica, playing the first peer, reconstructs the whole shared
@@ -317,12 +324,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_gen_trace(args) -> int:
     curve = _resolve_curve(args)
-    T = args.T if args.T is not None else 20
-    tau = args.tau
-    if tau is not None and not 0 < tau <= T:
-        raise _UsageError(f"need 0 < tau <= T, got tau={tau} T={T}")
-    if T > curve.n:
-        raise _UsageError(f"need T <= n, got T={T} n={curve.n}")
+    T, tau = _timing(args, curve.n)
     records = generate(curve, T, rounds=args.rounds, seed=args.seed, tau=tau)
     write_trace(args.out, records)
     return 0

@@ -360,16 +360,9 @@ def report_grid(curve: SCurve, T_list, taus="min", counterpart: SCurve | None = 
         for tau in tau_grid:
             hab = h_ab(curve, T, tau, counterpart)
             hba = h_ba(curve, T, tau, counterpart)
-            hpp = 0.5 * (hab + hba)
-            rows.append(EntropyRow("sbms", T, tau, h0, overhead(h0, T), 0.0, _gain(h0, hs)))
-            rows.append(EntropyRow("spbms", T, tau, hs, overhead(hs, T), _gain(hs, h0), 0.0))
-            rows.append(
-                EntropyRow("ab", T, tau, hab, overhead(hab, T), _gain(hab, h0), _gain(hab, hs))
-            )
-            rows.append(
-                EntropyRow("ba", T, tau, hba, overhead(hba, T), _gain(hba, h0), _gain(hba, hs))
-            )
-            rows.append(
-                EntropyRow("ppbms", T, tau, hpp, overhead(hpp, T), _gain(hpp, h0), _gain(hpp, hs))
-            )
+            # A row's gain over itself is 1 - h/h == 0.0, or 0.0 for h == 0.
+            for scheme, h in (("sbms", h0), ("spbms", hs), ("ab", hab), ("ba", hba),
+                              ("ppbms", 0.5 * (hab + hba))):
+                rows.append(EntropyRow(scheme, T, tau, h, overhead(h, T), _gain(h, h0),
+                                       _gain(h, hs)))
     return EntropyReport(tuple(rows))

@@ -123,16 +123,8 @@ def sample_fill_delay(curve: SCurve, u: float):
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("u must lie in [0, 1)")
-    probs = curve.probs
-    if u > 0.0:
-        d = int(np.searchsorted(probs, u, side="left"))
-    else:
-        # u == 0 draws must still respect P(delay <= i) == p_i: a zero
-        # probability at age 0 means the chunk cannot already be filled.
-        d = int(np.searchsorted(probs, 0.0, side="right"))
-    if d >= probs.size:
-        return math.inf
-    return d
+    d = int(sample_fill_delays(curve, [u])[0])
+    return math.inf if d >= curve.n else d
 
 
 def sample_fill_delays(curve: SCurve, u) -> np.ndarray:
@@ -141,7 +133,9 @@ def sample_fill_delays(curve: SCurve, u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     probs = curve.probs
     d = np.asarray(probs.searchsorted(u), dtype=np.int64)
-    d[~(u > 0.0)] = probs.searchsorted(0.0, side="right")  # NaN too, as before
+    # A draw of 0 (or NaN) must still respect P(delay <= i) == p_i: a zero
+    # probability at age 0 means the chunk cannot already be filled.
+    d[~(u > 0.0)] = probs.searchsorted(0.0, side="right")
     return d
 
 

@@ -51,13 +51,13 @@ its epoch, with ones off the reported locations, so the engine keeps that
 report on the link it arrived by.
 
 The log2 probabilities are laid out in one table of the run's curve and
-period, shared by every run over the same curve values and period (the
-last ``_TABLE_SETS`` such pairs are kept): fresh 0, fresh 1, old 0 and old
-1 by window position, where a position is old when it lies below the
-sender's previous window end.  Sending does not price: each link keeps its
-sends unpriced and prices them ``_BLOCK`` at a time, and the rest when the
-run ends.  A block is one pass: one gather of every send's (old, bit,
-position) entries in location order (an sbms block, whole windows, one
+period, shared by every run over the same curve values and period (an
+``lru_cache`` keeps the ``_TABLE_SETS`` pairs used last): fresh 0, fresh 1,
+old 0 and old 1 by window position, where a position is old when it lies
+below the sender's previous window end.  Sending does not price: each link
+keeps its sends unpriced and prices them ``_BLOCK`` at a time, and the rest
+when the run ends.  A block is one pass: one gather of every send's (old,
+bit, position) entries in location order (an sbms block, whole windows, one
 ``np.where``) and one finiteness check, warm-up included, then one sum per
 measured send over its own entries.  A bit the model cannot produce
 therefore raises at the end of its block, not at its send; no correct run
@@ -77,6 +77,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -316,20 +317,14 @@ class _IdealTables:
 
 
 _TABLE_SETS = 8  # (curve values, period) pairs whose tables are kept
-_table_sets = {}  # (probs bytes, period) -> _IdealTables, oldest first
 
 
-def _ideal_tables(curve: SCurve, period: int) -> _IdealTables:
-    """The tables of ``curve`` at ``period``, built once and shared by every
-    run over equal curve values and the same period.  Past ``_TABLE_SETS``
-    pairs, the oldest is dropped."""
-    key = (curve.probs.tobytes(), period)
-    tables = _table_sets.get(key)
-    if tables is None:
-        if len(_table_sets) >= _TABLE_SETS:
-            del _table_sets[next(iter(_table_sets))]
-        tables = _table_sets[key] = _IdealTables(curve, period)
-    return tables
+@lru_cache(maxsize=_TABLE_SETS)
+def _ideal_tables(probs: bytes, period: int) -> _IdealTables:
+    """The tables of the curve whose values are ``probs`` (its
+    ``probs.tobytes()``) at ``period``, built once and shared by every run
+    over equal curve values and the same period."""
+    return _IdealTables(SCurve(np.frombuffer(probs)), period)
 
 
 _BLOCK = 256  # sends a link prices in one pass; bounds what a long run holds unpriced
@@ -501,11 +496,10 @@ class _Engine:
         else:
             ends = {d: (None, None) for d in dirs}
         self.links = {d: _Link(d, *ends[d], coders, script) for d in dirs}
-        self.send_epoch = 0
+        self.send_epoch = 0  # resyncs sent so far
         self.recv_epoch = 0
         self.needs_resync = False
         self.dirty = False  # lost a message; true until a resync lands
-        self.resyncs = 0
         self.pending = []  # heap of (due, counter, link, envelope)
         self._counter = 0
 
@@ -634,7 +628,6 @@ class _Engine:
         if resync:
             self.needs_resync = False
             self.send_epoch += 1
-            self.resyncs += 1
             for other in self.links.values():
                 other.prev_end = None
             if back is not None:  # the sender's fresh epoch knows no map of its counterpart
@@ -719,7 +712,7 @@ def _run(sends, n, schemes, coders, archive_depth=8, keep_messages=False, script
     for engine in engines:
         for link in engine.links.values():
             key = (engine.scheme, link.direction)
-            stats.append(link.stats(engine.scheme, engine.resyncs))
+            stats.append(link.stats(engine.scheme, engine.send_epoch))
             payloads[key] = link.payloads
             ss_sizes[key] = np.asarray(link.ss, dtype=np.int64)
             ideal_bits[key] = np.asarray(link.ideal, dtype=np.float64)
@@ -738,30 +731,28 @@ def _run(sends, n, schemes, coders, archive_depth=8, keep_messages=False, script
     )
 
 
-def _simulate(cfg: SimConfig, script: ReorderScript | None) -> SimResult:
-    """Run the engine over two synthetic peers on the standard schedule
-    (``traceio._schedule``): B sends at i*T, then A at i*T + tau.  That order
-    is already sorted in time; with tau == T, A's send comes before B's next,
-    the order they were scheduled in."""
-    warm = cfg.warmup_periods
-    stream = traceio._schedule(cfg.curve, cfg.T, cfg.tau, warm + cfg.rounds, cfg.seed,
-                               cfg.offset_lag)
-    sends = ((("ba", "ab")[k % 2], bm, k // 2 >= warm) for k, (_, bm) in enumerate(stream))
-    return _run(sends, cfg.n, cfg.schemes, cfg.coders, cfg.archive_depth, cfg.keep_messages,
-                script, _ideal_tables(cfg.curve, cfg.T), T=cfg.T, tau=cfg.tau,
-                rounds=cfg.rounds, seed=cfg.seed, source="synthetic")
-
-
 def run_synthetic(config: SimConfig) -> SimResult:
     """Drive the full protocol over synthetic peers; see the module
     docstring for what is asserted along the way."""
-    return _simulate(config, None)
+    return reorder_fault_run(config, None)
 
 
-def reorder_fault_run(config: SimConfig, script: ReorderScript) -> SimResult:
-    """Like run_synthetic but with scripted delivery faults; resyncs are
-    counted in the result rather than treated as failures."""
-    return _simulate(config, script)
+def reorder_fault_run(config: SimConfig, script: ReorderScript | None) -> SimResult:
+    """Like run_synthetic but with scripted delivery faults (None for none);
+    resyncs are counted in the result rather than treated as failures.
+
+    The two synthetic peers follow the standard schedule
+    (``traceio._schedule``): B sends at i*T, then A at i*T + tau.  That order
+    is already sorted in time; with tau == T, A's send comes before B's next,
+    the order they were scheduled in."""
+    warm = config.warmup_periods
+    stream = traceio._schedule(config.curve, config.T, config.tau, warm + config.rounds,
+                               config.seed, config.offset_lag)
+    sends = ((("ba", "ab")[k % 2], bm, k // 2 >= warm) for k, (_, bm) in enumerate(stream))
+    return _run(sends, config.n, config.schemes, config.coders, config.archive_depth,
+                config.keep_messages, script,
+                _ideal_tables(config.curve.probs.tobytes(), config.T), T=config.T,
+                tau=config.tau, rounds=config.rounds, seed=config.seed, source="synthetic")
 
 
 def run_trace(trace, schemes=("spbms",), coders=(), keep_messages: bool = False) -> SimResult:

@@ -134,15 +134,11 @@ def write_trace(path, records) -> None:
     write(parse(x)) is byte-identical for canonical files."""
     records = list(records)
     _validate(records)
-    if not records:
-        with open(path, "w", encoding="utf-8") as fh:
-            pass
-        return
-    n = records[0].bm.n
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_HEADER_PREFIX}{n}\n")
-        for rec in records:
-            fh.write(rec.line() + "\n")
+        if records:  # an empty trace is an empty file
+            fh.write(f"{_HEADER_PREFIX}{records[0].bm.n}\n")
+            for rec in records:
+                fh.write(rec.line() + "\n")
 
 
 def dedupe(records) -> list:

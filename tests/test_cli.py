@@ -124,6 +124,16 @@ def test_simulate_validates_timing(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("T", ["0", "-3"])
+def test_simulate_and_gen_trace_reject_a_nonpositive_period_as_usage(tmp_path, capsys, T):
+    """Both commands default tau to max(1, T // 4) = 1 and reject it
+    against T <= 0 before any work, with the same usage error."""
+    for argv in (["simulate"], ["gen-trace", "--out", str(tmp_path / "t.tsv")]):
+        assert main(argv + ["--n", "16", "--calibrate-hsbms", "5", "--T", T]) == 1
+        assert capsys.readouterr().err == f"bmkit: need 0 < tau <= T, got tau=1 T={T}\n"
+    assert not (tmp_path / "t.tsv").exists()
+
+
 def test_simulate_replays_a_trace(tmp_path, capsys):
     trace = tmp_path / "t.tsv"
     assert main(["gen-trace", "--n", "64", "--calibrate-hsbms", "20",

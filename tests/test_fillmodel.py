@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bmkit import (
     InsufficientDataError,
@@ -106,6 +108,24 @@ def test_vectorised_sampling_matches_scalar():
         for uu, dd in zip(u, vec):
             scalar = sample_fill_delay(c, float(uu))
             assert dd == (c.n if scalar == math.inf else scalar)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       u=st.floats(0.0, 1.0, exclude_max=True))
+def test_scalar_sampling_is_the_one_element_vector_call(seed, n, u):
+    """``sample_fill_delay(c, u)`` is ``sample_fill_delays(c, [u])[0]`` as a
+    Python int, with ``inf`` for ``n``, on random curves and on the same
+    curve with p_0 = 0, at the drawn u and at u = 0; a draw outside [0, 1)
+    is still rejected."""
+    probs = random_monotone_curve(np.random.default_rng(seed), n)
+    for c in (SCurve(probs), SCurve(np.r_[0.0, probs[1:]])):
+        for draw in (u, 0.0):
+            d = sample_fill_delay(c, draw)
+            assert d == math.inf or type(d) is int
+            assert (c.n if d == math.inf else d) == sample_fill_delays(c, [draw])[0]
+        for bad in (-5e-324, -0.5, 1.0, 1.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+                sample_fill_delay(c, bad)
 
 
 @pytest.mark.parametrize("probs", [[0.0, 0.2, 0.2, 0.7, 0.95], [0.3, 0.5, 1.0], [0.0, 0.0, 1.0],

@@ -10,13 +10,15 @@ reports must update the digest in the same change.  A second digest pins
 every per-message ideal code length of the same runs by value, a third
 pins ``run_trace`` replays of fixed traces, and a fourth pins what the
 ``bmkit encode``/``decode`` commands write and the generic coders' blobs.
-A fifth pins seeded random fault runs, the corners the fixed runs miss.
+A fifth pins seeded random fault runs, the corners the fixed runs miss,
+and a sixth what ``bmkit analyze`` writes.
 """
 
 import dataclasses
 import hashlib
 
 import numpy as np
+import pytest
 
 from bmkit import calibrate_curve, sim
 from bmkit.bitmap import BufferMap
@@ -268,3 +270,29 @@ def test_random_fault_runs_match_the_golden_digest():
         for key in sorted(res.ideal_bits):
             h.update((res.ideal_bits[key] + 0.0).tobytes())
     assert h.hexdigest() == FAULT_CORNER_SHA256
+
+
+ANALYZE_SHA256 = {
+    "calibrated": "fa411fd93139ec3b406ec3b386c763933bbe73ceffc96cac31947f71eead2c04",
+    "deterministic": "bfc4a3cdd409f72e24d0720ced30128fd7bee10ccd24d7134f128f3bc7423463",
+}
+
+
+@pytest.mark.parametrize("curve", sorted(ANALYZE_SHA256))
+def test_analyze_csv_matches_the_golden_digest(tmp_path, curve):
+    """The ``bmkit analyze`` CSV over T 8, 16, 24, 32 and every tau, for the
+    default calibrated curve and for a 64-wide curve that is 0 up to age 23
+    and 1 after it.  That curve carries no information, so every row's h
+    and every gain, each row's gain over itself included, is 0."""
+    argv = ["analyze", "--T", "8", "16", "24", "32", "--tau", "sweep"]
+    if curve == "deterministic":
+        path = tmp_path / "det.curve"
+        path.write_text("".join(f"{i} {0 if i < 24 else 1}\n" for i in range(64)))
+        argv += ["--curve", str(path)]
+    out = tmp_path / "grid.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    if curve == "deterministic":
+        assert all(line.endswith(b",0.000000,0.000000,0.000000,0.000000")
+                   for line in data.splitlines()[1:])
+    assert hashlib.sha256(data).hexdigest() == ANALYZE_SHA256[curve]

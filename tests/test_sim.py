@@ -416,36 +416,43 @@ def test_ideal_bits_reject_payloads_the_model_cannot_produce():
         _alone(tables, 1, oldest, np.array([True]))
 
 
-def test_ideal_tables_are_shared_per_curve_values_and_period(monkeypatch):
+def test_ideal_tables_are_shared_per_curve_values_and_period():
     """Runs over equal curve values and the same period share one table
     set; another curve or period gets its own; at most ``_TABLE_SETS`` sets
-    are kept, the oldest dropped first; and a run on tables other runs
+    are kept, the least recently used dropped first, so a pair in use
+    survives any number of newer pairs; and a run on tables other runs
     already filled prices every message to the same bytes as a cold run."""
-    monkeypatch.setattr(sim, "_table_sets", {})
+    cached = sim._ideal_tables
+    cached.cache_clear()
     p = calibrate_curve(20.0, 64).to_curve(64).probs
-    a, twin, other = SCurve(p), SCurve(p.copy()), two_segment_curve(64, 4, 0.8)
-    tables = sim._ideal_tables(a, 8)
-    assert sim._ideal_tables(twin, 8) is tables
-    assert sim._ideal_tables(a, 4) is not tables
-    assert sim._ideal_tables(other, 8) is not tables
-    assert len(sim._table_sets) == 3
+    a, twin, other = p.tobytes(), p.copy().tobytes(), two_segment_curve(64, 4, 0.8).probs.tobytes()
+    tables = cached(a, 8)
+    assert cached(twin, 8) is tables
+    assert cached(a, 4) is not tables
+    assert cached(other, 8) is not tables
+    assert cached.cache_info().currsize == 3
+    assert cached.cache_info().maxsize == sim._TABLE_SETS
     for period in range(1, 2 * sim._TABLE_SETS + 1):
-        sim._ideal_tables(other, period)
-        assert len(sim._table_sets) <= sim._TABLE_SETS
-    assert list(sim._table_sets) == [(other.probs.tobytes(), T)
-                                     for T in range(sim._TABLE_SETS + 1, 2 * sim._TABLE_SETS + 1)]
-    assert sim._ideal_tables(a, 8) is not tables  # dropped, so built again
+        cached(other, period)
+        assert cached(a, 8) is tables  # re-used after every newer pair, so kept
+        assert cached.cache_info().currsize <= sim._TABLE_SETS
+    misses = cached.cache_info().misses
+    cached(a, 4)  # unused since 2 * _TABLE_SETS newer pairs: dropped, so built again
+    assert cached.cache_info().misses == misses + 1
 
     script = ReorderScript(drops=[("ab", 14)], delays={("ba", 18): 12}, swaps=[("ab", 20)])
-    cfg = SimConfig(a, T=8, tau=3, rounds=30, seed=6, offset_lag=2, archive_depth=4)
+    cfg = SimConfig(SCurve(p), T=8, tau=3, rounds=30, seed=6, offset_lag=2, archive_depth=4)
     other = dataclasses.replace(cfg, tau=8, offset_lag=5, seed=1)
-    monkeypatch.setattr(sim, "_table_sets", {})
+    cached.cache_clear()
     cold = reorder_fault_run(cfg, script)
     run_synthetic(other)
+    hits = cached.cache_info().hits
     warm = reorder_fault_run(cfg, script)
-    monkeypatch.setattr(sim, "_table_sets", {})
+    assert cached.cache_info().hits == hits + 1
+    cached.cache_clear()
     run_synthetic(other)
     warmed_by_other = reorder_fault_run(cfg, script)
+    assert cached.cache_info().hits == 1
     for key, bits in cold.ideal_bits.items():
         assert bits.dtype == np.float64 and np.isfinite(bits).all()
         assert warm.ideal_bits[key].tobytes() == bits.tobytes()
@@ -585,8 +592,8 @@ def test_a_non_finite_table_entry_ends_the_run(monkeypatch, scheme, fresh, old, 
     that its first send to reach it gives priced alone, even when only a
     warm-up send reaches it.  An sbms send prices no old entry."""
     cfg = _cfg(curve=calibrate_curve(20.0, 64).to_curve(64), schemes=(scheme,), rounds=20)
-    monkeypatch.setattr(sim, "_table_sets", {})
-    tables = sim._ideal_tables(cfg.curve, cfg.T)
+    sim._ideal_tables.cache_clear()
+    tables = sim._ideal_tables(cfg.curve.probs.tobytes(), cfg.T)
     n, flat = tables.n, tables.flat.copy()
     if fresh is not None:
         flat[[0, n]] = fresh  # fresh 0 and fresh 1 at position 0
