@@ -16,6 +16,13 @@ from .fillmodel import SCurve, sample_fill_delays
 __all__ = ["BufferMap", "PeerBufferState", "check_monotone", "diff_new_fills"]
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal(a, b)``: equal shapes, then the bytes compare first;
+    only a mismatch compares the values, which decides when a bool array
+    holds bytes other than 0 and 1."""
+    return a.shape == b.shape and (a.tobytes() == b.tobytes() or not np.count_nonzero(a != b))
+
+
 class BufferMap:
     """Immutable bitmap snapshot of one peer's buffer window."""
 
@@ -82,11 +89,7 @@ class BufferMap:
         return (
             isinstance(other, BufferMap)
             and self.offset == other.offset
-            and self.bits.shape == other.bits.shape
-            and (
-                self.bits.tobytes() == other.bits.tobytes()
-                or not np.count_nonzero(self.bits != other.bits)
-            )
+            and _same_bits(self.bits, other.bits)
         )
 
     def __repr__(self):

@@ -87,7 +87,7 @@ def _add_curve_flags(p):
         help=f"calibrate a two-segment curve to this whole-map information "
         f"(default {_DEFAULT_TARGET_BITS} when --curve is absent)",
     )
-    p.add_argument("--n", type=int, default=_DEFAULT_N, help="window width in chunks")
+    p.add_argument("--n", type=int, help=f"window width in chunks (default {_DEFAULT_N})")
 
 
 def _resolve_curve(args):
@@ -96,20 +96,25 @@ def _resolve_curve(args):
     if args.curve is not None:
         return load_curve(args.curve)
     target = args.calibrate_hsbms if args.calibrate_hsbms is not None else _DEFAULT_TARGET_BITS
-    return calibrate_curve(target, args.n).to_curve(args.n)
+    n = args.n if args.n is not None else _DEFAULT_N
+    return calibrate_curve(target, n).to_curve(n)
 
 
-def _timing(args, n) -> tuple:
-    """``(T, tau)`` from ``--T`` (default 20) and ``--tau`` (default a
-    quarter period, at least 1), checked against each other and against the
-    window width ``n``."""
+def _timing(args, n, rounds: int) -> tuple:
+    """``(T, tau, rounds, seed)`` of a synthetic run from ``--T`` (default
+    20), ``--tau`` (default a quarter period, at least 1), ``--rounds``
+    (default ``rounds``) and ``--seed`` (default 0); T and tau are checked
+    against each other and against the window width ``n``."""
     T = args.T if args.T is not None else 20
     tau = args.tau if args.tau is not None else max(1, T // 4)
     if not 0 < tau <= T:
         raise _UsageError(f"need 0 < tau <= T, got tau={tau} T={T}")
     if T > n:
         raise _UsageError(f"need T <= n, got T={T} n={n}")
-    return T, tau
+    rounds = args.rounds if args.rounds is not None else rounds
+    if rounds < 1:
+        raise _UsageError(f"need rounds >= 1, got rounds={rounds}")
+    return T, tau, rounds, args.seed if args.seed is not None else 0
 
 
 def _emit(text: str, out_path):
@@ -148,17 +153,22 @@ def _cmd_analyze(args) -> int:
 def _cmd_simulate(args) -> int:
     schemes = tuple(args.scheme) if args.scheme else SCHEMES
     coders = tuple(args.coder) if args.coder else ()
-    if args.trace:
+    if args.trace:  # a synthetic run's flags default to None, so given ones show
+        given = [f"--{flag.replace('_', '-')}"
+                 for flag in ("curve", "calibrate_hsbms", "n", "T", "tau", "rounds", "seed")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise _UsageError(f"--trace replays a recorded run; {' '.join(given)} cannot apply")
         result = run_trace(args.trace, schemes=schemes, coders=coders)
     else:
         curve = _resolve_curve(args)
-        T, tau = _timing(args, curve.n)
+        T, tau, rounds, seed = _timing(args, curve.n, 1000)
         cfg = SimConfig(
             curve=curve,
             T=T,
             tau=tau,
-            rounds=args.rounds,
-            seed=args.seed,
+            rounds=rounds,
+            seed=seed,
             schemes=schemes,
             coders=coders,
         )
@@ -324,8 +334,8 @@ def _cmd_decode(args) -> int:
 
 def _cmd_gen_trace(args) -> int:
     curve = _resolve_curve(args)
-    T, tau = _timing(args, curve.n)
-    records = generate(curve, T, rounds=args.rounds, seed=args.seed, tau=tau)
+    T, tau, rounds, seed = _timing(args, curve.n, 100)
+    records = generate(curve, T, rounds=rounds, seed=seed, tau=tau)
     write_trace(args.out, records)
     return 0
 
@@ -385,8 +395,8 @@ def _build_parser() -> _Parser:
                    help="replay this one- or two-peer trace instead of sampling")
     p.add_argument("--T", type=int, default=None, help="sending period (default 20)")
     p.add_argument("--tau", type=int, default=None, help="reply offset (default T//4)")
-    p.add_argument("--rounds", type=int, default=1000, help="measured periods")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rounds", type=int, help="measured periods (default 1000)")
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--scheme", nargs="*", choices=list(SCHEMES),
                    help="schemes to run (default: all)")
     p.add_argument("--coder", nargs="*", choices=list(CODER_NAMES),
@@ -414,8 +424,8 @@ def _build_parser() -> _Parser:
     _add_curve_flags(p)
     p.add_argument("--T", type=int, default=None, help="sending period (default 20)")
     p.add_argument("--tau", type=int, default=None, help="reply offset (default T//4)")
-    p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rounds", type=int, help="default 100")
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_gen_trace)
 

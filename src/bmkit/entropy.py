@@ -28,7 +28,7 @@ collapses every direction to the spbms quantity exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -268,15 +268,14 @@ def calibrate_curve(target_h_sbms: float, n: int) -> TwoSegmentParams:
 # Grid reports
 # ======================================================================
 
-REPORT_COLUMNS = (
-    "scheme",
-    "T",
-    "tau",
-    "bits_per_msg",
-    "bits_per_chunktime",
-    "gain_vs_sbms",
-    "gain_vs_spbms",
-)
+def _csv_line(row, names) -> str:
+    """The dataclass ``row``'s fields ``names`` as one CSV line.  A field
+    declared ``float`` prints with six decimals whatever the value's type,
+    so an int there prints ``3.000000``; any other field prints as ``str``."""
+    floats = {f.name for f in fields(row) if f.type in ("float", float)}
+    return ",".join(
+        f"{getattr(row, k):.6f}" if k in floats else str(getattr(row, k)) for k in names
+    )
 
 
 @dataclass(frozen=True)
@@ -290,11 +289,10 @@ class EntropyRow:
     gain_vs_spbms: float
 
     def as_csv(self) -> str:
-        return (
-            f"{self.scheme},{self.T},{self.tau},"
-            f"{self.bits_per_msg:.6f},{self.bits_per_chunktime:.6f},"
-            f"{self.gain_vs_sbms:.6f},{self.gain_vs_spbms:.6f}"
-        )
+        return _csv_line(self, REPORT_COLUMNS)
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(EntropyRow))
 
 
 @dataclass(frozen=True)

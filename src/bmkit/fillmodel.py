@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, InsufficientDataError, UndefinedConditionalError
+from .errors import InsufficientDataError, UndefinedConditionalError
 
 __all__ = [
     "SCurve",

@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bitmap import BufferMap, check_monotone
+from .bitmap import BufferMap, _same_bits, check_monotone
 from .errors import DesyncError, MissingReferenceError, MonotonicityError, ProtocolError
 
 __all__ = [
@@ -116,14 +116,12 @@ class SupportSet:
         return 0 <= i < self.filled.size and not self.filled[i]
 
     def __eq__(self, other):
-        """Equal anchors and spans compare their bytes first; only a
-        mismatch compares the values, which decides when a bool array holds
-        bytes other than 0 and 1."""
+        """Equal anchors and spans compare their windows by ``_same_bits``;
+        others compare their members."""
         if not isinstance(other, SupportSet):
             return False
-        a, b = self.filled, other.filled
-        if self.lo == other.lo and a.size == b.size:
-            return a.tobytes() == b.tobytes() or not np.count_nonzero(a != b)
+        if self.lo == other.lo and self.filled.size == other.filled.size:
+            return _same_bits(self.filled, other.filled)
         return np.array_equal(self.locs, other.locs)
 
     def __iter__(self):

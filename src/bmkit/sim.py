@@ -19,9 +19,10 @@ script), decoded, and checked:
   snapshot, and the two shared support sets must match whenever the pair
   is drained.
 
-Each check compares raw bytes first (maps, reported bits, or the filled
-windows of two support sets, in ``SupportSet ==``); only a mismatch runs
-the elementwise comparison, which decides.
+Each check compares two bit arrays by one rule, ``bitmap._same_bits``
+(maps, reported bits, or the filled windows of two support sets, in
+``SupportSet ==``): raw bytes first; only a mismatch runs the elementwise
+comparison, which decides.
 
 With ``keep_messages`` a result's ``decoded`` holds, per scheme and
 direction, every spbms reconstruction and ppbms report in delivery order;
@@ -76,14 +77,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
 
 from . import traceio
+from .bitmap import _same_bits
 from .coders import CODER_NAMES, encode_bits
-from .entropy import ExchangeParams, _cond_fill
+from .entropy import ExchangeParams, _cond_fill, _csv_line
 from .errors import InvariantError, MissingReferenceError
 from .fillmodel import SCurve
 from .schemes import PpbmsSession, SpbmsDecoder, SpbmsEncoder, sbms_decode, sbms_encode
@@ -260,35 +262,15 @@ class SimResult:
         line.  ``rounds`` in that header is the measured periods per
         direction for a synthetic run, but for a trace replay it is the
         number of deduped records of both peers together."""
-        cols = [
-            "scheme",
-            "direction",
-            "messages",
-            "mean_payload_bits",
-            "std_payload_bits",
-            "mean_ideal_bits",
-            "mean_ss_size",
-            "resyncs",
-            "drops",
-        ] + [f"{c}_bytes" for c in self.coders]
+        names = [f.name for f in fields(SchemeDirStats) if f.name != "coder_bytes"]
         lines = [
             f"# n={self.n} T={self.T} tau={self.tau} rounds={self.rounds}"
             f" seed={self.seed} source={self.source}",
-            ",".join(cols),
+            ",".join(names + [f"{c}_bytes" for c in self.coders]),
         ]
         for s in self.stats:
-            row = [
-                s.scheme,
-                s.direction,
-                str(s.messages),
-                f"{s.mean_payload_bits:.6f}",
-                f"{s.std_payload_bits:.6f}",
-                f"{s.mean_ideal_bits:.6f}",
-                f"{s.mean_ss_size:.6f}",
-                str(s.resyncs),
-                str(s.drops),
-            ] + [str(s.coder_bytes.get(c, 0)) for c in self.coders]
-            lines.append(",".join(row))
+            coded = [str(s.coder_bytes.get(c, 0)) for c in self.coders]
+            lines.append(",".join([_csv_line(s, names)] + coded))
         return "\n".join(lines) + "\n"
 
 
@@ -548,9 +530,7 @@ class _Engine:
             return "discard"
         if self.scheme == "ppbms":
             truth = env.snap.bits[out.locations - env.snap.offset]
-            if out.bits.shape != truth.shape or (
-                out.bits.tobytes() != truth.tobytes() and np.count_nonzero(out.bits != truth)
-            ):
+            if not _same_bits(out.bits, truth):
                 raise InvariantError(
                     f"ppbms {link.direction} message {env.idx}: reported bits differ from snapshot"
                 )

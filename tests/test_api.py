@@ -99,3 +99,19 @@ def test_module_imports_no_private_name(module, source):
         if source in (None, where):
             private = [alias.name for alias in node.names if alias.name.startswith("_")]
             assert not private, f"{module} imports {private} from {node.module or '.'}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_name_it_imports(name):
+    """Each module reads every name it imports; the package's ``__init__``
+    re-exports on purpose and is left out.  ``from __future__`` imports are
+    compiler directives."""
+    tree = ast.parse((INIT.parent / f"{name}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, f"bmkit.{name} imports {sorted(imported - used)} unused"

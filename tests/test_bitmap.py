@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bmkit import (
     BufferMap,
@@ -10,7 +12,8 @@ from bmkit import (
     sample_fill_delays,
     two_segment_curve,
 )
-from bmkit.bitmap import check_monotone
+from bmkit.bitmap import _same_bits, check_monotone
+from bmkit.schemes import SupportSet
 
 
 def test_buffer_map_basics():
@@ -48,6 +51,28 @@ def test_buffer_map_equality_reads_bool_values_not_bytes():
     assert raw.tobytes() != bits.tobytes()
     assert BufferMap(4, bits) == BufferMap._owning(4, raw)
     assert BufferMap(4, bits) != BufferMap._owning(4, raw[::-1].copy())
+
+
+# Bool arrays whose bytes may be other than 0 and 1: a True stored as 2 or 255.
+_RAW_BITS = st.lists(st.sampled_from([0, 1, 2, 255]), max_size=10).map(
+    lambda v: np.array(v, dtype=np.uint8).view(bool))
+
+
+@given(a=_RAW_BITS, b=_RAW_BITS, lo_a=st.integers(0, 3), lo_b=st.integers(0, 3))
+def test_bit_arrays_compare_as_np_array_equal(a, b, lo_a, lo_b):
+    """``_same_bits``, ``BufferMap ==`` and ``SupportSet ==`` over one span
+    agree with ``np.array_equal``, whatever the bytes and shapes."""
+    for x, y in ((a, b), (a.reshape(-1, 1), b), (a.reshape(-1, 1), a)):
+        assert _same_bits(x, y) is bool(np.array_equal(x, y))
+    same = bool(np.array_equal(a, b))
+    if a.size and b.size:
+        maps = BufferMap._owning(lo_a, a.copy()), BufferMap._owning(lo_b, b.copy())
+        assert (maps[0] == maps[1]) is (lo_a == lo_b and same)
+    if a.size == b.size:
+        assert (SupportSet._of(lo_a, a) == SupportSet._of(lo_a, b)) is same
+    # Over other anchors or spans, two sets are equal when their members are.
+    members = [{lo + i for i in range(v.size) if not v[i]} for lo, v in ((lo_a, a), (lo_b, b))]
+    assert (SupportSet._of(lo_a, a) == SupportSet._of(lo_b, b)) is (members[0] == members[1])
 
 
 def test_hex_round_trip():

@@ -1,5 +1,6 @@
 """Command-line front end, exercised in-process through main(argv)."""
 
+import hashlib
 import struct
 import tracemalloc
 
@@ -132,6 +133,55 @@ def test_simulate_and_gen_trace_reject_a_nonpositive_period_as_usage(tmp_path, c
         assert main(argv + ["--n", "16", "--calibrate-hsbms", "5", "--T", T]) == 1
         assert capsys.readouterr().err == f"bmkit: need 0 < tau <= T, got tau=1 T={T}\n"
     assert not (tmp_path / "t.tsv").exists()
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_simulate_and_gen_trace_reject_nonpositive_rounds_as_usage(tmp_path, capsys, rounds):
+    """Both commands reject rounds <= 0 before any work, with one usage
+    error that names rounds alone."""
+    for argv in (["simulate"], ["gen-trace", "--out", str(tmp_path / "t.tsv")]):
+        assert main(argv + ["--n", "16", "--calibrate-hsbms", "5", "--T", "4",
+                            "--rounds", rounds]) == 1
+        assert capsys.readouterr().err == f"bmkit: need rounds >= 1, got rounds={rounds}\n"
+    assert not (tmp_path / "t.tsv").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--curve", "c.txt"], "--curve"),
+    (["--calibrate-hsbms", "20"], "--calibrate-hsbms"),
+    (["--n", "64"], "--n"),
+    (["--T", "8"], "--T"),
+    (["--tau", "2"], "--tau"),
+    (["--rounds", "5"], "--rounds"),
+    (["--seed", "0"], "--seed"),
+    (["--T", "0", "--tau", "9", "--rounds", "-5", "--seed", "3", "--n", "7"],
+     "--n --T --tau --rounds --seed"),
+])
+def test_simulate_rejects_synthetic_run_flags_with_a_trace(small_trace, capsys, flags, named):
+    """A replay takes its curve and timing from the trace: a flag of a
+    synthetic run is a usage error that names every such flag given."""
+    assert main(["simulate", "--trace", str(small_trace), *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"bmkit: --trace replays a recorded run; {named} cannot apply\n")
+
+
+# sha256 of the four replays' CSVs below, recorded before synthetic-run
+# flags became usage errors with --trace.
+TRACE_REPLAY_SHA256 = "2fd0dceb4b491aa4b9f5ebba7713a1e984accdd50bb02c3f20144f290b644973"
+
+
+def test_simulate_replays_a_trace_with_its_scheme_coder_and_out_flags(
+        small_trace, tmp_path, capsys):
+    h = hashlib.sha256()
+    out = tmp_path / "o.csv"
+    for extra in ([], ["--scheme", "spbms", "ppbms"], ["--coder", "rle", "ac"],
+                  ["--scheme", "sbms", "--coder", "huffman"]):
+        assert main(["simulate", "--trace", str(small_trace), *extra]) == 0
+        printed = capsys.readouterr().out
+        assert main(["simulate", "--trace", str(small_trace), "--out", str(out), *extra]) == 0
+        assert out.read_text() == printed and capsys.readouterr().out == ""
+        h.update(printed.encode())
+    assert h.hexdigest() == TRACE_REPLAY_SHA256
 
 
 def test_simulate_replays_a_trace(tmp_path, capsys):

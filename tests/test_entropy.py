@@ -6,12 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bmkit.entropy import (
     CALIBRATION_TOL,
     DEFAULT_KNEE_FRAC,
     REPORT_COLUMNS,
     EntropyReport,
+    EntropyRow,
     ExchangeParams,
     calibrate_curve,
     h_ab,
@@ -22,10 +25,12 @@ from bmkit.entropy import (
     h_spbms,
     overhead,
     report_grid,
+    _csv_line,
     _two_segment_h,
 )
 from bmkit.errors import CalibrationError
 from bmkit.fillmodel import SCurve, _two_segment_probs, transition_prob, two_segment_curve
+from bmkit.sim import SchemeDirStats, SimResult
 
 from conftest import random_monotone_curve
 
@@ -293,6 +298,66 @@ def test_report_csv_shape(calibrated_curve):
     assert all(len(l.split(",")) == len(REPORT_COLUMNS) for l in lines[1:])
     first = lines[1].split(",")
     assert first[0] == "sbms" and float(first[3]) == pytest.approx(77.0, abs=0.5)
+
+
+# Each table's columns and formats as they were spelled out by hand; the
+# rows printed from the row types must match them byte for byte.
+_OLD_REPORT_COLUMNS = ("scheme", "T", "tau", "bits_per_msg", "bits_per_chunktime",
+                       "gain_vs_sbms", "gain_vs_spbms")
+_OLD_SIM_COLUMNS = ["scheme", "direction", "messages", "mean_payload_bits", "std_payload_bits",
+                    "mean_ideal_bits", "mean_ss_size", "resyncs", "drops"]
+
+
+def _old_report_line(r):
+    return (
+        f"{r.scheme},{r.T},{r.tau},"
+        f"{r.bits_per_msg:.6f},{r.bits_per_chunktime:.6f},"
+        f"{r.gain_vs_sbms:.6f},{r.gain_vs_spbms:.6f}"
+    )
+
+
+def _old_sim_line(s, coders):
+    return ",".join([
+        s.scheme, s.direction, str(s.messages),
+        f"{s.mean_payload_bits:.6f}", f"{s.std_payload_bits:.6f}",
+        f"{s.mean_ideal_bits:.6f}", f"{s.mean_ss_size:.6f}",
+        str(s.resyncs), str(s.drops),
+    ] + [str(s.coder_bytes.get(c, 0)) for c in coders])
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300, 5e-324,
+                     2.2250738585072014e-308 / 3]),
+    st.floats().map(np.float64),
+    st.integers(-(2**70), 2**70),
+)
+_INTS = st.one_of(st.integers(-(2**70), 2**70), st.integers(-(2**63), 2**63 - 1).map(np.int64))
+_CODERS = ("rle", "huffman", "ac")
+
+
+@given(report=st.builds(EntropyRow, st.sampled_from(["sbms", "spbms", "ab", "ba", "ppbms"]),
+                        _INTS, _INTS, _FLOATS, _FLOATS, _FLOATS, _FLOATS),
+       stats=st.builds(SchemeDirStats, st.sampled_from(["sbms", "spbms", "ppbms"]),
+                       st.sampled_from(["ab", "ba"]), _INTS, _FLOATS, _FLOATS, _FLOATS,
+                       _FLOATS, _INTS, _INTS,
+                       st.dictionaries(st.sampled_from(_CODERS), _INTS)))
+def test_csv_rows_print_as_the_hand_written_formats(report, stats):
+    """A field declared float prints as ``:.6f`` whatever the value's type
+    (an int there prints ``3.000000``); any other field prints as ``str``."""
+    assert _csv_line(report, REPORT_COLUMNS) == report.as_csv() == _old_report_line(report)
+    assert _csv_line(stats, _OLD_SIM_COLUMNS) == _old_sim_line(stats, ())
+    result = SimResult(64, 8, 2, 10, 0, "synthetic", ("spbms",), _CODERS, (stats,), {}, {}, {}, {})
+    head, columns, row = result.to_csv().splitlines()
+    assert head == "# n=64 T=8 tau=2 rounds=10 seed=0 source=synthetic"
+    assert row == _old_sim_line(stats, _CODERS)
+
+
+def test_csv_columns_are_the_hand_written_lists():
+    assert REPORT_COLUMNS == _OLD_REPORT_COLUMNS
+    result = SimResult(64, 8, 2, 10, 0, "synthetic", ("spbms",), _CODERS, (), {}, {}, {}, {})
+    assert result.to_csv().splitlines()[1].split(",") == _OLD_SIM_COLUMNS + [
+        "rle_bytes", "huffman_bytes", "ac_bytes"]
 
 
 def test_report_rejects_a_negative_information_row(calibrated_curve):
