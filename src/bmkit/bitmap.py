@@ -57,16 +57,6 @@ class BufferMap:
         """One past the newest chunk id covered by the window."""
         return self.offset + self.bits.size
 
-    def age_of(self, chunk_id: int) -> int:
-        if not self.offset <= chunk_id < self.end:
-            raise ValueError(f"chunk {chunk_id} outside window [{self.offset}, {self.end})")
-        return self.offset + self.bits.size - 1 - chunk_id
-
-    def bit_for(self, chunk_id: int) -> bool:
-        if not self.offset <= chunk_id < self.end:
-            raise ValueError(f"chunk {chunk_id} outside window [{self.offset}, {self.end})")
-        return bool(self.bits[chunk_id - self.offset])
-
     def to_hex(self) -> str:
         return np.packbits(self.bits).tobytes().hex()
 

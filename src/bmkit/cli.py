@@ -93,6 +93,8 @@ def _add_curve_flags(p):
 def _resolve_curve(args):
     if args.curve is not None and args.calibrate_hsbms is not None:
         raise _UsageError("--curve and --calibrate-hsbms are mutually exclusive")
+    if args.curve is not None and args.n is not None:
+        raise _UsageError("--curve and --n are mutually exclusive")
     if args.curve is not None:
         return load_curve(args.curve)
     target = args.calibrate_hsbms if args.calibrate_hsbms is not None else _DEFAULT_TARGET_BITS

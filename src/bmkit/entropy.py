@@ -309,21 +309,11 @@ class EntropyReport:
         lines += [r.as_csv() for r in self.rows]
         return "\n".join(lines) + "\n"
 
-    def select(self, scheme: str, T: int | None = None, tau: int | None = None):
-        out = [r for r in self.rows if r.scheme == scheme]
-        if T is not None:
-            out = [r for r in out if r.T == T]
-        if tau is not None:
-            out = [r for r in out if r.tau == tau]
-        return out
-
-    def mean_gain(self, scheme: str, baseline: str, Ts=None) -> float:
+    def mean_gain(self, scheme: str, baseline: str) -> float:
         """Average of the per-T gains of ``scheme`` over ``baseline``
         (gain = 1 - H_scheme/H_baseline), one grid point per T."""
         col = {"sbms": "gain_vs_sbms", "spbms": "gain_vs_spbms"}[baseline]
-        rows = self.select(scheme)
-        if Ts is not None:
-            rows = [r for r in rows if r.T in set(Ts)]
+        rows = [r for r in self.rows if r.scheme == scheme]
         if not rows:
             raise ValueError("no matching rows")
         return float(np.mean([getattr(r, col) for r in rows]))
@@ -333,7 +323,7 @@ def _gain(h_new: float, h_old: float) -> float:
     return 1.0 - h_new / h_old if h_old > 0.0 else 0.0
 
 
-def report_grid(curve: SCurve, T_list, taus="min", counterpart: SCurve | None = None) -> EntropyReport:
+def report_grid(curve: SCurve, T_list, taus="min") -> EntropyReport:
     """Evaluate every scheme over a (T, tau) grid.
 
     ``taus`` selects the tau grid per T: "min" (just tau=1), "sweep"
@@ -356,8 +346,8 @@ def report_grid(curve: SCurve, T_list, taus="min", counterpart: SCurve | None = 
                 raise ValueError(f"no admissible tau for T={T}")
         hs = h_spbms(curve, T)
         for tau in tau_grid:
-            hab = h_ab(curve, T, tau, counterpart)
-            hba = h_ba(curve, T, tau, counterpart)
+            hab = h_ab(curve, T, tau)
+            hba = h_ba(curve, T, tau)
             # A row's gain over itself is 1 - h/h == 0.0, or 0.0 for h == 0.
             for scheme, h in (("sbms", h0), ("spbms", hs), ("ab", hab), ("ba", hba),
                               ("ppbms", 0.5 * (hab + hba))):

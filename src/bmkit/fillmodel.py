@@ -52,15 +52,6 @@ class SCurve:
     def n(self) -> int:
         return self.probs.size
 
-    def __len__(self) -> int:
-        return self.probs.size
-
-    def eval(self, i: int) -> float:
-        """Fill probability at age index ``i``."""
-        if not 0 <= i < self.probs.size:
-            raise ValueError(f"age index {i} outside [0, {self.probs.size})")
-        return float(self.probs[i])
-
     def __eq__(self, other):
         return isinstance(other, SCurve) and np.array_equal(self.probs, other.probs)
 

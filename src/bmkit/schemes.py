@@ -266,10 +266,6 @@ class PartialBufferMap:
         _set_bits(out, bits)
         return out
 
-    def filled(self) -> np.ndarray:
-        """Chunk ids this message announced as buffered."""
-        return self.locations[np.asarray(self.bits, dtype=bool)]
-
     def __eq__(self, other):
         return (
             isinstance(other, PartialBufferMap)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from bmkit import calibrate_curve
 from bmkit.coders import ESC, write_varint
+from bmkit.entropy import calibrate_curve
 
 # Property tests draw the same examples on every run, keep no example
 # database and have no per-example deadline, so tier-1 stays deterministic.

@@ -4,15 +4,16 @@ retired stays gone."""
 import ast
 import importlib
 import inspect
+import pkgutil
+import tomllib
 from pathlib import Path
 
 import pytest
 
 import bmkit
-from bmkit import bitmap, coders, entropy, schemes
+from bmkit import bitmap, coders, entropy, fillmodel, schemes
 
-MODULES = ("bitmap", "cli", "coders", "entropy", "errors", "fillmodel", "schemes", "sim",
-           "traceio")
+MODULES = tuple(m.name for m in pkgutil.iter_modules(bmkit.__path__))
 INIT = Path(bmkit.__file__)
 
 
@@ -24,14 +25,18 @@ def test_every_name_in_all_resolves(name):
         assert hasattr(module, attr), f"bmkit.{name}.__all__ names missing {attr!r}"
 
 
-def test_the_package_imports_only_what_modules_export():
+def test_the_package_binds_only_its_version():
+    """``bmkit`` holds its docstring and ``__version__``: every other name is
+    imported from its module, so each has one import path."""
     tree = ast.parse(INIT.read_text())
-    imported = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imported
-    for node in imported:
-        module = importlib.import_module(f"bmkit.{node.module}")
-        for alias in node.names:
-            assert alias.name in module.__all__, f"{alias.name} not in bmkit.{node.module}"
+    assert ast.get_docstring(tree)
+    assert [(type(node), [t.id for t in node.targets]) for node in tree.body[1:]] == [
+        (ast.Assign, ["__version__"])]
+
+
+def test_the_version_is_the_one_pyproject_declares():
+    with open(INIT.parents[2] / "pyproject.toml", "rb") as fh:
+        assert bmkit.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 def test_retired_api_stays_gone():
@@ -69,12 +74,20 @@ def test_retired_api_stays_gone():
     # The simulator counts each sent set off its message; the ends keep no count.
     for end in (schemes.SpbmsEncoder(8), schemes.SpbmsDecoder(8), schemes.PpbmsSession(8)):
         assert not hasattr(end, "_set_size")
+    # A value has one reader: bm.bits, curve.probs and curve.n, part.locations[part.bits],
+    # and a report's rows.
+    for cls, attr in ((bitmap.BufferMap, "age_of"), (bitmap.BufferMap, "bit_for"),
+                      (fillmodel.SCurve, "eval"), (fillmodel.SCurve, "__len__"),
+                      (schemes.PartialBufferMap, "filled"), (entropy.EntropyReport, "select")):
+        assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
     params = {
         schemes.sbms_encode: ["bm"],
         schemes.sbms_decode: ["msg", "n"],
         coders.huffman_encode: ["bits"],
         bitmap.PeerBufferState: ["peer_id", "curve", "base_offset", "rng"],
         entropy.calibrate_curve: ["target_h_sbms", "n"],
+        entropy.report_grid: ["curve", "T_list", "taus"],
+        entropy.EntropyReport.mean_gain: ["self", "scheme", "baseline"],
     }
     for fn, names in params.items():
         assert list(inspect.signature(fn).parameters) == names, fn
@@ -101,11 +114,10 @@ def test_module_imports_no_private_name(module, source):
             assert not private, f"{module} imports {private} from {node.module or '.'}"
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", MODULES + ("__init__",))
 def test_module_uses_every_name_it_imports(name):
-    """Each module reads every name it imports; the package's ``__init__``
-    re-exports on purpose and is left out.  ``from __future__`` imports are
-    compiler directives."""
+    """Each module, the package's ``__init__`` too, reads every name it
+    imports.  ``from __future__`` imports are compiler directives."""
     tree = ast.parse((INIT.parent / f"{name}.py").read_text())
     imported = set()
     for node in ast.walk(tree):

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bmkit import (
-    BufferMap,
-    MonotonicityError,
-    PeerBufferState,
-    SCurve,
-    diff_new_fills,
-    sample_fill_delays,
-    two_segment_curve,
-)
-from bmkit.bitmap import _same_bits, check_monotone
+from bmkit.bitmap import BufferMap, PeerBufferState, _same_bits, check_monotone, diff_new_fills
+from bmkit.errors import MonotonicityError
+from bmkit.fillmodel import SCurve, sample_fill_delays, two_segment_curve
 from bmkit.schemes import SupportSet
 
 
@@ -21,14 +14,11 @@ def test_buffer_map_basics():
     assert bm.n == 4
     assert bm.end == 14
     # position 0 is the oldest chunk; chunk id = offset + position
-    assert bm.bit_for(12) and bm.bit_for(13)
-    assert not bm.bit_for(10)
-    assert bm.age_of(13) == 0  # newest
-    assert bm.age_of(10) == 3  # oldest
-    with pytest.raises(ValueError):
-        bm.bit_for(14)
-    with pytest.raises(ValueError):
-        bm.age_of(9)
+    assert bm.bits[12 - bm.offset] and bm.bits[13 - bm.offset]
+    assert not bm.bits[10 - bm.offset]
+    assert bm.end - 1 - 13 == 0  # newest
+    assert bm.end - 1 - 10 == 3  # oldest
+    assert repr(bm) == "BufferMap(offset=10, n=4, ones=2)"
 
 
 def test_buffer_map_validation():
@@ -171,8 +161,8 @@ def test_peer_state_bits_match_sampled_delays():
     t = 30
     snap = peer.snapshot(t)
     for chunk in range(snap.offset, snap.end):
-        expect = peer.fill_delay(chunk) <= snap.age_of(chunk)
-        assert snap.bit_for(chunk) == expect
+        expect = peer.fill_delay(chunk) <= snap.end - 1 - chunk
+        assert snap.bits[chunk - snap.offset] == expect
 
 
 def test_peer_state_base_offset_and_lazy_growth():

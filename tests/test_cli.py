@@ -146,6 +146,29 @@ def test_simulate_and_gen_trace_reject_nonpositive_rounds_as_usage(tmp_path, cap
     assert not (tmp_path / "t.tsv").exists()
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["simulate", "--rounds", "5"],
+                                  ["gen-trace", "--rounds", "5", "--out", "t.tsv"]],
+                         ids=lambda argv: argv[0])
+def test_curve_with_n_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    """A curve file fixes the window width, so ``--n`` with ``--curve`` is a
+    usage error that names both flags; either flag alone sets the width."""
+    monkeypatch.chdir(tmp_path)
+    save_curve(two_segment_curve(64, 6, 0.9), "c64.txt")
+    argv = argv + ["--T", "8"]
+    assert main(argv + ["--curve", "c64.txt", "--n", "7"]) == 1
+    assert capsys.readouterr().err == "bmkit: --curve and --n are mutually exclusive\n"
+    assert not (tmp_path / "t.tsv").exists()
+    for flags, width in ((["--curve", "c64.txt"], 64), (["--n", "128"], 128)):
+        assert main(argv + flags) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "simulate":
+            assert out.startswith(f"# n={width} ")
+        elif argv[0] == "gen-trace":
+            assert (tmp_path / "t.tsv").read_text().startswith(f"#bmtrace v1 n={width}\n")
+        else:
+            assert out.startswith("scheme,T,tau,")
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--curve", "c.txt"], "--curve"),
     (["--calibrate-hsbms", "20"], "--calibrate-hsbms"),
@@ -442,6 +465,17 @@ def test_a_command_that_breaks_an_invariant_or_fails_unexpectedly_exits_3(
     monkeypatch.setattr(cli, "_cmd_analyze", broken)
     assert main(["analyze"]) == 3
     assert capsys.readouterr().err == err
+
+
+def test_a_command_whose_reader_closes_the_pipe_exits_0(monkeypatch, capsys):
+    """``bmkit analyze | head`` is no error: a closed stdout ends the
+    command quietly."""
+    def closed(args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "_cmd_analyze", closed)
+    assert main(["analyze"]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("coder", ["rle", "huffman"])

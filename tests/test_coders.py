@@ -6,17 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bmkit import (
-    CodingError,
-    arith_decode,
-    arith_encode,
-    decode_bits,
-    encode_bits,
-    huffman_decode,
-    huffman_encode,
-    rle_decode,
-    rle_encode,
-)
 from bmkit.coders import (
     ESC,
     CODER_NAMES,
@@ -25,9 +14,18 @@ from bmkit.coders import (
     _parse_table,
     _run_split,
     _scale_probs,
+    arith_decode,
+    arith_encode,
+    decode_bits,
+    encode_bits,
+    huffman_decode,
+    huffman_encode,
     read_varint,
+    rle_decode,
+    rle_encode,
     write_varint,
 )
+from bmkit.errors import CodingError
 from conftest import hostile_blob
 
 

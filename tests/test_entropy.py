@@ -268,10 +268,10 @@ def test_report_grid_rows_and_gains(calibrated_curve):
     schemes = [r.scheme for r in rep.rows]
     assert schemes == ["sbms", "spbms", "ab", "ba", "ppbms"] * 2
     h0 = h_sbms(calibrated_curve)
-    for r in rep.select("sbms"):
+    for r in [r for r in rep.rows if r.scheme == "sbms"]:
         assert r.bits_per_msg == pytest.approx(h0, abs=1e-9)
         assert r.bits_per_chunktime == pytest.approx(h0 / r.T, abs=1e-9)
-    row = rep.select("ppbms", T=20, tau=5)[0]
+    [row] = [r for r in rep.rows if (r.scheme, r.T, r.tau) == ("ppbms", 20, 5)]
     assert row.bits_per_msg == pytest.approx(h_ppbms(calibrated_curve, 20, 5), abs=1e-9)
     assert row.gain_vs_sbms == pytest.approx(1 - row.bits_per_msg / h0, abs=1e-9)
     hs = h_spbms(calibrated_curve, 20)
@@ -281,9 +281,10 @@ def test_report_grid_rows_and_gains(calibrated_curve):
 def test_report_grid_tau_policies(calibrated_curve):
     assert [r.tau for r in report_grid(calibrated_curve, [6], taus="min").rows] == [1] * 5
     sweep = report_grid(calibrated_curve, [4], taus="sweep")
-    assert [r.tau for r in sweep.select("ppbms")] == [1, 2, 3, 4]
+    assert [r.tau for r in sweep.rows if r.scheme == "ppbms"] == [1, 2, 3, 4]
     picked = report_grid(calibrated_curve, [4, 12], taus=[3, 11])
-    assert [(r.T, r.tau) for r in picked.select("ab")] == [(4, 3), (12, 3), (12, 11)]
+    assert [(r.T, r.tau) for r in picked.rows if r.scheme == "ab"] == [
+        (4, 3), (12, 3), (12, 11)]
     with pytest.raises(ValueError):
         report_grid(calibrated_curve, [], taus="min")
     with pytest.raises(ValueError):
@@ -373,8 +374,8 @@ def test_report_mean_gain(calibrated_curve):
         for T in (8, 16, 24, 32)
     ])
     assert rep.mean_gain("ppbms", "spbms") == pytest.approx(float(manual), abs=1e-9)
-    assert rep.mean_gain("ppbms", "sbms", Ts=[8]) == pytest.approx(
+    assert report_grid(calibrated_curve, [8]).mean_gain("ppbms", "sbms") == pytest.approx(
         1 - h_ppbms(calibrated_curve, 8, 1) / h_sbms(calibrated_curve), abs=1e-9
     )
     with pytest.raises(ValueError):
-        rep.mean_gain("ppbms", "spbms", Ts=[99])
+        EntropyReport(()).mean_gain("ppbms", "spbms")

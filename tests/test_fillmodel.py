@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bmkit import (
-    InsufficientDataError,
+from bmkit.errors import InsufficientDataError, UndefinedConditionalError
+from bmkit.fillmodel import (
     SCurve,
     TwoSegmentParams,
-    UndefinedConditionalError,
     fit_two_segment,
     load_curve,
     sample_fill_delay,
@@ -37,12 +36,9 @@ def test_curve_validation():
 
 def test_curve_eval_and_immutability():
     c = SCurve([0.1, 0.6, 0.9])
-    assert c.n == len(c) == 3
-    assert c.eval(1) == 0.6
-    with pytest.raises(ValueError):
-        c.eval(3)
-    with pytest.raises(ValueError):
-        c.eval(-1)
+    assert c.n == c.probs.size == 3
+    assert c.probs[1] == 0.6
+    assert repr(c) == "SCurve(n=3, p0=0.1, p2=0.9)"
     with pytest.raises(ValueError):
         c.probs[0] = 0.9
 

@@ -20,10 +20,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from bmkit import calibrate_curve, sim
+from bmkit import sim
 from bmkit.bitmap import BufferMap
 from bmkit.cli import main
 from bmkit.coders import CODER_NAMES, decode_bits, encode_bits
+from bmkit.entropy import calibrate_curve
 from bmkit.fillmodel import two_segment_curve
 from bmkit.schemes import PpbmsSession, SpbmsEncoder, pack_message
 from bmkit.sim import ReorderScript, SimConfig, reorder_fault_run, run_synthetic, run_trace
@@ -256,20 +257,25 @@ def test_random_fault_runs_match_the_golden_digest():
     """320 seeded random fault runs: ``to_csv``, payloads, support-set
     sizes, decoded outputs and every ideal length by value, or the type and
     message of the exception a run raises.  A run that raises stays pinned
-    as raising until a change mends it on purpose: seven whose scripts hold
+    as raising until a change mends it on purpose: nine whose scripts hold
     overlapping swaps, rejected as the script is built, and run 316, whose
     spbms ab check fails after a drop behind an in-flight resync."""
     h = hashlib.sha256()
-    for cfg, faults in _fault_corner_runs(320, 15):
+    raised = {}
+    for i, (cfg, faults) in enumerate(_fault_corner_runs(320, 15)):
         try:
             res = reorder_fault_run(cfg, ReorderScript(**faults))
         except Exception as exc:  # the raise is the pinned outcome
             h.update(f"{type(exc).__name__}: {exc}".encode())
+            raised[i] = str(exc)
             continue
         _feed_result(h, res)
         for key in sorted(res.ideal_bits):
             h.update((res.ideal_bits[key] + 0.0).tobytes())
     assert h.hexdigest() == FAULT_CORNER_SHA256
+    assert sorted(raised) == [0, 13, 17, 100, 190, 225, 247, 305, 310, 316]
+    assert all(raised[i].startswith("overlapping swaps on direction ") for i in sorted(raised)[:-1])
+    assert raised[316] == "spbms ab: the support sets at the two ends diverged"
 
 
 ANALYZE_SHA256 = {

@@ -53,6 +53,8 @@ def test_support_set_must_be_strictly_ascending():
         SupportSet([1, 1, 2])
     with pytest.raises(ValueError):
         SupportSet([5, 3])
+    with pytest.raises(ValueError, match="^locations must be one-dimensional$"):
+        SupportSet([[1, 2]])
 
 
 def _window(offset, n, *maps):
@@ -385,8 +387,8 @@ def test_spbms_codecs_match_a_step_oracle():
             ref = {c for c in ref if c >= offset} | set(range(start, offset + n))
             covered = offset + n if covered is None else max(covered, offset + n)
             reported = sorted(c for c in ref if c < offset + n)
-            ref -= {c for c in reported if bm.bit_for(c)}
-            assert msg.payload.tolist() == [bm.bit_for(c) for c in reported]
+            ref -= {c for c in reported if bm.bits[c - bm.offset]}
+            assert msg.payload.tolist() == [bm.bits[c - bm.offset] for c in reported]
             assert enc.last_locations.tolist() == reported
             assert dec.decode(unpack_message(pack_message(msg))[0]) == bm
             assert enc.support_set == SupportSet(sorted(ref)) == dec.support_set
@@ -534,7 +536,7 @@ def test_ppbms_worked_trace_payload_and_shared_set():
     got = b.decode(msg)
     assert got.locations.tolist() == [1, 3, 5, 7]
     assert got.bits.tolist() == [False, True, False, True]
-    assert got.filled().tolist() == [3, 7]
+    assert got.locations[got.bits].tolist() == [3, 7]
     assert b.support_set == a.support_set
 
 
@@ -567,7 +569,6 @@ def test_ppbms_decode_mirrors_the_exact_extracted_bits():
     part = b.decode(msg)
     assert part.offset == 0
     assert np.array_equal(part.bits, msg.payload)
-    assert np.array_equal(part.locations[part.bits], part.filled())
 
 
 def test_unchecked_builders_match_the_constructors():
@@ -630,11 +631,11 @@ def test_ppbms_shared_set_matches_set_arithmetic_oracle():
                 oracle |= set(range(max(covered, bm.offset), bm.end))
                 covered = max(covered, bm.end)
                 oracle = {l for l in oracle if l >= bm.offset}
-                reported = {l for l in oracle if bm.bit_for(l)}
+                reported = {l for l in oracle if bm.bits[l - bm.offset]}
                 oracle -= reported
                 msg = ses.encode(bm)
                 got = other.decode(msg)
-                assert set(got.filled().tolist()) == reported
+                assert set(got.locations[got.bits].tolist()) == reported
                 assert set(ses.support_set) == oracle
                 assert other.support_set == ses.support_set
 
@@ -653,7 +654,7 @@ def test_ppbms_every_fill_reaches_the_counterpart_exactly_once():
             if empty.size:
                 bits[rng.choice(empty)] = True
             part = other.decode(ses.encode(BufferMap(0, bits)))
-            filled = part.filled().tolist()
+            filled = part.locations[part.bits].tolist()
             assert not (set(filled) & announced["a"] | set(filled) & announced["b"])
             announced[who] |= set(filled)
             if who == "a":
@@ -689,7 +690,8 @@ def test_ppbms_desync_is_atomic():
     with pytest.raises(DesyncError):
         b.decode(bad)
     assert b.support_set == ss_before
-    assert b.decode(msg).filled().tolist() == [3, 7]
+    part = b.decode(msg)
+    assert part.locations[part.bits].tolist() == [3, 7]
 
 
 # ----------------------------------------------------------------------
@@ -727,7 +729,7 @@ def test_archive_resolves_stale_cross_references():
     stale = a.encode(_bm(0, "0100000001000001"))
     assert stale.cbmr_seq == 1  # encoded having seen only B's bootstrap
     part = b.decode(stale)
-    assert part.filled().tolist() == [15]
+    assert part.locations[part.bits].tolist() == [15]
     for msg in in_flight:
         a.decode(msg)
     assert a.support_set == b.support_set
@@ -760,7 +762,7 @@ def test_ppbms_resync_rebuilds_both_ends():
     boot = a.make_resync(_bm(1, "00100011"))
     assert boot.resync and boot.n_bits == 8
     part = b.decode(boot)
-    assert part.filled().tolist() == [3, 7, 8]
+    assert part.locations[part.bits].tolist() == [3, 7, 8]
     assert a.support_set == b.support_set
     # Traffic flows normally again in both directions.
     a.decode(b.encode(_bm(1, "01010100")))
@@ -964,7 +966,8 @@ def test_ppbms_decode_rejects_a_cbmr_below_the_previous_one():
             b.decode(replace(msg, cbmr_seq=c))
         assert not exc.value.ahead
         assert _session_state(b) == _session_state(before)
-    assert b.decode(msg).filled().tolist() == [3]
+    part = b.decode(msg)
+    assert part.locations[part.bits].tolist() == [3]
 
 
 def test_a_regressed_offset_after_a_counterpart_resync_is_a_protocol_error():

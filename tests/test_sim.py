@@ -344,6 +344,9 @@ def test_an_all_schemes_fault_run_equals_each_scheme_run_alone():
             assert np.array_equal(alone.ss_sizes[key], every.ss_sizes[key])
             assert np.array_equal(alone.ideal_bits[key], every.ideal_bits[key])
             assert alone.decoded[key] == every.decoded[key]
+        # A scheme the run left out measured no payload.
+        missing = alone.concat_payload(next(s for s in sim.SCHEMES if s != scheme))
+        assert missing.dtype == bool and missing.size == 0
 
 
 def _alone(tables, k, pos, bits):
