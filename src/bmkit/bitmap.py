@@ -158,15 +158,8 @@ def diff_new_fills(prev: BufferMap, cur: BufferMap) -> set:
     went from filled back to unfilled.
     """
     check_monotone(prev, cur)
-    lo = cur.offset
-    hi = min(prev.end, cur.end)
-    new = set()
-    if hi > lo:
-        p = prev.bits[lo - prev.offset : hi - prev.offset]
-        new.update(int(i) + lo for i in np.flatnonzero(~p & cur.bits[: hi - lo]))
-    # Chunks newly appended to the window.
-    tail_start = max(cur.offset, prev.end)
-    if cur.end > tail_start:
-        tail = cur.bits[tail_start - cur.offset :]
-        new.update(int(i) + tail_start for i in np.flatnonzero(tail))
-    return new
+    # prev's bits over cur's window, zero past prev's end.
+    seen = prev.bits[cur.offset - prev.offset : cur.end - prev.offset]
+    new = cur.bits.copy()
+    new[: seen.size] &= ~seen
+    return set((np.flatnonzero(new) + cur.offset).tolist())

@@ -143,7 +143,10 @@ def _cmd_analyze(args) -> int:
             raise _UsageError(f"--tau takes integers, 'min', or 'sweep'; got {args.tau}")
     else:
         taus = (taus or ["min"])[0]
-    report = report_grid(curve, args.T, taus=taus)
+    try:
+        report = report_grid(curve, args.T, taus=taus)
+    except ValueError as exc:  # a T the window cannot hold, or no admissible tau
+        raise _UsageError(str(exc))
     _emit(report.to_csv(), args.out)
     return 0
 

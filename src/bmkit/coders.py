@@ -12,9 +12,9 @@ Every coder is two functions over bytes, ``encode(bits) -> blob`` and
   lengths alone; canonical code words follow from them (Schwartz & Kallick,
   CACM 1964).  The decoder checks the table's Kraft sum exactly.
 * ``ac``      - adaptive binary arithmetic coding (order-0 counts with +1
-  smoothing, 32-bit registers; `arith_encode` / `arith_decode`); also
-  accepts an explicit per-position probability model, which is how
-  simulated payloads are squeezed down to their information content.
+  smoothing, 32-bit registers; `arith_encode` / `arith_decode`); given an
+  explicit per-position probability model it is a static coder over the
+  probabilities the caller gives.
 
 Every nonempty bit sequence round-trips through each coder.  Blob layouts
 are private to this module; the only cross-module contract is bytes in, bits

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CalibrationError
-from .fillmodel import SCurve, TwoSegmentParams, _two_segment_probs
+from .fillmodel import SCurve, TwoSegmentParams, _cond_fill, _two_segment_probs
 
 __all__ = [
     "ExchangeParams",
@@ -100,23 +100,6 @@ def _check_tau(T: int, tau: int):
     # is accepted as the limit label used in sweeps and reports.
     if not 0 <= tau <= T:
         raise ValueError(f"need 0 <= tau <= T, got tau={tau}, T={T}")
-
-
-def _cond_fill(p: np.ndarray, lag: int):
-    """Per age i, ``left`` = 1 - p_{i-lag}, the probability a position was
-    still unfilled ``lag`` chunk-times earlier, and the conditional
-    q_{i-lag,i} = (p_i - p_{i-lag}) / left that it has filled since.
-
-    Both are NaN below ``lag``; q is also NaN where left is 0 (a position
-    certainly filled back then is never reported again).
-    """
-    n = p.size
-    prev = np.full(n, np.nan)
-    prev[lag:] = p[: n - lag]
-    left = 1.0 - prev
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(left > 0.0, (p - prev) / left, np.nan)
-    return left, q
 
 
 def h_spbms(curve: SCurve, T: int) -> float:
@@ -288,9 +271,6 @@ class EntropyRow:
     gain_vs_sbms: float
     gain_vs_spbms: float
 
-    def as_csv(self) -> str:
-        return _csv_line(self, REPORT_COLUMNS)
-
 
 REPORT_COLUMNS = tuple(f.name for f in fields(EntropyRow))
 
@@ -306,7 +286,7 @@ class EntropyReport:
 
     def to_csv(self) -> str:
         lines = [",".join(REPORT_COLUMNS)]
-        lines += [r.as_csv() for r in self.rows]
+        lines += [_csv_line(r, REPORT_COLUMNS) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def mean_gain(self, scheme: str, baseline: str) -> float:

@@ -130,17 +130,32 @@ def sample_fill_delays(curve: SCurve, u) -> np.ndarray:
     return d
 
 
+def _cond_fill(p: np.ndarray, lag: int):
+    """Per age i, ``left`` = 1 - p_{i-lag}, the probability a position was
+    still unfilled ``lag`` chunk-times earlier, and the conditional
+    q_{i-lag,i} = (p_i - p_{i-lag}) / left that it has filled since.
+
+    Both are NaN below ``lag``; q is also NaN where left is 0 (a position
+    certainly filled back then is never reported again).
+    """
+    n = p.size
+    prev = np.full(n, np.nan)
+    prev[lag:] = p[: n - lag]
+    left = 1.0 - prev
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(left > 0.0, (p - prev) / left, np.nan)
+    return left, q
+
+
 def transition_prob(curve: SCurve, i: int, j: int) -> float:
     """P(filled at age j | unfilled at age i) == (p_j - p_i) / (1 - p_i)."""
     if not 0 <= i < j < curve.n:
         raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={curve.n}")
-    p_i = float(curve.probs[i])
-    p_j = float(curve.probs[j])
-    if p_i >= 1.0:
+    if curve.probs[i] >= 1.0:
         raise UndefinedConditionalError(
             f"p_{i} == 1: conditioning on an unfilled age-{i} position has probability zero"
         )
-    return (p_j - p_i) / (1.0 - p_i)
+    return float(_cond_fill(curve.probs, j - i)[1][j])
 
 
 def fit_two_segment(samples, n: int) -> TwoSegmentParams:

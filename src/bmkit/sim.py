@@ -85,9 +85,9 @@ import numpy as np
 from . import traceio
 from .bitmap import _same_bits
 from .coders import CODER_NAMES, encode_bits
-from .entropy import ExchangeParams, _cond_fill, _csv_line
+from .entropy import ExchangeParams, _csv_line
 from .errors import InvariantError, MissingReferenceError
-from .fillmodel import SCurve
+from .fillmodel import SCurve, _cond_fill
 from .schemes import PpbmsSession, SpbmsDecoder, SpbmsEncoder, sbms_decode, sbms_encode
 
 __all__ = [
@@ -388,17 +388,13 @@ def _mean(x: np.ndarray) -> float:
 
 class _Link:
     """One direction of a pairing: the codec ends that send (``enc``) and
-    receive (``dec``) on it, None for sbms; its faults of the reorder
-    script, by message index; what was measured on it; its sends not yet
-    priced; and the envelopes it holds back."""
+    receive (``dec``) on it, None for sbms; what was measured on it; its
+    sends not yet priced; and the envelopes it holds back."""
 
-    def __init__(self, direction, enc, dec, coders, script):
+    def __init__(self, direction, enc, dec, coders):
         self.direction = direction
         self.enc = enc
         self.dec = dec
-        self.drop_at = {i for d, i in script.drops if d == direction}
-        self.swap_at = {i for d, i in script.swaps if d == direction}
-        self.delay_at = {i: v for (d, i), v in script.delays.items() if d == direction}
         self.sent = 0  # messages sent, the next one's per-direction index
         self.prev_end = None  # end of the previous sent window; None after a resync
         self.report = None  # ppbms: the last report ``dec`` decoded, its known map of ``enc``
@@ -457,9 +453,9 @@ class _Engine:
 
     ``send`` takes a map of a direction the pairing carries, ``deliver_due``
     delivers what is due by a slot, and ``flush`` delivers the rest once the
-    stream ends.  ``script`` injects delivery faults; ``ideal`` holds the
-    ``_IdealTables`` of the run's curve and period, or None, which makes
-    every ideal length NaN.
+    stream ends.  ``script`` is the pairing's one ``ReorderScript``, read
+    by (direction, index) per send; ``ideal`` holds the ``_IdealTables`` of
+    the run's curve and period, or None, which makes every ideal length NaN.
     """
 
     def __init__(self, scheme, dirs, n, coders, archive_depth, keep_messages, script, ideal):
@@ -468,6 +464,7 @@ class _Engine:
         self.coders = coders
         self.archive_depth = archive_depth
         self.keep_messages = keep_messages
+        self.script = script
         self.ideal = ideal
         if scheme == "ppbms":
             # Two peer sessions: A sends ab, B sends ba.
@@ -477,7 +474,7 @@ class _Engine:
             ends = {d: (SpbmsEncoder(n), SpbmsDecoder(n)) for d in dirs}
         else:
             ends = {d: (None, None) for d in dirs}
-        self.links = {d: _Link(d, *ends[d], coders, script) for d in dirs}
+        self.links = {d: _Link(d, *ends[d], coders) for d in dirs}
         self.send_epoch = 0  # resyncs sent so far
         self.recv_epoch = 0
         self.needs_resync = False
@@ -636,15 +633,16 @@ class _Engine:
         self._route(eidx, link, msg, snap, idx)
 
     def _route(self, eidx, link, msg, snap, idx):
-        if idx in link.drop_at:
+        key = (link.direction, idx)
+        if key in self.script.drops:
             link.drops += 1
             self.dirty = True
             due = eidx + 1
         else:
-            env = _Envelope(eidx + 1 + link.delay_at.get(idx, 0), self._counter,
+            env = _Envelope(eidx + 1 + self.script.delays.get(key, 0), self._counter,
                             self.send_epoch, msg, snap, idx)
             self._counter += 1
-            if idx in link.swap_at:  # ReorderScript rejects overlapping swaps
+            if key in self.script.swaps:  # ReorderScript rejects overlapping swaps
                 link.swap_stash = env
                 return
             self._enqueue(link, env)

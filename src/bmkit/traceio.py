@@ -44,10 +44,6 @@ class TraceRecord:
         if self.peer.split() != [self.peer]:  # empty, or holds whitespace
             raise ValueError("peer id must be nonempty and contain no whitespace")
 
-    @property
-    def offset(self) -> int:
-        return self.bm.offset
-
     def line(self) -> str:
         return (
             f"{self.timestamp}\t{self.peer}\t{self.direction}"

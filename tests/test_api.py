@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bmkit
-from bmkit import bitmap, coders, entropy, fillmodel, schemes
+from bmkit import bitmap, coders, entropy, fillmodel, schemes, sim, traceio
 
 MODULES = tuple(m.name for m in pkgutil.iter_modules(bmkit.__path__))
 INIT = Path(bmkit.__file__)
@@ -80,6 +80,14 @@ def test_retired_api_stays_gone():
                       (fillmodel.SCurve, "eval"), (fillmodel.SCurve, "__len__"),
                       (schemes.PartialBufferMap, "filled"), (entropy.EntropyReport, "select")):
         assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
+    # A record's offset is rec.bm.offset, and a report prints through to_csv.
+    assert not hasattr(traceio.TraceRecord, "offset")
+    assert not hasattr(entropy.EntropyRow, "as_csv")
+    # An engine holds its one fault script; a link keeps no copy of it.
+    for attr in ("drop_at", "swap_at", "delay_at"):
+        assert not hasattr(sim._Link("ab", None, None, ()), attr)
+    # The conditional fill probability has one home, next to the curve.
+    assert entropy._cond_fill is fillmodel._cond_fill and sim._cond_fill is fillmodel._cond_fill
     params = {
         schemes.sbms_encode: ["bm"],
         schemes.sbms_decode: ["msg", "n"],

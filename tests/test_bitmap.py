@@ -112,6 +112,43 @@ def test_diff_new_fills_detects_regression():
         diff_new_fills(BufferMap(4, [1]), BufferMap(3, [1, 1]))
 
 
+@given(data=st.data(), layout=st.sampled_from(["identical", "overlapping", "abutting", "disjoint"]))
+def test_diff_new_fills_matches_a_set_reference(data, layout):
+    """The new fills are cur's filled chunks that prev did not hold filled,
+    for identical, overlapping, abutting and disjoint windows of equal or
+    different widths.  A map that unfills a chunk raises MonotonicityError,
+    and one that starts before prev raises ValueError."""
+    def bits(k):
+        return data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+
+    m = data.draw(st.integers(1, 24))
+    prev = BufferMap(data.draw(st.integers(1, 50)), bits(m))
+    held = {prev.offset + int(i) for i in np.flatnonzero(prev.bits)}
+    if layout == "identical":
+        cur = BufferMap(prev.offset, prev.bits)
+    else:
+        if layout == "overlapping":
+            shift = data.draw(st.integers(0, m - 1))
+        elif layout == "abutting":
+            shift = m
+        else:
+            shift = data.draw(st.integers(m + 1, 3 * m))
+        k = data.draw(st.integers(1, 24))
+        lo = prev.offset + shift
+        cur = BufferMap(lo, [b or lo + i in held for i, b in enumerate(bits(k))])
+    filled = {cur.offset + int(i) for i in np.flatnonzero(cur.bits)}
+    new = diff_new_fills(prev, cur)
+    assert new == filled - held and all(type(c) is int for c in new)
+    regress = sorted(held & filled)
+    if regress:
+        bad = cur.bits.copy()
+        bad[regress[0] - cur.offset] = False
+        with pytest.raises(MonotonicityError, match=f"^chunk {regress[0]} went"):
+            diff_new_fills(prev, BufferMap(cur.offset, bad))
+    with pytest.raises(ValueError, match="must not start before"):
+        diff_new_fills(prev, BufferMap(prev.offset - 1, cur.bits))
+
+
 def test_check_monotone_raises_what_diff_new_fills_raises():
     prev = BufferMap(10, [1, 0, 1, 0])
     assert check_monotone(prev, BufferMap(11, [0, 1, 1, 0])) is None

@@ -74,9 +74,17 @@ def test_analyze_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_analyze_inadmissible_tau_is_invalid_input(capsys):
-    assert main(["analyze", "--T", "4", "--tau", "9"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("argv, message", [
+    (["--T", "0"], "need 0 < T <= 456, got T=0"),
+    (["--T", "-3"], "need 0 < T <= 456, got T=-3"),
+    (["--T", "457"], "need 0 < T <= 456, got T=457"),
+    (["--T", "8", "--tau", "9"], "no admissible tau for T=8"),
+], ids=["T0", "T-3", "T457", "T8-tau9"])
+def test_analyze_bad_timing_is_a_usage_error(argv, message, capsys):
+    """A period the window cannot hold, or no admissible offset, is a bad
+    flag: exit 1, with the message ``report_grid`` raises."""
+    assert main(["analyze", *argv]) == 1
+    assert capsys.readouterr().err == f"bmkit: {message}\n"
 
 
 def test_analyze_accepts_a_curve_file(tmp_path, capsys):

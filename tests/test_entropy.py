@@ -346,7 +346,7 @@ _CODERS = ("rle", "huffman", "ac")
 def test_csv_rows_print_as_the_hand_written_formats(report, stats):
     """A field declared float prints as ``:.6f`` whatever the value's type
     (an int there prints ``3.000000``); any other field prints as ``str``."""
-    assert _csv_line(report, REPORT_COLUMNS) == report.as_csv() == _old_report_line(report)
+    assert _csv_line(report, REPORT_COLUMNS) == _old_report_line(report)
     assert _csv_line(stats, _OLD_SIM_COLUMNS) == _old_sim_line(stats, ())
     result = SimResult(64, 8, 2, 10, 0, "synthetic", ("spbms",), _CODERS, (stats,), {}, {}, {}, {})
     head, columns, row = result.to_csv().splitlines()

@@ -165,6 +165,23 @@ def test_transition_prob_identity():
         assert c.probs[i] + (1 - c.probs[i]) * q == pytest.approx(c.probs[j], abs=1e-12)
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+def test_transition_prob_is_the_scalar_formula_bit_for_bit(seed, n):
+    """At every i < j of a random curve, ``transition_prob`` equals the
+    scalar formula (p_j - p_i) / (1 - p_i) to the last bit, as a Python
+    float, and raises UndefinedConditionalError wherever p_i == 1."""
+    c = SCurve(random_monotone_curve(np.random.default_rng(seed), n))
+    for i in range(n - 1):
+        p_i = float(c.probs[i])
+        for j in range(i + 1, n):
+            if p_i >= 1.0:
+                with pytest.raises(UndefinedConditionalError, match=f"^p_{i} == 1: "):
+                    transition_prob(c, i, j)
+                continue
+            q = transition_prob(c, i, j)
+            assert type(q) is float and q == (float(c.probs[j]) - p_i) / (1.0 - p_i)
+
+
 def test_transition_prob_monte_carlo():
     """Conditional fill frequency among survivors matches the formula."""
     c = SCurve([0.0, 0.3, 0.5, 0.8, 0.9])

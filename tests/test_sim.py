@@ -1067,7 +1067,7 @@ def test_scheme_dir_stats_equal_ndarray_mean_and_std_bit_for_bit():
     rng = np.random.default_rng(19)
     sizes = [0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300] + rng.integers(1, 301, 40).tolist()
     for m in sizes:
-        link = sim._Link("ab", None, None, (), ReorderScript())
+        link = sim._Link("ab", None, None, ())
         link.payloads = [np.zeros(int(k), dtype=bool) for k in rng.integers(0, 457, m)]
         link.ideal = (rng.random(m) * 10.0 ** rng.integers(-2, 4)).tolist()
         link.ss = rng.integers(0, 457, m).tolist()

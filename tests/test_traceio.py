@@ -27,7 +27,7 @@ def test_parse_golden_fixture(tmp_path):
     recs = parse_trace(path)
     assert len(recs) == 4
     assert recs[0].timestamp == 0 and recs[0].peer == "B"
-    assert recs[0].direction == "received" and recs[0].offset == 0
+    assert recs[0].direction == "received" and recs[0].bm.offset == 0
     assert recs[0].bm == BufferMap.from_hex(0, "b0", 8)
     assert recs[3].bm.offset == 4
 

@@ -119,7 +119,7 @@ def plain_write(records):
 
 
 def as_tuples(records):
-    return [(r.timestamp, r.peer, r.direction, r.offset, r.bm.bits.astype(int).tolist())
+    return [(r.timestamp, r.peer, r.direction, r.bm.offset, r.bm.bits.astype(int).tolist())
             for r in records]
 
 
