@@ -122,7 +122,7 @@ class SupportSet:
             return False
         if self.lo == other.lo and self.filled.size == other.filled.size:
             return _same_bits(self.filled, other.filled)
-        return np.array_equal(self.locs, other.locs)
+        return _same_bits(self.locs, other.locs)
 
     def __iter__(self):
         return iter(self.locs.tolist())
@@ -244,7 +244,7 @@ class CompressedBM:
             and self.lbmr_seq == other.lbmr_seq
             and self.cbmr_seq == other.cbmr_seq
             and self.resync == other.resync
-            and np.array_equal(self.payload, other.payload)
+            and _same_bits(self.payload, other.payload)
         )
 
 
@@ -267,6 +267,7 @@ class PartialBufferMap:
         return out
 
     def __eq__(self, other):
+        # np.array_equal, not _same_bits: the constructor stores any sequence as given.
         return (
             isinstance(other, PartialBufferMap)
             and self.offset == other.offset
@@ -489,16 +490,16 @@ class PpbmsSession(_ReportsLocations):
         """The shared set: the window from the higher of the own and known
         maps' offsets, less the positions filled in either; empty in a
         fresh epoch."""
-        first, other = self._last_own, self._known
+        first, other = self._own[-1][0] if self._own else None, self._known
         if first is None or (other is not None and other.offset > first.offset):
             first, other = other, first
         if first is None:
             return SupportSet._of(0, _NO_BITS)
-        filled = first.bits
-        if other is not None and other.end > first.offset:
+        lo, filled = first.offset, first.bits
+        if other is not None and (k := other.offset + other.bits.size - lo) > 0:
             filled = filled.copy()
-            filled[: other.end - first.offset] |= other.bits[first.offset - other.offset :]
-        return SupportSet._of(first.offset, filled)
+            filled[:k] |= other.bits[lo - other.offset :]
+        return SupportSet._of(lo, filled)
 
     def _own_map(self, c: int):
         """Own map ``c`` - 1, against which a message stamped cbmr = ``c``

@@ -41,15 +41,7 @@ generative model, so its ideal lengths are NaN.
 Each measured spbms or ppbms message also records the size of the
 support set it leaves at its sender (``ss_sizes``, averaged as
 ``mean_ss_size``; an sbms link has no codec end and keeps no set): the
-unfilled positions of the sender's ``support_set`` window after the send.
-It is counted off the message (``_set_size``).  A sender never re-reports a
-location it has announced filled, so inside the message's window these are
-the locations it reported 0.  A ppbms set also counts the unfilled
-positions of the counterpart's known map past the sender's window when
-that map starts past the window's offset: no message of the sender can
-reach them yet.  That known map is the last report the sender decoded in
-its epoch, with ones off the reported locations, so the engine keeps that
-report on the link it arrived by.
+sender's ``len(support_set)`` right after the send.
 
 The log2 probabilities are laid out in one table of the run's curve and
 period, shared by every run over the same curve values and period (an
@@ -366,21 +358,6 @@ def _raise_first(tables: _IdealTables, sends, log_ps):
         raise InvariantError("payload contains a zero-probability bit under the true model")
 
 
-def _set_size(bm, payload: np.ndarray, known) -> int:
-    """Members of the support set a codec end holds right after sending
-    ``payload`` for ``bm``: the locations it reported 0, plus the unfilled
-    positions past ``bm``'s window of its known map of the counterpart when
-    that map starts past ``bm``'s offset.  ``known`` is the last report the
-    end decoded in its epoch (None for none; an spbms end decodes none),
-    and its known map holds that report's bits at the report's locations
-    and ones elsewhere."""
-    size = payload.size - np.count_nonzero(payload)
-    if known is not None and known.offset > bm.offset:
-        past = known.bits[np.searchsorted(known.locations, bm.end) :]
-        size += past.size - np.count_nonzero(past)
-    return size
-
-
 def _mean(x: np.ndarray) -> float:
     """``x.mean()`` without its dispatch, bit for bit (NaN when empty)."""
     return float(np.add.reduce(x) / x.size) if x.size else math.nan
@@ -397,7 +374,6 @@ class _Link:
         self.dec = dec
         self.sent = 0  # messages sent, the next one's per-direction index
         self.prev_end = None  # end of the previous sent window; None after a resync
-        self.report = None  # ppbms: the last report ``dec`` decoded, its known map of ``enc``
         self.unpriced = []  # (k, window mask or None, payload, measured) per send
         self.held = []
         self.swap_stash = None
@@ -531,7 +507,6 @@ class _Engine:
                 raise InvariantError(
                     f"ppbms {link.direction} message {env.idx}: reported bits differ from snapshot"
                 )
-            link.report = out
         elif not out == env.snap:
             raise InvariantError(
                 f"{self.scheme} {link.direction} message {env.idx}: reconstruction differs"
@@ -600,15 +575,11 @@ class _Engine:
             msg = sbms_encode(snap)
         else:
             msg = enc.make_resync(snap) if resync else enc.encode(snap)
-        # A ppbms sender's known map comes from the reports of the other link.
-        back = self.links.get("ba" if d == "ab" else "ab")
         if resync:
             self.needs_resync = False
             self.send_epoch += 1
             for other in self.links.values():
                 other.prev_end = None
-            if back is not None:  # the sender's fresh epoch knows no map of its counterpart
-                back.report = None
         if self.ideal is None:
             if measured:
                 link.ideal.append(math.nan)
@@ -626,7 +597,7 @@ class _Engine:
         if measured:
             link.payloads.append(msg.payload)
             if enc is not None:  # the set it leaves; see the module docstring
-                link.ss.append(_set_size(snap, msg.payload, None if back is None else back.report))
+                link.ss.append(len(enc.support_set))
             for c in self.coders:
                 if msg.n_bits:
                     link.coder_bytes[c] += len(encode_bits(c, msg.payload))

@@ -71,9 +71,11 @@ def test_retired_api_stays_gone():
     assert "unpack_stream" not in exported and not hasattr(schemes, "unpack_stream")
     # A ppbms report is read through its locations and bits.
     assert not hasattr(schemes.PartialBufferMap, "pairs")
-    # The simulator counts each sent set off its message; the ends keep no count.
+    # The simulator sizes each sent set as the sender's len(support_set): the ends
+    # keep no count, and the simulator keeps no second count nor the reports it read.
     for end in (schemes.SpbmsEncoder(8), schemes.SpbmsDecoder(8), schemes.PpbmsSession(8)):
         assert not hasattr(end, "_set_size")
+    assert not hasattr(sim, "_set_size") and not hasattr(sim._Link("ab", None, None, ()), "report")
     # A value has one reader: bm.bits, curve.probs and curve.n, part.locations[part.bits],
     # and a report's rows.
     for cls, attr in ((bitmap.BufferMap, "age_of"), (bitmap.BufferMap, "bit_for"),

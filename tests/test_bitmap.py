@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bmkit.bitmap import BufferMap, PeerBufferState, _same_bits, check_monotone, diff_new_fills
 from bmkit.errors import MonotonicityError
 from bmkit.fillmodel import SCurve, sample_fill_delays, two_segment_curve
-from bmkit.schemes import SupportSet
+from bmkit.schemes import CompressedBM, SupportSet
 
 
 def test_buffer_map_basics():
@@ -50,14 +50,17 @@ _RAW_BITS = st.lists(st.sampled_from([0, 1, 2, 255]), max_size=10).map(
 
 @given(a=_RAW_BITS, b=_RAW_BITS, lo_a=st.integers(0, 3), lo_b=st.integers(0, 3))
 def test_bit_arrays_compare_as_np_array_equal(a, b, lo_a, lo_b):
-    """``_same_bits``, ``BufferMap ==`` and ``SupportSet ==`` over one span
-    agree with ``np.array_equal``, whatever the bytes and shapes."""
+    """``_same_bits``, ``BufferMap ==``, ``CompressedBM ==`` and ``SupportSet
+    ==``, over one span or by members, agree with ``np.array_equal``,
+    whatever the bytes and shapes."""
     for x, y in ((a, b), (a.reshape(-1, 1), b), (a.reshape(-1, 1), a)):
         assert _same_bits(x, y) is bool(np.array_equal(x, y))
     same = bool(np.array_equal(a, b))
     if a.size and b.size:
         maps = BufferMap._owning(lo_a, a.copy()), BufferMap._owning(lo_b, b.copy())
         assert (maps[0] == maps[1]) is (lo_a == lo_b and same)
+    msgs = (CompressedBM._of("spbms", lo_a, 0, 0, a), CompressedBM._of("spbms", lo_b, 0, 0, b))
+    assert (msgs[0] == msgs[1]) is (lo_a == lo_b and same)
     if a.size == b.size:
         assert (SupportSet._of(lo_a, a) == SupportSet._of(lo_a, b)) is same
     # Over other anchors or spans, two sets are equal when their members are.

@@ -24,7 +24,6 @@ from bmkit.schemes import (
     SpbmsEncoder,
     SupportSet,
 )
-from bmkit.sim import _set_size
 
 N = 12
 
@@ -214,26 +213,23 @@ def plain_set(lo, n, *maps):
     return SupportSet(np.flatnonzero(plain_window(lo, n, *maps)) + lo)
 
 
+def plain_end_set(end):
+    """The set a codec end holds, by ``plain_set`` over its maps: a ppbms
+    end's from the higher of its own and known maps' offsets, an spbms
+    end's over its previous map; empty with no map."""
+    if isinstance(end, PpbmsSession):
+        maps = [m for m in (end._last_own, end._known) if m is not None]
+        lo = max((m.offset for m in maps), default=0)
+        return plain_set(lo, end.n, *maps) if maps else SupportSet()
+    prev = end.last_bm
+    return SupportSet() if prev is None else plain_set(prev.offset, end.n, prev)
+
+
 def same_state(real, plain):
     assert state(real) == state(plain)
-    if isinstance(real, PpbmsSession):
-        maps = [m for m in (real._last_own, real._known) if m is not None]
-        lo = max((m.offset for m in maps), default=0)
-        expect = plain_set(lo, real.n, *maps) if maps else SupportSet()
-    else:
-        prev = real.last_bm
-        expect = SupportSet() if prev is None else plain_set(prev.offset, real.n, prev)
-    assert real.support_set == expect
+    assert real.support_set == plain_end_set(real)
     if getattr(real, "_last", None) is not None:
         assert np.array_equal(real.last_locations, plain.last_locations)
-
-
-def same_count(end, bm, sent, known=None):
-    """After a send, the simulator's count of the set off the message is
-    the size of the set the sender holds.  ``known`` is the last report the
-    sender decoded in its epoch, None for none."""
-    if sent[0] is not None:
-        assert _set_size(bm, sent[0].payload, known) == len(end.support_set)
 
 
 def tamper(msg, how):
@@ -266,7 +262,6 @@ def test_spbms_ends_match_the_plain_reference(seed, steps):
         sent = outcome(getattr(enc, name), bm)
         same_outcome(sent, outcome(getattr(plain_enc, name), bm))
         same_state(enc, plain_enc)
-        same_count(enc, bm, sent)
         if sent[0] is not None:
             msg = tamper(sent[0], how)
             same_outcome(outcome(dec.decode, msg), outcome(plain_dec.decode, msg))
@@ -305,7 +300,6 @@ def test_ppbms_ends_match_the_plain_reference(seed, lag, steps):
     real = {p: PpbmsSession(N, archive_depth=2) for p in ("A", "B", "R")}
     plain = {p: PlainPpbmsSession(N, archive_depth=2) for p in ("A", "B", "R")}
     queue = {"A": [], "B": []}  # messages each peer has sent, not yet delivered
-    known = dict.fromkeys(real)  # the last report each end decoded in its epoch
     for who, kind, move, how in steps:
         other = "B" if who == "A" else "A"
         if kind == "deliver":  # ``who`` receives the oldest message in flight to it
@@ -314,20 +308,14 @@ def test_ppbms_ends_match_the_plain_reference(seed, lag, steps):
             msg = tamper(queue[other].pop(0), how)
             receivers = ("A", "R") if who == "A" else ("B",)
             for p in receivers:
-                got = outcome(real[p].decode, msg)
-                same_outcome(got, outcome(plain[p].decode, msg))
+                same_outcome(outcome(real[p].decode, msg), outcome(plain[p].decode, msg))
                 same_state(real[p], plain[p])
-                if got[1] is None:
-                    known[p] = got[0]
             continue
         bm = peers[who].next(move)
         name = "make_resync" if kind == "resync" else "encode"
         sent = outcome(getattr(real[who], name), bm)
         same_outcome(sent, outcome(getattr(plain[who], name), bm))
         same_state(real[who], plain[who])
-        if kind == "resync" and sent[0] is not None:
-            known[who] = None
-        same_count(real[who], bm, sent, known[who])
         if sent[0] is None:
             continue
         queue[who].append(sent[0])
@@ -336,8 +324,40 @@ def test_ppbms_ends_match_the_plain_reference(seed, lag, steps):
                 step = (real["R"].encode, plain["R"].encode, bm)
             else:
                 step = (real["R"].apply_sent, plain["R"].apply_sent, sent[0])
-            replica = outcome(step[0], step[2])
-            same_outcome(replica, outcome(step[1], step[2]))
+            same_outcome(outcome(step[0], step[2]), outcome(step[1], step[2]))
             same_state(real["R"], plain["R"])
-            if kind == "replica-sends":
-                same_count(real["R"], bm, replica, known["R"])
+
+
+def test_ppbms_support_set_matches_the_plain_reference_in_each_branch():
+    """Every branch of a ppbms end's set, by the offsets of its (own, known)
+    maps: a fresh epoch, a known map only (decoded, not yet sent), equal
+    offsets, and either map ahead of the other, overlapping it or past its
+    window.  ``test_ppbms_ends_match_the_plain_reference`` reaches each only
+    through its random draws."""
+    def stream(offset, every):  # chunk c is filled when c % every == 0, so maps stay monotone
+        return BufferMap(offset, np.arange(offset, offset + N) % every == 0)
+
+    def offsets(end):
+        return tuple(None if m is None else m.offset for m in (end._last_own, end._known))
+
+    a, b = PpbmsSession(N), PpbmsSession(N)
+    seen = []
+
+    def check():
+        for end in (a, b):
+            assert end.support_set == plain_end_set(end), offsets(end)
+            seen.append(offsets(end))
+
+    check()  # a fresh epoch at both ends
+    b.decode(a.encode(stream(20, 3)))  # b has decoded a message but sent none
+    check()
+    a.decode(b.encode(stream(20, 4)))  # equal offsets at a
+    check()
+    # b fills chunk 31 in a map a has not seen when it encodes its next one.
+    b.encode(BufferMap(20, stream(20, 4).bits | (np.arange(20, 32) == 31)))
+    b.decode(a.encode(stream(31, 3)))  # b's known map ahead of its own, overlapping at chunk 31
+    check()
+    assert 31 not in b.support_set
+    b.decode(a.encode(stream(40, 3)))  # b's known map past its own window
+    check()
+    assert {(None, None), (None, 20), (20, 20), (20, 31), (31, 20), (20, 40), (40, 20)} <= set(seen)

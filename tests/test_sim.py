@@ -860,9 +860,9 @@ def test_ppbms_with_a_lagging_window_reports_only_the_senders_window(T, tau, lag
 @pytest.mark.parametrize("T, tau, lag, faults", [(8, 3, 30, False), (4, 4, 1, False),
                                                 (4, 2, 5, True)])
 def test_measured_set_sizes_equal_the_senders_support_sets(monkeypatch, T, tau, lag, faults):
-    """The engine counts each set off its message; that count equals the
-    sending end's support set right after the encode, with windows lagging
-    either way and across a drop and a delay that force resyncs."""
+    """Each measured set size is the sending end's ``len(support_set)``
+    right after the encode, with windows lagging either way and across a
+    drop and a delay that force resyncs."""
     sizes, engines = [], []
     for cls in (SpbmsEncoder, PpbmsSession):
         def encode(self, bm, _encode=cls.encode):
@@ -893,10 +893,10 @@ def test_measured_set_sizes_equal_the_senders_support_sets(monkeypatch, T, tau, 
 
 def test_every_send_counts_its_set_off_the_message(monkeypatch):
     """After every spbms and ppbms send of seeded fault runs, warm-up and
-    resyncs included, the count off the message equals the size of the set
-    the sender holds.  With peer A's window ahead of B's (T = tau = 2, a
-    lag of 1 to 5), B's known map of A often starts past B's window, and
-    its members past that window count too."""
+    resyncs included, the recorded size is that of the set the sender
+    holds.  With peer A's window ahead of B's (T = tau = 2, a lag of 1 to
+    5), B's known map of A often starts past B's window, so many sets hold
+    members past the message's window, more than its payload's zeros."""
     sizes, engines, past = [], [], []
     for cls in (SpbmsEncoder, PpbmsSession):
         def encode(self, bm, _encode=cls.encode):
