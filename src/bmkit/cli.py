@@ -216,10 +216,13 @@ def _frame(out: list, rec: TraceRecord, name: bytes, msg: CompressedBM, coder) -
 
 
 def _read_frames(data: bytes):
-    """Yield (timestamp, peer, direction, message) from a dump."""
+    """Yield (timestamp, peer, direction, message) from a dump.  Each
+    frame's scheme is checked against the first frame's before its payload
+    is decoded."""
     if data[: len(_DUMP_MAGIC)] != _DUMP_MAGIC:
         raise ValueError("not a message dump (bad magic)")
     names = {}  # each peer name's bytes -> its decoded name
+    first = None  # the first frame's scheme
     pos = len(_DUMP_MAGIC)
     end = len(data)
     while pos < end:
@@ -240,14 +243,18 @@ def _read_frames(data: bytes):
             raise ValueError(f"corrupt frame for peer {peer!r}")
         if end - pos < body_len or body_len < HEADER_LEN:
             raise ValueError("truncated frame body")
+        scheme, offset, lbmr, cbmr, nbits, resync = unpack_envelope(data, pos)
+        if first is None:
+            first = scheme
+        elif scheme != first:
+            raise ValueError(f"dump mixes schemes {sorted((first, scheme))}")
         coder = _ID_CODERS[coder_id]
         if coder is None:
             body = data[pos : pos + body_len]
             msg, used = unpack_message(body)
             if used != body_len:
                 raise ValueError("frame length disagrees with message length")
-        else:  # the envelope and the coder's blob are read in place
-            scheme, offset, lbmr, cbmr, nbits, resync = unpack_envelope(data, pos)
+        else:  # the coder's blob is read in place
             if nbits == 0:  # no payload to code: the frame is the header alone
                 if body_len != HEADER_LEN:
                     raise ValueError("frame length disagrees with message length")
@@ -296,10 +303,7 @@ def _cmd_decode(args) -> int:
     frames = list(_read_frames(data))
     if not frames:
         raise ValueError(f"{args.dump} holds no frames")
-    schemes = {m.scheme for _, _, _, m in frames}
-    if len(schemes) != 1:
-        raise ValueError(f"dump mixes schemes {sorted(schemes)}")
-    scheme = schemes.pop()
+    scheme = frames[0][3].scheme
     if args.scheme and args.scheme != scheme:
         raise _UsageError(f"dump holds {scheme} messages, not {args.scheme}")
     if scheme != "ppbms" and not args.out:

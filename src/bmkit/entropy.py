@@ -37,7 +37,6 @@ from .errors import CalibrationError
 from .fillmodel import SCurve, TwoSegmentParams, _cond_fill, _two_segment_probs
 
 __all__ = [
-    "ExchangeParams",
     "h_binary",
     "h_sbms",
     "h_spbms",
@@ -51,21 +50,6 @@ __all__ = [
     "EntropyReport",
     "REPORT_COLUMNS",
 ]
-
-
-@dataclass(frozen=True)
-class ExchangeParams:
-    """Validated exchange timing: 0 < tau <= T <= n (all in chunk-time)."""
-
-    T: int
-    tau: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 < self.T <= self.n:
-            raise ValueError(f"need 0 < T <= n, got T={self.T}, n={self.n}")
-        if not 0 < self.tau <= self.T:
-            raise ValueError(f"need 0 < tau <= T, got tau={self.tau}, T={self.T}")
 
 
 def h_binary(p: float) -> float:

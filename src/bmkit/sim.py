@@ -69,6 +69,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -77,7 +78,7 @@ import numpy as np
 from . import traceio
 from .bitmap import _same_bits
 from .coders import CODER_NAMES, encode_bits
-from .entropy import ExchangeParams, _csv_line
+from .entropy import _csv_line
 from .errors import InvariantError, MissingReferenceError
 from .fillmodel import SCurve, _cond_fill
 from .schemes import PpbmsSession, SpbmsDecoder, SpbmsEncoder, sbms_decode, sbms_encode
@@ -126,7 +127,10 @@ class SimConfig:
     keep_messages: bool = False
 
     def __post_init__(self):
-        ExchangeParams(self.T, self.tau, self.curve.n)
+        if not 0 < self.T <= self.curve.n:
+            raise ValueError(f"need 0 < T <= n, got T={self.T}, n={self.curve.n}")
+        if not 0 < self.tau <= self.T:
+            raise ValueError(f"need 0 < tau <= T, got tau={self.tau}, T={self.T}")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
         schemes, coders = _check_schemes_coders(self.schemes, self.coders)
@@ -136,6 +140,8 @@ class SimConfig:
             raise ValueError("offset_lag must be nonnegative")
         if self.warmup is not None and self.warmup < 0:
             raise ValueError("warmup must be nonnegative")
+        if self.archive_depth < 1:
+            raise ValueError("archive depth must be at least 1")
 
     @property
     def n(self) -> int:
@@ -146,6 +152,11 @@ class SimConfig:
         if self.warmup is not None:
             return self.warmup
         return math.ceil(self.n / self.T) + 1
+
+
+def _count(x) -> bool:
+    """Whether ``x`` is a nonnegative integer, NumPy's too."""
+    return isinstance(x, numbers.Integral) and x >= 0
 
 
 @dataclass(frozen=True)
@@ -165,17 +176,16 @@ class ReorderScript:
     swaps: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "delays", {(d, int(i)): int(v) for (d, i), v in dict(self.delays).items()}
-        )
-        object.__setattr__(self, "drops", frozenset((d, int(i)) for d, i in self.drops))
-        object.__setattr__(self, "swaps", frozenset((d, int(i)) for d, i in self.swaps))
-        for (d, i), v in self.delays.items():
-            if d not in _DIRS or i < 0 or v < 0:
+        delays, drops, swaps = dict(self.delays), frozenset(self.drops), frozenset(self.swaps)
+        for (d, i), v in delays.items():
+            if d not in _DIRS or not _count(i) or not _count(v):
                 raise ValueError(f"bad delay entry ({d!r}, {i}) -> {v}")
-        for d, i in self.drops | self.swaps:
-            if d not in _DIRS or i < 0:
+        for d, i in drops | swaps:
+            if d not in _DIRS or not _count(i):
                 raise ValueError(f"bad message key ({d!r}, {i})")
+        object.__setattr__(self, "delays", {(d, int(i)): int(v) for (d, i), v in delays.items()})
+        object.__setattr__(self, "drops", frozenset((d, int(i)) for d, i in drops))
+        object.__setattr__(self, "swaps", frozenset((d, int(i)) for d, i in swaps))
         # Swaps at i and i + 1 of one direction, neither dropped, would hold
         # two messages back at once.  Name the overlap a run would meet
         # first: the lowest i + 1, ba's before ab's (B sends first each period).

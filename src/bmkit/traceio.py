@@ -151,17 +151,15 @@ def dedupe(records) -> list:
     return out
 
 
-def generate(curve: SCurve, T: int, rounds: int, seed: int, tau: int | None = None) -> list:
+def generate(curve: SCurve, T: int, rounds: int, seed: int, tau: int) -> list:
     """Deterministic synthetic two-peer trace on the standard schedule.
 
     Peer B's map is snapshotted at ``i*T`` (logged as received, i.e. the
     counterpart's announcement) and peer A's at ``i*T + tau`` (logged as
-    sent), for ``rounds`` periods.  ``tau`` defaults to a quarter period.
+    sent), for ``rounds`` periods.
     """
     if T < 1 or rounds < 1:
         raise ValueError("need T >= 1 and rounds >= 1")
-    if tau is None:
-        tau = max(1, T // 4)
     if not 0 < tau <= T:
         raise ValueError(f"need 0 < tau <= T, got tau={tau}")
     logged = (("B", "received"), ("A", "sent"))

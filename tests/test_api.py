@@ -82,6 +82,9 @@ def test_retired_api_stays_gone():
                       (fillmodel.SCurve, "eval"), (fillmodel.SCurve, "__len__"),
                       (schemes.PartialBufferMap, "filled"), (entropy.EntropyReport, "select")):
         assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
+    # A run's timing is checked by SimConfig, and only the CLI defaults tau.
+    assert "ExchangeParams" not in exported and not hasattr(entropy, "ExchangeParams")
+    assert inspect.signature(traceio.generate).parameters["tau"].default is inspect.Parameter.empty
     # A record's offset is rec.bm.offset, and a report prints through to_csv.
     assert not hasattr(traceio.TraceRecord, "offset")
     assert not hasattr(entropy.EntropyRow, "as_csv")

@@ -10,6 +10,7 @@ import pytest
 from bmkit import cli
 from bmkit.bitmap import BufferMap
 from bmkit.cli import main
+from bmkit.coders import decode_bits
 from bmkit.errors import InvariantError
 from bmkit.fillmodel import (
     load_curve,
@@ -507,6 +508,43 @@ def test_decode_rejects_a_coder_blob_claiming_2_62_bits(tmp_path, small_trace, c
     capsys.readouterr()
 
 
+def _frames(data):
+    """The byte spans of a dump's frames, in order."""
+    head, tail = struct.Struct(">IB"), struct.Struct(">BBH")
+    spans, at = [], 4
+    while at < len(data):
+        end = at + head.size + head.unpack_from(data, at)[1]
+        end += tail.size + tail.unpack_from(data, end)[2]
+        spans.append((at, end))
+        at = end
+    return spans
+
+
+def test_decode_rejects_a_second_scheme_before_decoding_its_payload(
+        tmp_path, small_trace, monkeypatch, capsys):
+    """A dump whose frame 2 switches from sbms to spbms fails at that frame:
+    only frame 1's payload is decoded."""
+    dumps = {}
+    for scheme in ("sbms", "spbms"):
+        dumps[scheme] = tmp_path / f"{scheme}.bmd"
+        assert main(["encode", "--trace", str(small_trace), "--scheme", scheme,
+                     "--coder", "ac", "--out", str(dumps[scheme])]) == 0
+    sbms, spbms = (dumps[s].read_bytes() for s in ("sbms", "spbms"))
+    (a, b), rest = _frames(sbms)[0], _frames(spbms)[1:61]
+    mixed = tmp_path / "mixed.bmd"
+    mixed.write_bytes(b"BMD1" + sbms[a:b] + spbms[rest[0][0] : rest[-1][1]])
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return decode_bits(*args)
+
+    monkeypatch.setattr(cli, "decode_bits", counting)
+    assert main(["decode", str(mixed), "--out", str(tmp_path / "o.tsv")]) == 2
+    assert "dump mixes schemes ['sbms', 'spbms']" in capsys.readouterr().err
+    assert len(calls) <= 1
+
+
 # ----------------------------------------------------------------------
 # gen-trace
 # ----------------------------------------------------------------------
@@ -531,6 +569,14 @@ def test_gen_trace_validates_timing(tmp_path, capsys):
     assert main(["gen-trace", "--n", "16", "--calibrate-hsbms", "5",
                  "--T", "17", "--out", str(out)]) == 1
     capsys.readouterr()
+
+
+def test_gen_trace_defaults_tau_to_a_quarter_period(tmp_path):
+    """tau defaults to a quarter period, floored but at least 1."""
+    out = tmp_path / "t.tsv"
+    for T, tau in ((8, 2), (2, 1)):
+        assert main(["gen-trace", "--T", str(T), "--rounds", "1", "--out", str(out)]) == 0
+        assert next(r for r in parse_trace(out) if r.peer == "A").timestamp == tau
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from bmkit.entropy import (
     REPORT_COLUMNS,
     EntropyReport,
     EntropyRow,
-    ExchangeParams,
     calibrate_curve,
     h_ab,
     h_ba,
@@ -30,7 +29,7 @@ from bmkit.entropy import (
 )
 from bmkit.errors import CalibrationError
 from bmkit.fillmodel import SCurve, _two_segment_probs, transition_prob, two_segment_curve
-from bmkit.sim import SchemeDirStats, SimResult
+from bmkit.sim import SchemeDirStats, SimConfig, SimResult
 
 from conftest import random_monotone_curve
 
@@ -70,16 +69,17 @@ def test_overhead_is_bits_per_chunktime():
 
 
 def test_exchange_params_validation():
-    ExchangeParams(T=8, tau=3, n=64)
-    ExchangeParams(T=64, tau=64, n=64)
-    with pytest.raises(ValueError):
-        ExchangeParams(T=0, tau=0, n=64)
-    with pytest.raises(ValueError):
-        ExchangeParams(T=65, tau=1, n=64)
-    with pytest.raises(ValueError):
-        ExchangeParams(T=8, tau=9, n=64)
-    with pytest.raises(ValueError):
-        ExchangeParams(T=8, tau=0, n=64)
+    """A run's timing needs 0 < T <= n, checked first, then 0 < tau <= T."""
+    curve = two_segment_curve(64, 8, 0.8)
+    SimConfig(curve, T=8, tau=3, rounds=1)
+    SimConfig(curve, T=64, tau=64, rounds=1)
+    for T, tau, text in [(0, 0, "need 0 < T <= n, got T=0, n=64"),
+                         (65, 1, "need 0 < T <= n, got T=65, n=64"),
+                         (8, 9, "need 0 < tau <= T, got tau=9, T=8"),
+                         (8, 0, "need 0 < tau <= T, got tau=0, T=8")]:
+        with pytest.raises(ValueError) as err:
+            SimConfig(curve, T=T, tau=tau, rounds=1)
+        assert str(err.value) == text
 
 
 def test_deterministic_curve_carries_no_information():

@@ -184,7 +184,7 @@ def test_trace_replay_matches_synthetic_statistics(calibrated_curve):
 def test_trace_replay_from_file(tmp_path, calibrated_curve):
     from bmkit.traceio import write_trace
 
-    recs = generate(calibrated_curve, T=20, rounds=30, seed=2)
+    recs = generate(calibrated_curve, T=20, rounds=30, seed=2, tau=max(1, 20 // 4))
     path = tmp_path / "t.tsv"
     write_trace(path, recs)
     rep = run_trace(path)
@@ -192,14 +192,14 @@ def test_trace_replay_from_file(tmp_path, calibrated_curve):
 
 
 def test_trace_replay_single_record_is_all_bootstrap(calibrated_curve):
-    recs = generate(calibrated_curve, T=20, rounds=1, seed=2)[:1]
+    recs = generate(calibrated_curve, T=20, rounds=1, seed=2, tau=max(1, 20 // 4))[:1]
     rep = run_trace(recs, schemes=("spbms",))
     assert rep.row("spbms", "ba").messages == 1
     assert rep.row("spbms", "ba").mean_payload_bits == 456.0
 
 
 def test_trace_replay_validation(calibrated_curve):
-    recs = generate(calibrated_curve, T=20, rounds=5, seed=2)
+    recs = generate(calibrated_curve, T=20, rounds=5, seed=2, tau=max(1, 20 // 4))
     solo = [r for r in recs if r.peer == "B"]
     with pytest.raises(ValueError, match="two peers"):
         run_trace(solo, schemes=("ppbms",))
@@ -231,6 +231,33 @@ def test_reorder_script_validation():
         ReorderScript(delays={("ab", 1): -2})
     with pytest.raises(ValueError):
         ReorderScript(drops=[("ab", -4)])
+
+
+def test_reorder_script_rejects_an_index_or_delay_that_is_not_an_integer():
+    """A fractional index or delay is invalid, not truncated; NumPy
+    integers are accepted and stored as ``int``."""
+    for kw, text in [(dict(delays={("ab", 1): 2.5}), "bad delay entry ('ab', 1) -> 2.5"),
+                     (dict(delays={("ab", 1.5): 2}), "bad delay entry ('ab', 1.5) -> 2"),
+                     (dict(drops=[("ba", 3.7)]), "bad message key ('ba', 3.7)"),
+                     (dict(swaps=[("ab", 5.2)]), "bad message key ('ab', 5.2)")]:
+        with pytest.raises(ValueError) as err:
+            ReorderScript(**kw)
+        assert str(err.value) == text
+    script = ReorderScript(delays={("ab", np.int64(1)): np.int32(2)},
+                           drops=[("ba", np.uint8(3))], swaps=[("ab", np.int16(5))])
+    assert script == ReorderScript(delays={("ab", 1): 2}, drops=[("ba", 3)], swaps=[("ab", 5)])
+    numbers = [*script.delays.values()] + [i for _, i in [*script.delays, *script.drops,
+                                                         *script.swaps]]
+    assert {type(x) for x in numbers} == {int}
+
+
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+@pytest.mark.parametrize("depth", [0, -3])
+def test_a_config_rejects_an_archive_depth_below_1(scheme, depth):
+    """Every scheme's engine holds late messages up to the archive depth, so
+    a depth below 1 is rejected when the config is built, whatever it runs."""
+    with pytest.raises(ValueError, match="^archive depth must be at least 1$"):
+        _cfg(schemes=(scheme,), archive_depth=depth)
 
 
 def test_empty_script_changes_nothing():

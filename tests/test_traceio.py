@@ -39,7 +39,7 @@ def test_write_parse_write_is_byte_identical(tmp_path):
     assert p2.read_bytes() == p1.read_bytes()
 
     curve = two_segment_curve(24, 3, 0.8)
-    recs = generate(curve, T=6, rounds=40, seed=9)
+    recs = generate(curve, T=6, rounds=40, seed=9, tau=max(1, 6 // 4))
     p3, p4 = tmp_path / "c.tsv", tmp_path / "d.tsv"
     write_trace(p3, recs)
     write_trace(p4, parse_trace(p3))
@@ -210,10 +210,10 @@ def test_dedupe_compares_offset_too():
 
 def test_generate_is_deterministic():
     curve = two_segment_curve(16, 2, 0.8)
-    a = generate(curve, T=4, rounds=30, seed=5)
-    b = generate(curve, T=4, rounds=30, seed=5)
+    a = generate(curve, T=4, rounds=30, seed=5, tau=max(1, 4 // 4))
+    b = generate(curve, T=4, rounds=30, seed=5, tau=max(1, 4 // 4))
     assert a == b
-    c = generate(curve, T=4, rounds=30, seed=6)
+    c = generate(curve, T=4, rounds=30, seed=6, tau=max(1, 4 // 4))
     assert a != c
 
 
@@ -223,13 +223,10 @@ def test_generate_schedule_and_roles():
     assert [r.timestamp for r in recs] == [0, 3, 8, 11, 16, 19, 24, 27, 32, 35]
     assert all(r.peer == "B" and r.direction == "received" for r in recs[0::2])
     assert all(r.peer == "A" and r.direction == "sent" for r in recs[1::2])
-    # Defaults: tau is a quarter period, floored but at least 1.
-    assert generate(curve, T=8, rounds=1, seed=1)[1].timestamp == 2
-    assert generate(curve, T=2, rounds=1, seed=1)[1].timestamp == 1
     with pytest.raises(ValueError):
-        generate(curve, T=0, rounds=5, seed=1)
+        generate(curve, T=0, rounds=5, seed=1, tau=max(1, 0 // 4))
     with pytest.raises(ValueError):
-        generate(curve, T=4, rounds=0, seed=1)
+        generate(curve, T=4, rounds=0, seed=1, tau=max(1, 4 // 4))
     with pytest.raises(ValueError):
         generate(curve, T=4, rounds=5, seed=1, tau=5)
 
@@ -238,7 +235,7 @@ def test_generate_reproduces_the_fill_law():
     """Bit frequencies per age over many disjoint windows match the curve."""
     n, rounds = 16, 10_000
     curve = two_segment_curve(n, 3, 0.7)
-    recs = generate(curve, T=n, rounds=rounds, seed=12)
+    recs = generate(curve, T=n, rounds=rounds, seed=12, tau=max(1, n // 4))
     freq = np.zeros(n)
     b_maps = [r.bm for r in recs if r.peer == "B"]
     for bm in b_maps:
