@@ -25,12 +25,13 @@ from __future__ import annotations
 import argparse
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .coders import CODER_NAMES, decode_bits, encode_bits
 from .entropy import calibrate_curve, report_grid
-from .errors import BmkitError, InsufficientDataError, InvariantError
+from .errors import BmkitError, DesyncError, InsufficientDataError, InvariantError
 from .fillmodel import fit_two_segment, load_curve, save_curve
 from .schemes import (
     HEADER_LEN,
@@ -102,21 +103,22 @@ def _resolve_curve(args):
     return calibrate_curve(target, n).to_curve(n)
 
 
-def _timing(args, n, rounds: int) -> tuple:
-    """``(T, tau, rounds, seed)`` of a synthetic run from ``--T`` (default
-    20), ``--tau`` (default a quarter period, at least 1), ``--rounds``
-    (default ``rounds``) and ``--seed`` (default 0); T and tau are checked
-    against each other and against the window width ``n``."""
+def _timing(args, curve, rounds: int) -> SimConfig:
+    """The synthetic run over ``curve`` of ``--T`` (default 20), ``--tau``
+    (default a quarter period, at least 1), ``--rounds`` (default
+    ``rounds``) and ``--seed`` (default 0), with every scheme and no coder;
+    a parameter ``SimConfig`` rejects is a usage error."""
     T = args.T if args.T is not None else 20
-    tau = args.tau if args.tau is not None else max(1, T // 4)
-    if not 0 < tau <= T:
-        raise _UsageError(f"need 0 < tau <= T, got tau={tau} T={T}")
-    if T > n:
-        raise _UsageError(f"need T <= n, got T={T} n={n}")
-    rounds = args.rounds if args.rounds is not None else rounds
-    if rounds < 1:
-        raise _UsageError(f"need rounds >= 1, got rounds={rounds}")
-    return T, tau, rounds, args.seed if args.seed is not None else 0
+    try:
+        return SimConfig(
+            curve,
+            T=T,
+            tau=args.tau if args.tau is not None else max(1, T // 4),
+            rounds=args.rounds if args.rounds is not None else rounds,
+            seed=args.seed if args.seed is not None else 0,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 def _emit(text: str, out_path):
@@ -166,18 +168,8 @@ def _cmd_simulate(args) -> int:
             raise _UsageError(f"--trace replays a recorded run; {' '.join(given)} cannot apply")
         result = run_trace(args.trace, schemes=schemes, coders=coders)
     else:
-        curve = _resolve_curve(args)
-        T, tau, rounds, seed = _timing(args, curve.n, 1000)
-        cfg = SimConfig(
-            curve=curve,
-            T=T,
-            tau=tau,
-            rounds=rounds,
-            seed=seed,
-            schemes=schemes,
-            coders=coders,
-        )
-        result = run_synthetic(cfg)
+        cfg = _timing(args, _resolve_curve(args), 1000)
+        result = run_synthetic(replace(cfg, schemes=schemes, coders=coders))
     _emit(result.to_csv(), args.out)
     return 0
 
@@ -217,12 +209,12 @@ def _frame(out: list, rec: TraceRecord, name: bytes, msg: CompressedBM, coder) -
 
 def _read_frames(data: bytes):
     """Yield (timestamp, peer, direction, message) from a dump.  Each
-    frame's scheme is checked against the first frame's before its payload
-    is decoded."""
+    frame's scheme and bit count are checked against the first frame's
+    before its payload is decoded."""
     if data[: len(_DUMP_MAGIC)] != _DUMP_MAGIC:
         raise ValueError("not a message dump (bad magic)")
     names = {}  # each peer name's bytes -> its decoded name
-    first = None  # the first frame's scheme
+    first = n = None  # the first frame's scheme and bit count: the whole window
     pos = len(_DUMP_MAGIC)
     end = len(data)
     while pos < end:
@@ -245,9 +237,12 @@ def _read_frames(data: bytes):
             raise ValueError("truncated frame body")
         scheme, offset, lbmr, cbmr, nbits, resync = unpack_envelope(data, pos)
         if first is None:
-            first = scheme
+            first, n = scheme, nbits
         elif scheme != first:
             raise ValueError(f"dump mixes schemes {sorted((first, scheme))}")
+        elif nbits > n or (scheme == "sbms" and nbits != n):
+            what = f"{n} raw" if scheme == "sbms" else f"at most {n} payload"
+            raise DesyncError(f"expected {what} bits, got {nbits}")
         coder = _ID_CODERS[coder_id]
         if coder is None:
             body = data[pos : pos + body_len]
@@ -342,9 +337,8 @@ def _cmd_decode(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_gen_trace(args) -> int:
-    curve = _resolve_curve(args)
-    T, tau, rounds, seed = _timing(args, curve.n, 100)
-    records = generate(curve, T, rounds=rounds, seed=seed, tau=tau)
+    cfg = _timing(args, _resolve_curve(args), 100)
+    records = generate(cfg.curve, cfg.T, rounds=cfg.rounds, seed=cfg.seed, tau=cfg.tau)
     write_trace(args.out, records)
     return 0
 

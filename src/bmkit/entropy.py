@@ -74,9 +74,21 @@ def h_sbms(curve: SCurve) -> float:
     return float(_h_arr(curve.probs).sum())
 
 
-def _check_T(curve: SCurve, T: int):
-    if not 0 < T <= curve.n:
-        raise ValueError(f"need 0 < T <= {curve.n}, got T={T}")
+def _check_T(n: int, T: int):
+    if not 0 < T <= n:
+        raise ValueError(f"need 0 < T <= n, got T={T}, n={n}")
+
+
+def _check_run(n: int, T: int, tau: int, rounds: int, seed: int):
+    """A synthetic run's parameters: a period the window holds, a reply
+    offset inside it, at least one round and a seed numpy accepts."""
+    _check_T(n, T)
+    if not 0 < tau <= T:
+        raise ValueError(f"need 0 < tau <= T, got tau={tau}, T={T}")
+    if rounds < 1:
+        raise ValueError(f"need rounds >= 1, got rounds={rounds}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got seed={seed}")
 
 
 def _check_tau(T: int, tau: int):
@@ -108,7 +120,7 @@ def _counterpart_factors(curve: SCurve, counterpart, stale: int, n: int) -> np.n
 def _h_directed(curve: SCurve, T: int, tau: int, stale: int, counterpart) -> float:
     """Bits per message in a direction whose counterpart reported ``stale``
     chunk-times earlier."""
-    _check_T(curve, T)
+    _check_T(curve.n, T)
     _check_tau(T, tau)
     p = curve.probs
     n = curve.n
@@ -299,7 +311,7 @@ def report_grid(curve: SCurve, T_list, taus="min") -> EntropyReport:
     h0 = h_sbms(curve)
     rows = []
     for T in Ts:
-        _check_T(curve, T)
+        _check_T(curve.n, T)
         if taus == "min":
             tau_grid = [1]
         elif taus == "sweep":

@@ -78,7 +78,7 @@ import numpy as np
 from . import traceio
 from .bitmap import _same_bits
 from .coders import CODER_NAMES, encode_bits
-from .entropy import _csv_line
+from .entropy import _check_run, _csv_line
 from .errors import InvariantError, MissingReferenceError
 from .fillmodel import SCurve, _cond_fill
 from .schemes import PpbmsSession, SpbmsDecoder, SpbmsEncoder, sbms_decode, sbms_encode
@@ -127,12 +127,7 @@ class SimConfig:
     keep_messages: bool = False
 
     def __post_init__(self):
-        if not 0 < self.T <= self.curve.n:
-            raise ValueError(f"need 0 < T <= n, got T={self.T}, n={self.curve.n}")
-        if not 0 < self.tau <= self.T:
-            raise ValueError(f"need 0 < tau <= T, got tau={self.tau}, T={self.T}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
+        _check_run(self.curve.n, self.T, self.tau, self.rounds, self.seed)
         schemes, coders = _check_schemes_coders(self.schemes, self.coders)
         object.__setattr__(self, "schemes", schemes)
         object.__setattr__(self, "coders", coders)

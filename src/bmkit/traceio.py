@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmap import BufferMap, PeerBufferState, check_monotone
+from .entropy import _check_run
 from .errors import MonotonicityError, TraceError
 from .fillmodel import SCurve
 
@@ -158,10 +159,7 @@ def generate(curve: SCurve, T: int, rounds: int, seed: int, tau: int) -> list:
     counterpart's announcement) and peer A's at ``i*T + tau`` (logged as
     sent), for ``rounds`` periods.
     """
-    if T < 1 or rounds < 1:
-        raise ValueError("need T >= 1 and rounds >= 1")
-    if not 0 < tau <= T:
-        raise ValueError(f"need 0 < tau <= T, got tau={tau}")
+    _check_run(curve.n, T, tau, rounds, seed)
     logged = (("B", "received"), ("A", "sent"))
     return [TraceRecord(t, *logged[k % 2], bm)
             for k, (t, bm) in enumerate(_schedule(curve, T, tau, rounds, seed))]

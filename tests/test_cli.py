@@ -1,8 +1,13 @@
-"""Command-line front end, exercised in-process through main(argv)."""
+"""Command-line front end, exercised in-process through main(argv), and
+once as a process."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from bmkit import cli
 from bmkit.bitmap import BufferMap
 from bmkit.cli import main
 from bmkit.coders import decode_bits
+from bmkit.entropy import h_spbms, report_grid
 from bmkit.errors import InvariantError
 from bmkit.fillmodel import (
     load_curve,
@@ -19,7 +25,8 @@ from bmkit.fillmodel import (
     two_segment_curve,
 )
 from bmkit.schemes import HEADER_LEN, unpack_envelope
-from bmkit.traceio import TraceRecord, parse_trace, write_trace
+from bmkit.sim import SimConfig
+from bmkit.traceio import TraceRecord, generate, parse_trace, write_trace
 from conftest import hostile_blob
 
 
@@ -76,14 +83,12 @@ def test_analyze_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--T", "0"], "need 0 < T <= 456, got T=0"),
-    (["--T", "-3"], "need 0 < T <= 456, got T=-3"),
-    (["--T", "457"], "need 0 < T <= 456, got T=457"),
     (["--T", "8", "--tau", "9"], "no admissible tau for T=8"),
-], ids=["T0", "T-3", "T457", "T8-tau9"])
+], ids=["T8-tau9"])
 def test_analyze_bad_timing_is_a_usage_error(argv, message, capsys):
-    """A period the window cannot hold, or no admissible offset, is a bad
-    flag: exit 1, with the message ``report_grid`` raises."""
+    """A grid point with no admissible offset is a bad flag: exit 1, with
+    the message ``report_grid`` raises.  A bad period is in
+    ``test_a_bad_run_parameter_has_one_text_at_every_entry_point``."""
     assert main(["analyze", *argv]) == 1
     assert capsys.readouterr().err == f"bmkit: {message}\n"
 
@@ -134,14 +139,42 @@ def test_simulate_validates_timing(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("T", ["0", "-3"])
-def test_simulate_and_gen_trace_reject_a_nonpositive_period_as_usage(tmp_path, capsys, T):
-    """Both commands default tau to max(1, T // 4) = 1 and reject it
-    against T <= 0 before any work, with the same usage error."""
-    for argv in (["simulate"], ["gen-trace", "--out", str(tmp_path / "t.tsv")]):
-        assert main(argv + ["--n", "16", "--calibrate-hsbms", "5", "--T", T]) == 1
-        assert capsys.readouterr().err == f"bmkit: need 0 < tau <= T, got tau=1 T={T}\n"
-    assert not (tmp_path / "t.tsv").exists()
+_RUN = {"T": 8, "tau": 2, "rounds": 2, "seed": 1}  # a valid run on a 16-chunk window
+
+
+@pytest.mark.parametrize("bad, text", [
+    ({"T": 0}, "need 0 < T <= n, got T=0, n=16"),
+    ({"T": -3}, "need 0 < T <= n, got T=-3, n=16"),
+    ({"T": 17}, "need 0 < T <= n, got T=17, n=16"),
+    ({"tau": 9}, "need 0 < tau <= T, got tau=9, T=8"),
+    ({"tau": 0}, "need 0 < tau <= T, got tau=0, T=8"),
+    ({"rounds": 0}, "need rounds >= 1, got rounds=0"),
+    ({"rounds": -3}, "need rounds >= 1, got rounds=-3"),
+    ({"seed": -1}, "need seed >= 0, got seed=-1"),
+], ids=["T0", "T-3", "T17", "tau9", "tau0", "rounds0", "rounds-3", "seed-1"])
+def test_a_bad_run_parameter_has_one_text_at_every_entry_point(tmp_path, capsys, bad, text):
+    """``SimConfig`` and ``generate`` raise each of the four texts of a
+    synthetic run's parameters, and ``report_grid`` and ``h_spbms`` the
+    period's.  ``simulate``, ``gen-trace`` and, for the period, ``analyze``
+    print the same text as a usage error (exit 1) before writing anything."""
+    run = {**_RUN, **bad}
+    curve = two_segment_curve(16, 2, 0.8)
+    calls = [lambda: SimConfig(curve, **run), lambda: generate(curve, **run)]
+    flags = [f"--{k}={v}" for k, v in run.items()]
+    commands = [["simulate", *flags], ["gen-trace", *flags]]
+    if "T" in bad:
+        calls += [lambda: report_grid(curve, [run["T"]]), lambda: h_spbms(curve, run["T"])]
+        commands.append(["analyze", f"--T={run['T']}"])
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == text
+    out = tmp_path / "out"
+    for command in commands:
+        argv = command + ["--n", "16", "--calibrate-hsbms", "5", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"bmkit: {text}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("rounds", ["0", "-3"])
@@ -545,6 +578,40 @@ def test_decode_rejects_a_second_scheme_before_decoding_its_payload(
     assert len(calls) <= 1
 
 
+def _claiming(frame, nbits):
+    """``frame`` with the bit count in its envelope set to ``nbits``."""
+    at = struct.calcsize(">IB") + frame[4] + struct.calcsize(">BBH") + HEADER_LEN - 2
+    return frame[:at] + struct.pack(">H", nbits) + frame[at + 2 :]
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ("sbms", "expected 64 raw bits, got 65535"),
+    ("spbms", "expected at most 64 payload bits, got 65535"),
+], ids=["sbms", "spbms"])
+def test_decode_bounds_each_frames_bit_count_before_decoding_its_payload(
+        tmp_path, small_trace, monkeypatch, capsys, scheme, message):
+    """Two valid frames, then 48 that each claim 65,535 bits: frame 3 fails
+    against frame 1's whole-window bit count (an sbms frame must equal it,
+    an spbms one may not exceed it), so only frames 1 and 2 are decoded."""
+    dump = tmp_path / "d.bmd"
+    assert main(["encode", "--trace", str(small_trace), "--scheme", scheme,
+                 "--coder", "ac", "--out", str(dump)]) == 0
+    data = dump.read_bytes()
+    (a, b), (c, d) = _frames(data)[:2]
+    hostile = tmp_path / "hostile.bmd"
+    hostile.write_bytes(b"BMD1" + data[a:d] + _claiming(data[c:d], 0xFFFF) * 48)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return decode_bits(*args)
+
+    monkeypatch.setattr(cli, "decode_bits", counting)
+    assert main(["decode", str(hostile), "--out", str(tmp_path / "o.tsv")]) == 2
+    assert capsys.readouterr().err == f"bmkit: {message}\n"
+    assert len(calls) <= 2
+
+
 # ----------------------------------------------------------------------
 # gen-trace
 # ----------------------------------------------------------------------
@@ -654,6 +721,37 @@ def test_fit_curve_on_a_window_too_narrow_for_a_breakpoint_is_invalid_input(tmp_
     pairs.write_text("0 0.1\n1 0.5\n1 0.9\n")
     assert main(["fit-curve", "--samples", str(pairs), "--n", "2"]) == 2
     assert "n >= 3" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# as a process
+# ----------------------------------------------------------------------
+
+def test_bmkit_round_trips_a_trace_as_a_process(tmp_path):
+    """``python -m bmkit.cli`` generates a trace, codes it as spbms with
+    Huffman and decodes it back byte for byte; a usage error exits 1 with
+    its message on stderr and nothing on stdout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+    def bmkit(*argv):
+        return subprocess.run([sys.executable, "-m", "bmkit.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=60)
+
+    for argv in (["gen-trace", "--n", "64", "--calibrate-hsbms", "20", "--T", "8",
+                  "--rounds", "40", "--seed", "4", "--out", "t.tsv"],
+                 ["encode", "--trace", "t.tsv", "--scheme", "spbms", "--coder", "huffman",
+                  "--out", "d.bmd"],
+                 ["decode", "d.bmd", "--out", "back.tsv"]):
+        proc = bmkit(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert (tmp_path / "back.tsv").read_bytes() == (tmp_path / "t.tsv").read_bytes()
+    proc = bmkit("gen-trace", "--n", "16", "--calibrate-hsbms", "5", "--T", "17",
+                 "--out", "bad.tsv")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"bmkit: need 0 < T <= n, got T=17, n=16\n"
+    assert not (tmp_path / "bad.tsv").exists()
 
 
 # ----------------------------------------------------------------------

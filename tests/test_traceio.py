@@ -229,6 +229,8 @@ def test_generate_schedule_and_roles():
         generate(curve, T=4, rounds=0, seed=1, tau=max(1, 4 // 4))
     with pytest.raises(ValueError):
         generate(curve, T=4, rounds=5, seed=1, tau=5)
+    with pytest.raises(ValueError):  # a period past a 4-chunk window
+        generate(two_segment_curve(4, 1, 0.8), T=5, rounds=5, seed=1, tau=1)
 
 
 def test_generate_reproduces_the_fill_law():
