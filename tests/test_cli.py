@@ -83,12 +83,14 @@ def test_analyze_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["--T", "0"], "need 0 < T <= n, got T=0, n=456"),
+    (["--T", "-3"], "need 0 < T <= n, got T=-3, n=456"),
+    (["--T", "457"], "need 0 < T <= n, got T=457, n=456"),
     (["--T", "8", "--tau", "9"], "no admissible tau for T=8"),
-], ids=["T8-tau9"])
+], ids=["T0", "T-3", "T457", "T8-tau9"])
 def test_analyze_bad_timing_is_a_usage_error(argv, message, capsys):
-    """A grid point with no admissible offset is a bad flag: exit 1, with
-    the message ``report_grid`` raises.  A bad period is in
-    ``test_a_bad_run_parameter_has_one_text_at_every_entry_point``."""
+    """A period the default window cannot hold, or no admissible offset, is
+    a bad flag: exit 1, with the message ``report_grid`` raises."""
     assert main(["analyze", *argv]) == 1
     assert capsys.readouterr().err == f"bmkit: {message}\n"
 
@@ -137,6 +139,16 @@ def test_simulate_validates_timing(capsys):
     assert main(["simulate", "--n", "16", "--calibrate-hsbms", "5",
                  "--T", "17"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("T", ["0", "-3"])
+def test_simulate_and_gen_trace_reject_a_nonpositive_period_as_usage(tmp_path, capsys, T):
+    """Both commands default tau to max(1, T // 4) = 1 but check the period
+    first, so a nonpositive T gets the period's usage error before any work."""
+    for argv in (["simulate"], ["gen-trace", "--out", str(tmp_path / "t.tsv")]):
+        assert main(argv + ["--n", "16", "--calibrate-hsbms", "5", "--T", T]) == 1
+        assert capsys.readouterr() == ("", f"bmkit: need 0 < T <= n, got T={T}, n=16\n")
+    assert not (tmp_path / "t.tsv").exists()
 
 
 _RUN = {"T": 8, "tau": 2, "rounds": 2, "seed": 1}  # a valid run on a 16-chunk window
