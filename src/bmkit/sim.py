@@ -56,12 +56,6 @@ measured send over its own entries.  A bit the model cannot produce
 therefore raises at the end of its block, not at its send; no correct run
 does, since each bit the generator draws has positive probability under
 the same curve.
-
-Message loss is the designed recovery path, not an error: a receiver that
-can no longer resolve references (archive eviction or an overflowing hold
-buffer) flags its pairing, the next sender answers with a whole-bitmap
-resync message, and stale traffic from before the resync is discarded via
-an engine-level epoch stamp on each delivery.
 """
 
 from __future__ import annotations
@@ -427,8 +421,51 @@ class _Envelope:
     idx: int
 
 
+@dataclass(slots=True)
+class _Recovery:
+    """A pairing's loss recovery.  Message loss is the designed recovery
+    path, not an error: a receiver that can no longer resolve references
+    (archive eviction or an overflowing hold buffer) asks for a resync, the
+    pairing's next send is a whole-bitmap resync message, and the epoch
+    stamped on each envelope discards traffic from before the last resync
+    that landed and holds traffic from after one still in flight."""
+
+    epoch: int = 0  # resyncs sent so far; an sbms pairing never sends one
+    landed: int = 0  # epoch of the last resync that landed
+    asked: bool = False  # a receiver asked for a resync not yet sent
+    dirty: bool = False  # lost a message; true until a resync lands
+
+    def lose(self):
+        self.dirty = True
+
+    def ask(self):
+        self.asked = self.dirty = True
+
+    def next_send(self) -> tuple[bool, int]:  # (whether it is a resync, the epoch it carries)
+        resync, self.asked = self.asked, False
+        self.epoch += resync
+        return resync, self.epoch
+
+    def land(self, epoch: int, resync: bool) -> str:
+        if epoch < self.landed:
+            return "discard"
+        if resync:
+            self.landed = epoch
+            self.dirty = False
+        elif epoch > self.landed:
+            return "held"
+        return "ok"
+
+    def settled(self) -> bool:  # whether the drained check may run
+        return not (self.asked or self.dirty)
+
+    @property
+    def resyncs(self) -> int:
+        return self.epoch
+
+
 class _Engine:
-    """One pairing of one scheme, with its loss-recovery state, its links
+    """One pairing of one scheme, with its ``_Recovery``, its links
     (direction -> ``_Link``; both directions for ppbms, one for sbms and
     spbms) and the envelopes in flight on them.
 
@@ -456,10 +493,7 @@ class _Engine:
         else:
             ends = {d: (None, None) for d in dirs}
         self.links = {d: _Link(d, *ends[d], coders) for d in dirs}
-        self.send_epoch = 0  # resyncs sent so far
-        self.recv_epoch = 0
-        self.needs_resync = False
-        self.dirty = False  # lost a message; true until a resync lands
+        self.recovery = _Recovery()
         self.pending = []  # heap of (due, counter, link, envelope)
         self._counter = 0
 
@@ -476,7 +510,7 @@ class _Engine:
         (sbms ends hold none)."""
         # A ppbms pairing's two sessions are both ends of its first link.
         link = next(iter(self.links.values()))
-        if link.enc is None or self.needs_resync or self.dirty or self._outstanding():
+        if link.enc is None or not self.recovery.settled() or self._outstanding():
             return
         if not link.enc.support_set == link.dec.support_set:
             raise InvariantError(
@@ -484,28 +518,22 @@ class _Engine:
             )
 
     def _deliver(self, link, env: _Envelope) -> str:
-        # An sbms pairing never resyncs, so its epoch stays 0.
-        if env.epoch < self.recv_epoch:
-            return "discard"
-        if env.epoch > self.recv_epoch and not env.msg.resync:
-            self._hold(link, env)
-            return "held"
-        if env.msg.resync:
-            self.recv_epoch = env.epoch
-            self.dirty = False
-            for other in self.links.values():
-                other.held = [e for e in other.held if e.epoch >= env.epoch]
+        outcome = self.recovery.land(env.epoch, env.msg.resync)
         dec = link.dec
-        try:
-            out = sbms_decode(env.msg, self.n) if dec is None else dec.decode(env.msg)
-        except MissingReferenceError as exc:
-            if exc.ahead:
-                self._hold(link, env)
-                return "held"
-            # Reference evicted: designed recovery is a pair resync.
-            self.needs_resync = True
-            self.dirty = True
-            return "discard"
+        if outcome == "ok":
+            try:
+                out = sbms_decode(env.msg, self.n) if dec is None else dec.decode(env.msg)
+            except MissingReferenceError as exc:
+                outcome = "held" if exc.ahead else "discard"
+                if not exc.ahead:  # reference evicted: designed recovery is a pair resync
+                    self.recovery.ask()
+        if outcome == "held":
+            link.held.append(env)
+            if len(link.held) > self.archive_depth:
+                self.recovery.ask()
+                link.held.clear()
+        if outcome != "ok":
+            return outcome
         if self.scheme == "ppbms":
             truth = env.snap.bits[out.locations - env.snap.offset]
             if not _same_bits(out.bits, truth):
@@ -520,32 +548,20 @@ class _Engine:
             link.decoded.append(out)
         return "ok"
 
-    def _hold(self, link, env: _Envelope):
-        link.held.append(env)
-        if len(link.held) > self.archive_depth:
-            self.needs_resync = True
-            self.dirty = True
-            link.held.clear()
-
     def _pump(self):
-        progressed = True
-        while progressed:
-            progressed = False
-            for link in self.links.values():
-                q = link.held
-                if not q:
-                    continue
-                link.held = []
-                q.sort(key=lambda e: e.idx)
-                for k, env in enumerate(q):
-                    outcome = self._deliver(link, env)
-                    if outcome == "held":
-                        # Later messages of this direction cannot resolve
-                        # before this one does; they stay held, untried.
-                        link.held.extend(q[k + 1 :])
-                        break
-                    if outcome == "ok":
-                        progressed = True
+        # One pass: no held envelope is a resync, and each changes only its own link's receiver.
+        for link in self.links.values():
+            q = link.held
+            if not q:
+                continue
+            link.held = []
+            q.sort(key=lambda e: e.idx)
+            for k, env in enumerate(q):
+                if self._deliver(link, env) == "held":
+                    # Later messages of this direction cannot resolve
+                    # before this one does; they stay held, untried.
+                    link.held.extend(q[k + 1 :])
+                    break
 
     def deliver_due(self, now: float):
         """Deliver every pending envelope due by ``now`` in (due, counter)
@@ -575,14 +591,12 @@ class _Engine:
         enc = link.enc
         idx = link.sent
         link.sent += 1
-        resync = self.needs_resync
+        resync, epoch = self.recovery.next_send()
         if enc is None:
             msg = sbms_encode(snap)
         else:
             msg = enc.make_resync(snap) if resync else enc.encode(snap)
         if resync:
-            self.needs_resync = False
-            self.send_epoch += 1
             for other in self.links.values():
                 other.prev_end = None
         if self.ideal is None:
@@ -606,17 +620,17 @@ class _Engine:
             for c in self.coders:
                 if msg.n_bits:
                     link.coder_bytes[c] += len(encode_bits(c, msg.payload))
-        self._route(eidx, link, msg, snap, idx)
+        self._route(eidx, link, msg, snap, idx, epoch)
 
-    def _route(self, eidx, link, msg, snap, idx):
+    def _route(self, eidx, link, msg, snap, idx, epoch):
         key = (link.direction, idx)
         if key in self.script.drops:
             link.drops += 1
-            self.dirty = True
+            self.recovery.lose()
             due = eidx + 1
         else:
-            env = _Envelope(eidx + 1 + self.script.delays.get(key, 0), self._counter,
-                            self.send_epoch, msg, snap, idx)
+            env = _Envelope(eidx + 1 + self.script.delays.get(key, 0), self._counter, epoch,
+                            msg, snap, idx)
             self._counter += 1
             if key in self.script.swaps:  # ReorderScript rejects overlapping swaps
                 link.swap_stash = env
@@ -666,7 +680,7 @@ def _run(sends, n, schemes, coders, archive_depth=8, keep_messages=False, script
     for engine in engines:
         for link in engine.links.values():
             key = (engine.scheme, link.direction)
-            stats.append(link.stats(engine.scheme, engine.send_epoch))
+            stats.append(link.stats(engine.scheme, engine.recovery.resyncs))
             payloads[key] = link.payloads
             ss_sizes[key] = np.asarray(link.ss, dtype=np.int64)
             ideal_bits[key] = np.asarray(link.ideal, dtype=np.float64)

@@ -91,6 +91,10 @@ def test_retired_api_stays_gone():
     # An engine holds its one fault script; a link keeps no copy of it.
     for attr in ("drop_at", "swap_at", "delay_at"):
         assert not hasattr(sim._Link("ab", None, None, ()), attr)
+    # A pairing's loss recovery lives in its one _Recovery, and _deliver holds envelopes.
+    engine = sim._Engine("ppbms", ("ab", "ba"), 8, (), 8, False, sim.ReorderScript(), None)
+    for attr in ("send_epoch", "recv_epoch", "needs_resync", "dirty", "_hold"):
+        assert not hasattr(engine, attr), attr
     # The conditional fill probability has one home, next to the curve.
     assert entropy._cond_fill is fillmodel._cond_fill and sim._cond_fill is fillmodel._cond_fill
     params = {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bmkit.entropy import calibrate_curve, h_ppbms, h_sbms, h_spbms
-from bmkit.errors import InvariantError
+from bmkit.errors import DesyncError, InvariantError
 from bmkit.fillmodel import SCurve, two_segment_curve
 from bmkit import sim
 from bmkit.bitmap import BufferMap
@@ -834,6 +834,112 @@ def test_pump_retries_only_the_head_of_each_held_queue(monkeypatch, scheme, retr
     assert res.to_csv() == _ONE_DROP_HEAD + _ONE_DROP_CSV[scheme]
     assert res.total_resyncs(scheme) == 1
     assert len(calls) < retrying_all_calls
+
+
+_Recovery = sim._Recovery
+
+
+# A pairing with a resync of epoch 2 in flight after one of epoch 1 landed.
+_IN_FLIGHT = _Recovery(epoch=2, landed=1, dirty=True)
+
+
+@pytest.mark.parametrize("epoch, resync, outcome, after", [
+    (0, False, "discard", _IN_FLIGHT),
+    (0, True, "discard", _IN_FLIGHT),
+    (1, False, "ok", _IN_FLIGHT),
+    (1, True, "ok", _Recovery(epoch=2, landed=1)),
+    (2, False, "held", _IN_FLIGHT),
+    (2, True, "ok", _Recovery(epoch=2, landed=2)),
+], ids=["below", "below-resync", "equal", "equal-resync", "above", "above-resync"])
+def test_a_landing_envelope_is_discarded_held_or_delivered_by_its_epoch(epoch, resync, outcome,
+                                                                         after):
+    """An envelope below the landed epoch is discarded and one above it is
+    held until its resync lands, so neither changes the pairing; one of the
+    landed epoch, or a resync that is not stale, is delivered, and only a
+    resync settles the pairing on its epoch."""
+    rec = dataclasses.replace(_IN_FLIGHT)
+    assert rec.land(epoch, resync) == outcome
+    assert rec == after
+
+
+def test_a_loss_waits_for_a_resync_that_only_an_ask_sends():
+    """A loss alone sends no resync: the pairing stays unchecked until a
+    receiver asks, and the ask makes exactly the next send a resync, which
+    opens one epoch however often it was asked for."""
+    rec = _Recovery()
+    rec.lose()
+    assert rec == _Recovery(dirty=True) and not rec.settled()
+    assert rec.next_send() == (False, 0) and rec == _Recovery(dirty=True)
+    rec = _Recovery()
+    rec.ask()
+    rec.ask()
+    assert rec == _Recovery(asked=True, dirty=True) and not rec.settled()
+    assert rec.next_send() == (True, 1)
+    assert rec.next_send() == (False, 1)
+    assert rec == _Recovery(epoch=1, dirty=True) and rec.resyncs == 1
+    assert rec.land(1, True) == "ok" and rec == _Recovery(epoch=1, landed=1) and rec.settled()
+
+
+@pytest.mark.parametrize("asked", [False, True])
+@pytest.mark.parametrize("dirty", [False, True])
+def test_a_pairing_is_checked_only_while_settled(asked, dirty):
+    assert _Recovery(asked=asked, dirty=dirty).settled() is not (asked or dirty)
+
+
+def test_no_link_holds_an_envelope_older_than_the_last_landed_resync(monkeypatch):
+    """A resync is never held, so it lands from ``deliver_due``, whose pump
+    then meets every older envelope of each direction before any newer one
+    and discards it.  On this script an older envelope is still held when
+    each resync lands, and none is left after."""
+    stale = []
+
+    def deliver(self, link, env, _deliver=sim._Engine._deliver):
+        if env.msg.resync:
+            stale.extend(e for other in self.links.values() for e in other.held
+                         if e.epoch < env.epoch)
+        return _deliver(self, link, env)
+
+    def deliver_due(self, now, _deliver_due=sim._Engine.deliver_due):
+        _deliver_due(self, now)
+        landed = self.recovery.landed
+        for link in self.links.values():
+            assert [e.idx for e in link.held if e.epoch < landed] == []
+
+    monkeypatch.setattr(sim._Engine, "_deliver", deliver)
+    monkeypatch.setattr(sim._Engine, "deliver_due", deliver_due)
+    res = reorder_fault_run(_cfg(rounds=20, archive_depth=1),
+                            ReorderScript(drops=[("ab", 4)], delays={("ab", 6): 2}))
+    assert [res.total_resyncs(s) for s in sim.SCHEMES] == [0, 1, 2]
+    assert len(stale) == 2
+
+
+# Overlapping ppbms recoveries the golden digests do not hold, pinned as they
+# fail until the recovery protocol is mended on purpose.
+@pytest.mark.parametrize("curve, run, script, error, text", [
+    # bench/workloads.py's crossing_resyncs_reproduce: two resyncs cross.
+    (lambda: calibrate_curve(20.0, 64).to_curve(64),
+     dict(T=4, tau=2, rounds=20, seed=904342679, archive_depth=8),
+     ReorderScript(drops=[("ab", 8)], delays={("ab", 17): 3}),
+     InvariantError, "ppbms ab: the support sets at the two ends diverged"),
+    # test_golden's _fault_corner_runs(200, 113), run 105.
+    (lambda: two_segment_curve(16, 5, 0.7253129766948632),
+     dict(T=4, tau=4, rounds=7, seed=1870351826, archive_depth=1, offset_lag=3),
+     ReorderScript(drops=[("ba", 7)], delays={("ba", 9): 3}),
+     InvariantError, "ppbms ab: the support sets at the two ends diverged"),
+    # test_golden's _fault_corner_runs(200, 102), run 86.
+    (lambda: two_segment_curve(32, 1, 0.45214697875289056),
+     dict(T=8, tau=8, rounds=6, seed=1399276441, archive_depth=3, offset_lag=4),
+     ReorderScript(drops=[("ab", 10)], delays={("ba", 5): 8, ("ab", 0): 9, ("ba", 3): 6},
+                   swaps=[("ba", 6)]),
+     DesyncError, "payload carries 15 bits but the support set implies 0"),
+], ids=["crossing", "corner-113-105", "corner-102-86"])
+def test_overlapping_ppbms_recoveries_still_fail(curve, run, script, error, text):
+    """Each run raises exactly this error, which mending the recovery
+    protocol changes on purpose."""
+    cfg = SimConfig(curve(), schemes=("ppbms",), **run)
+    with pytest.raises(error) as err:
+        reorder_fault_run(cfg, script)
+    assert type(err.value) is error and str(err.value) == text
 
 
 def test_total_resyncs_counts_every_pairing_once():
