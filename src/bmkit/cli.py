@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import struct
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -344,7 +345,10 @@ def _cmd_gen_trace(args) -> int:
 
 
 def _cmd_fit_curve(args) -> int:
-    data = np.loadtxt(args.samples, dtype=np.float64, comments="#", ndmin=2)
+    with warnings.catch_warnings():
+        # A file with no samples reads as zero delays and fails below.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(args.samples, dtype=np.float64, comments="#", ndmin=2)
     if data.shape[1] == 1:
         # Raw fill delays; turn them into the empirical per-age fill
         # frequency (values of n or more mean "never filled in window").

@@ -12,9 +12,7 @@ Every coder is two functions over bytes, ``encode(bits) -> blob`` and
   lengths alone; canonical code words follow from them (Schwartz & Kallick,
   CACM 1964).  The decoder checks the table's Kraft sum exactly.
 * ``ac``      - adaptive binary arithmetic coding (order-0 counts with +1
-  smoothing, 32-bit registers; `arith_encode` / `arith_decode`); given an
-  explicit per-position probability model it is a static coder over the
-  probabilities the caller gives.
+  smoothing, 32-bit registers; `arith_encode` / `arith_decode`).
 
 Every nonempty bit sequence round-trips through each coder.  Blob layouts
 are private to this module; the only cross-module contract is bytes in, bits
@@ -32,22 +30,21 @@ exact Kraft sum decodes, whether or not its lengths are the ones the
 encoder would build.  An ``ac`` blob has no single form either: its
 decoder reads past the end as zeros and ignores bytes it does not need.
 
-The arithmetic coder is one integer loop per direction, shared by the
-adaptive and the model path, and it renormalises a whole run per step
-rather than a bit per step.  The ``32 - (low ^ high).bit_length()`` top bits
-that ``low`` and ``high`` share are settled and leave at once: the first of
-them, then its complement once for every pending underflow bit, then the
-rest.  The underflow run below them, the leading ones of ``low & ~high``
-under bit 31, joins the pending count at once.  Output collects in an
-integer flushed to a bytearray every 32 bits and input is read 8 bytes at a
-time, so both loops stay linear in the payload length.
+The arithmetic coder is one integer loop per direction, and it renormalises
+a whole run per step rather than a bit per step.  The
+``32 - (low ^ high).bit_length()`` top bits that ``low`` and ``high`` share
+are settled and leave at once: the first of them, then its complement once
+for every pending underflow bit, then the rest.  The underflow run below
+them, the leading ones of ``low & ~high`` under bit 31, joins the pending
+count at once.  Output collects in an integer flushed to a bytearray every
+32 bits and input is read 8 bytes at a time, so both loops stay linear in
+the payload length.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -395,33 +392,27 @@ def huffman_decode(blob: bytes, n_bits: int) -> np.ndarray:
 _MASK = (1 << 32) - 1  # 32-bit registers
 _HALF = 1 << 31
 _QUARTER = 1 << 30
-_PROB_BITS = 16
-_PROB_ONE = 1 << _PROB_BITS
 _ADAPT_LIMIT = 1 << 16
 
 
-def _ac_encode(bits: list, t0s) -> bytes:
+def _ac_encode(bits: list) -> bytes:
     """Arithmetic-code ``bits`` (a list of 0/1) on the interval [low,
-    low + rng), whose high end is low + rng - 1 (see the module docstring).
-    ``t0s`` lists each bit's weight of zero out of _PROB_ONE; None codes
-    with the adaptive counts.  Only an interval within half the register
-    can renormalise."""
+    low + rng), whose high end is low + rng - 1 (see the module docstring),
+    weighing each bit by the counts so far.  Only an interval within half
+    the register can renormalise."""
     half, mask, limit = _HALF, _MASK, _ADAPT_LIMIT
     quarter, three_quarters = _QUARTER, _HALF + _QUARTER
     low, rng, pending = 0, mask + 1, 0
     c0 = c1 = 1
-    total = _PROB_ONE
     out = bytearray()
     acc = nacc = 0  # output bits not yet flushed to ``out``
-    for bit, t0 in zip(bits, repeat(None) if t0s is None else t0s):
-        if t0 is None:  # adaptive: weigh by the counts so far
+    for bit in bits:
+        total = c0 + c1
+        if total >= limit:
+            c0 = (c0 + 1) >> 1
+            c1 = (c1 + 1) >> 1
             total = c0 + c1
-            if total >= limit:
-                c0 = (c0 + 1) >> 1
-                c1 = (c1 + 1) >> 1
-                total = c0 + c1
-            t0 = c0
-        zero = rng * t0 // total  # width of the zero subinterval
+        zero = rng * c0 // total  # width of the zero subinterval
         if bit:
             low += zero
             rng -= zero
@@ -460,7 +451,7 @@ def _ac_encode(bits: list, t0s) -> bytes:
     return bytes(out)
 
 
-def _ac_decode(data, n_bits: int, t0s) -> np.ndarray:
+def _ac_decode(data, n_bits: int) -> np.ndarray:
     """Mirror of _ac_encode; reads past the end of ``data`` as zeros.
 
     It tracks ``val``, the code value's offset from ``low``, which always
@@ -471,19 +462,16 @@ def _ac_decode(data, n_bits: int, t0s) -> np.ndarray:
     quarter, three_quarters = _QUARTER, _HALF + _QUARTER
     low, rng = 0, mask + 1
     c0 = c1 = 1
-    total = _PROB_ONE
     win, at, nwin = _chunk(data, 0), 8, 64 - 32
     val = win >> nwin  # the first 32 bits; the rest wait in ``win``
     win &= (1 << nwin) - 1
-    for i, t0 in enumerate(repeat(None, n_bits) if t0s is None else t0s[:n_bits]):
-        if t0 is None:
+    for i in range(n_bits):
+        total = c0 + c1
+        if total >= limit:
+            c0 = (c0 + 1) >> 1
+            c1 = (c1 + 1) >> 1
             total = c0 + c1
-            if total >= limit:
-                c0 = (c0 + 1) >> 1
-                c1 = (c1 + 1) >> 1
-                total = c0 + c1
-            t0 = c0
-        zero = rng * t0 // total
+        zero = rng * c0 // total
         if val >= zero:
             out[i] = 1
             val -= zero
@@ -516,47 +504,19 @@ def _ac_decode(data, n_bits: int, t0s) -> np.ndarray:
     return np.frombuffer(out, dtype=bool)
 
 
-def _scale_probs(model) -> list:
-    """Per-position weights of zero out of _PROB_ONE, as Python ints."""
-    p1 = np.asarray(model, dtype=np.float64)
-    if p1.ndim != 1:
-        raise ValueError("probability model must be one-dimensional")
-    if np.any(p1 < 0.0) or np.any(p1 > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    t1 = np.clip(np.rint(p1 * _PROB_ONE), 1, _PROB_ONE - 1).astype(np.int64)
-    return (_PROB_ONE - t1).tolist()
-
-
-def arith_encode(bits, model=None) -> bytes:
-    """Arithmetic-code a bit sequence.
-
-    With ``model`` (per-position probabilities of a 1 bit, covering the
-    input) the coder is static; without it, an adaptive two-count model
-    with +1 smoothing learns as it goes.  Output carries no length; the
+def arith_encode(bits) -> bytes:
+    """Arithmetic-code a bit sequence with an adaptive two-count model (+1
+    smoothing) that learns as it goes.  Output carries no length; the
     caller keeps the bit count.
     """
     arr = _as_bits(bits)
-    t0s = None
-    if model is not None:
-        t0s = _scale_probs(model)
-        if len(t0s) < arr.size:
-            raise ValueError(
-                f"model covers {len(t0s)} positions but input has {arr.size} bits"
-            )
-    return _ac_encode(arr.view(np.uint8).tolist(), t0s)
+    return _ac_encode(arr.view(np.uint8).tolist())
 
 
-def arith_decode(data: bytes, n_bits: int, model=None) -> np.ndarray:
+def arith_decode(data: bytes, n_bits: int) -> np.ndarray:
     if n_bits < 0:
         raise ValueError("bit count must be nonnegative")
-    t0s = None
-    if model is not None:
-        t0s = _scale_probs(model)
-        if len(t0s) < n_bits:
-            raise ValueError(
-                f"model covers {len(t0s)} positions but {n_bits} bits are expected"
-            )
-    return _ac_decode(data, n_bits, t0s)
+    return _ac_decode(data, n_bits)
 
 
 # ======================================================================

@@ -173,8 +173,11 @@ def fit_two_segment(samples, n: int) -> TwoSegmentParams:
         raise InsufficientDataError(f"need at least 3 samples, got {len(pts)}")
     ages = np.array([a for a, _ in pts])
     vals = np.array([p for _, p in pts])
-    if ages.min() < 0 or ages.max() >= n:
+    # Written so that NaN fails too: it compares false with every bound.
+    if not np.all((ages >= 0) & (ages < n)):
         raise ValueError("sample ages must lie in [0, n)")
+    if not np.all((vals >= 0) & (vals <= 1)):
+        raise ValueError("sample probabilities must lie in [0, 1]")
 
     best = None  # (residual, breakpoint, params)
     for b in range(1, n - 1):

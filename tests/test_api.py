@@ -65,6 +65,8 @@ def test_retired_api_stays_gone():
     for name in ("ArithEncoder", "ArithDecoder", "RleStream", "HuffmanModel", "huffman_build",
                  "symbol_distribution", "chi_square_uniform"):
         assert name not in exported and not hasattr(coders, name)
+    # The arithmetic coder is adaptive only: no static per-position model.
+    assert not hasattr(coders, "_scale_probs")
     # A peer's window at time t starts at base_offset + t: snapshot(t).offset.
     assert not hasattr(bitmap.PeerBufferState, "offset_at")
     # Consecutive messages are read with unpack_message(data, pos).
@@ -101,6 +103,8 @@ def test_retired_api_stays_gone():
         schemes.sbms_encode: ["bm"],
         schemes.sbms_decode: ["msg", "n"],
         coders.huffman_encode: ["bits"],
+        coders.arith_encode: ["bits"],
+        coders.arith_decode: ["data", "n_bits"],
         bitmap.PeerBufferState: ["peer_id", "curve", "base_offset", "rng"],
         entropy.calibrate_curve: ["target_h_sbms", "n"],
         entropy.report_grid: ["curve", "T_list", "taus"],

@@ -696,6 +696,21 @@ def test_fit_curve_rejects_bad_samples(tmp_path, capsys):
     negative.write_text("-1\n4\n5\n")
     assert main(["fit-curve", "--samples", str(negative)]) == 2
     capsys.readouterr()
+    # Each exits 2 at once with its one text and no warning; a NaN age must
+    # not reach the least-squares solver, which does not return on it.
+    cases = {
+        "0 0.1\nnan 0.3\n2 0.5\n": "sample ages must lie in [0, n)",
+        "0 0.1\n1 5\n2 -3\n": "sample probabilities must lie in [0, 1]",
+        "0 0.1\n1 nan\n2 0.5\n": "sample probabilities must lie in [0, 1]",
+        "0 0.1\n1 inf\n2 0.5\n": "sample probabilities must lie in [0, 1]",
+        "": "need at least 3 delay samples, got 0",
+        "# no samples yet\n": "need at least 3 delay samples, got 0",
+    }
+    for text, message in cases.items():
+        samples = tmp_path / "samples.txt"
+        samples.write_text(text)
+        assert main(["fit-curve", "--samples", str(samples), "--n", "16"]) == 2
+        assert capsys.readouterr() == ("", f"bmkit: {message}\n")
 
 
 def test_fit_curve_on_a_window_too_narrow_for_a_breakpoint_is_invalid_input(tmp_path, capsys):

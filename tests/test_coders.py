@@ -13,7 +13,6 @@ from bmkit.coders import (
     _code_lengths,
     _parse_table,
     _run_split,
-    _scale_probs,
     arith_decode,
     arith_encode,
     decode_bits,
@@ -426,14 +425,13 @@ def test_huffman_decode_matches_its_bit_at_a_time_reference():
 _MASK, _HALF, _QUARTER = (1 << 32) - 1, 1 << 31, 1 << 30
 
 
-def _reference_weights(model):
-    """Each position's (weight of zero, total), fixed by ``model`` or drawn
-    from the adaptive counts, which ``learn(bit)`` updates."""
-    t0s = None if model is None else _scale_probs(model)
+def _reference_weights():
+    """The next bit's (weight of zero, total), drawn from the adaptive
+    counts, which ``learn(bit)`` updates."""
     counts = [1, 1]
 
-    def weight(i):
-        return (t0s[i], 1 << 16) if t0s is not None else (counts[0], sum(counts))
+    def weight():
+        return counts[0], sum(counts)
 
     def learn(bit):
         counts[bit] += 1
@@ -443,14 +441,14 @@ def _reference_weights(model):
     return weight, learn
 
 
-def _reference_arith_encode(bits, model=None):
+def _reference_arith_encode(bits):
     """Arithmetic encoding one renormalisation step and one output bit at a
     time: the reference the integer kernel must match."""
     bits = np.asarray(bits, dtype=bool).astype(int).tolist()
-    weight, learn = _reference_weights(model)
+    weight, learn = _reference_weights()
     low, high, underflow, out = 0, _MASK, 0, []
-    for i, bit in enumerate(bits):
-        t0, total = weight(i)
+    for bit in bits:
+        t0, total = weight()
         split = low + (high - low + 1) * t0 // total - 1
         if bit:
             low = split + 1
@@ -474,16 +472,16 @@ def _reference_arith_encode(bits, model=None):
     return np.packbits(out).tobytes()
 
 
-def _reference_arith_decode(data, n_bits, model=None):
+def _reference_arith_decode(data, n_bits):
     """The decoder matching _reference_arith_encode: one input bit per
     renormalisation step, read past the end of ``data`` as zeros."""
     stream = iter(np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8)).tolist())
-    weight, learn = _reference_weights(model)
+    weight, learn = _reference_weights()
     low, high, code, out = 0, _MASK, 0, []
     for _ in range(32):
         code = (code << 1) | next(stream, 0)
-    for i in range(n_bits):
-        t0, total = weight(i)
+    for _ in range(n_bits):
+        t0, total = weight()
         split = low + (high - low + 1) * t0 // total - 1
         bit = int(code > split)
         if bit:
@@ -531,20 +529,20 @@ def _reference_huffman_encode(bits):
     return bytes(head) + int(code_bits, 2).to_bytes(len(code_bits) // 8, "big")
 
 
-def _assert_coders_match_their_references(bits, model=None):
-    blob = arith_encode(bits, model=model)
-    assert blob == _reference_arith_encode(bits, model)
-    decoded = arith_decode(blob, len(bits), model=model)
+def _assert_coders_match_their_references(bits):
+    blob = arith_encode(bits)
+    assert blob == _reference_arith_encode(bits)
+    decoded = arith_decode(blob, len(bits))
     assert decoded.dtype == bool and decoded.shape == (len(bits),)
-    assert np.array_equal(decoded, _reference_arith_decode(blob, len(bits), model))
+    assert np.array_equal(decoded, _reference_arith_decode(blob, len(bits)))
     assert np.array_equal(decoded, np.asarray(bits, dtype=bool))
-    if len(bits) and model is None:
+    if len(bits):
         assert huffman_encode(bits) == _reference_huffman_encode(bits)
 
 
 def test_coder_kernels_match_their_one_step_references():
     """The arithmetic coder's integer kernel gives the blobs and bits of the
-    bit-at-a-time loop, on both paths; Huffman's integer packing gives the
+    bit-at-a-time loop; Huffman's integer packing gives the
     blobs of the string-based encoder."""
     for bits in _adversarial_strings():
         _assert_coders_match_their_references(bits)
@@ -553,9 +551,6 @@ def test_coder_kernels_match_their_one_step_references():
         n = int(rng.integers(1, 5001))
         bits = rng.random(n) < rng.random() ** 2
         _assert_coders_match_their_references(bits)
-        model = np.clip(rng.random(n + int(rng.integers(0, 40))) ** 3, 0.0, 1.0)
-        model[rng.integers(model.size, size=3)] = [0.0, 1.0, 0.5]
-        _assert_coders_match_their_references(bits, model)  # the model may be longer
     # The adaptive counts halve from bit 65,534 on.
     for p in (0.2, 0.5):
         _assert_coders_match_their_references(np.random.default_rng(41).random(70_000) < p)
@@ -576,27 +571,16 @@ def test_ac_decodes_garbage_like_its_one_step_reference():
                                       _reference_arith_decode(blob, n_bits))
 
 
-@given(bits=st.lists(st.booleans(), max_size=400),
-       probs=st.lists(st.floats(0.0, 1.0), max_size=420))
-def test_coders_match_their_references_on_any_bit_list(bits, probs):
+@given(bits=st.lists(st.booleans(), max_size=400))
+def test_coders_match_their_references_on_any_bit_list(bits):
     _assert_coders_match_their_references(bits)
-    if len(probs) >= len(bits):
-        _assert_coders_match_their_references(bits, probs)
 
 
-def test_ac_rejects_a_short_model_and_a_negative_count():
-    with pytest.raises(ValueError, match="^model covers 2 positions but input has 3 bits$"):
-        arith_encode([1, 0, 1], model=[0.5, 0.5])
-    with pytest.raises(ValueError, match="^model covers 2 positions but 3 bits are expected$"):
-        arith_decode(b"", 3, model=[0.5, 0.5])
+def test_ac_rejects_a_negative_count_and_a_2d_input():
     with pytest.raises(ValueError, match="^bit count must be nonnegative$"):
         arith_decode(b"", -1)
     with pytest.raises(ValueError, match="^bit sequence must be one-dimensional$"):
         arith_encode([[1, 0], [0, 1]])
-    with pytest.raises(ValueError, match="^probability model must be one-dimensional$"):
-        arith_encode([1, 0], model=[[0.5, 0.5]])
-    with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
-        arith_encode([1, 0], model=[0.5, 1.5])
 
 
 def test_ac_round_trips():
@@ -617,26 +601,6 @@ def test_ac_blank_window_is_tiny():
 def test_ac_empty_input():
     blob = arith_encode(np.zeros(0, dtype=bool))
     assert np.array_equal(arith_decode(blob, 0), np.zeros(0, dtype=bool))
-
-
-def test_ac_with_supplied_model():
-    rng = np.random.default_rng(8)
-    p = np.clip(np.linspace(0.02, 0.9, 300), 0.0, 1.0)
-    bits = rng.random(300) < p
-    blob = arith_encode(bits, model=p)
-    assert np.array_equal(arith_decode(blob, 300, model=p), bits)
-
-
-def test_ac_coded_length_near_information_content():
-    """With the true per-bit model, output stays within the coder's small
-    constant of the exact information content."""
-    rng = np.random.default_rng(13)
-    for trial in range(10):
-        p = np.clip(rng.random(2000), 0.01, 0.99)
-        bits = rng.random(2000) < p
-        ideal = float(-np.sum(np.where(bits, np.log2(p), np.log2(1 - p))))
-        coded = 8 * len(arith_encode(bits, model=p))
-        assert coded <= ideal + 64
 
 
 def test_ac_adaptive_tracks_empirical_entropy():

@@ -237,8 +237,14 @@ def test_fit_needs_room_for_a_breakpoint():
 
 
 def test_fit_rejects_out_of_range_ages():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sample ages must lie in \[0, n\)$"):
         fit_two_segment([(0, 0.1), (5, 0.5), (10, 0.9)], 10)
+    # NaN compares false with both bounds; past the check it stalls the solver.
+    with pytest.raises(ValueError, match=r"^sample ages must lie in \[0, n\)$"):
+        fit_two_segment([(0, 0.1), (float("nan"), 0.3), (2, 0.5)], 16)
+    for bad in (5.0, -3.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"^sample probabilities must lie in \[0, 1\]$"):
+            fit_two_segment([(0, 0.1), (1, bad), (2, 0.5)], 16)
 
 
 def test_curve_file_round_trip(tmp_path):
