@@ -71,8 +71,9 @@ class BufferMap:
             raise ValueError("offset must be nonnegative")
         if n <= 0:
             raise ValueError("bits must be a one-dimensional, nonempty sequence")
-        # The unpacked array is fresh, so the map owns it without a copy.
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n).view(bool)
+        # The unpacked array is fresh, so the map owns it without a copy;
+        # the whole bytes unpack faster than a counted unpack.
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).view(bool)[:n]
         return cls._owning(int(offset), bits)
 
     def __eq__(self, other):

@@ -45,7 +45,7 @@ from .schemes import (
     sbms_decode,
     sbms_encode,
     unpack_envelope,
-    unpack_message,
+    unpack_payload,
 )
 from .sim import SCHEMES, SimConfig, run_synthetic, run_trace
 from .traceio import TraceRecord, generate, parse_trace, write_trace
@@ -53,6 +53,7 @@ from .traceio import TraceRecord, generate, parse_trace, write_trace
 __all__ = ["main"]
 
 _DEFAULT_N = 456
+_MAX_N = 2**16 - 1  # the widest window the 2-byte wire bit count carries
 _DEFAULT_TARGET_BITS = 77.0
 _DUMP_MAGIC = b"BMD1"
 _FRAME_HEAD = struct.Struct(">IB")  # timestamp, peer-name length
@@ -92,6 +93,13 @@ def _add_curve_flags(p):
     p.add_argument("--n", type=int, help=f"window width in chunks (default {_DEFAULT_N})")
 
 
+def _check_width(n: int) -> None:
+    """Reject an ``--n`` wider than the wire carries before calibrating or
+    fitting a curve that wide, which would only take longer."""
+    if n > _MAX_N:
+        raise _UsageError(f"--n {n} exceeds {_MAX_N}, the widest window the wire carries")
+
+
 def _resolve_curve(args):
     if args.curve is not None and args.calibrate_hsbms is not None:
         raise _UsageError("--curve and --calibrate-hsbms are mutually exclusive")
@@ -101,6 +109,7 @@ def _resolve_curve(args):
         return load_curve(args.curve)
     target = args.calibrate_hsbms if args.calibrate_hsbms is not None else _DEFAULT_TARGET_BITS
     n = args.n if args.n is not None else _DEFAULT_N
+    _check_width(n)
     return calibrate_curve(target, n).to_curve(n)
 
 
@@ -245,21 +254,16 @@ def _read_frames(data: bytes):
             what = f"{n} raw" if scheme == "sbms" else f"at most {n} payload"
             raise DesyncError(f"expected {what} bits, got {nbits}")
         coder = _ID_CODERS[coder_id]
-        if coder is None:
-            body = data[pos : pos + body_len]
-            msg, used = unpack_message(body)
-            if used != body_len:
+        stop = pos + body_len
+        if coder is None or nbits == 0:  # the packed payload, as the writer leaves it
+            bits, used = unpack_payload(data, pos + HEADER_LEN, nbits, stop)
+            if used != stop:
                 raise ValueError("frame length disagrees with message length")
-        else:  # the coder's blob is read in place
-            if nbits == 0:  # no payload to code: the frame is the header alone
-                if body_len != HEADER_LEN:
-                    raise ValueError("frame length disagrees with message length")
-                bits = np.zeros(0, dtype=bool)
-            else:
-                bits = decode_bits(coder, data[pos + HEADER_LEN : pos + body_len], nbits)
-            # unpack_envelope has checked the tag; the bits are fresh.
-            msg = CompressedBM._of(scheme, offset, lbmr, cbmr, bits, resync)
-        pos += body_len
+        else:  # the coder's blob, read in place
+            bits = decode_bits(coder, data[pos + HEADER_LEN : stop], nbits)
+        # unpack_envelope has checked the tag; the bits are fresh.
+        msg = CompressedBM._of(scheme, offset, lbmr, cbmr, bits, resync)
+        pos = stop
         yield ts, peer, _ID_DIRS[dir_id], msg
 
 
@@ -345,6 +349,7 @@ def _cmd_gen_trace(args) -> int:
 
 
 def _cmd_fit_curve(args) -> int:
+    _check_width(args.n)  # the fit's time grows with n squared
     with warnings.catch_warnings():
         # A file with no samples reads as zero delays and fails below.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

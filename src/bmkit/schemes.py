@@ -56,6 +56,7 @@ __all__ = [
     "pack_message",
     "unpack_envelope",
     "unpack_message",
+    "unpack_payload",
     "HEADER_LEN",
 ]
 
@@ -289,10 +290,11 @@ def pack_envelope(msg: CompressedBM) -> bytes:
         raise ValueError("offset must fit in 4 bytes")
     if not (0 <= msg.lbmr_seq < 2**16 and 0 <= msg.cbmr_seq < 2**16):
         raise ValueError("sequence counters must fit in 2 bytes")
-    if msg.n_bits >= 2**16:
+    nbits = msg.payload.size
+    if nbits >= 2**16:
         raise ValueError("payload too long for the 2-byte bit count")
     tag = _SCHEME_TAGS[msg.scheme] | (_RESYNC_FLAG if msg.resync else 0)
-    return _HEADER.pack(tag, msg.offset, msg.lbmr_seq, msg.cbmr_seq, msg.n_bits)
+    return _HEADER.pack(tag, msg.offset, msg.lbmr_seq, msg.cbmr_seq, nbits)
 
 
 def pack_message(msg: CompressedBM) -> bytes:
@@ -311,17 +313,27 @@ def unpack_envelope(data: bytes, pos: int = 0):
     return kind[0], offset, lbmr, cbmr, nbits, kind[1]
 
 
+def unpack_payload(data: bytes, pos: int, n_bits: int, stop: int):
+    """Read ``n_bits`` packed payload bits at ``pos``, where the bytes
+    available end at ``stop`` (at most ``len(data)``); returns (bits,
+    next_pos).  The bits are a fresh bool array that shares no memory with
+    ``data``."""
+    end = pos + (n_bits + 7) // 8
+    if stop < end:
+        raise ValueError("truncated message payload")
+    pad = -n_bits % 8
+    if pad and data[end - 1] & ((1 << pad) - 1):
+        raise ValueError("padding bits past the payload must be zero")
+    # The whole bytes unpack faster than a counted unpack; the slice keeps
+    # the payload, a contiguous view of the fresh array.
+    bits = np.unpackbits(np.frombuffer(data, np.uint8, end - pos, pos)).view(bool)[:n_bits]
+    return bits, end
+
+
 def unpack_message(data: bytes, pos: int = 0):
     """Decode one message starting at ``pos``; returns (message, next_pos)."""
     scheme, offset, lbmr, cbmr, nbits, resync = unpack_envelope(data, pos)
-    end = pos + HEADER_LEN + (nbits + 7) // 8
-    if len(data) < end:
-        raise ValueError("truncated message payload")
-    pad = -nbits % 8
-    if pad and data[end - 1] & ((1 << pad) - 1):
-        raise ValueError("padding bits past the payload must be zero")
-    raw = np.frombuffer(data, np.uint8, end - pos - HEADER_LEN, pos + HEADER_LEN)
-    bits = np.unpackbits(raw, count=nbits).view(bool)
+    bits, end = unpack_payload(data, pos + HEADER_LEN, nbits, len(data))
     return CompressedBM._of(scheme, offset, lbmr, cbmr, bits, resync), end
 
 
@@ -337,8 +349,9 @@ def sbms_encode(bm: BufferMap) -> CompressedBM:
 def sbms_decode(msg: CompressedBM, n: int) -> BufferMap:
     if msg.scheme != "sbms":
         raise ProtocolError(f"expected an sbms message, got {msg.scheme}")
-    if msg.n_bits != n:
-        raise DesyncError(f"expected {n} raw bits, got {msg.n_bits}")
+    nbits = msg.payload.size
+    if nbits != n:
+        raise DesyncError(f"expected {n} raw bits, got {nbits}")
     if not n:
         raise ValueError("bits must be a one-dimensional, nonempty sequence")
     return BufferMap._owning(msg.offset, msg.payload.copy())

@@ -73,6 +73,16 @@ def test_hex_round_trip():
     assert BufferMap.from_hex(3, bm.to_hex(), 9) == bm
     # MSB-first packing: 1011 0000 | 1000 0000 -> b080
     assert bm.to_hex() == "b080"
+    # Every padding width, and the widest window the wire carries, reads
+    # back as a fresh, contiguous bool window of exactly n bits.
+    rng = np.random.default_rng(9)
+    for n in (*range(1, 18), 455, 456, 457, 2**16 - 1):
+        bm = BufferMap(7, rng.integers(0, 2, n))
+        back = BufferMap.from_hex(7, bm.to_hex(), n)
+        assert back == bm
+        assert back.bits.dtype == bool and back.bits.shape == (n,)
+        assert back.bits.flags.c_contiguous and not back.bits.flags.writeable
+        assert not np.shares_memory(back.bits, bm.bits)
 
 
 def test_from_hex_rejects_dirty_padding():

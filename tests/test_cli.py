@@ -156,17 +156,28 @@ _RUN = {"T": 8, "tau": 2, "rounds": 2, "seed": 1}  # a valid run on a 16-chunk w
     ({"rounds": 0}, "need rounds >= 1, got rounds=0"),
     ({"rounds": -3}, "need rounds >= 1, got rounds=-3"),
     ({"seed": -1}, "need seed >= 0, got seed=-1"),
-], ids=["T0", "T-3", "T17", "tau9", "tau0", "rounds0", "rounds-3", "seed-1"])
+    ({"n": 65536}, "--n 65536 exceeds 65535, the widest window the wire carries"),
+    ({"n": 70000}, "--n 70000 exceeds 65535, the widest window the wire carries"),
+], ids=["T0", "T-3", "T17", "tau9", "tau0", "rounds0", "rounds-3", "seed-1", "n65536", "n70000"])
 def test_a_bad_run_parameter_has_one_text_at_every_entry_point(tmp_path, capsys, bad, text):
     """``SimConfig`` and ``generate`` raise each of the four texts of a
     synthetic run's parameters, and ``report_grid`` and ``h_spbms`` the
     period's.  ``simulate``, ``gen-trace`` and, for the period, ``analyze``
-    print the same text as a usage error (exit 1) before writing anything."""
+    print the same text as a usage error (exit 1) before writing anything.
+    A window wider than the wire carries is a usage error of those three and
+    ``fit-curve``, before any calibration or fit: an unreachable target and
+    too few samples would each fail with exit 2 at once."""
     run = {**_RUN, **bad}
+    n = run.pop("n", 16)
     curve = two_segment_curve(16, 2, 0.8)
-    calls = [lambda: SimConfig(curve, **run), lambda: generate(curve, **run)]
     flags = [f"--{k}={v}" for k, v in run.items()]
     commands = [["simulate", *flags], ["gen-trace", *flags]]
+    calls, target = [], 5
+    if "n" in bad:
+        commands += [["analyze"], ["fit-curve", "--samples", _two_delays(tmp_path)]]
+        target = -1
+    else:
+        calls = [lambda: SimConfig(curve, **run), lambda: generate(curve, **run)]
     if "T" in bad:
         calls += [lambda: report_grid(curve, [run["T"]]), lambda: h_spbms(curve, run["T"])]
         commands.append(["analyze", f"--T={run['T']}"])
@@ -176,10 +187,29 @@ def test_a_bad_run_parameter_has_one_text_at_every_entry_point(tmp_path, capsys,
         assert str(err.value) == text
     out = tmp_path / "out"
     for command in commands:
-        argv = command + ["--n", "16", "--calibrate-hsbms", "5", "--out", str(out)]
-        assert main(argv) == 1
+        if command[0] != "fit-curve":
+            command = command + [f"--calibrate-hsbms={target}"]
+        assert main(command + ["--n", str(n), "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"bmkit: {text}\n")
         assert not out.exists()
+
+
+def _two_delays(tmp_path) -> str:
+    """A delays file one sample short of a fit."""
+    samples = tmp_path / "two_delays.txt"
+    samples.write_text("1\n2\n")
+    return str(samples)
+
+
+def test_the_widest_window_the_wire_carries_passes_the_width_check(tmp_path, capsys):
+    """``--n 65535`` gets past the width check to the next input's error
+    (exit 2), without calibrating or fitting a curve that wide."""
+    reach = "target -1.0 outside the reachable range [0, 65535]"
+    for command in (["analyze"], ["simulate"], ["gen-trace", "--out", str(tmp_path / "t")]):
+        assert main(command + ["--n", "65535", "--calibrate-hsbms=-1"]) == 2
+        assert capsys.readouterr() == ("", f"bmkit: {reach}\n")
+    assert main(["fit-curve", "--samples", _two_delays(tmp_path), "--n", "65535"]) == 2
+    assert capsys.readouterr() == ("", "bmkit: need at least 3 delay samples, got 2\n")
 
 
 @pytest.mark.parametrize("argv", [["analyze"], ["simulate", "--rounds", "5"],

@@ -109,9 +109,11 @@ def test_support_set_purge_and_remove():
 # ----------------------------------------------------------------------
 
 def test_pack_unpack_round_trip_every_scheme():
+    """Every padding width, and the widest payload the bit count carries,
+    unpacks to a fresh, contiguous bool payload of exactly its bits."""
     rng = np.random.default_rng(7)
     for scheme in ("sbms", "spbms", "ppbms"):
-        for nbits in (0, 1, 7, 8, 9, 456):
+        for nbits in (*range(18), 455, 456, 457, 2**16 - 1):
             msg = CompressedBM(scheme, 12345, 6, 7, rng.integers(0, 2, nbits),
                                resync=bool(rng.integers(0, 2)))
             blob = pack_message(msg)
@@ -119,6 +121,10 @@ def test_pack_unpack_round_trip_every_scheme():
             back, end = unpack_message(blob)
             assert end == len(blob)
             assert back == msg
+            payload = back.payload
+            assert payload.dtype == bool and payload.shape == (nbits,)
+            assert payload.flags.c_contiguous
+            assert not np.shares_memory(payload, np.frombuffer(blob, np.uint8))
 
 
 def test_unpack_message_splits_consecutive_messages():
