@@ -40,9 +40,7 @@ for name, s in (
 # Concatenate every payload a 2000-round session produced, per scheme, and
 # let the arithmetic coder try its best.
 curve = calibrate_curve(77.0, 456).to_curve(456)
-res = run_synthetic(
-    SimConfig(curve, T=20, tau=5, rounds=2000, seed=0, keep_messages=True)
-)
+res = run_synthetic(SimConfig(curve, T=20, tau=5, rounds=2000, seed=0))
 
 print("\nadaptive arithmetic coding over whole payload streams:")
 for scheme in ("sbms", "spbms", "ppbms"):

@@ -367,7 +367,7 @@ class _Link:
     receive (``dec``) on it, None for sbms; what was measured on it; its
     sends not yet priced; and the envelopes it holds back."""
 
-    def __init__(self, direction, enc, dec, coders):
+    def __init__(self, direction, enc, dec):
         self.direction = direction
         self.enc = enc
         self.dec = dec
@@ -380,17 +380,19 @@ class _Link:
         self.ss = []
         self.payloads = []
         self.decoded = []
-        self.coder_bytes = {c: 0 for c in coders}
         self.drops = 0
 
     def price(self, tables):
-        """Append the ideal lengths of the measured unpriced sends (a run
-        without ``tables`` keeps none unpriced)."""
+        """Append the ideal lengths of the measured unpriced sends: NaN each
+        for a run without ``tables``."""
         if self.unpriced:
-            self.ideal += _ideal_bits(tables, self.unpriced)
+            if tables is None:
+                self.ideal += [math.nan] * sum(m for *_, m in self.unpriced)
+            else:
+                self.ideal += _ideal_bits(tables, self.unpriced)
             self.unpriced = []
 
-    def stats(self, scheme, resyncs) -> SchemeDirStats:
+    def stats(self, scheme, resyncs, coders) -> SchemeDirStats:
         pb = np.array([p.size for p in self.payloads], dtype=np.float64)
         mean_pb = _mean(pb)
         return SchemeDirStats(
@@ -403,7 +405,7 @@ class _Link:
             _mean(np.asarray(self.ss, dtype=np.float64)),
             resyncs,
             self.drops,
-            dict(self.coder_bytes),
+            {c: sum(len(encode_bits(c, p)) for p in self.payloads if p.size) for c in coders},
         )
 
 
@@ -459,10 +461,6 @@ class _Recovery:
     def settled(self) -> bool:  # whether the drained check may run
         return not (self.asked or self.dirty)
 
-    @property
-    def resyncs(self) -> int:
-        return self.epoch
-
 
 class _Engine:
     """One pairing of one scheme, with its ``_Recovery``, its links
@@ -476,10 +474,9 @@ class _Engine:
     the run's curve and period, or None, which makes every ideal length NaN.
     """
 
-    def __init__(self, scheme, dirs, n, coders, archive_depth, keep_messages, script, ideal):
+    def __init__(self, scheme, dirs, n, archive_depth, keep_messages, script, ideal):
         self.scheme = scheme
         self.n = n
-        self.coders = coders
         self.archive_depth = archive_depth
         self.keep_messages = keep_messages
         self.script = script
@@ -492,25 +489,20 @@ class _Engine:
             ends = {d: (SpbmsEncoder(n), SpbmsDecoder(n)) for d in dirs}
         else:
             ends = {d: (None, None) for d in dirs}
-        self.links = {d: _Link(d, *ends[d], coders) for d in dirs}
+        self.links = {d: _Link(d, *ends[d]) for d in dirs}
         self.recovery = _Recovery()
         self.pending = []  # heap of (due, counter, link, envelope)
         self._counter = 0
 
     # -- delivery ---------------------------------------------------------
 
-    def _outstanding(self) -> int:
-        k = len(self.pending)
-        for link in self.links.values():
-            k += len(link.held) + (link.swap_stash is not None)
-        return k
-
     def _assert_consistent(self):
         """Raise when a drained pairing's ends hold different support sets
         (sbms ends hold none)."""
         # A ppbms pairing's two sessions are both ends of its first link.
         link = next(iter(self.links.values()))
-        if link.enc is None or not self.recovery.settled() or self._outstanding():
+        if link.enc is None or not self.recovery.settled() or self.pending or any(
+                other.held or other.swap_stash is not None for other in self.links.values()):
             return
         if not link.enc.support_set == link.dec.support_set:
             raise InvariantError(
@@ -599,27 +591,20 @@ class _Engine:
         if resync:
             for other in self.links.values():
                 other.prev_end = None
-        if self.ideal is None:
-            if measured:
-                link.ideal.append(math.nan)
+        if enc is None:  # sbms: the whole window, none of it reported before
+            k, win = 0, None
         else:
-            if enc is None:  # sbms: the whole window, none of it reported before
-                k, win = 0, None
-            else:
-                # Window positions below the previous window's end were reported before.
-                k = 0 if link.prev_end is None else max(link.prev_end - snap.offset, 0)
-                win = enc.last_window
-            link.unpriced.append((k, win, msg.payload, measured))
-            if len(link.unpriced) >= _BLOCK:
-                link.price(self.ideal)
+            # Window positions below the previous window's end were reported before.
+            k = 0 if link.prev_end is None else max(link.prev_end - snap.offset, 0)
+            win = enc.last_window
+        link.unpriced.append((k, win, msg.payload, measured))
+        if len(link.unpriced) >= _BLOCK:
+            link.price(self.ideal)
         link.prev_end = snap.end
         if measured:
             link.payloads.append(msg.payload)
             if enc is not None:  # the set it leaves; see the module docstring
                 link.ss.append(len(enc.support_set))
-            for c in self.coders:
-                if msg.n_bits:
-                    link.coder_bytes[c] += len(encode_bits(c, msg.payload))
         self._route(eidx, link, msg, snap, idx, epoch)
 
     def _route(self, eidx, link, msg, snap, idx, epoch):
@@ -664,7 +649,7 @@ def _run(sends, n, schemes, coders, archive_depth=8, keep_messages=False, script
     """
     script = script or ReorderScript()
     engines = [
-        _Engine(s, dirs, n, coders, archive_depth, keep_messages, script, ideal)
+        _Engine(s, dirs, n, archive_depth, keep_messages, script, ideal)
         for s in schemes
         for dirs in ((_DIRS,) if s == "ppbms" else (("ab",), ("ba",)))
     ]
@@ -680,7 +665,7 @@ def _run(sends, n, schemes, coders, archive_depth=8, keep_messages=False, script
     for engine in engines:
         for link in engine.links.values():
             key = (engine.scheme, link.direction)
-            stats.append(link.stats(engine.scheme, engine.recovery.resyncs))
+            stats.append(link.stats(engine.scheme, engine.recovery.epoch, coders))
             payloads[key] = link.payloads
             ss_sizes[key] = np.asarray(link.ss, dtype=np.int64)
             ideal_bits[key] = np.asarray(link.ideal, dtype=np.float64)

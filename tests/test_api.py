@@ -77,7 +77,7 @@ def test_retired_api_stays_gone():
     # keep no count, and the simulator keeps no second count nor the reports it read.
     for end in (schemes.SpbmsEncoder(8), schemes.SpbmsDecoder(8), schemes.PpbmsSession(8)):
         assert not hasattr(end, "_set_size")
-    assert not hasattr(sim, "_set_size") and not hasattr(sim._Link("ab", None, None, ()), "report")
+    assert not hasattr(sim, "_set_size") and not hasattr(sim._Link("ab", None, None), "report")
     # A value has one reader: bm.bits, curve.probs and curve.n, part.locations[part.bits],
     # and a report's rows.
     for cls, attr in ((bitmap.BufferMap, "age_of"), (bitmap.BufferMap, "bit_for"),
@@ -92,11 +92,18 @@ def test_retired_api_stays_gone():
     assert not hasattr(entropy.EntropyRow, "as_csv")
     # An engine holds its one fault script; a link keeps no copy of it.
     for attr in ("drop_at", "swap_at", "delay_at"):
-        assert not hasattr(sim._Link("ab", None, None, ()), attr)
+        assert not hasattr(sim._Link("ab", None, None), attr)
     # A pairing's loss recovery lives in its one _Recovery, and _deliver holds envelopes.
-    engine = sim._Engine("ppbms", ("ab", "ba"), 8, (), 8, False, sim.ReorderScript(), None)
+    engine = sim._Engine("ppbms", ("ab", "ba"), 8, 8, False, sim.ReorderScript(), None)
     for attr in ("send_epoch", "recv_epoch", "needs_resync", "dirty", "_hold"):
         assert not hasattr(engine, attr), attr
+    # A link's coder byte totals are counted off its measured payloads when
+    # its row is built, so neither an engine nor a link takes the coders; an
+    # engine's resyncs are its recovery's epoch, and the drained check reads
+    # what is in flight itself.
+    for cls in (sim._Engine, sim._Link):
+        assert "coders" not in inspect.signature(cls).parameters, cls.__name__
+    assert not hasattr(sim._Recovery(), "resyncs") and not hasattr(sim._Engine, "_outstanding")
     # The conditional fill probability has one home, next to the curve.
     assert entropy._cond_fill is fillmodel._cond_fill and sim._cond_fill is fillmodel._cond_fill
     params = {

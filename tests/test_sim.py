@@ -12,6 +12,7 @@ from bmkit.errors import DesyncError, InvariantError
 from bmkit.fillmodel import SCurve, two_segment_curve
 from bmkit import sim
 from bmkit.bitmap import BufferMap
+from bmkit.coders import encode_bits
 from bmkit.schemes import PartialBufferMap, PpbmsSession, SpbmsDecoder, SpbmsEncoder
 from bmkit.sim import (
     ReorderScript,
@@ -137,12 +138,33 @@ def test_csv_output_is_deterministic():
     assert c != a
 
 
+def _assert_coder_bytes(res):
+    """Each row's total per coder, in the run's coder order, is the bytes of
+    its nonempty measured payloads, each coded on its own."""
+    for row in res.stats:
+        payloads = res.payloads[(row.scheme, row.direction)]
+        assert list(row.coder_bytes.items()) == [
+            (c, sum(len(encode_bits(c, p)) for p in payloads if p.size)) for c in res.coders
+        ], (row.scheme, row.direction)
+
+
 def test_coder_byte_totals_are_reported():
     res = run_synthetic(_cfg(coders=("rle", "ac")))
     row = res.row("spbms", "ab")
     assert set(row.coder_bytes) == {"rle", "ac"}
     assert row.coder_bytes["rle"] > 0 and row.coder_bytes["ac"] > 0
     assert "rle_bytes" in res.to_csv().splitlines()[1]
+    # Every scheme under every coder: a synthetic run with empty measured
+    # payloads (48, all on ppbms ba), and a trace replay of the same curve.
+    coders = ("rle", "huffman", "ac")
+    curve = two_segment_curve(16, 2, 0.95)
+    res = run_synthetic(SimConfig(curve, T=2, tau=1, rounds=60, seed=1, offset_lag=3,
+                                  coders=coders))
+    assert any(p.size == 0 for payloads in res.payloads.values() for p in payloads)
+    _assert_coder_bytes(res)
+    rep = run_trace(generate(curve, T=2, rounds=60, seed=1, tau=1), schemes=sim.SCHEMES,
+                    coders=coders)
+    _assert_coder_bytes(rep)
 
 
 def test_keep_messages_retains_decoded_traffic():
@@ -179,6 +201,10 @@ def test_trace_replay_matches_synthetic_statistics(calibrated_curve):
             )
     assert rep.source == "trace" and rep.T == 0
     assert math.isnan(rep.row("spbms", "ab").mean_ideal_bits)
+    # A trace has no generative model: one NaN ideal length per measured message.
+    for key, ideal in rep.ideal_bits.items():
+        assert ideal.dtype == np.float64 and ideal.size == rep.row(*key).messages, key
+        assert np.isnan(ideal).all(), key
 
 
 def test_trace_replay_from_file(tmp_path, calibrated_curve):
@@ -708,7 +734,7 @@ def test_injected_divergence_ends_the_run(monkeypatch, scheme, attr, stand_in, m
 def _drained_ppbms(a_maps, b_maps):
     """A drained ppbms engine whose ends hold the given (own, known) maps
     (None for none), as if their messages had been delivered."""
-    engine = sim._Engine("ppbms", ("ab", "ba"), 8, (), 8, False, ReorderScript(), None)
+    engine = sim._Engine("ppbms", ("ab", "ba"), 8, 8, False, ReorderScript(), None)
     a, b = engine.links["ab"].enc, engine.links["ab"].dec
     for end, (own, known) in ((a, a_maps), (b, b_maps)):
         if own is not None:
@@ -743,7 +769,7 @@ def test_drained_ppbms_check_is_support_set_eq():
 def _drained_spbms(enc_map, dec_map):
     """A drained spbms ab engine whose ends keep the given previous maps
     (None for a fresh end)."""
-    engine = sim._Engine("spbms", ("ab",), 8, (), 8, False, ReorderScript(), None)
+    engine = sim._Engine("spbms", ("ab",), 8, 8, False, ReorderScript(), None)
     link = engine.links["ab"]
     link.enc.last_bm, link.dec.last_bm = enc_map, dec_map
     return engine
@@ -876,7 +902,7 @@ def test_a_loss_waits_for_a_resync_that_only_an_ask_sends():
     assert rec == _Recovery(asked=True, dirty=True) and not rec.settled()
     assert rec.next_send() == (True, 1)
     assert rec.next_send() == (False, 1)
-    assert rec == _Recovery(epoch=1, dirty=True) and rec.resyncs == 1
+    assert rec == _Recovery(epoch=1, dirty=True)
     assert rec.land(1, True) == "ok" and rec == _Recovery(epoch=1, landed=1) and rec.settled()
 
 
@@ -1200,13 +1226,13 @@ def test_scheme_dir_stats_equal_ndarray_mean_and_std_bit_for_bit():
     rng = np.random.default_rng(19)
     sizes = [0, 1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 300] + rng.integers(1, 301, 40).tolist()
     for m in sizes:
-        link = sim._Link("ab", None, None, ())
+        link = sim._Link("ab", None, None)
         link.payloads = [np.zeros(int(k), dtype=bool) for k in rng.integers(0, 457, m)]
         link.ideal = (rng.random(m) * 10.0 ** rng.integers(-2, 4)).tolist()
         link.ss = rng.integers(0, 457, m).tolist()
         if m % 5 == 3:
             link.ideal[m // 2] = math.nan
-        got = link.stats("spbms", 0)
+        got = link.stats("spbms", 0, ())
         pb = np.array([p.size for p in link.payloads], dtype=np.float64)
         want = [pb.mean(), pb.std(), np.asarray(link.ideal).mean(),
                 np.asarray(link.ss, dtype=np.float64).mean()] if m else [math.nan] * 4
