@@ -120,7 +120,7 @@ class PeerBufferState:
         # the same however the batches fall.
         grow = max(need - self._delays.size, self._delays.size)
         fresh = sample_fill_delays(self.curve, self._rng.random(grow))
-        self._delays = np.concatenate([self._delays, fresh])
+        self._delays = np.concatenate([self._delays, fresh]) if self._delays.size else fresh
 
     def fill_delay(self, chunk_id: int) -> int:
         if chunk_id < self.base_offset:

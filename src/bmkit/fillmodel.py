@@ -7,13 +7,19 @@ buffered.  Because chunks are never un-filled while they stay in the window,
 the curve is monotone nondecreasing in the age index.
 
 Chunks acquire their content after a random *fill delay* drawn from the
-curve's inverse CDF, so ``P(delay <= i) == p_i`` holds at every age.
+curve's inverse CDF, so ``P(delay <= i) == p_i`` holds at every age.  A
+draw is placed by a guide table (Chen & Asau, "On generating random
+variates from an empirical distribution", AIIE Transactions 6(2), 1974):
+[0, 1) is cut into equal buckets, each holding the count of curve values
+below it, so a draw takes one lookup and a step past each value in its
+bucket instead of a binary search over the curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,11 +124,61 @@ def sample_fill_delay(curve: SCurve, u: float):
     return math.inf if d >= curve.n else d
 
 
+_BUCKETS_PER_VALUE = 16  # at least this many buckets per curve value ...
+_MAX_BUCKETS = 1 << 16  # ... up to this many, 512 KB of counts
+_MAX_STEPS = 4  # a curve with more values in one bucket is searched
+_GUIDE_TABLES = 8  # curves whose tables are kept
+
+
+class _GuideTable:
+    """Guide table of one curve's values ``probs``: [0, 1) cut into ``k``
+    equal buckets, ``k`` a power of two so that ``floor(u * k)`` is the
+    bucket of draw ``u`` exactly.  ``lo[j]`` counts the values below j/k
+    (``lo[0]`` the values <= 0, which every positive draw passes);
+    ``padded`` is the curve with +inf appended, and ``steps`` the most
+    values any bucket holds."""
+
+    def __init__(self, probs: np.ndarray):
+        self.k = k = min(1 << (_BUCKETS_PER_VALUE * probs.size - 1).bit_length(), _MAX_BUCKETS)
+        lo = probs.searchsorted(np.arange(k) / k)
+        lo[0] = probs.searchsorted(0.0, side="right")
+        self.steps = int(np.diff(lo, append=probs.searchsorted(1.0)).max())
+        self.lo = lo.astype(np.int64, copy=False)
+        self.padded = np.append(probs, np.inf)
+        self.lo.flags.writeable = self.padded.flags.writeable = False
+
+
+@lru_cache(maxsize=_GUIDE_TABLES)
+def _guide_table(probs: bytes) -> _GuideTable:
+    """The guide table of the curve whose values are ``probs`` (its
+    ``probs.tobytes()``), built once and shared by every peer over equal
+    curve values."""
+    return _GuideTable(np.frombuffer(probs))
+
+
 def sample_fill_delays(curve: SCurve, u) -> np.ndarray:
     """Vectorised :func:`sample_fill_delay`; never-filled is encoded as ``n``
-    (one past the largest in-window age) instead of ``inf``."""
+    (one past the largest in-window age) instead of ``inf``.
+
+    The delay of a draw ``u`` in (0, 1) is the number of curve values
+    below it.  The curve's guide table (Chen & Asau 1974) gives the count
+    below the draw's bucket ``b``, ``lo[b]``, and each step adds one while
+    the next curve value is below ``u``: as many steps as a bucket holds
+    values, one or two on the calibrated curves.  A scalar draw, every
+    draw of a batch holding one outside (0, 1) or NaN, and every draw on a
+    curve with more than ``_MAX_STEPS`` values in one bucket take the
+    binary search and the zero rule below instead.  Either way each delay
+    is the binary search's.
+    """
     u = np.asarray(u, dtype=np.float64)
     probs = curve.probs
+    if u.ndim and u.size and 0.0 < u.min() and u.max() < 1.0:  # NaN fails both
+        table = _guide_table(probs.tobytes())
+        if table.steps <= _MAX_STEPS:
+            d = table.lo[(u * table.k).astype(np.intp)]  # exact: k is a power of two
+            for _ in range(table.steps):
+                d += table.padded[d] < u
+            return d
     d = np.asarray(probs.searchsorted(u), dtype=np.int64)
     # A draw of 0 (or NaN) must still respect P(delay <= i) == p_i: a zero
     # probability at age 0 means the chunk cannot already be filled.

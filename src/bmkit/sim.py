@@ -327,8 +327,15 @@ def _ideal_bits(tables: _IdealTables, sends) -> list:
     sizes = [b.size for b in payloads]
     pos = np.flatnonzero(np.concatenate(wins))  # send i's positions, plus i * n
     pos -= np.repeat(np.arange(0, n * len(sends), n), sizes)
-    old = pos < np.repeat(np.array(ks), sizes)
-    log_p = flat[pos + n * (bits + 2 * old)]
+    # Entry (2 * old + bit) * n + pos, built in place in one int array;
+    # pos goes before the gather, so a block holds two such arrays at most.
+    idx = (pos < np.repeat(np.array(ks), sizes)).astype(np.intp)
+    idx <<= 1
+    idx += bits
+    idx *= n
+    idx += pos
+    del pos
+    log_p = flat[idx]
     ends = list(itertools.accumulate(sizes))
     if not math.isfinite(np.add.reduce(log_p)):
         _raise_first(tables, sends, np.split(log_p, ends[:-1]))

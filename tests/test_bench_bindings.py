@@ -65,3 +65,20 @@ def test_the_sweep_stand_ins_replace_names_a_run_looks_up(bench, monkeypatch, sc
     sim.reorder_fault_run(cfg, None)
     sends = 2 * (cfg.warmup_periods + cfg.rounds)
     assert len(used) == (sends if scheme == "sbms" else 2)
+
+
+def test_the_tracer_times_each_peers_fill_delay_batch(bench):
+    """A synthetic run draws each peer's fill delays in one batch through
+    ``sample_fill_delays``, so the tracer records one span per peer and
+    its per-call time reads above 0."""
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sim.run_synthetic(sim.SimConfig(two_segment_curve(32, 4, 0.8), T=8, tau=2, rounds=5))
+    finally:
+        tracer.uninstall()
+    names = [tracer.span_names[i] for i in tracer.name]
+    assert names.count("fillmodel.sample_fill_delays") == 2
+    assert tracer.layer_metrics(0.0)["fillmodel.sample_fill_delays_us"] > 0

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bmkit import fillmodel
+from bmkit.entropy import calibrate_curve
 from bmkit.errors import InsufficientDataError, UndefinedConditionalError
 from bmkit.fillmodel import (
     SCurve,
@@ -143,6 +145,90 @@ def test_vectorised_sampling_pins_the_where_formula(probs):
     scalar = sample_fill_delays(c, np.nan)
     assert scalar.dtype == np.int64 and scalar.shape == ()
     assert int(scalar) == int(np.searchsorted(c.probs, 0.0, side="right"))
+
+
+def _plain_delays(probs, u):
+    """The inverse-CDF rule written out: the number of curve values below
+    a positive draw, else the number of zero values."""
+    u = np.asarray(u, dtype=np.float64)
+    d = np.asarray(probs.searchsorted(u), dtype=np.int64)
+    d[~(u > 0.0)] = np.count_nonzero(probs <= 0.0)
+    return d
+
+
+def _assert_plain(c, draws):
+    got, want = sample_fill_delays(c, draws), _plain_delays(c.probs, draws)
+    assert type(got) is np.ndarray and got.dtype == np.int64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _plateaus(repeats):
+    """Runs of 0 and of 1, and buckets of 512 holding ``repeats`` + 1
+    values: at 0.1 (``repeats`` copies and a value just above) and at 0.5
+    (itself and three copies of the next double)."""
+    return SCurve(np.r_[np.zeros(5), [0.1] * repeats, 0.1 + 2.0**-40, 0.3, 0.3, 0.5 - 1e-9, 0.5,
+                        [0.5 + 2.0**-53] * 3, 0.9, np.ones(4)])
+
+
+def _pinned_curves():
+    rng = np.random.default_rng(35)
+    return [calibrate_curve(20.0, 64).to_curve(64), calibrate_curve(77.0, 456).to_curve(456),
+            _plateaus(3), _plateaus(4), SCurve([0.2, 1 - 2.0**-20, 1 - 2.0**-30, 1 - 2.0**-40]),
+            SCurve([0.37]), SCurve(np.sort(rng.random(65_535)))]
+
+
+@pytest.mark.parametrize("c", _pinned_curves(),
+                         ids=["n64", "n456", "plateaus", "crowded", "top", "n1", "n65535"])
+def test_guide_table_draws_are_the_plain_rule(c):
+    """Every delay is the plain rule's, to the value, dtype and shape: on a
+    grid of 2^16 draws, on every curve value and its neighbours, in a batch
+    of its own for each edge draw and mixed with in-range ones, for a
+    scalar and for a 2-D batch."""
+    p = c.probs
+    grid = np.arange(1, 2**16) / 2**16
+    at = np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf)])
+    inside = at[(at > 0.0) & (at < 1.0)]
+    edges = [0.0, -0.0, np.nan, 1.0, 1.5, -0.1]
+    for draws in (grid, inside, inside[::-1], at, np.r_[grid[::97], edges], grid.reshape(-1, 5)):
+        _assert_plain(c, draws)
+    for edge in edges + [0.25]:
+        _assert_plain(c, edge)
+        _assert_plain(c, [edge])
+    _assert_plain(c, np.empty(0))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300))
+def test_guide_table_draws_match_the_plain_rule_on_random_curves(seed, n):
+    rng = np.random.default_rng(seed)
+    c = SCurve(random_monotone_curve(rng, n))
+    _assert_plain(c, rng.random(500))
+    at = np.concatenate([c.probs, np.nextafter(c.probs, -np.inf), np.nextafter(c.probs, np.inf)])
+    _assert_plain(c, at[(at > 0.0) & (at < 1.0)])
+
+
+def test_guide_tables_are_bounded_and_cached_per_curve_values():
+    """A table is at most 200 KB for a 456-point curve and 1.2 MB for a
+    65,535-point one, and its bucket count is a power of two (which makes
+    ``floor(u * k)`` exact); equal curve values share one table, and at
+    most ``_GUIDE_TABLES`` tables are kept.  The pinned plateau curves
+    sit on either side of ``_MAX_STEPS``."""
+    cached = fillmodel._guide_table
+    cached.cache_clear()
+    assert cached(_plateaus(3).probs.tobytes()).steps == fillmodel._MAX_STEPS
+    assert cached(_plateaus(4).probs.tobytes()).steps == fillmodel._MAX_STEPS + 1
+
+    def size(table):
+        return table.lo.nbytes + table.padded.nbytes
+
+    p456 = calibrate_curve(77.0, 456).to_curve(456).probs
+    table = cached(p456.tobytes())
+    assert size(table) <= 200_000 and table.k & (table.k - 1) == 0
+    assert cached(p456.copy().tobytes()) is table
+    assert size(cached(np.linspace(0.0, 1.0, 65_535).tobytes())) <= 1_200_000
+    assert cached.cache_info().maxsize == fillmodel._GUIDE_TABLES
+    for k in range(2 * fillmodel._GUIDE_TABLES):
+        cached(two_segment_curve(32, 4, 0.5 + k / 100).probs.tobytes())
+        assert cached.cache_info().currsize <= fillmodel._GUIDE_TABLES
 
 
 def test_transition_prob_known_value():
