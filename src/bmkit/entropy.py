@@ -27,6 +27,7 @@ collapses every direction to the spbms quantity exactly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -179,14 +180,13 @@ def _two_segment_h(n: int, b: int, p_break) -> np.ndarray:
 
 
 def _solve_p_break(target: float, n: int, b: int):
-    """Best p_break for a fixed breakpoint, or None if the target is out of
-    reach; coarse grid then bisection on the bracketing interval."""
+    """p_break that brings a fixed breakpoint's curve to the target, or None
+    if the target is out of reach; coarse grid then bisection on the
+    bracketing interval."""
     grid = np.linspace(0.0, 1.0, 257)
-    # Rows of at most about _GRID_BLOCK values at a time bound the pass's memory.
-    blocks = np.array_split(grid, -(-grid.size * n // _GRID_BLOCK))
+    # Blocks of about _GRID_BLOCK values, or one row each, bound the pass's memory.
+    blocks = np.array_split(grid, min(grid.size, -(-grid.size * n // _GRID_BLOCK)))
     vals = np.concatenate([_two_segment_h(n, b, block) for block in blocks])
-    err = np.abs(vals - target)
-    best = int(err.argmin())
     lo = None
     for k in range(len(grid) - 1):
         if (vals[k] - target) * (vals[k + 1] - target) <= 0.0:
@@ -194,7 +194,8 @@ def _solve_p_break(target: float, n: int, b: int):
             flo = vals[k] - target
             break
     if lo is None:
-        return (float(grid[best]), float(err[best])) if err[best] <= CALIBRATION_TOL else None
+        best = int(np.abs(vals - target).argmin())
+        return float(grid[best]) if abs(vals[best] - target) <= CALIBRATION_TOL else None
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         fmid = float(_two_segment_h(n, b, mid)[0]) - target
@@ -202,8 +203,7 @@ def _solve_p_break(target: float, n: int, b: int):
             hi = mid
         else:
             lo, flo = mid, fmid
-    pb = 0.5 * (lo + hi)
-    return pb, abs(float(_two_segment_h(n, b, pb)[0]) - target)
+    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=64)
@@ -213,9 +213,12 @@ def calibrate_curve(target_h_sbms: float, n: int) -> TwoSegmentParams:
 
     The endpoints stay pinned at 0 and 1 (fresh positions empty, oldest
     certain) except for the two degenerate targets: 0 bits needs the
-    deterministic curve, n bits the flat coin-flip curve.  The breakpoint
-    sits at ``DEFAULT_KNEE_FRAC`` of the window; if the target is unreachable
-    there, every breakpoint is scanned before giving up.
+    deterministic curve, n bits the flat coin-flip curve.  The breakpoint is
+    the knee b0 at ``DEFAULT_KNEE_FRAC`` of the window if the target is
+    reachable there, else the largest breakpoint below b0 that reaches it.
+    Below mid-window a lower breakpoint widens the range of information a
+    curve can carry, so the reachable breakpoints are a prefix 1..r and one
+    bisection finds r: at most ceil(log2 b0) + 2 solves in all.
     """
     if n < 2:
         raise CalibrationError("window too small to calibrate")
@@ -227,20 +230,17 @@ def calibrate_curve(target_h_sbms: float, n: int) -> TwoSegmentParams:
         return TwoSegmentParams(n - 1, 0.0)
     if target_h_sbms == float(n):
         return TwoSegmentParams(n // 2, 0.5, terminal=0.5, initial=0.5)
-    b0 = min(max(int(round(DEFAULT_KNEE_FRAC * (n - 1))), 1), n - 2)
-    hit = _solve_p_break(target_h_sbms, n, b0)
-    if hit is not None and hit[1] <= CALIBRATION_TOL:
-        return TwoSegmentParams(b0, hit[0])
-    best = None
-    for b in range(1, n - 1):
-        hit = _solve_p_break(target_h_sbms, n, b)
-        if hit is not None and (best is None or hit[1] < best[0]):
-            best = (hit[1], b, hit[0])
-    if best is not None and best[0] <= CALIBRATION_TOL:
-        return TwoSegmentParams(best[1], best[2])
-    raise CalibrationError(
-        f"no two-segment curve reaches {target_h_sbms} bits within {CALIBRATION_TOL} for n={n}"
-    )
+    b = min(max(int(round(DEFAULT_KNEE_FRAC * (n - 1))), 1), n - 2)
+    pb = _solve_p_break(target_h_sbms, n, b)
+    if pb is None:
+        # The index of the first unreachable breakpoint in 1..b-1 is the last reachable one.
+        b = bisect.bisect_left(range(1, b), True,
+                               key=lambda k: _solve_p_break(target_h_sbms, n, k) is None)
+        if b == 0:
+            raise CalibrationError(f"no two-segment curve reaches {target_h_sbms} bits "
+                                   f"within {CALIBRATION_TOL} for n={n}")
+        pb = _solve_p_break(target_h_sbms, n, b)
+    return TwoSegmentParams(b, pb)
 
 
 # ======================================================================

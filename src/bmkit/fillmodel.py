@@ -261,10 +261,13 @@ def load_curve(path) -> SCurve:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'index probability', got {raw!r}")
-            pairs.append((int(parts[0]), float(parts[1])))
+            try:
+                index, prob = line.split()
+                pairs.append((int(index), float(prob)))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'index probability', got {raw!r}"
+                ) from None
     if not pairs:
         raise ValueError(f"{path}: no curve points found")
     pairs.sort()

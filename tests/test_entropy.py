@@ -1,6 +1,7 @@
 """Per-message information of the three schemes and the calibration helper."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bmkit import entropy
 from bmkit.entropy import (
     CALIBRATION_TOL,
     DEFAULT_KNEE_FRAC,
@@ -205,10 +207,10 @@ def test_calibrate_rejects_unreachable_targets():
         calibrate_curve(10.0, 1)
 
 
-def test_calibrate_scans_every_breakpoint_when_the_knee_misses():
+def test_calibrate_takes_the_largest_reachable_breakpoint_below_the_knee():
     """1 bit at n=32 is out of reach at the default knee (breakpoint 3), so
-    the scan settles on breakpoint 2; 31 bits is out of every breakpoint's
-    reach and raises."""
+    calibration settles on breakpoint 2, the largest below it that reaches 1
+    bit; 31 bits is out of every breakpoint's reach and raises."""
     assert int(round(DEFAULT_KNEE_FRAC * 31)) == 3
     params = calibrate_curve(1.0, 32)
     assert params.breakpoint == 2
@@ -217,9 +219,50 @@ def test_calibrate_scans_every_breakpoint_when_the_knee_misses():
         calibrate_curve(31.0, 32)
 
 
+def test_calibration_matches_a_linear_search_below_the_knee(monkeypatch):
+    """Over a grid of windows and targets, the breakpoints that reach a
+    target are a prefix of 1..b0, and calibration returns the same
+    breakpoint and p_break as a plain loop over them: the knee b0 if it
+    reaches, else the largest breakpoint below it that does.  The targets
+    crowd both ends of (0, 0.8 n), where the knee misses."""
+    solve = functools.cache(entropy._solve_p_break)
+    monkeypatch.setattr(entropy, "_solve_p_break", solve)
+    fractions = (0.005, 0.02, 0.03, 0.045, 0.3, 0.6, 0.75, 0.76, 0.77, 0.79)
+    below_knee = 0
+    for n in [*range(3, 41), 64, 100]:
+        b0 = min(max(int(round(DEFAULT_KNEE_FRAC * (n - 1))), 1), n - 2)
+        for target in (f * n for f in fractions):
+            reaches = [solve(target, n, b) is not None for b in range(1, b0 + 1)]
+            r = sum(reaches)
+            assert reaches == [True] * r + [False] * (b0 - r), (n, target)
+            if r == 0:
+                with pytest.raises(CalibrationError):
+                    calibrate_curve.__wrapped__(target, n)
+                continue
+            below_knee += r < b0
+            params = calibrate_curve.__wrapped__(target, n)
+            assert (params.breakpoint, params.p_break) == (r, solve(target, n, r)), (n, target)
+    assert below_knee > 50
+
+
+@pytest.mark.parametrize("n", [1200, 4560])
+def test_calibration_solves_a_logarithmic_number_of_breakpoints(monkeypatch, n):
+    """77 bits misses the knee at these windows; the bisection below it
+    finds breakpoint 107 in at most ceil(log2 b0) + 2 solves, not one per
+    breakpoint."""
+    calls = []
+    solve = entropy._solve_p_break
+    monkeypatch.setattr(entropy, "_solve_p_break", lambda *a: calls.append(a) or solve(*a))
+    params = calibrate_curve.__wrapped__(77.0, n)
+    b0 = int(round(DEFAULT_KNEE_FRAC * (n - 1)))
+    assert params.breakpoint == 107
+    assert abs(h_sbms(params.to_curve(n)) - 77.0) <= CALIBRATION_TOL
+    assert len(calls) <= math.ceil(math.log2(b0)) + 2
+
+
 def test_calibrate_various_targets_round_trip():
-    # Endpoint-pinned two-segment curves top out near 0.72*n bits (the
-    # straight-ramp limit), so targets stay below that ceiling.
+    # Endpoint-pinned two-segment curves top out near 0.79*n bits (at
+    # breakpoint 1; 157.6 bits at n=200), so targets stay below that ceiling.
     rng = np.random.default_rng(4)
     for _ in range(10):
         n = int(rng.integers(16, 200))

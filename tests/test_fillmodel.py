@@ -352,6 +352,12 @@ def test_load_curve_rejects_gaps(tmp_path):
     path.write_text("# only comments\n")
     with pytest.raises(ValueError):
         load_curve(path)
+    # A field that does not parse names its file and line, as a field count does.
+    for text in ("0 0.1\n1 abc\n", "0 0.1\nx 0.2\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected 'index probability'") as err:
+            load_curve(path)
+        assert str(err.value).startswith(f"{path}:2:")
 
 
 def test_load_curve_accepts_comments(tmp_path):
